@@ -67,9 +67,7 @@ from .connection import (
     torsionfree_connection,
 )
 from .involution import (
-    InvolutionTensors,
     PermutationWord,
-    build_I,
     build_J,
     build_jn,
     check_connection_reality,
@@ -90,5 +88,5 @@ from .fixtures import (
     su2_flip_geometry,
     su2_torsionfree_connection,
 )
-from .io import GeometryFileError, load_geometry, load_input
+from .io import GeometryFileError, load_input
 from .report import REPORT_SCHEMA, VerificationReport, run_verify

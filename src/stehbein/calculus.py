@@ -13,6 +13,7 @@ from .frametensor import (
     max_coeff_norm,
     tensor_product,
     wedge_project,
+    worst,
 )
 
 
@@ -72,8 +73,7 @@ def geometry_invariants(geom: FrameGeometry) -> dict[str, float]:
     * F reduced by P on its lower pair (F^a_{bc} P^{bc}_{de} = F^a_{de}).
     """
     res = {}
-    res["lambda_antihermitian"] = max(
-        (antihermiticity_residual(l) for l in geom.lam), default=0.0)
+    res["lambda_antihermitian"] = worst(antihermiticity_residual(l) for l in geom.lam)
     pm = central_as_matrix(geom.P)
     res["P_projector"] = float(np.max(np.abs(pm @ pm - pm)))
     fp = np.einsum('abc,bcde->ade', geom.F, geom.P)

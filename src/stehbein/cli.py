@@ -27,7 +27,7 @@ from .io import (
     load_input,
     save_json,
 )
-from .report import DEFAULT_TOL, GROUPS, run_verify
+from .report import BRAIDING_GROUPS, DEFAULT_TOL, GROUPS, run_verify
 from . import report as report_mod
 
 
@@ -142,8 +142,7 @@ def _dispatch(args, tol: float) -> int:
     if args.command == "braid-check":
         if isinstance(loaded, FrameGeometry):
             loaded = (make_braiding(loaded.S), loaded.P)
-        checks = {"sigma-consistency", "braid", "yb", "unitarity", "jn", "fifa"}
-        report = run_verify(loaded, tol=tol, checks=checks,
+        report = run_verify(loaded, tol=tol, checks=set(BRAIDING_GROUPS),
                             max_order=args.max_order, seed=args.seed,
                             source=args.input)
         return _finish_report(report, args.report)

@@ -16,6 +16,7 @@ from .frametensor import (
     central_as_matrix,
     max_coeff_norm,
     wedge_project,
+    worst,
 )
 
 _SLOT_LETTERS = "abcdefgh"
@@ -132,13 +133,8 @@ def check_right_leibniz(c: Connection, b: Braiding, f: np.ndarray,
     return max_coeff_norm(lhs - rhs)
 
 
-def torsion(c: Connection) -> tuple[list[FrameTensorField], float]:
-    """Torsion 2-forms Theta^a = d theta^a - pi(D theta^a), plus the residual of
-    the algebraic condition omega^a_{de} P^{de}_{bc} = 1/2 C^a_{bc}.
-
-    The 2-forms vanish iff the residual does; both are computed through
-    independent code paths so the agreement itself can be cross-checked.
-    """
+def torsion_forms(c: Connection) -> list[FrameTensorField]:
+    """Torsion 2-forms Theta^a = d theta^a - pi(D theta^a), one per frame index."""
     geom = c.geom
     two_forms = []
     for a in range(geom.n):
@@ -146,10 +142,23 @@ def torsion(c: Connection) -> tuple[list[FrameTensorField], float]:
         dth = differential1(basis, geom)
         pid = wedge_project(covariant_derivative(c, basis), 1, geom.P)
         two_forms.append(dth - pid)
-    mc = maurer_cartan(geom)
-    alg = np.einsum('adeij,debc->abcij', c.omega, geom.P) - 0.5 * mc
-    residual = max_coeff_norm(FrameTensorField(geom.n, alg))
-    return two_forms, residual
+    return two_forms
+
+
+def algebraic_torsion(c: Connection) -> np.ndarray:
+    """omega^a_{de} P^{de}_{bc} - 1/2 C^a_{bc}, shape (n, n, n, N, N).
+
+    It equals the coefficients of the torsion 2-forms, but is computed
+    through an independent code path so the agreement itself can be
+    cross-checked.
+    """
+    return np.einsum('adeij,debc->abcij', c.omega, c.geom.P) - 0.5 * maurer_cartan(c.geom)
+
+
+def torsion(c: Connection) -> tuple[list[FrameTensorField], float]:
+    """Torsion 2-forms, plus the residual of the algebraic condition
+    omega^a_{de} P^{de}_{bc} = 1/2 C^a_{bc}; the 2-forms vanish iff it does."""
+    return torsion_forms(c), max_coeff_norm(FrameTensorField(c.geom.n, algebraic_torsion(c)))
 
 
 def metric_eval(g: np.ndarray, t: FrameTensorField) -> np.ndarray:
@@ -193,15 +202,6 @@ def check_metric_compatibility(c: Connection, b: Braiding,
     rhs2 = np.einsum('ab,cd->abcd', g, np.eye(c.geom.n))
     res2 = float(np.max(np.abs(lhs2 - rhs2)))
     return res1, res2
-
-
-def d2_basis_coeffs(c: Connection, b: Braiding) -> np.ndarray:
-    """Coefficients of D_2(theta^a x theta^b): the tensor
-    -(omega^a_{pq} delta^b_r + S^{ac}_{pq} omega^b_{cr}) indexed [a,b,p,q,r]."""
-    geom = c.geom
-    out = -np.einsum('apqij,br->abpqrij', c.omega, np.eye(geom.n))
-    out -= np.einsum('acpq,bcrij->abpqrij', b.S, c.omega)
-    return out
 
 
 def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
@@ -265,9 +265,7 @@ def curvature(c: Connection, b: Braiding, p_tensor: np.ndarray) -> CurvatureData
     r = np.einsum('abcdij,cdef->abefij', r, p_tensor)
     g = geom.g if geom.g is not None else np.eye(n, dtype=complex)
     ricci = 0.5 * np.einsum('abcdij,db->acij', r, g)
-    cent = max(
-        (centrality_residual(r[idx], geom.lam) for idx in np.ndindex(n, n, n, n)),
-        default=0.0)
+    cent = worst(centrality_residual(r[idx], geom.lam) for idx in np.ndindex(n, n, n, n))
     return CurvatureData(R=r, ricci=ricci, centrality_residual=cent)
 
 

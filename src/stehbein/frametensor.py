@@ -19,12 +19,9 @@ Conventions fixed here and used identically everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .matalg import adjoint
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +115,11 @@ def word_tensor(s: np.ndarray, strands: int, letters) -> np.ndarray:
 class FrameTensorField:
     """A degree-p form/tensor with algebra-element coefficients.
 
-    ``coeffs`` has shape (n,)*degree + (N, N).  ``wedge_mask`` is advisory
-    metadata recording which adjacent index pairs have already been
-    projected onto 2-forms; identities are always checked on the raw
-    coefficients.
+    ``coeffs`` has shape (n,)*degree + (N, N).
     """
 
     n: int
     coeffs: np.ndarray
-    wedge_mask: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -135,9 +128,6 @@ class FrameTensorField:
             raise ValueError(f"coefficient grid of shape {c.shape} has no square matrix axes")
         if any(d != self.n for d in c.shape[:-2]):
             raise ValueError(f"frame axes of {c.shape} do not all equal n={self.n}")
-        for i in self.wedge_mask:
-            if not 1 <= i <= self.degree - 1:
-                raise ValueError(f"wedge mask position {i} out of range for degree {self.degree}")
 
     @property
     def degree(self) -> int:
@@ -149,19 +139,14 @@ class FrameTensorField:
 
     def __add__(self, other: "FrameTensorField") -> "FrameTensorField":
         self._check_compatible(other)
-        return FrameTensorField(self.n, self.coeffs + other.coeffs,
-                                self.wedge_mask & other.wedge_mask)
+        return FrameTensorField(self.n, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "FrameTensorField") -> "FrameTensorField":
         self._check_compatible(other)
-        return FrameTensorField(self.n, self.coeffs - other.coeffs,
-                                self.wedge_mask & other.wedge_mask)
+        return FrameTensorField(self.n, self.coeffs - other.coeffs)
 
     def __neg__(self) -> "FrameTensorField":
         return replace(self, coeffs=-self.coeffs)
-
-    def scaled(self, c: complex) -> "FrameTensorField":
-        return replace(self, coeffs=c * self.coeffs)
 
     def _check_compatible(self, other: "FrameTensorField"):
         if self.coeffs.shape != other.coeffs.shape or self.n != other.n:
@@ -180,11 +165,6 @@ def basis_field(n: int, N: int, index) -> FrameTensorField:
     c = np.zeros((n,) * len(index) + (N, N), dtype=complex)
     c[index] = np.eye(N)
     return FrameTensorField(n, c)
-
-
-def field_from_matrix(n: int, a: np.ndarray) -> FrameTensorField:
-    """Degree-0 field wrapping a single algebra element."""
-    return FrameTensorField(n, np.asarray(a, dtype=complex))
 
 
 def left_mul(f: np.ndarray, t: FrameTensorField) -> FrameTensorField:
@@ -209,8 +189,7 @@ def tensor_product(t1: FrameTensorField, t2: FrameTensorField) -> FrameTensorFie
     out = np.tensordot(t1.coeffs, t2.coeffs, axes=([t1.coeffs.ndim - 1], [t2.coeffs.ndim - 2]))
     # axes are now: (n,)*p, N, (n,)*q, N -- move the first matrix axis home
     out = np.moveaxis(out, p, p + t2.degree)
-    mask = t1.wedge_mask | {i + p for i in t2.wedge_mask}
-    return FrameTensorField(t1.n, out, frozenset(mask))
+    return FrameTensorField(t1.n, out)
 
 
 def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTensorField:
@@ -226,15 +205,12 @@ def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTenso
     axes = list(range(pos - 1, pos - 1 + k))
     out = np.tensordot(m, t.coeffs, axes=(list(range(k)), axes))
     out = np.moveaxis(out, list(range(k)), axes)
-    # masks whose pair overlaps the transformed block are no longer reliable
-    kept = {i for i in t.wedge_mask if i + 1 < pos or i > pos + k - 1}
-    return FrameTensorField(t.n, out, frozenset(kept))
+    return FrameTensorField(t.n, out)
 
 
 def wedge_project(t: FrameTensorField, pos: int, p_tensor: np.ndarray) -> FrameTensorField:
-    """Project the index pair (pos, pos+1) onto 2-forms and record it."""
-    out = apply_central_at(t, p_tensor, pos)
-    return replace(out, wedge_mask=frozenset(out.wedge_mask | {pos}))
+    """Project the index pair (pos, pos+1) onto 2-forms."""
+    return apply_central_at(t, p_tensor, pos)
 
 
 def max_coeff_norm(t: FrameTensorField) -> float:
@@ -243,6 +219,10 @@ def max_coeff_norm(t: FrameTensorField) -> float:
     return float(np.max(norms)) if norms.size else float(norms)
 
 
-def star_coeffs(t: FrameTensorField) -> np.ndarray:
-    """Entrywise adjoint of every coefficient (no index reshuffle)."""
-    return adjoint(t.coeffs)
+def worst(residuals) -> float:
+    """Largest of some non-negative residuals, 0.0 for none, NaN if any is NaN.
+
+    The builtin ``max`` cannot serve: ``max(0.0, nan)`` is 0.0, so a NaN
+    residual would pass.
+    """
+    return float(np.max(list(residuals), initial=0.0))

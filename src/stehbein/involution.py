@@ -11,10 +11,6 @@ where l_n reverses the index order and adjoints the coefficient.  On a
 field f_A theta^A this gives
 
     star(T)_B = sum_A J^{A}{}_{B} adjoint(f_A).
-
-Antilinear maps compose through conjugation; the helpers at the bottom fix
-that bookkeeping once so that equivalent word decompositions can be
-compared tensor-to-tensor.
 """
 
 from __future__ import annotations
@@ -31,14 +27,13 @@ from .frametensor import (
     FrameTensorField,
     basis_field,
     central_as_matrix,
-    flip_central,
     lift_central,
-    matrix_as_central,
     max_coeff_norm,
     reversal_central,
     tensor_product,
     wedge_project,
     word_tensor,
+    worst,
 )
 
 
@@ -84,11 +79,6 @@ def reverse_word(n: int) -> PermutationWord:
 # the central tensors I, J, J^(n)
 
 
-def build_I(p: np.ndarray) -> np.ndarray:
-    """I^{ab}_{cd} = -P^{ba}_{cd}: the star on projected 2-forms."""
-    return -np.einsum('bacd->abcd', np.asarray(p, dtype=complex))
-
-
 def build_J(s: np.ndarray) -> np.ndarray:
     """J^{ab}_{cd} = S^{ba}_{cd}: the star on 1-form x 1-form."""
     return np.einsum('bacd->abcd', np.asarray(s, dtype=complex))
@@ -116,20 +106,6 @@ def build_jn(b: Braiding, n: int, word: PermutationWord | None = None) -> np.nda
     w = word_tensor(b.S, n, word.letters)
     perm = list(range(n - 1, -1, -1)) + list(range(n, 2 * n))
     return np.ascontiguousarray(np.transpose(w, perm))
-
-
-@dataclass(frozen=True)
-class InvolutionTensors:
-    """The star tensors attached to a (P, S) pair, J^(n) up to a max order."""
-
-    I: np.ndarray
-    J: np.ndarray
-    jn: dict  # order -> rank-2n tensor
-
-    @classmethod
-    def build(cls, b: Braiding, p: np.ndarray, max_order: int = 4) -> "InvolutionTensors":
-        jn = {k: build_jn(b, k) for k in range(1, max_order + 1)}
-        return cls(I=build_I(p), J=build_J(b.S), jn=jn)
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +182,15 @@ def check_D2_reality(c: Connection, b: Braiding) -> tuple[float, float, float]:
     n, N = geom.n, geom.N
     j2 = build_jn(b, 2)
     j3 = build_jn(b, 3)
-    strong = 0.0
-    braided = 0.0
+    strong, braided = [], []
     for idx in np.ndindex(n, n):
         basis = basis_field(n, N, idx)
         lhs = d2(c, b, star_form(basis, j2))
         rhs = star_form(d2(c, b, basis), j3)
-        strong = max(strong, max_coeff_norm(lhs - rhs))
+        strong.append(max_coeff_norm(lhs - rhs))
         lhs2 = d2(c, b, apply_central_at(basis, b.S, 1))
         rhs2 = apply_central_at(d2(c, b, basis), b.S, 2)
-        braided = max(braided, max_coeff_norm(lhs2 - rhs2))
+        braided.append(max_coeff_norm(lhs2 - rhs2))
     j = build_J(b.S)
     om = c.omega
     t1 = np.einsum('abpe,pcdij->abcdeij', j, om)
@@ -223,7 +198,7 @@ def check_D2_reality(c: Connection, b: Braiding) -> tuple[float, float, float]:
     t3 = np.einsum('abpq,rpcd,qreij->abcdeij', j, j, om)
     t4 = np.einsum('qbcp,rpde,aqrij->abcdeij', j, j, om)
     coeff = float(np.max(np.linalg.norm(t1 - t2 + t3 - t4, axis=(-2, -1))))
-    return strong, coeff, braided
+    return worst(strong), coeff, worst(braided)
 
 
 def check_Dn_reality(c: Connection, b: Braiding, n: int) -> float:
@@ -238,13 +213,13 @@ def check_Dn_reality(c: Connection, b: Braiding, n: int) -> float:
     geom = c.geom
     jn_t = build_jn(b, n)
     jn1_t = build_jn(b, n + 1)
-    worst = 0.0
+    residuals = []
     for idx in np.ndindex(*(geom.n,) * n):
         basis = basis_field(geom.n, geom.N, idx)
         lhs = dn(c, b, star_form(basis, jn_t))
         rhs = star_form(dn(c, b, basis), jn1_t)
-        worst = max(worst, max_coeff_norm(lhs - rhs))
-    return worst
+        residuals.append(max_coeff_norm(lhs - rhs))
+    return worst(residuals)
 
 
 def check_wedge_star(geom: FrameGeometry, b: Braiding,
@@ -264,7 +239,7 @@ def check_wedge_star(geom: FrameGeometry, b: Braiding,
 
     rng = np.random.default_rng(seed)
     j2 = build_jn(b, 2)
-    field_res = 0.0
+    field_res = []
     for _ in range(samples):
         f = rng.uniform(0, 1, (geom.N, geom.N)) + 1j * rng.uniform(0, 1, (geom.N, geom.N))
         g = rng.uniform(0, 1, (geom.N, geom.N)) + 1j * rng.uniform(0, 1, (geom.N, geom.N))
@@ -273,8 +248,8 @@ def check_wedge_star(geom: FrameGeometry, b: Braiding,
         prod = wedge_project(tensor_product(df, dg), 1, p_t)
         lhs_f = wedge_project(star_form(prod, j2), 1, p_t)
         rhs_f = wedge_project(tensor_product(star_form(dg), star_form(df)), 1, p_t)
-        field_res = max(field_res, max_coeff_norm(lhs_f + rhs_f))
-    return max(tensor_res, field_res)
+        field_res.append(max_coeff_norm(lhs_f + rhs_f))
+    return worst([tensor_res, *field_res])
 
 
 def check_metric_reality(g: np.ndarray, s: np.ndarray) -> float:
@@ -283,50 +258,3 @@ def check_metric_reality(g: np.ndarray, s: np.ndarray) -> float:
     s = getattr(s, "S", s)
     lhs = np.einsum('abcd,cd->ab', np.asarray(s, dtype=complex), g)
     return float(np.max(np.abs(lhs - np.conj(g.T))))
-
-
-# ---------------------------------------------------------------------------
-# antilinear composition helpers (for comparing equivalent decompositions)
-
-
-def antilinear_then_linear(m_anti: np.ndarray, mats_linear) -> np.ndarray:
-    """Tensor of L_k o ... o L_1 o A, A antilinear, L_i linear (in application order)."""
-    out = central_as_matrix(m_anti)
-    for lin in mats_linear:
-        out = out @ central_as_matrix(lin)
-    return out
-
-
-def jn_recursive(b: Braiding, form: str) -> np.ndarray:
-    """J^(n) through the equivalent recursive decompositions.
-
-    ``'half2'``: j_3 = sigma_12 sigma_23 eps_23 eps_12 (j_1 x j_2);
-    ``'half3'``: j_4 = sigma_12 sigma_23 sigma_34 eps_34 eps_23 eps_12 (j_1 x j_3);
-    ``'pair'`` : j_4 = sigma_23 sigma_34 sigma_12 sigma_23 eps_23 eps_12 eps_34 eps_23 (j_2 x j_2).
-
-    All agree with the direct word construction once the braid equation
-    holds.
-    """
-    n = b.n
-    eps = flip_central(n)
-    if form == "half2":
-        strands = 3
-        anti = np.kron(np.eye(n), central_as_matrix(build_jn(b, 2)))
-        linear = [lift_central(eps, 3, 1), lift_central(eps, 3, 2),
-                  lift_central(b.S, 3, 2), lift_central(b.S, 3, 1)]
-    elif form == "half3":
-        strands = 4
-        anti = np.kron(np.eye(n), central_as_matrix(build_jn(b, 3)))
-        linear = [lift_central(eps, 4, 1), lift_central(eps, 4, 2), lift_central(eps, 4, 3),
-                  lift_central(b.S, 4, 3), lift_central(b.S, 4, 2), lift_central(b.S, 4, 1)]
-    elif form == "pair":
-        strands = 4
-        j2m = central_as_matrix(build_jn(b, 2))
-        anti = np.kron(j2m, j2m)
-        linear = [lift_central(eps, 4, 2), lift_central(eps, 4, 3),
-                  lift_central(eps, 4, 1), lift_central(eps, 4, 2),
-                  lift_central(b.S, 4, 2), lift_central(b.S, 4, 1),
-                  lift_central(b.S, 4, 3), lift_central(b.S, 4, 2)]
-    else:
-        raise ValueError(f"unknown recursive form {form!r}")
-    return matrix_as_central(antilinear_then_linear(matrix_as_central(anti, n), linear), n)

@@ -40,19 +40,14 @@ def decode_complex_array(data, ndim: int, name: str) -> np.ndarray:
     """Decode a nested array with exactly `ndim` axes above the [re, im] leaf."""
     try:
         raw = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GeometryFileError(f"field {name!r} is not a numeric nested array: {exc}") from exc
     if raw.ndim != ndim + 1 or raw.shape[-1] != 2:
         raise GeometryFileError(
             f"field {name!r} has shape {raw.shape}; expected {ndim} axes of [re, im] pairs")
+    if not np.all(np.isfinite(raw)):
+        raise GeometryFileError(f"field {name!r} has a non-finite entry")
     return raw[..., 0] + 1j * raw[..., 1]
-
-
-_GEOMETRY_FIELDS = {
-    # name -> (json key, tensor axes as a function of (n, N) placeholders)
-    "lambda": 3, "P": 4, "S": 4, "tau": 4, "F": 3, "K": 2,
-    "metric": 2, "omega": 5, "chi": 3,
-}
 
 
 def geometry_to_dict(geom: FrameGeometry) -> dict:
@@ -89,16 +84,23 @@ def _geometry_from_dict(doc: dict) -> FrameGeometry:
     try:
         N = int(doc["matrix_dim"])
         n = int(doc["frame_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GeometryFileError(f"missing or invalid matrix_dim/frame_dim: {exc}") from exc
     lam = decode_complex_array(doc["lambda"], 3, "lambda")
+    # checked before FrameGeometry allocates zero F and K of the declared size
+    if lam.shape != (n, N, N):
+        raise GeometryFileError(f"lambda has shape {lam.shape}, expected {(n, N, N)}")
     p = decode_complex_array(doc["P"], 4, "P") if "P" in doc else None
     if p is None:
         raise GeometryFileError("geometry file lacks the wedge projector 'P'")
     if "S" in doc:
         s = decode_complex_array(doc["S"], 4, "S")
     elif "tau" in doc:
-        s = sigma_from_tau(decode_complex_array(doc["tau"], 4, "tau"), p).S
+        tau = decode_complex_array(doc["tau"], 4, "tau")
+        try:
+            s = sigma_from_tau(tau, p).S
+        except ValueError as exc:
+            raise GeometryFileError(f"cannot build S from tau: {exc}") from exc
     else:
         raise GeometryFileError("geometry file needs one of 'S' or 'tau'")
     kwargs = {}
@@ -111,7 +113,7 @@ def _geometry_from_dict(doc: dict) -> FrameGeometry:
     except ValueError as exc:
         raise GeometryFileError(str(exc)) from exc
     for name, residual in geometry_invariants(geom).items():
-        if residual > LOAD_TOL:
+        if not residual <= LOAD_TOL:
             raise GeometryFileError(
                 f"geometry violates invariant {name!r} (residual {residual:.3g})",
                 violation=name)
@@ -134,24 +136,21 @@ def load_input(path):
     if "lambda" in doc:
         return _geometry_from_dict(doc)
     if "S" in doc:
-        n = int(doc.get("n", doc.get("frame_dim", 0)))
+        try:
+            n = int(doc.get("n", doc.get("frame_dim", 0)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GeometryFileError(f"invalid frame dimension n: {exc}") from exc
         s = decode_complex_array(doc["S"], 4, "S")
         if n == 0:
             n = s.shape[0]
         if s.shape != (n,) * 4:
             raise GeometryFileError(f"S has shape {s.shape}, expected {(n,) * 4}")
         p = decode_complex_array(doc["P"], 4, "P") if "P" in doc else None
+        if p is not None and p.shape != s.shape:
+            raise GeometryFileError(f"P has shape {p.shape}, expected {s.shape}")
         return make_braiding(s), p
     raise GeometryFileError(
         f"{path} is neither a geometry file (needs 'lambda') nor a braiding file (needs 'S')")
-
-
-def load_geometry(path) -> FrameGeometry:
-    """Load a file that must be a full geometry."""
-    loaded = load_input(path)
-    if not isinstance(loaded, FrameGeometry):
-        raise GeometryFileError(f"{path} is a braiding-only file, not a geometry")
-    return loaded
 
 
 def curvature_to_dict(curv) -> dict:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .frametensor import worst
+
 
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose.  Works on a single element or a stack of them."""
@@ -44,6 +46,4 @@ def centrality_residual(a: np.ndarray, geom) -> float:
     a = np.asarray(a)
     if lam.shape[-1] != a.shape[-1]:
         raise ValueError(f"dimension mismatch: element is {a.shape}, generators are {lam.shape}")
-    if lam.size == 0:
-        return 0.0
-    return max(frobenius_norm(commutator(gen, a)) for gen in lam)
+    return worst(frobenius_norm(commutator(gen, a)) for gen in lam)

@@ -1,14 +1,28 @@
 """Verification report assembly and the check orchestrator.
 
-Every check is a residual plus the identity it instantiates (recorded as a
-formula string in ``equation_anchor``); the tolerance decides pass/fail.
-Checks whose prerequisites are absent from the input are reported as
-skipped, never silently dropped.
+Every row is a residual plus the identity it instantiates (a formula
+string in ``equation_anchor``); the tolerance decides pass/fail, and NaN
+fails.  ``CHECKS`` declares each row once: its ``--checks`` group, one
+prerequisite (none, geometry, projector, connection, metric or never),
+its (name, anchor) rows, and ``run(ctx, order)`` returning one
+(residual or None, note) per row; an entry with a first order expands
+into rows ``<name>-<order>`` up to ``max_order``.  ``GROUPS`` and
+``BRAIDING_GROUPS`` are read off the table.
+
+``run_verify`` walks the table in order.  A row is skipped, never
+dropped: with ``not selected`` when its group is filtered out, with the
+reason its prerequisite is missing, or with ``skipped: ...`` when it
+needs the inverse of a singular braiding.  The per-run ``_Context`` holds
+the inputs, the seeded generator (drawn from in table order, so samples
+depend on which groups ran before) and the intermediates several checks
+share, each computed at most once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,15 +40,17 @@ from .braiding import (
     check_sigma_consistency,
     check_yang_baxter,
     make_braiding,
+    sigma_unitarity_residual,
 )
 from .connection import (
     Connection,
+    algebraic_torsion,
     central_connection,
     check_left_leibniz,
     check_right_leibniz,
     d0_connection,
     dn,
-    torsion,
+    torsion_forms,
     torsionfree_connection,
     check_metric_symmetry,
     check_metric_compatibility,
@@ -49,63 +65,10 @@ from .involution import (
     check_metric_reality,
     check_wedge_star,
 )
-from .frametensor import FrameTensorField, apply_central_at, basis_field, max_coeff_norm
+from .frametensor import FrameTensorField, apply_central_at, basis_field, max_coeff_norm, worst
 from .fixtures import random_element, random_field
 
 DEFAULT_TOL = 1e-9
-
-ANCHORS = {
-    "structure": "2 λ_c λ_d P^{cd}_{ab} − λ_c F^c_{ab} − K_{ab} = 0",
-    "theta-squared": "dθ + θ² = ½ K_{ab} θ^a θ^b",
-    "d-squared": "d² = 0",
-    "sigma-consistency": "π∘(σ+1) = 0",
-    "braid": "σ₁₂σ₂₃σ₁₂ = σ₂₃σ₁₂σ₂₃",
-    "yang-baxter": "J^{ab}_{pq} J^{pc}_{dr} J^{qr}_{ef} = J^{bc}_{pq} J^{aq}_{rf} J^{rp}_{de}",
-    "sigma-unitarity": "(S^{ba}_{cd})* S^{dc}_{ef} = δ^a_e δ^b_f",
-    "leibniz-left": "D(fξ) = df⊗ξ + f Dξ",
-    "leibniz-right": "D(ξf) = σ(ξ⊗df) + (Dξ)f",
-    "torsion": "Θ^a = dθ^a − π∘Dθ^a  ⇔  ω^a_{de} P^{de}_{bc} = ½ C^a_{bc}",
-    "metric-symmetry": "g∘σ ∝ g",
-    "metric-compat-first": "ω^a_{bc} + ω_{cd}^e S^{ad}_{be} = 0",
-    "metric-compat-second": "S^{ae}_{df} g^{fg} S^{bc}_{eg} = g^{ab} δ^c_d",
-    "metric-reality": "S^{ab}_{cd} g^{cd} = (g^{ba})*",
-    "connection-reality": "(ω^a_{bc})* = ω^a_{de} (J^{de}_{bc})*",
-    "wedge-star": "(ξη)* = −η*ξ*",
-    "d2-reality-strong": "D₂∘ȷ₂ = ȷ₃∘D₂",
-    "d2-reality-coeffs":
-        "J^{ab}_{pe}ω^p_{cd} − J^{ap}_{de}ω^b_{cp} + J^{ab}_{pq}J^{rp}_{cd}ω^q_{re}"
-        " − J^{qb}_{cp}J^{rp}_{de}ω^a_{qr} = 0",
-    "d2-reality-braided": "D₂∘σ = σ₂₃∘D₂",
-    "d2-reality-triangle": "D₂∘ȷ₂ = ȷ₃∘D₂  ⇔  σ-form  ⇔  coefficient form",
-    "jn-involutive": "conj(J^(n)) ∘ J^(n) = 1",
-    "fifa": "σ_{i(i+1)} ℓ_n = ℓ_n σ⁻¹_{(n−i)(n+1−i)}",
-    "dn-sigma-lemma": "D_n∘σ_{(i−1)i} = σ_{i(i+1)}∘D_n",
-    "dn-reality": "D_n∘ȷ_n = ȷ_{n+1}∘D_n",
-    "i-weak-yang-baxter": "weak Yang-Baxter property of I = −Pᵀ",
-}
-
-# group names accepted by --checks
-GROUPS = {
-    "structure": ["structure"],
-    "theta2": ["theta-squared"],
-    "d2": ["d-squared"],
-    "sigma-consistency": ["sigma-consistency"],
-    "braid": ["braid"],
-    "yb": ["yang-baxter"],
-    "unitarity": ["sigma-unitarity"],
-    "leibniz": ["leibniz-left", "leibniz-right"],
-    "torsion": ["torsion"],
-    "metric": ["metric-symmetry", "metric-compat-first",
-               "metric-compat-second", "metric-reality"],
-    "connection-reality": ["connection-reality"],
-    "wedge-star": ["wedge-star"],
-    "d2-reality": ["d2-reality-strong", "d2-reality-coeffs",
-                   "d2-reality-braided", "d2-reality-triangle"],
-    "jn": ["jn-involutive"],
-    "fifa": ["fifa"],
-    "dn-lemma": ["dn-sigma-lemma"],
-    "dn-reality": ["dn-reality"],
-}
 
 
 @dataclass
@@ -118,14 +81,7 @@ class CheckResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "equation_anchor": self.equation_anchor,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -136,18 +92,15 @@ class VerificationReport:
     source: str = ""
     checks: list = field(default_factory=list)
 
-    def add(self, name: str, anchor_key: str, residual: float | None,
-            note: str = "", skipped: bool = False) -> CheckResult:
-        if skipped or residual is None:
+    def add(self, name: str, anchor: str, residual: float | None,
+            note: str = "") -> None:
+        """Append a row; a residual of None marks it skipped."""
+        if residual is None:
             status = "skipped"
-            residual = None
         else:
             residual = float(residual)
             status = "pass" if residual <= self.tolerance else "fail"
-        result = CheckResult(name, ANCHORS[anchor_key], residual,
-                             self.tolerance, status, note or "")
-        self.checks.append(result)
-        return result
+        self.checks.append(CheckResult(name, anchor, residual, self.tolerance, status, note))
 
     @property
     def counts(self) -> dict:
@@ -159,9 +112,6 @@ class VerificationReport:
     @property
     def all_pass(self) -> bool:
         return self.counts["fail"] == 0
-
-    def failed_names(self) -> list:
-        return [c.name for c in self.checks if c.status == "fail"]
 
     def to_dict(self) -> dict:
         from . import __version__
@@ -232,10 +182,6 @@ REPORT_SCHEMA = {
 }
 
 
-def _selected(checks_filter, group: str) -> bool:
-    return checks_filter is None or group in checks_filter
-
-
 def resolve_connection(geom: FrameGeometry, braid: Braiding,
                        mode: str = "auto") -> tuple[Connection, str]:
     """Build the connection a geometry implies, returning it and a label."""
@@ -254,12 +200,201 @@ def resolve_connection(geom: FrameGeometry, braid: Braiding,
     raise ValueError(f"unknown connection mode {mode!r}")
 
 
-def sigma_unitarity_residual(s: np.ndarray) -> float:
-    s = np.asarray(s)
-    lhs = np.einsum('bacd,dcef->abef', np.conj(s), s)
-    n = s.shape[0]
-    eye2 = np.einsum('ae,bf->abef', np.eye(n), np.eye(n))
-    return float(np.max(np.abs(lhs - eye2)))
+class _Context:
+    """The inputs of one run and the intermediates its checks share."""
+
+    def __init__(self, loaded, tol: float, seed: int, connection_mode: str):
+        if isinstance(loaded, FrameGeometry):
+            self.geom, self.braid, self.P = loaded, make_braiding(loaded.S), loaded.P
+        else:
+            self.geom = None
+            self.braid, self.P = loaded
+        self.tol, self.seed = tol, seed
+        self.rng = np.random.default_rng(seed)
+        self.conn = self.conn_label = self.conn_error = None
+        if self.geom is not None:
+            try:
+                self.conn, self.conn_label = resolve_connection(
+                    self.geom, self.braid, connection_mode)
+            except ValueError as exc:
+                self.conn_error = str(exc)
+
+    def missing(self, needs: str | None) -> str | None:
+        """Why the prerequisite ``needs`` is not met, or None when it is."""
+        if needs == "never":
+            # the weak Yang-Baxter property of -P^T has no stated form to check
+            return "not checked (condition unspecified)"
+        if needs == "projector" and self.P is None:
+            return "no projector in input"
+        if needs in (None, "projector"):
+            return None
+        if self.geom is None:
+            return "requires a geometry input"
+        if needs in ("connection", "metric") and self.conn is None:
+            return f"no connection available ({self.conn_error})"
+        if needs == "metric" and self.geom.g is None:
+            return "no metric in input"
+        return None
+
+    @cached_property
+    def J(self) -> np.ndarray:
+        return build_J(self.braid.S)
+
+    @cached_property
+    def braid_residual(self) -> float:
+        return check_braid(self.braid)
+
+    @cached_property
+    def connection_reality(self) -> float:
+        return check_connection_reality(self.conn, self.J)
+
+
+class Check(NamedTuple):
+    """One entry of ``CHECKS``; see the module docstring."""
+
+    group: str | None
+    needs: str | None
+    rows: tuple
+    run: Callable | None
+    first_order: int | None = None
+
+
+def _d_squared(ctx, _):
+    geom = ctx.geom
+    elements = (random_element(ctx.rng, geom.N) for _ in range(100))
+    res = worst(max_coeff_norm(differential1(differential0(f, geom), geom)) for f in elements)
+    return [(res, "100 seeded elements")]
+
+
+def _leibniz(ctx, _):
+    geom = ctx.geom
+
+    def pairs():
+        for _ in range(50):
+            yield random_element(ctx.rng, geom.N), random_field(ctx.rng, geom.n, geom.N, 1)
+    left = worst(check_left_leibniz(ctx.conn, f, xi) for f, xi in pairs())
+    right = worst(check_right_leibniz(ctx.conn, ctx.braid, f, xi) for f, xi in pairs())
+    note = f"{ctx.conn_label}; 50 seeded pairs"
+    return [(left, note), (right, note)]
+
+
+def _torsion(ctx, _):
+    # cross-check: the 2-form route must reproduce the algebraic tensor
+    forms, alg = torsion_forms(ctx.conn), algebraic_torsion(ctx.conn)
+    n = ctx.geom.n
+    res = worst(max_coeff_norm(tf - FrameTensorField(n, alg[a])) for a, tf in enumerate(forms))
+    return [(res, f"{ctx.conn_label}; torsion norm {worst(map(max_coeff_norm, forms)):.3e}, "
+                  f"algebraic {max_coeff_norm(FrameTensorField(n, alg)):.3e}")]
+
+
+def _metric(ctx, _):
+    g = ctx.geom.g
+    try:
+        res, c = check_metric_symmetry(g, ctx.braid)
+        rows = [(res, f"proportionality c = {c.real:.6g}{c.imag:+.3g}i")]
+    except ValueError as exc:
+        rows = [(None, str(exc))]
+    try:
+        r1, r2 = check_metric_compatibility(ctx.conn, ctx.braid, g)
+        rows += [(r1, "indices lowered with g_{ab} = (g^{ab})^{-1}"), (r2, "")]
+    except ValueError as exc:
+        rows += [(None, str(exc))] * 2
+    return rows + [(check_metric_reality(g, ctx.braid.S), "")]
+
+
+def _d2_reality(ctx, _):
+    residuals = check_D2_reality(ctx.conn, ctx.braid)
+    rows = [(residuals[0], ctx.conn_label), (residuals[1], ""), (residuals[2], "")]
+    real1, tol = ctx.connection_reality, ctx.tol
+    if real1 > tol:
+        return rows + [(None, f"equivalence needs a real connection "
+                              f"(connection-reality residual {real1:.3e})")]
+    lo, hi = min(residuals), worst(residuals)
+    if np.isnan(hi):
+        return rows + [(hi, "a residual is NaN")]
+    if lo <= tol < hi / 10:
+        return rows + [(hi - lo, "internal-consistency error: provably equivalent residuals disagree")]
+    return rows + [(0.0, "three equivalent forms agree")]
+
+
+def _jn(ctx, order):
+    braid_res = ctx.braid_residual
+    return [(check_jn_involutive(ctx.braid, order),
+             "" if braid_res <= 100 * ctx.tol else f"braid residual {braid_res:.3e}")]
+
+
+def _dn_lemma(ctx, order):
+    c, b, n, N = ctx.conn, ctx.braid, ctx.geom.n, ctx.geom.N
+
+    def residuals():
+        for i in range(2, order + 1):
+            for idx in np.ndindex(*(n,) * order):
+                basis = basis_field(n, N, idx)
+                lhs = dn(c, b, apply_central_at(basis, b.S, i - 1))
+                rhs = apply_central_at(dn(c, b, basis), b.S, i)
+                yield max_coeff_norm(lhs - rhs)
+    return [(worst(residuals()), ctx.conn_label)]
+
+
+CHECKS = (
+    Check("structure", "geometry",
+          (("structure", "2 λ_c λ_d P^{cd}_{ab} − λ_c F^c_{ab} − K_{ab} = 0"),),
+          lambda ctx, _: [(check_structure(ctx.geom), "")]),
+    Check("theta2", "geometry", (("theta-squared", "dθ + θ² = ½ K_{ab} θ^a θ^b"),),
+          lambda ctx, _: [(check_theta_squared(ctx.geom), "")]),
+    Check("d2", "geometry", (("d-squared", "d² = 0"),), _d_squared),
+    Check("sigma-consistency", "projector", (("sigma-consistency", "π∘(σ+1) = 0"),),
+          lambda ctx, _: [(check_sigma_consistency(ctx.braid, ctx.P), "")]),
+    Check("braid", None, (("braid", "σ₁₂σ₂₃σ₁₂ = σ₂₃σ₁₂σ₂₃"),),
+          lambda ctx, _: [(ctx.braid_residual, "")]),
+    Check("yb", None,
+          (("yang-baxter",
+            "J^{ab}_{pq} J^{pc}_{dr} J^{qr}_{ef} = J^{bc}_{pq} J^{aq}_{rf} J^{rp}_{de}"),),
+          lambda ctx, _: [(check_yang_baxter(ctx.J), "")]),
+    Check("unitarity", None, (("sigma-unitarity", "(S^{ba}_{cd})* S^{dc}_{ef} = δ^a_e δ^b_f"),),
+          lambda ctx, _: [(sigma_unitarity_residual(ctx.braid.S), "")]),
+    Check("leibniz", "connection",
+          (("leibniz-left", "D(fξ) = df⊗ξ + f Dξ"),
+           ("leibniz-right", "D(ξf) = σ(ξ⊗df) + (Dξ)f")),
+          _leibniz),
+    Check("torsion", "connection",
+          (("torsion", "Θ^a = dθ^a − π∘Dθ^a  ⇔  ω^a_{de} P^{de}_{bc} = ½ C^a_{bc}"),),
+          _torsion),
+    Check("metric", "metric",
+          (("metric-symmetry", "g∘σ ∝ g"),
+           ("metric-compat-first", "ω^a_{bc} + ω_{cd}^e S^{ad}_{be} = 0"),
+           ("metric-compat-second", "S^{ae}_{df} g^{fg} S^{bc}_{eg} = g^{ab} δ^c_d"),
+           ("metric-reality", "S^{ab}_{cd} g^{cd} = (g^{ba})*")),
+          _metric),
+    Check("connection-reality", "connection",
+          (("connection-reality", "(ω^a_{bc})* = ω^a_{de} (J^{de}_{bc})*"),),
+          lambda ctx, _: [(ctx.connection_reality, ctx.conn_label)]),
+    Check("wedge-star", "geometry", (("wedge-star", "(ξη)* = −η*ξ*"),),
+          lambda ctx, _: [(check_wedge_star(ctx.geom, ctx.braid, seed=ctx.seed), "")]),
+    Check("d2-reality", "connection",
+          (("d2-reality-strong", "D₂∘ȷ₂ = ȷ₃∘D₂"),
+           ("d2-reality-coeffs",
+            "J^{ab}_{pe}ω^p_{cd} − J^{ap}_{de}ω^b_{cp} + J^{ab}_{pq}J^{rp}_{cd}ω^q_{re}"
+            " − J^{qb}_{cp}J^{rp}_{de}ω^a_{qr} = 0"),
+           ("d2-reality-braided", "D₂∘σ = σ₂₃∘D₂"),
+           ("d2-reality-triangle", "D₂∘ȷ₂ = ȷ₃∘D₂  ⇔  σ-form  ⇔  coefficient form")),
+          _d2_reality),
+    Check("jn", None, (("jn-involutive", "conj(J^(n)) ∘ J^(n) = 1"),), _jn, first_order=2),
+    Check("fifa", None, (("fifa", "σ_{i(i+1)} ℓ_n = ℓ_n σ⁻¹_{(n−i)(n+1−i)}"),),
+          lambda ctx, k: [(worst(check_fifa(ctx.braid, k, i) for i in range(1, k)),
+                           "max over all positions")], first_order=2),
+    Check("dn-lemma", "connection", (("dn-sigma-lemma", "D_n∘σ_{(i−1)i} = σ_{i(i+1)}∘D_n"),),
+          _dn_lemma, first_order=2),
+    Check("dn-reality", "connection", (("dn-reality", "D_n∘ȷ_n = ȷ_{n+1}∘D_n"),),
+          lambda ctx, k: [(check_Dn_reality(ctx.conn, ctx.braid, k), ctx.conn_label)],
+          first_order=1),
+    Check(None, "never", (("i-weak-yang-baxter", "weak Yang-Baxter property of I = −Pᵀ"),), None),
+)
+
+# group names accepted by --checks, with the rows of each
+GROUPS = {c.group: [name for name, _ in c.rows] for c in CHECKS if c.group}
+# the groups a braiding-only input can run (the braid-check command)
+BRAIDING_GROUPS = tuple(c.group for c in CHECKS if c.group and c.needs in (None, "projector"))
 
 
 def run_verify(loaded, *, tol: float = DEFAULT_TOL, checks=None,
@@ -270,218 +405,27 @@ def run_verify(loaded, *, tol: float = DEFAULT_TOL, checks=None,
     ``loaded`` is a FrameGeometry or a (Braiding, P-or-None) pair as
     returned by the loader.  ``checks`` is an optional set of group names
     (see GROUPS); everything applicable runs by default.  Report order is
-    deterministic.
+    the order of CHECKS.
     """
     report = VerificationReport(tolerance=tol, seed=seed, max_order=max_order,
                                 source=str(source))
-    if isinstance(loaded, FrameGeometry):
-        geom = loaded
-        braid = make_braiding(geom.S)
-        p_tensor = geom.P
-    else:
-        geom = None
-        braid, p_tensor = loaded
-
-    NO_GEOM = "requires a geometry input"
-    rng = np.random.default_rng(seed)
-
-    def gate(group, names, anchor_keys, fn, *, needs_geom=False, needs=None):
-        names = (names,) if isinstance(names, str) else tuple(names)
-        anchor_keys = (anchor_keys,) if isinstance(anchor_keys, str) else tuple(anchor_keys)
-        reason = None
-        if not _selected(checks, group):
-            reason = "not selected"
-        elif needs_geom and geom is None:
-            reason = NO_GEOM
-        elif needs:
-            reason = needs
-        if reason is not None:
-            for nm, ak in zip(names, anchor_keys):
-                report.add(nm, ak, None, note=reason, skipped=True)
-            return
-        try:
-            fn()
-        except SingularBraidingError as exc:
-            for nm, ak in zip(names, anchor_keys):
-                report.add(nm, ak, None, note=f"skipped: {exc}", skipped=True)
-
-    conn = conn_label = None
-    conn_error = None
-    if geom is not None:
-        try:
-            conn, conn_label = resolve_connection(geom, braid, connection_mode)
-        except ValueError as exc:
-            conn_error = str(exc)
-
-    # ---- frame calculus -------------------------------------------------
-    gate("structure", "structure", "structure",
-         lambda: report.add("structure", "structure", check_structure(geom)),
-         needs_geom=True)
-    gate("theta2", "theta-squared", "theta-squared",
-         lambda: report.add("theta-squared", "theta-squared", check_theta_squared(geom)),
-         needs_geom=True)
-
-    def d_squared():
-        worst = 0.0
-        for _ in range(100):
-            f = random_element(rng, geom.N)
-            worst = max(worst, max_coeff_norm(differential1(differential0(f, geom), geom)))
-        report.add("d-squared", "d-squared", worst, note="100 seeded elements")
-    gate("d2", "d-squared", "d-squared", d_squared, needs_geom=True)
-
-    # ---- braiding -------------------------------------------------------
-    gate("sigma-consistency", "sigma-consistency", "sigma-consistency",
-         lambda: report.add("sigma-consistency", "sigma-consistency",
-                            check_sigma_consistency(braid, p_tensor)),
-         needs=None if p_tensor is not None else "no projector in input")
-    gate("braid", "braid", "braid",
-         lambda: report.add("braid", "braid", check_braid(braid)))
-    gate("yb", "yang-baxter", "yang-baxter",
-         lambda: report.add("yang-baxter", "yang-baxter",
-                            check_yang_baxter(build_J(braid.S))))
-    gate("unitarity", "sigma-unitarity", "sigma-unitarity",
-         lambda: report.add("sigma-unitarity", "sigma-unitarity",
-                            sigma_unitarity_residual(braid.S)))
-
-    # ---- connection -----------------------------------------------------
-    conn_needs = None
-    if geom is None:
-        conn_needs = NO_GEOM
-    elif conn is None:
-        conn_needs = f"no connection available ({conn_error})"
-
-    def leibniz(which):
-        worst = 0.0
-        for _ in range(50):
-            f = random_element(rng, geom.N)
-            xi = random_field(rng, geom.n, geom.N, 1)
-            if which == "left":
-                worst = max(worst, check_left_leibniz(conn, f, xi))
+    ctx = _Context(loaded, tol, seed, connection_mode)
+    for check in CHECKS:
+        orders = (None,) if check.first_order is None else range(check.first_order, max_order + 1)
+        for order in orders:
+            rows = [(name if order is None else f"{name}-{order}", anchor)
+                    for name, anchor in check.rows]
+            if check.group and checks is not None and check.group not in checks:
+                reason = "not selected"
             else:
-                worst = max(worst, check_right_leibniz(conn, braid, f, xi))
-        report.add(f"leibniz-{which}", f"leibniz-{which}", worst,
-                   note=f"{conn_label}; 50 seeded pairs")
-    gate("leibniz", "leibniz-left", "leibniz-left", lambda: leibniz("left"),
-         needs=conn_needs)
-    gate("leibniz", "leibniz-right", "leibniz-right", lambda: leibniz("right"),
-         needs=conn_needs)
-
-    def torsion_check():
-        two_forms, alg = torsion(conn)
-        # cross-check: the 2-form route must reproduce the algebraic tensor
-        from .calculus import maurer_cartan
-        mc = maurer_cartan(geom)
-        algt = np.einsum('adeij,debc->abcij', conn.omega, geom.P) - 0.5 * mc
-        worst = 0.0
-        for a, tf in enumerate(two_forms):
-            worst = max(worst, max_coeff_norm(
-                tf - FrameTensorField(geom.n, algt[a])))
-        note = f"{conn_label}; torsion norm {max(max_coeff_norm(t) for t in two_forms):.3e}, algebraic {alg:.3e}"
-        report.add("torsion", "torsion", worst, note=note)
-    gate("torsion", "torsion", "torsion", torsion_check, needs=conn_needs)
-
-    # ---- metric ---------------------------------------------------------
-    metric_needs = conn_needs if conn_needs else (
-        None if (geom is not None and geom.g is not None) else "no metric in input")
-
-    def metric_symmetry():
-        res, c = check_metric_symmetry(geom.g, braid)
-        report.add("metric-symmetry", "metric-symmetry", res,
-                   note=f"proportionality c = {c.real:.6g}{c.imag:+.3g}i")
-    gate("metric", "metric-symmetry", "metric-symmetry", metric_symmetry,
-         needs=metric_needs)
-
-    def metric_compat():
-        try:
-            r1, r2 = check_metric_compatibility(conn, braid, geom.g)
-        except ValueError as exc:
-            report.add("metric-compat-first", "metric-compat-first", None,
-                       note=str(exc), skipped=True)
-            report.add("metric-compat-second", "metric-compat-second", None,
-                       note=str(exc), skipped=True)
-            return
-        report.add("metric-compat-first", "metric-compat-first", r1,
-                   note="indices lowered with g_{ab} = (g^{ab})^{-1}")
-        report.add("metric-compat-second", "metric-compat-second", r2)
-    gate("metric", ("metric-compat-first", "metric-compat-second"),
-         ("metric-compat-first", "metric-compat-second"), metric_compat,
-         needs=metric_needs)
-    gate("metric", "metric-reality", "metric-reality",
-         lambda: report.add("metric-reality", "metric-reality",
-                            check_metric_reality(geom.g, braid.S)),
-         needs=metric_needs)
-
-    # ---- involution -----------------------------------------------------
-    gate("connection-reality", "connection-reality", "connection-reality",
-         lambda: report.add("connection-reality", "connection-reality",
-                            check_connection_reality(conn, build_J(braid.S)),
-                            note=conn_label or ""),
-         needs=conn_needs)
-    gate("wedge-star", "wedge-star", "wedge-star",
-         lambda: report.add("wedge-star", "wedge-star",
-                            check_wedge_star(geom, braid, seed=seed)),
-         needs_geom=True)
-
-    def d2_reality():
-        strong, coeffs, braided = check_D2_reality(conn, braid)
-        report.add("d2-reality-strong", "d2-reality-strong", strong, note=conn_label)
-        report.add("d2-reality-coeffs", "d2-reality-coeffs", coeffs)
-        report.add("d2-reality-braided", "d2-reality-braided", braided)
-        real1 = check_connection_reality(conn, build_J(braid.S))
-        residuals = [strong, coeffs, braided]
-        if real1 > tol:
-            report.add("d2-reality-triangle", "d2-reality-triangle", None,
-                       note=f"equivalence needs a real connection "
-                            f"(connection-reality residual {real1:.3e})", skipped=True)
-            return
-        lo, hi = min(residuals), max(residuals)
-        inconsistent = lo <= tol < hi / 10
-        report.add("d2-reality-triangle", "d2-reality-triangle",
-                   (hi - lo) if inconsistent else 0.0,
-                   note="internal-consistency error: provably equivalent residuals disagree"
-                   if inconsistent else "three equivalent forms agree")
-    gate("d2-reality",
-         ("d2-reality-strong", "d2-reality-coeffs", "d2-reality-braided",
-          "d2-reality-triangle"),
-         ("d2-reality-strong", "d2-reality-coeffs", "d2-reality-braided",
-          "d2-reality-triangle"),
-         d2_reality, needs=conn_needs)
-
-    # ---- higher orders --------------------------------------------------
-    braid_res = check_braid(braid)
-    for order in range(2, max_order + 1):
-        note = "" if braid_res <= 100 * tol else f"braid residual {braid_res:.3e}"
-        gate("jn", f"jn-involutive-{order}", "jn-involutive",
-             lambda o=order, nt=note: report.add(
-                 f"jn-involutive-{o}", "jn-involutive", check_jn_involutive(braid, o), note=nt))
-    for order in range(2, max_order + 1):
-        def fifa_all(o=order):
-            worst = max(check_fifa(braid, o, i) for i in range(1, o))
-            report.add(f"fifa-{o}", "fifa", worst, note="max over all positions")
-        gate("fifa", f"fifa-{order}", "fifa", fifa_all)
-
-    def lemma_for(order):
-        worst = 0.0
-        for i in range(2, order + 1):
-            for idx in np.ndindex(*(geom.n,) * order):
-                basis = basis_field(geom.n, geom.N, idx)
-                lhs = dn(conn, braid, apply_central_at(basis, braid.S, i - 1))
-                rhs = apply_central_at(dn(conn, braid, basis), braid.S, i)
-                worst = max(worst, max_coeff_norm(lhs - rhs))
-        report.add(f"dn-sigma-lemma-{order}", "dn-sigma-lemma", worst, note=conn_label)
-    for order in range(2, max_order + 1):
-        gate("dn-lemma", f"dn-sigma-lemma-{order}", "dn-sigma-lemma",
-             lambda o=order: lemma_for(o), needs=conn_needs)
-
-    for order in range(1, max_order + 1):
-        gate("dn-reality", f"dn-reality-{order}", "dn-reality",
-             lambda o=order: report.add(
-                 f"dn-reality-{o}", "dn-reality", check_Dn_reality(conn, braid, o),
-                 note=conn_label),
-             needs=conn_needs)
-
-    # surfaced but never evaluated: the weak Yang-Baxter property of -P^T
-    # has no stated form to check
-    report.add("i-weak-yang-baxter", "i-weak-yang-baxter", None,
-               note="not checked (condition unspecified)", skipped=True)
+                reason = ctx.missing(check.needs)
+            if reason is None:
+                try:
+                    results = check.run(ctx, order)
+                except SingularBraidingError as exc:
+                    reason = f"skipped: {exc}"
+            if reason is not None:
+                results = [(None, reason)] * len(rows)
+            for (name, anchor), (residual, note) in zip(rows, results, strict=True):
+                report.add(name, anchor, residual, note)
     return report

@@ -189,7 +189,6 @@ def test_wedge_project_idempotent():
     once = wedge_project(t, 1, p)
     twice = wedge_project(once, 1, p)
     assert max_coeff_norm(twice - once) <= 1e-12
-    assert 1 in once.wedge_mask
 
 
 def test_wedge_kills_diagonal_basis():
@@ -203,14 +202,6 @@ def test_wedge_antisymmetrizes_offdiagonal():
     out = wedge_project(t, 1, antisymmetrizer_central(3))
     assert np.allclose(out.coeffs[0, 1], 0.5 * np.eye(2))
     assert np.allclose(out.coeffs[1, 0], -0.5 * np.eye(2))
-
-
-def test_wedge_mask_invalidated_by_overlapping_application():
-    t = _rand_field(16, degree=2)
-    p = antisymmetrizer_central(3)
-    masked = wedge_project(t, 1, p)
-    touched = apply_central_at(masked, flip_central(3), 1)
-    assert touched.wedge_mask == frozenset()
 
 
 # ---------------------------------------------------------------------------
