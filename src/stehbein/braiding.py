@@ -6,8 +6,7 @@ a word is a sequence of positions, the rightmost letter acting first.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,45 +20,27 @@ from .frametensor import (
     word_tensor,
 )
 
-INVERSE_COND_LIMIT = 1e12
-
 
 class SingularBraidingError(ValueError):
-    """Raised by checks that need sigma^{-1} when S is (near-)singular."""
+    """Raised by ``check_fifa``, the one check that inverts S, when S is (near-)singular."""
 
 
 @dataclass(frozen=True)
 class Braiding:
     """sigma(theta^a x theta^b) = S^{ab}_{cd} theta^c x theta^d.
 
-    The inverse (as an n^2 x n^2 map) is computed at construction and left
-    as None with a warning when the condition number exceeds 1e12; checks
-    that need it are then skipped rather than fed garbage.
+    Only S is stored; a singular S is accepted here and left for the
+    checks to judge.
     """
 
     n: int
     S: np.ndarray
-    S_inv: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         s = np.asarray(self.S, dtype=complex)
         object.__setattr__(self, "S", s)
         if s.shape != (self.n,) * 4:
             raise ValueError(f"S has shape {s.shape}, expected {(self.n,) * 4}")
-        if self.S_inv is None:
-            sm = central_as_matrix(s)
-            cond = np.linalg.cond(sm)
-            if not np.isfinite(cond) or cond > INVERSE_COND_LIMIT:
-                warnings.warn(
-                    f"braiding matrix has condition number {cond:.3g}; "
-                    "inverse-dependent checks will be skipped", RuntimeWarning)
-            else:
-                object.__setattr__(self, "S_inv", matrix_as_central(np.linalg.inv(sm), self.n))
-
-    def require_inverse(self) -> np.ndarray:
-        if self.S_inv is None:
-            raise SingularBraidingError("braiding is singular or too ill-conditioned to invert")
-        return self.S_inv
 
 
 def make_braiding(s: np.ndarray) -> Braiding:

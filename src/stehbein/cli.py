@@ -1,21 +1,20 @@
 """Command-line front end.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails,
-2 input or usage error.  STEHBEIN_TOL overrides the default tolerance.
+2 input or usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from .calculus import FrameGeometry
 from .braiding import make_braiding
-from .connection import curvature
+from .connection import MAX_DEGREE, curvature
 from .involution import build_jn
 from .fixtures import FIXTURE_NAMES, build_fixture
 from .io import (
@@ -27,26 +26,20 @@ from .io import (
     load_input,
     save_json,
 )
-from .report import BRAIDING_GROUPS, DEFAULT_TOL, GROUPS, run_verify
+from .report import BRAIDING_GROUPS, DEFAULT_TOL, GROUPS, REPORT_SCHEMA, run_verify
 from . import report as report_mod
 
 
-def _default_tol() -> float:
-    env = os.environ.get("STEHBEIN_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise SystemExit(f"invalid STEHBEIN_TOL value {env!r}")
-    return DEFAULT_TOL
+MIN_ORDER = REPORT_SCHEMA["properties"]["max_order"]["minimum"]
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"absolute tolerance (default {DEFAULT_TOL:g}, env STEHBEIN_TOL)")
+def _add_check_options(p: argparse.ArgumentParser):
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=f"absolute tolerance (default {DEFAULT_TOL:g})")
     p.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
     p.add_argument("--max-order", type=int, default=4,
-                   help="highest tensor order for j_n / D_n checks (default 4)")
+                   help=f"highest tensor order for j_n / D_n checks, {MIN_ORDER} to "
+                        f"{MAX_DEGREE} (default 4)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "d0", "torsion-free", "omega", "chi"],
                    help="connection used by connection-dependent checks")
     v.add_argument("--report", default=None, help="write the machine-readable report here")
-    _add_common(v)
+    _add_check_options(v)
 
     c = sub.add_parser("curvature", help="compute curvature and Ricci of a connection")
     c.add_argument("input", help="geometry JSON file")
@@ -71,25 +64,23 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["d0", "torsion-free", "omega", "chi"],
                    help="which connection to differentiate (required unless the file has omega)")
     c.add_argument("--out", default=None, help="write the curvature file here")
-    _add_common(c)
 
     bc = sub.add_parser("braid-check", help="braiding-level checks only")
     bc.add_argument("input", help="geometry or braiding JSON file")
     bc.add_argument("--report", default=None)
-    _add_common(bc)
+    _add_check_options(bc)
 
     j = sub.add_parser("jn", help="emit the star tensor J^(n) of the input braiding")
     j.add_argument("input")
     j.add_argument("-n", "--order", type=int, required=True)
     j.add_argument("--out", default=None)
-    _add_common(j)
 
     f = sub.add_parser("fixture", help="emit a built-in geometry or braiding file")
     f.add_argument("name", choices=FIXTURE_NAMES)
     f.add_argument("--out", required=True)
     f.add_argument("--frame-dim", type=int, default=3,
                    help="frame dimension for parametric fixtures")
-    _add_common(f)
+    f.add_argument("--seed", type=int, default=42, help="seed for random fixtures")
     return ap
 
 
@@ -104,15 +95,18 @@ def _finish_report(report, path):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tol = args.tol if getattr(args, "tol", None) is not None else _default_tol()
+    if args.command in ("verify", "braid-check") and not MIN_ORDER <= args.max_order <= MAX_DEGREE:
+        print(f"error: --max-order must be between {MIN_ORDER} and {MAX_DEGREE}, "
+              f"got {args.max_order}", file=sys.stderr)
+        return 2
     try:
-        return _dispatch(args, tol)
+        return _dispatch(args)
     except GeometryFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
-def _dispatch(args, tol: float) -> int:
+def _dispatch(args) -> int:
     if args.command == "fixture":
         kind, obj = build_fixture(args.name, seed=args.seed, n=args.frame_dim)
         if kind == "geometry":
@@ -134,7 +128,7 @@ def _dispatch(args, tol: float) -> int:
                 print(f"error: unknown check groups {sorted(unknown)}; "
                       f"known: {sorted(GROUPS)}", file=sys.stderr)
                 return 2
-        report = run_verify(loaded, tol=tol, checks=checks,
+        report = run_verify(loaded, tol=args.tol, checks=checks,
                             max_order=args.max_order, seed=args.seed,
                             connection_mode=args.connection, source=args.input)
         return _finish_report(report, args.report)
@@ -142,7 +136,7 @@ def _dispatch(args, tol: float) -> int:
     if args.command == "braid-check":
         if isinstance(loaded, FrameGeometry):
             loaded = (make_braiding(loaded.S), loaded.P)
-        report = run_verify(loaded, tol=tol, checks=set(BRAIDING_GROUPS),
+        report = run_verify(loaded, tol=args.tol, checks=set(BRAIDING_GROUPS),
                             max_order=args.max_order, seed=args.seed,
                             source=args.input)
         return _finish_report(report, args.report)

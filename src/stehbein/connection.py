@@ -20,6 +20,8 @@ from .frametensor import (
 )
 
 _SLOT_LETTERS = "abcdefgh"
+# highest degree dn accepts: it needs one einsum letter per slot of its result
+MAX_DEGREE = len(_SLOT_LETTERS) - 1
 
 
 @dataclass(frozen=True)
@@ -226,8 +228,8 @@ def dn(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
     p = t.degree
     if p < 1:
         raise ValueError("D_n needs a field of degree >= 1")
-    if p + 1 > len(_SLOT_LETTERS):
-        raise ValueError(f"degree {p} exceeds the supported maximum {len(_SLOT_LETTERS) - 1}")
+    if p > MAX_DEGREE:
+        raise ValueError(f"degree {p} exceeds the supported maximum {MAX_DEGREE}")
     geom = c.geom
     out = np.einsum('pij,...jk->p...ik', geom.lam, t.coeffs)
     out -= np.einsum('...ij,pjk->p...ik', t.coeffs, geom.lam)

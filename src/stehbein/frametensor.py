@@ -61,32 +61,6 @@ def matrix_as_central(mat: np.ndarray, n: int) -> np.ndarray:
     return mat.reshape((n,) * (2 * k))
 
 
-def central_compose(m_first: np.ndarray, m_then: np.ndarray) -> np.ndarray:
-    """Tensor of the composite map 'apply m_first, then m_then'."""
-    n = np.asarray(m_first).shape[0]
-    return matrix_as_central(central_as_matrix(m_first) @ central_as_matrix(m_then), n)
-
-
-def lift_central(m: np.ndarray, strands: int, pos: int) -> np.ndarray:
-    """Embed a rank-4 tensor acting at pair (pos, pos+1) into `strands` slots."""
-    m = np.asarray(m)
-    n = m.shape[0]
-    if not 1 <= pos <= strands - 1:
-        raise ValueError(f"position {pos} out of range for {strands} strands")
-    mat = np.kron(
-        np.kron(np.eye(n ** (pos - 1)), central_as_matrix(m)),
-        np.eye(n ** (strands - pos - 1)),
-    )
-    return mat.reshape((n,) * (2 * strands))
-
-
-def reversal_central(n: int, strands: int) -> np.ndarray:
-    """Linear index-reversal delta_{rev(A), B} on `strands` slots."""
-    eye = identity_central(n, strands)
-    perm = list(range(strands - 1, -1, -1)) + list(range(strands, 2 * strands))
-    return np.ascontiguousarray(np.transpose(eye, perm))
-
-
 def word_tensor(s: np.ndarray, strands: int, letters) -> np.ndarray:
     """Composite central tensor of a word of adjacent rank-4 operators.
 

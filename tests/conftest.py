@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stehbein import (
+    identity_central,
     make_braiding,
     phase_twist_braiding,
     su2_braiding,
@@ -24,6 +25,27 @@ def levi_civita3() -> np.ndarray:
         eps[a, b, c] = 1.0
         eps[a, c, b] = -1.0
     return eps
+
+
+# ---------------------------------------------------------------------------
+# Kronecker reference forms of the lifted operators
+
+
+def lift_central(m: np.ndarray, strands: int, pos: int) -> np.ndarray:
+    """Embed a rank-4 tensor acting at pair (pos, pos+1) into `strands` slots."""
+    n = m.shape[0]
+    if not 1 <= pos <= strands - 1:
+        raise ValueError(f"position {pos} out of range for {strands} strands")
+    mat = np.kron(np.kron(np.eye(n ** (pos - 1)), m.reshape(n * n, n * n)),
+                  np.eye(n ** (strands - pos - 1)))
+    return mat.reshape((n,) * (2 * strands))
+
+
+def reversal_central(n: int, strands: int) -> np.ndarray:
+    """Linear index-reversal delta_{rev(A), B} on `strands` slots."""
+    eye = identity_central(n, strands)
+    perm = list(range(strands - 1, -1, -1)) + list(range(strands, 2 * strands))
+    return np.ascontiguousarray(np.transpose(eye, perm))
 
 
 @pytest.fixture(scope="session")

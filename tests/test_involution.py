@@ -16,11 +16,17 @@ from stehbein import (
     make_braiding,
     star_form,
 )
-from stehbein.braiding import Braiding
-from stehbein.fixtures import random_phase_twist
-from stehbein.frametensor import central_as_matrix, flip_central, lift_central, matrix_as_central
+from stehbein.braiding import Braiding, sigma_from_tau
+from stehbein.fixtures import random_phase_twist, random_tau
+from stehbein.frametensor import (
+    antisymmetrizer_central,
+    central_as_matrix,
+    flip_central,
+    identity_central,
+    matrix_as_central,
+)
 
-from conftest import random_matrix
+from conftest import lift_central, random_matrix, reversal_central
 
 # ---------------------------------------------------------------------------
 # reference: J^(n) through the recursive decompositions of j_n
@@ -153,26 +159,55 @@ def test_jn_involutive_fails_off_unitarity(su2_braid):
     assert check_jn_involutive(doubled, 2) == pytest.approx(3.0)
 
 
+def fifa_kronecker(b: Braiding, n: int, i: int) -> float:
+    """max|R S_i - conj(S^{-1}_{n-i}) R| with the lifts formed as n-strand Kronecker products."""
+    s_inv = matrix_as_central(np.linalg.inv(central_as_matrix(b.S)), b.n)
+    r = central_as_matrix(reversal_central(b.n, n))
+    lhs = r @ central_as_matrix(lift_central(b.S, n, i))
+    rhs = np.conj(central_as_matrix(lift_central(s_inv, n, n - i))) @ r
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_fifa_on_braid_solutions(order, su2_braid, pt3_full):
+    assert check_fifa(su2_braid) == 0.0
+    assert check_fifa(pt3_full[0]) <= 1e-14
     for i in range(1, order):
-        assert check_fifa(su2_braid, order, i) == 0.0
-        assert check_fifa(pt3_full[0], order, i) <= 1e-14
+        assert fifa_kronecker(su2_braid, order, i) == check_fifa(su2_braid)
+        assert fifa_kronecker(pt3_full[0], order, i) == check_fifa(pt3_full[0])
+
+
+def test_fifa_equals_the_kronecker_form_at_every_order_and_position(su2_braid, pt3_full):
+    rng = np.random.default_rng(0)
+    # non-unitary or generic, with large residuals
+    generic = {f"tau-{s}": sigma_from_tau(random_tau(s), antisymmetrizer_central(3))
+               for s in range(5)}
+    generic["normal"] = make_braiding(rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4))
+    assert min(map(check_fifa, generic.values())) >= 1e-2
+    braidings = generic | {"su2-flip": su2_braid, "pt3-full": pt3_full[0]}
+    braidings |= {f"phase-twist-{s}": random_phase_twist(s, 4)[0] for s in (0, 1, 2)}
+    for name, b in braidings.items():
+        residual = check_fifa(b)
+        for n in range(2, 6):
+            for i in range(1, n):
+                assert fifa_kronecker(b, n, i) == residual, (name, n, i)
 
 
 def test_fifa_fails_for_a_generic_braiding():
     b = make_braiding(np.random.default_rng(0).normal(size=(3, 3, 3, 3)))
-    assert check_fifa(b, 3, 1) >= 1e-2
+    assert check_fifa(b) >= 1e-2
 
 
-def test_fifa_rejects_bad_positions_and_singular_braidings(su2_braid):
-    for i in (0, 3):
-        with pytest.raises(ValueError, match="out of range"):
-            check_fifa(su2_braid, 3, i)
-    with pytest.warns(RuntimeWarning, match="condition number"):
-        singular = make_braiding(np.zeros((3, 3, 3, 3)))
+def test_fifa_rejects_singular_braidings():
+    with pytest.raises(SingularBraidingError, match="singular or too ill-conditioned"):
+        check_fifa(make_braiding(np.zeros((3, 3, 3, 3))))
+    # one small diagonal entry sets the condition number; the limit is 1e12
+    s = identity_central(3).copy()
+    s[0, 0, 0, 0] = 1e-13
     with pytest.raises(SingularBraidingError):
-        check_fifa(singular, 2, 1)
+        check_fifa(make_braiding(s))
+    s[0, 0, 0, 0] = 1e-11
+    assert check_fifa(make_braiding(s)) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stehbein import check_sigma_consistency, cli, su2_flip_geometry
+from stehbein import (
+    check_sigma_consistency,
+    cli,
+    curvature,
+    su2_flip_geometry,
+    su2_torsionfree_connection,
+)
 from stehbein.fixtures import build_fixture, random_phase_twist, random_tau
 from stehbein.io import (
     GeometryFileError,
     braiding_to_dict,
+    curvature_to_dict,
+    decode_complex_array,
     encode_complex_array,
     geometry_to_dict,
     load_input,
@@ -72,6 +80,16 @@ def test_malformed_documents_are_named(doc, message, tmp_path):
     path = _write(doc, tmp_path / "in.json")
     with pytest.raises(GeometryFileError, match=message):
         load_input(path)
+
+
+def test_curvature_to_dict_round_trips_through_json(su2_braid):
+    conn = su2_torsionfree_connection()
+    data = curvature(conn, su2_braid, conn.geom.P)
+    doc = json.loads(json.dumps(curvature_to_dict(data)))
+    assert set(doc) == {"R", "Ricci", "centrality_residual"}
+    assert np.array_equal(decode_complex_array(doc["R"], 6, "R"), data.R)
+    assert np.array_equal(decode_complex_array(doc["Ricci"], 4, "Ricci"), data.ricci)
+    assert doc["centrality_residual"] == data.centrality_residual
 
 
 # ---------------------------------------------------------------------------
