@@ -37,15 +37,11 @@ from .calculus import (
 from .braiding import (
     Braiding,
     SingularBraidingError,
-    apply_sigma_at,
-    block_word,
     check_braid,
     check_sigma_consistency,
     check_yang_baxter,
-    extend_sigma_block,
     make_braiding,
     sigma_from_tau,
-    sigma_on_wedge,
 )
 from .connection import (
     Connection,

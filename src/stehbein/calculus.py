@@ -158,10 +158,17 @@ def check_structure(geom: FrameGeometry) -> float:
 
 
 def check_theta_squared(geom: FrameGeometry) -> float:
-    """Residual of d theta + theta^2 = 1/2 K_{ab} theta^a theta^b as 2-forms."""
+    """Residual of d theta + theta^2 = -1/2 K_{ab} theta^a theta^b as 2-forms.
+
+    The sign follows from the structure condition of ``check_structure``.
+    With X_{ab} = lam_c lam_d P^{cd}_{ab}, the coefficients of theta^2,
+    ``differential1`` and the C of ``maurer_cartan`` give, after the wedge
+    projection, d theta = -2 X + 1/2 lam_c F^c; so d theta + theta^2 =
+    1/2 lam_c F^c - X, which is -1/2 K when 2 X = lam_c F^c + K.
+    """
     dth = differential1(dirac_form(geom), geom)
     th2 = theta_squared(geom)
     k_field = wedge_project(
         FrameTensorField(geom.n, 0.5 * np.einsum('ab,ij->abij', geom.K, np.eye(geom.N))),
         1, geom.P)
-    return max_coeff_norm(dth + th2 - k_field)
+    return max_coeff_norm(dth + th2 + k_field)

@@ -178,7 +178,7 @@ def _dispatch(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        data = curvature(conn, braid, geom.P)
+        data = curvature(conn, braid)
         print(f"curvature of {label}: max |R| coefficient norm = "
               f"{float(np.max(np.linalg.norm(data.R, axis=(-2, -1)))):.6e}, "
               f"centrality residual = {data.centrality_residual:.3e}")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .matalg import centrality_residual
 from .calculus import FrameGeometry, differential1, maurer_cartan, theta_squared
-from .braiding import Braiding, apply_word, make_braiding
+from .braiding import Braiding, apply_word
 from .frametensor import (
     FrameTensorField,
     apply_central_at,
@@ -53,7 +53,7 @@ class CurvatureData:
     centrality_residual: float
 
 
-def d0_connection(geom: FrameGeometry, b: Braiding | None = None) -> Connection:
+def d0_connection(geom: FrameGeometry, b: Braiding) -> Connection:
     """The canonical covariant derivative D_(0) theta^a = -theta x theta^a + sigma(theta^a x theta).
 
     In coefficients: omega^a_{bd} = -lam_b delta^a_d + lam_c S^{ac}_{bd}.
@@ -64,22 +64,20 @@ def d0_connection(geom: FrameGeometry, b: Braiding | None = None) -> Connection:
     -1/2 C^a_{bc} (see ``calculus.maurer_cartan``).  So D_(0) is torsion-free
     exactly when F = 0, whatever the projector.
     """
-    s = (b.S if b is not None else geom.S)
     eye = np.eye(geom.n)
     om = -np.einsum('ad,bij->abdij', eye, geom.lam)
-    om += np.einsum('acbd,cij->abdij', s, geom.lam)
+    om += np.einsum('acbd,cij->abdij', b.S, geom.lam)
     return Connection(geom, om)
 
 
-def central_connection(geom: FrameGeometry, chi: np.ndarray,
-                       b: Braiding | None = None) -> Connection:
+def central_connection(geom: FrameGeometry, chi: np.ndarray, b: Braiding) -> Connection:
     """D_(0) shifted by a central bimodule morphism chi^a_{bc}."""
     chi = np.asarray(chi, dtype=complex)
     base = d0_connection(geom, b)
     return Connection(geom, base.omega + np.einsum('abc,ij->abcij', chi, np.eye(geom.N)))
 
 
-def solve_torsionfree_chi(geom: FrameGeometry, b: Braiding | None = None) -> np.ndarray:
+def solve_torsionfree_chi(geom: FrameGeometry, b: Braiding) -> np.ndarray:
     """Minimum-norm central chi making D_(0) + chi torsion-free.
 
     Solves (omega_0 + chi)^a_{de} P^{de}_{bc} = 1/2 C^a_{bc} by dense least
@@ -100,7 +98,7 @@ def solve_torsionfree_chi(geom: FrameGeometry, b: Braiding | None = None) -> np.
     return chi.reshape(n, n, n)
 
 
-def torsionfree_connection(geom: FrameGeometry, b: Braiding | None = None) -> Connection:
+def torsionfree_connection(geom: FrameGeometry, b: Braiding) -> Connection:
     return central_connection(geom, solve_torsionfree_chi(geom, b), b)
 
 
@@ -244,13 +242,12 @@ def dn(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
     return result
 
 
-def curvature_of_form(c: Connection, b: Braiding, p_tensor: np.ndarray,
-                      xi: FrameTensorField) -> FrameTensorField:
+def curvature_of_form(c: Connection, b: Braiding, xi: FrameTensorField) -> FrameTensorField:
     """pi_12 o D_2 o D applied to a 1-form."""
-    return wedge_project(d2(c, b, covariant_derivative(c, xi)), 1, p_tensor)
+    return wedge_project(d2(c, b, covariant_derivative(c, xi)), 1, c.geom.P)
 
 
-def curvature(c: Connection, b: Braiding, p_tensor: np.ndarray) -> CurvatureData:
+def curvature(c: Connection, b: Braiding) -> CurvatureData:
     """Curvature and Ricci of a connection.
 
     R^a_{bcd} is read off from Curv(theta^a) = -1/2 R^a_{bcd} theta^c theta^d x theta^b
@@ -261,18 +258,17 @@ def curvature(c: Connection, b: Braiding, p_tensor: np.ndarray) -> CurvatureData
     n, N = geom.n, geom.N
     r = np.empty((n, n, n, n, N, N), dtype=complex)
     for a in range(n):
-        curv = curvature_of_form(c, b, p_tensor, basis_field(n, N, (a,)))
+        curv = curvature_of_form(c, b, basis_field(n, N, (a,)))
         # coefficient at (c, d, b) is -1/2 R^a_{bcd}
         r[a] = -2.0 * np.moveaxis(curv.coeffs, 2, 0)
-    r = np.einsum('abcdij,cdef->abefij', r, p_tensor)
+    r = np.einsum('abcdij,cdef->abefij', r, geom.P)
     g = geom.g if geom.g is not None else np.eye(n, dtype=complex)
     ricci = 0.5 * np.einsum('abcdij,db->acij', r, g)
     cent = worst(centrality_residual(r[idx], geom.lam) for idx in np.ndindex(n, n, n, n))
     return CurvatureData(R=r, ricci=ricci, centrality_residual=cent)
 
 
-def curvature_d0_closed_form(geom: FrameGeometry, b: Braiding | None,
-                             p_tensor: np.ndarray,
+def curvature_d0_closed_form(geom: FrameGeometry, b: Braiding,
                              xi: FrameTensorField | None = None) -> FrameTensorField | list[FrameTensorField]:
     """Closed-form curvature of D_(0):
 
@@ -294,10 +290,8 @@ def curvature_d0_closed_form(geom: FrameGeometry, b: Braiding | None,
 
     With ``xi=None`` returns the list over all frame basis 1-forms.
     """
-    if b is None:
-        b = make_braiding(geom.S)
     if xi is None:
-        return [curvature_d0_closed_form(geom, b, p_tensor, basis_field(geom.n, geom.N, (a,)))
+        return [curvature_d0_closed_form(geom, b, basis_field(geom.n, geom.N, (a,)))
                 for a in range(geom.n)]
     th2 = theta_squared(geom)
     # theta^2 x xi: coefficient at (p, q, a) is theta^2_{pq} xi_a
@@ -305,5 +299,5 @@ def curvature_d0_closed_form(geom: FrameGeometry, b: Braiding | None,
     lamlam = np.einsum('bij,cjk->bcik', geom.lam, geom.lam)
     t2 = np.einsum('aij,bcjk->abcik', xi.coeffs, lamlam)
     field2 = apply_word(FrameTensorField(geom.n, t2), b, [1, 2, 1])
-    field2 = wedge_project(field2, 1, p_tensor)
+    field2 = wedge_project(field2, 1, geom.P)
     return FrameTensorField(geom.n, t1) + field2

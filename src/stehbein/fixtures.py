@@ -42,6 +42,8 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+# how far a phase-twist phase may sit from unit modulus (or from 1 on the diagonal)
+PHASE_TOL = 1e-12
 
 
 def levi_civita() -> np.ndarray:
@@ -80,8 +82,8 @@ def su2_torsionfree_connection() -> Connection:
     return torsionfree_connection(geom, su2_braiding())
 
 
-def phase_twist_braiding(n: int, phases: dict[tuple[int, int], complex],
-                         tol: float = 1e-12) -> tuple[Braiding, np.ndarray]:
+def phase_twist_braiding(n: int,
+                         phases: dict[tuple[int, int], complex]) -> tuple[Braiding, np.ndarray]:
     """Diagonal-type braiding S^{ab}_{cd} = L_{ab} delta^a_d delta^b_c.
 
     ``phases`` maps 0-based pairs (a, b) with a < b to unit-modulus L_{ab};
@@ -95,10 +97,10 @@ def phase_twist_braiding(n: int, phases: dict[tuple[int, int], complex],
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"pair {(a, b)} out of range for n={n}")
         if a == b:
-            if abs(ph - 1.0) > tol:
+            if abs(ph - 1.0) > PHASE_TOL:
                 raise ValueError(f"diagonal phase L[{a},{a}] must be 1, got {ph}")
             continue
-        if abs(abs(ph) - 1.0) > tol:
+        if abs(abs(ph) - 1.0) > PHASE_TOL:
             raise ValueError(f"phase L[{a},{b}] = {ph} is not unit modulus")
         lam[a, b] = ph
         lam[b, a] = 1.0 / ph
@@ -205,7 +207,7 @@ def _f_zero_geometry(seed: int, n: int, N: int, tau: np.ndarray | None) -> Frame
         raise ValueError(f"F = 0 geometry for n={n}, N={N}, seed={seed} is not exact: "
                          + ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items()))
     omega = np.max(np.abs(d0_connection(geom, braid).omega))
-    curv = max(max_coeff_norm(c) for c in curvature_d0_closed_form(geom, braid, p))
+    curv = max(max_coeff_norm(c) for c in curvature_d0_closed_form(geom, braid))
     if not min(omega, curv) > F_ZERO_FLAT_TOL:
         raise ValueError(f"F = 0 geometry for n={n}, N={N}, seed={seed} is degenerate: "
                          f"max |omega_0| {omega:.3e}, D_(0) curvature {curv:.3e}")

@@ -182,9 +182,9 @@ def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTenso
     return FrameTensorField(t.n, out)
 
 
-def wedge_project(t: FrameTensorField, pos: int, p_tensor: np.ndarray) -> FrameTensorField:
-    """Project the index pair (pos, pos+1) onto 2-forms."""
-    return apply_central_at(t, p_tensor, pos)
+def wedge_project(t: FrameTensorField, pos: int, p: np.ndarray) -> FrameTensorField:
+    """Project the index pair (pos, pos+1) onto 2-forms with the projector P."""
+    return apply_central_at(t, p, pos)
 
 
 def max_coeff_norm(t: FrameTensorField) -> float:

@@ -304,7 +304,7 @@ def _metric(ctx, _):
         rows += [(r1, "indices lowered with g_{ab} = (g^{ab})^{-1}"), (r2, "")]
     except ValueError as exc:
         rows += [(None, str(exc))] * 2
-    return rows + [(check_metric_reality(g, ctx.braid.S), "")]
+    return rows + [(check_metric_reality(g, ctx.braid), "")]
 
 
 def _d2_reality(ctx, _):
@@ -345,7 +345,7 @@ CHECKS = (
     Check("structure", "geometry",
           (("structure", "2 λ_c λ_d P^{cd}_{ab} − λ_c F^c_{ab} − K_{ab} = 0"),),
           lambda ctx, _: [(check_structure(ctx.geom), "")]),
-    Check("theta2", "geometry", (("theta-squared", "dθ + θ² = ½ K_{ab} θ^a θ^b"),),
+    Check("theta2", "geometry", (("theta-squared", "dθ + θ² = −½ K_{ab} θ^a θ^b"),),
           lambda ctx, _: [(check_theta_squared(ctx.geom), "")]),
     Check("d2", "geometry", (("d-squared", "d² = 0"),), _d_squared),
     Check("sigma-consistency", "projector", (("sigma-consistency", "π∘(σ+1) = 0"),),

@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 
 from stehbein.braiding import (
-    Braiding,
     SingularBraidingError,
-    apply_sigma_at,
     apply_word,
-    block_word,
-    block_word_alt,
     check_braid,
     check_sigma_consistency,
     check_yang_baxter,
-    extend_sigma_block,
     make_braiding,
     sigma_from_tau,
-    sigma_on_wedge,
 )
 from stehbein.fixtures import random_tau
 from stehbein.frametensor import (
@@ -25,9 +19,6 @@ from stehbein.frametensor import (
     central_as_matrix,
     flip_central,
     identity_central,
-    max_coeff_norm,
-    tensor_product,
-    wedge_project,
     word_tensor,
 )
 from stehbein.involution import build_J, check_fifa
@@ -67,7 +58,7 @@ def test_sigma_from_tau_shape_mismatch():
 
 
 def test_consistency_flip_antisymmetrizer():
-    assert check_sigma_consistency(flip_central(3), antisymmetrizer_central(3)) == 0.0
+    assert check_sigma_consistency(make_braiding(flip_central(3)), antisymmetrizer_central(3)) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -79,7 +70,7 @@ def test_consistency_for_any_tau(seed):
 
 def test_consistency_identity_sigma_fails():
     # (delta + delta) o P has max entry 2 * 1/2 = 1 for the antisymmetrizer
-    res = check_sigma_consistency(identity_central(3), antisymmetrizer_central(3))
+    res = check_sigma_consistency(make_braiding(identity_central(3)), antisymmetrizer_central(3))
     assert res == pytest.approx(1.0, abs=1e-14)
 
 
@@ -89,14 +80,14 @@ def test_consistency_identity_sigma_fails():
 
 def test_apply_sigma_flip_swaps(su2_braid):
     t = basis_field(3, 2, (0, 2, 1))
-    out = apply_sigma_at(t, su2_braid, 2)
+    out = apply_word(t, su2_braid, [2])
     assert np.allclose(out.coeffs[0, 1, 2], np.eye(2))
 
 
 def test_apply_sigma_phase_twist(pt3):
     b, _ = pt3
     t = basis_field(3, 2, (0, 1))
-    out = apply_sigma_at(t, b, 1)
+    out = apply_word(t, b, [1])
     assert np.allclose(out.coeffs[1, 0], np.exp(1j * np.pi / 5) * np.eye(2))
 
 
@@ -142,7 +133,35 @@ def test_yang_baxter_perturbed_flip():
 
 
 # ---------------------------------------------------------------------------
-# block extension
+# block extension: sigma moving a p-block of strands past a k-block
+
+
+def block_word(p: int, k: int, offset: int = 0) -> tuple[int, ...]:
+    """Word moving a p-block past the following k-block, rightmost letter first.
+
+    Built from the two splitting rules
+      sigma((xi x eta) x zeta) = sigma_12 sigma_23,
+      sigma(xi x (eta x zeta)) = sigma_23 sigma_12,
+    applied until both blocks are single strands.
+    """
+    if p < 1 or k < 1:
+        raise ValueError("block sizes must be >= 1")
+    if p == 1 and k == 1:
+        return (offset + 1,)
+    if p > 1:
+        return block_word(1, k, offset) + block_word(p - 1, k, offset + 1)
+    return block_word(1, k - 1, offset + 1) + (offset + 1,)
+
+
+def block_word_alt(p: int, k: int, offset: int = 0) -> tuple[int, ...]:
+    """Same map via the opposite bracketing; equal to block_word under the braid equation."""
+    if p < 1 or k < 1:
+        raise ValueError("block sizes must be >= 1")
+    if p == 1 and k == 1:
+        return (offset + 1,)
+    if k > 1:
+        return block_word_alt(p, 1, offset + k - 1) + block_word_alt(p, k - 1, offset)
+    return block_word_alt(p - 1, 1, offset) + block_word_alt(1, 1, offset + p - 1)
 
 
 def test_block_word_trivial():
@@ -156,10 +175,10 @@ def test_block_word_two_one():
 @pytest.mark.parametrize("p,k", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)])
 def test_flip_block_extension_is_rotation(su2_braid, p, k):
     # against an explicit permutation oracle on basis monomials
-    op = extend_sigma_block(su2_braid, p, k)
+    word = block_word(p, k)
     for idx in itertools.product(range(2), repeat=p + k):
         padded = tuple(idx)
-        out = op(basis_field(3, 2, padded))
+        out = apply_word(basis_field(3, 2, padded), su2_braid, word)
         rotated = padded[p:] + padded[:p]
         assert np.allclose(out.coeffs[rotated], np.eye(2)), (padded, rotated)
 
@@ -190,39 +209,6 @@ def test_extended_blocks_satisfy_braid_equation(pt3_full, sizes):
     w1 = word_tensor(b.S, strands, word_lhs)
     w2 = word_tensor(b.S, strands, word_rhs)
     assert np.max(np.abs(w1 - w2)) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# sigma across wedge factors
-
-
-def test_sigma_on_wedge_flip(su2_braid, su2_geom):
-    # sigma(theta^1 theta^2 x theta^3) = theta^3 x theta^1 theta^2 for the flip
-    op = sigma_on_wedge(su2_braid, su2_geom.P, "left")
-    w12 = wedge_project(basis_field(3, 2, (0, 1, 2)), 1, su2_geom.P)
-    out = op(w12)
-    expected = wedge_project(basis_field(3, 2, (2, 0, 1)), 2, su2_geom.P)
-    assert max_coeff_norm(out - expected) <= 1e-14
-
-
-def test_sigma_on_wedge_zero(su2_braid, su2_geom):
-    op = sigma_on_wedge(su2_braid, su2_geom.P, "left")
-    z = wedge_project(basis_field(3, 2, (0, 0, 2)), 1, su2_geom.P)
-    assert max_coeff_norm(op(z)) == 0.0
-
-
-def test_sigma_on_wedge_idempotent_output_projection(su2_braid, su2_geom):
-    op = sigma_on_wedge(su2_braid, su2_geom.P, "right")
-    t = wedge_project(basis_field(3, 2, (0, 1, 2)), 2, su2_geom.P)
-    out = op(t)
-    again = wedge_project(out, 1, su2_geom.P)
-    assert max_coeff_norm(again - out) <= 1e-14
-
-
-def test_sigma_on_wedge_rejects_unprojected_input(su2_braid, su2_geom):
-    op = sigma_on_wedge(su2_braid, su2_geom.P, "left")
-    with pytest.raises(ValueError):
-        op(basis_field(3, 2, (0, 1, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,26 @@ def test_theta_squared_violating_geometry_reports(su2_geom):
     assert check_theta_squared(geom) == pytest.approx(0.1 * np.sqrt(2), abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_theta_squared_holds_with_k_on_random_geometries(seed):
+    # K != 0 here, so the sign of the K term decides the residual
+    geom = random_geometry(seed)
+    assert check_structure(geom) <= 1e-12
+    assert np.max(np.abs(geom.K)) >= 5e-2
+    assert check_theta_squared(geom) <= 1e-14
+
+
+def test_theta_squared_holds_with_a_scalar_shift_of_the_frame(su2_geom):
+    # lam_a + i alpha_a 1 keeps 2 lam lam P = lam F (P antisymmetric), so the
+    # structure condition holds exactly with K = -i alpha_e F^e
+    alpha = np.array([0.3, -0.7, 1.1])
+    geom = dataclasses.replace(
+        su2_geom, lam=su2_geom.lam + 1j * alpha[:, None, None] * np.eye(2),
+        K=-1j * np.einsum('e,eab->ab', alpha, su2_geom.F))
+    assert check_structure(geom) == 0.0
+    assert check_theta_squared(geom) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # geometry invariants
 

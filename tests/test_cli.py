@@ -91,7 +91,7 @@ def test_curvature_writes_the_curvature_of_the_input_connection(fixture_file, tm
     assert "curvature of D_(0) + chi from input" in capsys.readouterr().out
     geom = load_input(path)
     braid = make_braiding(geom.S)
-    expected = curvature(resolve_connection(geom, braid)[0], braid, geom.P)
+    expected = curvature(resolve_connection(geom, braid)[0], braid)
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert np.array_equal(decode_complex_array(doc["R"], 6, "R"), expected.R)
     assert np.array_equal(decode_complex_array(doc["Ricci"], 4, "Ricci"), expected.ricci)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stehbein.braiding import apply_sigma_at, make_braiding
+from stehbein.braiding import make_braiding
 from stehbein.calculus import differential0, differential1, dirac_form, maurer_cartan
 from stehbein.connection import (
     Connection,
@@ -28,6 +28,7 @@ from stehbein.connection import (
 from stehbein.fixtures import random_geometry, random_phase_twist, su2_flip_geometry
 from stehbein.frametensor import (
     FrameTensorField,
+    apply_central_at,
     basis_field,
     flip_central,
     identity_central,
@@ -69,7 +70,7 @@ def test_d0_phase_twist_matches_defining_formula(su2_geom):
     for a in range(3):
         ba = basis_field(3, 2, (a,))
         direct = (-tensor_product(theta, ba)
-                  + apply_sigma_at(tensor_product(ba, theta), braid, 1))
+                  + apply_central_at(tensor_product(ba, theta), braid.S, 1))
         assert max_coeff_norm(FrameTensorField(3, -conn.omega[a]) - direct) <= 1e-13
 
 
@@ -196,7 +197,7 @@ def test_d0_torsion_is_minus_half_f_on_random_geometries():
 
 def test_d0_torsion_free_with_symmetric_projector(pauli_twist_geom):
     # F = 0 suffices; P need not be antisymmetric
-    forms, residual = torsion(d0_connection(pauli_twist_geom))
+    forms, residual = torsion(d0_connection(pauli_twist_geom, make_braiding(pauli_twist_geom.S)))
     assert residual <= 1e-12
     assert all(max_coeff_norm(f) <= 1e-12 for f in forms)
 
@@ -297,8 +298,8 @@ def test_d2_decomposable_agrees_with_defining_form(su2_chi_conn, su2_braid, rng)
         xi, eta = _rand_1form(rng), _rand_1form(rng)
         route1 = d2(su2_chi_conn, su2_braid, tensor_product(xi, eta))
         route2 = tensor_product(covariant_derivative(su2_chi_conn, xi), eta)
-        route2 += apply_sigma_at(
-            tensor_product(xi, covariant_derivative(su2_chi_conn, eta)), su2_braid, 1)
+        route2 += apply_central_at(
+            tensor_product(xi, covariant_derivative(su2_chi_conn, eta)), su2_braid.S, 1)
         assert max_coeff_norm(route1 - route2) <= 1e-12
 
 
@@ -348,10 +349,10 @@ def test_d3_matches_termwise_oracle(su2_chi_conn, su2_braid, rng):
              - np.einsum('qrsij,pjk->pqrsik', t.coeffs, lam)
              - np.einsum('abcij,apqjk->pqbcik', t.coeffs, om))
     term2 = -np.einsum('abcij,bpqjk->apqcik', t.coeffs, om)
-    term2 = apply_sigma_at(FrameTensorField(3, term2), braid, 1).coeffs
+    term2 = apply_central_at(FrameTensorField(3, term2), braid.S, 1).coeffs
     term3 = -np.einsum('abcij,cpqjk->abpqik', t.coeffs, om)
-    f3 = apply_sigma_at(FrameTensorField(3, term3), braid, 2)
-    f3 = apply_sigma_at(f3, braid, 1)
+    f3 = apply_central_at(FrameTensorField(3, term3), braid.S, 2)
+    f3 = apply_central_at(f3, braid.S, 1)
     oracle = term1 + term2 + f3.coeffs
     got = dn(conn, braid, t)
     assert np.max(np.abs(got.coeffs - oracle)) <= 1e-13
@@ -407,7 +408,7 @@ def _curvature_bruteforce(conn, s_tensor, p_tensor):
 
 def test_curvature_d0_su2_is_flat(su2_geom, su2_braid):
     conn = d0_connection(su2_geom, su2_braid)
-    data = curvature(conn, su2_braid, su2_geom.P)
+    data = curvature(conn, su2_braid)
     assert np.max(np.abs(data.R)) <= 1e-14
     assert np.max(np.abs(data.ricci)) <= 1e-14
 
@@ -415,14 +416,14 @@ def test_curvature_d0_su2_is_flat(su2_geom, su2_braid):
 def test_curvature_su2_chi_against_bruteforce(su2_chi_conn, su2_braid, su2_geom):
     brute = _curvature_bruteforce(su2_chi_conn, su2_braid.S, su2_geom.P)
     for a in range(3):
-        got = curvature_of_form(su2_chi_conn, su2_braid, su2_geom.P,
+        got = curvature_of_form(su2_chi_conn, su2_braid,
                                 basis_field(3, 2, (a,)))
         assert np.max(np.abs(got.coeffs - brute[a])) <= 1e-13
 
 
 def test_curvature_su2_chi_closed_values(su2_chi_conn, su2_braid, su2_geom):
     # constant curvature: R^a_{bcd} = (delta_ac delta_bd - delta_ad delta_bc)/4
-    data = curvature(su2_chi_conn, su2_braid, su2_geom.P)
+    data = curvature(su2_chi_conn, su2_braid)
     eye3 = np.eye(3)
     expected = 0.25 * (np.einsum('ac,bd->abcd', eye3, eye3)
                        - np.einsum('ad,bc->abcd', eye3, eye3))
@@ -438,29 +439,29 @@ def test_curvature_left_linearity(su2_chi_conn, su2_braid, su2_geom, rng):
         f = random_matrix(rng)
         for a in range(3):
             ba = basis_field(3, 2, (a,))
-            lhs = curvature_of_form(su2_chi_conn, su2_braid, su2_geom.P, left_mul(f, ba))
-            rhs = left_mul(f, curvature_of_form(su2_chi_conn, su2_braid, su2_geom.P, ba))
+            lhs = curvature_of_form(su2_chi_conn, su2_braid, left_mul(f, ba))
+            rhs = left_mul(f, curvature_of_form(su2_chi_conn, su2_braid, ba))
             assert max_coeff_norm(lhs - rhs) <= 1e-10
 
 
 def test_curvature_r_p_reduced(su2_chi_conn, su2_braid, su2_geom):
-    data = curvature(su2_chi_conn, su2_braid, su2_geom.P)
+    data = curvature(su2_chi_conn, su2_braid)
     reduced = np.einsum('abcdij,cdef->abefij', data.R, su2_geom.P)
     assert np.max(np.abs(reduced - data.R)) <= 1e-13
 
 
 def test_curvature_d0_closed_form_su2(su2_geom, su2_braid):
     conn = d0_connection(su2_geom, su2_braid)
-    closed = curvature_d0_closed_form(su2_geom, su2_braid, su2_geom.P)
+    closed = curvature_d0_closed_form(su2_geom, su2_braid)
     for a, field in enumerate(closed):
-        direct = curvature_of_form(conn, su2_braid, su2_geom.P, basis_field(3, 2, (a,)))
+        direct = curvature_of_form(conn, su2_braid, basis_field(3, 2, (a,)))
         assert max_coeff_norm(field - direct) <= 1e-12
         assert max_coeff_norm(field) <= 1e-12  # flat here
 
 
 def test_curvature_d0_closed_form_zero_generators(su2_geom, su2_braid):
     geom = dataclasses.replace(su2_geom, lam=np.zeros((3, 2, 2)))
-    closed = curvature_d0_closed_form(geom, su2_braid, geom.P)
+    closed = curvature_d0_closed_form(geom, su2_braid)
     assert all(max_coeff_norm(f) == 0.0 for f in closed)
 
 
@@ -475,8 +476,8 @@ def test_d0_theorems_on_f_zero_family(seed, n, N, rng):
     assert residual <= 1e-12
     assert all(max_coeff_norm(f) <= 1e-12 for f in forms)
     xi = _rand_1form(rng, n, N)
-    closed = curvature_d0_closed_form(geom, braid, geom.P, xi)
-    direct = curvature_of_form(conn, braid, geom.P, xi)
+    closed = curvature_d0_closed_form(geom, braid, xi)
+    direct = curvature_of_form(conn, braid, xi)
     assert max_coeff_norm(closed - direct) <= 1e-10
 
 
@@ -489,8 +490,8 @@ def test_curvature_d0_closed_form_with_f_nonzero(seed, n, N, rng):
     braid = make_braiding(geom.S)
     conn = d0_connection(geom, braid)
     xi = _rand_1form(rng, n, N)
-    closed = curvature_d0_closed_form(geom, braid, geom.P, xi)
-    direct = curvature_of_form(conn, braid, geom.P, xi)
+    closed = curvature_d0_closed_form(geom, braid, xi)
+    direct = curvature_of_form(conn, braid, xi)
     assert max_coeff_norm(direct) >= 1e-2
     assert max_coeff_norm(closed - direct) <= 1e-10
 
@@ -501,6 +502,6 @@ def test_curvature_d0_closed_form_general_1form(rng):
     braid = make_braiding(geom.S)
     conn = d0_connection(geom, braid)
     xi = _rand_1form(rng)
-    closed = curvature_d0_closed_form(geom, braid, geom.P, xi)
-    direct = curvature_of_form(conn, braid, geom.P, xi)
+    closed = curvature_d0_closed_form(geom, braid, xi)
+    direct = curvature_of_form(conn, braid, xi)
     assert max_coeff_norm(closed - direct) <= 1e-10

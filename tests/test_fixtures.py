@@ -33,7 +33,7 @@ def test_f_zero_geometry_meets_theorem_hypotheses(seed, n, N):
     d2 = max(max_coeff_norm(differential1(differential0(random_matrix(rng, N), geom), geom))
              for _ in range(20))
     assert d2 <= 1e-12
-    assert check_sigma_consistency(geom.S, geom.P) <= 1e-12
+    assert check_sigma_consistency(make_braiding(geom.S), geom.P) <= 1e-12
 
     pm = geom.P.reshape(n * n, n * n)
     assert np.max(np.abs(pm - pm.conj().T)) <= 1e-12
@@ -44,7 +44,7 @@ def test_f_zero_geometry_meets_theorem_hypotheses(seed, n, N):
     braid = make_braiding(geom.S)
     conn = d0_connection(geom, braid)
     assert np.max(np.abs(conn.omega)) >= 1e-2
-    curv = max(max_coeff_norm(curvature_of_form(conn, braid, geom.P, basis_field(n, N, (a,))))
+    curv = max(max_coeff_norm(curvature_of_form(conn, braid, basis_field(n, N, (a,))))
                for a in range(n))
     assert curv >= 1e-2
 

@@ -1,5 +1,5 @@
 """The star structure: J^(n) against its recursive decompositions, the star
-on fields, and the j_n, fifa and D_n reality residuals."""
+on fields, and the j_n, fifa, wedge-star, metric and D_n reality residuals."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from stehbein import (
     check_Dn_reality,
     check_fifa,
     check_jn_involutive,
+    check_metric_reality,
+    check_wedge_star,
     make_braiding,
     star_form,
 )
@@ -208,6 +210,36 @@ def test_fifa_rejects_singular_braidings():
         check_fifa(make_braiding(s))
     s[0, 0, 0, 0] = 1e-11
     assert check_fifa(make_braiding(s)) > 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fifa_is_nan_for_a_non_finite_braiding(bad, su2_braid):
+    # checked before the condition number, whose SVD does not converge on NaN
+    s = su2_braid.S.copy()
+    s[0, 1, 1, 0] = bad
+    assert np.isnan(check_fifa(make_braiding(s)))
+
+
+# ---------------------------------------------------------------------------
+# wedge-star and metric reality
+
+
+def test_wedge_star_and_metric_reality_hold_for_the_flip(su2_geom, su2_braid):
+    assert check_wedge_star(su2_geom, su2_braid) <= 1e-15
+    assert check_metric_reality(su2_geom.g, su2_braid) <= 1e-15
+
+
+def test_wedge_star_fails_for_the_identity_braiding(su2_geom):
+    # S = identity makes J the flip, which negates every projected 2-form
+    # relative to the flip braiding's J, so both routes miss the sign by O(1)
+    assert check_wedge_star(su2_geom, make_braiding(identity_central(3))) >= 1.0
+
+
+def test_metric_reality_fails_for_a_non_hermitian_metric(su2_braid):
+    # the flip gives S g = g^T, so the residual is max |g^T - conj(g^T)| = 2 |Im g_{01}|
+    g = np.eye(3, dtype=complex)
+    g[0, 1] = g[1, 0] = 0.5j
+    assert check_metric_reality(g, su2_braid) == 1.0
 
 
 # ---------------------------------------------------------------------------

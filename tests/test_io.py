@@ -13,6 +13,7 @@ from stehbein import (
     check_sigma_consistency,
     cli,
     curvature,
+    make_braiding,
     su2_flip_geometry,
     su2_torsionfree_connection,
 )
@@ -53,7 +54,7 @@ def test_valid_documents_round_trip(doc, tmp_path):
         assert braiding_to_dict(*loaded) == doc
     elif "tau" in doc:
         # any tau gives a sigma with pi o (sigma + 1) = 0
-        assert check_sigma_consistency(loaded.S, loaded.P) <= 1e-15
+        assert check_sigma_consistency(make_braiding(loaded.S), loaded.P) <= 1e-15
     else:
         assert geometry_to_dict(loaded) == doc
 
@@ -84,7 +85,7 @@ def test_malformed_documents_are_named(doc, message, tmp_path):
 
 def test_curvature_to_dict_round_trips_through_json(su2_braid):
     conn = su2_torsionfree_connection()
-    data = curvature(conn, su2_braid, conn.geom.P)
+    data = curvature(conn, su2_braid)
     doc = json.loads(json.dumps(curvature_to_dict(data)))
     assert set(doc) == {"R", "Ricci", "centrality_residual"}
     assert np.array_equal(decode_complex_array(doc["R"], 6, "R"), data.R)

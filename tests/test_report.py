@@ -130,3 +130,19 @@ def test_nan_in_omega_fails_every_connection_row():
     assert np.isnan(triangle.residual) and triangle.note == "a residual is NaN"
     # checks that do not read omega are unaffected
     assert {c.name for c in report.checks if c.status == "pass"} >= {"structure", "braid"}
+
+
+@pytest.mark.parametrize("mode", ["auto", "d0", "torsion-free", "chi", "braiding"])
+def test_nan_in_s_fails_every_row_that_reads_s(mode, su2_tf):
+    s = su2_tf.S.copy()
+    s[0, 1, 1, 0] = np.nan
+    if mode == "braiding":
+        report = run_verify((make_braiding(s), su2_tf.P), max_order=3)
+    else:
+        report = run_verify(dataclasses.replace(su2_tf, S=s), max_order=3, connection_mode=mode)
+    status = {c.name: c.status for c in report.checks}
+    assert status["fifa-2"] == status["fifa-3"] == "fail"
+    passed = {name for name, st in status.items() if st == "pass"}
+    # only the calculus rows, which never read S, may pass
+    assert passed <= {"structure", "theta-squared", "d-squared"}
+    assert status["braid"] == status["jn-involutive-3"] == "fail"
