@@ -21,7 +21,6 @@ from .frametensor import (
     max_coeff_norm,
     right_mul,
     tensor_product,
-    wedge_project,
     word_tensor,
     zero_field,
 )
@@ -57,7 +56,6 @@ from .connection import (
     check_metric_compatibility,
     check_metric_symmetry,
     check_right_leibniz,
-    metric_eval,
     solve_torsionfree_chi,
     torsion,
     torsionfree_connection,

@@ -9,10 +9,10 @@ import numpy as np
 from .matalg import antihermiticity_residual, commutator
 from .frametensor import (
     FrameTensorField,
+    apply_central_at,
     central_as_matrix,
     max_coeff_norm,
     tensor_product,
-    wedge_project,
     worst,
 )
 
@@ -24,7 +24,7 @@ class FrameGeometry:
     ``lam`` are the frame generators (the differential is f -> [lam_a, f]),
     ``P`` the wedge projector, ``S`` the generalized-permutation tensor,
     ``F``/``K`` the central structure tensors, ``g`` an optional metric,
-    ``omega``/``chi`` optional connection data.
+    ``omega``/``chi`` optional connection data, at most one of the two.
     """
 
     N: int
@@ -63,6 +63,8 @@ class FrameGeometry:
             object.__setattr__(self, name, val)
             if val is not None and val.shape != shape:
                 raise ValueError(f"{name} has shape {val.shape}, expected {shape}")
+        if self.omega is not None and self.chi is not None:
+            raise ValueError("geometry carries both 'omega' and 'chi'; give one connection")
 
 
 def geometry_invariants(geom: FrameGeometry) -> dict[str, float]:
@@ -136,13 +138,13 @@ def differential1(xi: FrameTensorField, geom: FrameGeometry) -> FrameTensorField
     raw = np.einsum('bij,cjk->bcik', geom.lam, xi.coeffs)
     raw -= np.einsum('cij,bjk->bcik', xi.coeffs, geom.lam)
     raw -= 0.5 * np.einsum('aij,abcjk->bcik', xi.coeffs, c)
-    return wedge_project(FrameTensorField(geom.n, raw), 1, geom.P)
+    return apply_central_at(FrameTensorField(geom.n, raw), geom.P, 1)
 
 
 def theta_squared(geom: FrameGeometry) -> FrameTensorField:
     """theta^2 as a 2-form: the wedge projection of lam_b lam_c theta^b x theta^c."""
     th = dirac_form(geom)
-    return wedge_project(tensor_product(th, th), 1, geom.P)
+    return apply_central_at(tensor_product(th, th), geom.P, 1)
 
 
 def check_structure(geom: FrameGeometry) -> float:
@@ -168,7 +170,7 @@ def check_theta_squared(geom: FrameGeometry) -> float:
     """
     dth = differential1(dirac_form(geom), geom)
     th2 = theta_squared(geom)
-    k_field = wedge_project(
+    k_field = apply_central_at(
         FrameTensorField(geom.n, 0.5 * np.einsum('ab,ij->abij', geom.K, np.eye(geom.N))),
-        1, geom.P)
+        geom.P, 1)
     return max_coeff_norm(dth + th2 + k_field)

@@ -1,5 +1,12 @@
 """Command-line front end.
 
+Four commands: ``verify`` runs the checks of ``report.CHECKS`` (``--checks``
+picks groups), ``curvature`` writes a connection's curvature and Ricci,
+``jn`` writes the star tensor J^(n) and ``fixture`` a built-in input file.
+Their connection is the file's omega, else D_(0) + its chi, else D_(0);
+``--connection d0`` or ``torsion-free`` overrides it.  A file with both
+omega and chi is rejected.
+
 Exit codes: 0 all selected checks pass, 1 at least one check fails,
 2 input or usage error.
 """
@@ -26,20 +33,11 @@ from .io import (
     load_input,
     save_json,
 )
-from .report import BRAIDING_GROUPS, DEFAULT_TOL, GROUPS, REPORT_SCHEMA, run_verify
-from . import report as report_mod
+from .report import (CONNECTION_MODES, DEFAULT_TOL, GROUPS, REPORT_SCHEMA,
+                     resolve_connection, run_verify)
 
 
 MIN_ORDER = REPORT_SCHEMA["properties"]["max_order"]["minimum"]
-
-
-def _add_check_options(p: argparse.ArgumentParser):
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"absolute tolerance (default {DEFAULT_TOL:g})")
-    p.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
-    p.add_argument("--max-order", type=int, default=4,
-                   help=f"highest tensor order for j_n / D_n checks, {MIN_ORDER} to "
-                        f"{MAX_DEGREE} (default 4)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,27 +50,26 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--checks", default=None,
                    help="comma list of check groups (default: all applicable); "
                         f"groups: {', '.join(GROUPS)}")
-    v.add_argument("--connection", default="auto",
-                   choices=["auto", "d0", "torsion-free", "omega", "chi"],
+    v.add_argument("--connection", default="auto", choices=CONNECTION_MODES,
                    help="connection used by connection-dependent checks")
     v.add_argument("--report", default=None, help="write the machine-readable report here")
-    _add_check_options(v)
+    v.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=f"absolute tolerance (default {DEFAULT_TOL:g})")
+    v.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
+    v.add_argument("--max-order", type=int, default=4,
+                   help=f"highest tensor order for j_n / D_n checks, {MIN_ORDER} to "
+                        f"{MAX_DEGREE} (default 4)")
 
     c = sub.add_parser("curvature", help="compute curvature and Ricci of a connection")
     c.add_argument("input", help="geometry JSON file")
-    c.add_argument("--connection", default=None,
-                   choices=["d0", "torsion-free", "omega", "chi"],
-                   help="which connection to differentiate (required unless the file has omega)")
+    c.add_argument("--connection", default="auto", choices=CONNECTION_MODES,
+                   help="which connection to differentiate")
     c.add_argument("--out", default=None, help="write the curvature file here")
-
-    bc = sub.add_parser("braid-check", help="braiding-level checks only")
-    bc.add_argument("input", help="geometry or braiding JSON file")
-    bc.add_argument("--report", default=None)
-    _add_check_options(bc)
 
     j = sub.add_parser("jn", help="emit the star tensor J^(n) of the input braiding")
     j.add_argument("input")
-    j.add_argument("-n", "--order", type=int, required=True)
+    j.add_argument("-n", "--order", type=int, required=True,
+                   help=f"1 to {MAX_DEGREE + 1}, the orders verify builds")
     j.add_argument("--out", default=None)
 
     f = sub.add_parser("fixture", help="emit a built-in geometry or braiding file")
@@ -95,10 +92,16 @@ def _finish_report(report, path):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command in ("verify", "braid-check") and not MIN_ORDER <= args.max_order <= MAX_DEGREE:
-        print(f"error: --max-order must be between {MIN_ORDER} and {MAX_DEGREE}, "
-              f"got {args.max_order}", file=sys.stderr)
-        return 2
+    bounds = {"verify": ("--max-order", MIN_ORDER, MAX_DEGREE),
+              # dn-reality-7 reads j_8, the largest star tensor verify builds
+              "jn": ("--order", 1, MAX_DEGREE + 1)}
+    if args.command in bounds:
+        flag, lo, hi = bounds[args.command]
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not lo <= value <= hi:
+            print(f"error: {flag} must be between {lo} and {hi}, got {value}",
+                  file=sys.stderr)
+            return 2
     try:
         return _dispatch(args)
     except GeometryFileError as exc:
@@ -133,20 +136,9 @@ def _dispatch(args) -> int:
                             connection_mode=args.connection, source=args.input)
         return _finish_report(report, args.report)
 
-    if args.command == "braid-check":
-        if isinstance(loaded, FrameGeometry):
-            loaded = (make_braiding(loaded.S), loaded.P)
-        report = run_verify(loaded, tol=args.tol, checks=set(BRAIDING_GROUPS),
-                            max_order=args.max_order, seed=args.seed,
-                            source=args.input)
-        return _finish_report(report, args.report)
-
     if args.command == "jn":
         braid = (make_braiding(loaded.S) if isinstance(loaded, FrameGeometry)
                  else loaded[0])
-        if args.order < 1:
-            print("error: order must be >= 1", file=sys.stderr)
-            return 2
         tensor = build_jn(braid, args.order)
         payload = {"order": args.order, "n": braid.n,
                    "J": encode_complex_array(tensor)}
@@ -161,23 +153,8 @@ def _dispatch(args) -> int:
         if not isinstance(loaded, FrameGeometry):
             print("error: curvature needs a geometry file", file=sys.stderr)
             return 2
-        geom = loaded
-        mode = args.connection
-        if mode is None:
-            if geom.omega is not None:
-                mode = "omega"
-            elif geom.chi is not None:
-                mode = "chi"
-            else:
-                print("error: the geometry has no connection; pass --connection "
-                      "(d0 | torsion-free | omega | chi)", file=sys.stderr)
-                return 2
-        braid = make_braiding(geom.S)
-        try:
-            conn, label = report_mod.resolve_connection(geom, braid, mode)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        braid = make_braiding(loaded.S)
+        conn, label = resolve_connection(loaded, braid, args.connection)
         data = curvature(conn, braid)
         print(f"curvature of {label}: max |R| coefficient norm = "
               f"{float(np.max(np.linalg.norm(data.R, axis=(-2, -1)))):.6e}, "

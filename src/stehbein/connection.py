@@ -10,12 +10,12 @@ from .matalg import centrality_residual
 from .calculus import FrameGeometry, differential1, maurer_cartan, theta_squared
 from .braiding import Braiding, apply_word
 from .frametensor import (
+    INVERSE_COND_LIMIT,
     FrameTensorField,
     apply_central_at,
     basis_field,
     central_as_matrix,
     max_coeff_norm,
-    wedge_project,
     worst,
 )
 
@@ -140,7 +140,7 @@ def torsion_forms(c: Connection) -> list[FrameTensorField]:
     for a in range(geom.n):
         basis = basis_field(geom.n, geom.N, (a,))
         dth = differential1(basis, geom)
-        pid = wedge_project(covariant_derivative(c, basis), 1, geom.P)
+        pid = apply_central_at(covariant_derivative(c, basis), geom.P, 1)
         two_forms.append(dth - pid)
     return two_forms
 
@@ -159,13 +159,6 @@ def torsion(c: Connection) -> tuple[list[FrameTensorField], float]:
     """Torsion 2-forms, plus the residual of the algebraic condition
     omega^a_{de} P^{de}_{bc} = 1/2 C^a_{bc}; the 2-forms vanish iff it does."""
     return torsion_forms(c), max_coeff_norm(FrameTensorField(c.geom.n, algebraic_torsion(c)))
-
-
-def metric_eval(g: np.ndarray, t: FrameTensorField) -> np.ndarray:
-    """g(f_{ab} theta^a x theta^b) = f_{ab} g^{ab}."""
-    if t.degree != 2:
-        raise ValueError(f"metric applies to degree-2 fields, got degree {t.degree}")
-    return np.einsum('abij,ab->ij', t.coeffs, np.asarray(g, dtype=complex))
 
 
 def check_metric_symmetry(g: np.ndarray, b: Braiding) -> tuple[float, complex]:
@@ -189,10 +182,11 @@ def check_metric_compatibility(c: Connection, b: Braiding,
 
     First form: omega^a_{bc} + omega_{cd}^e S^{ad}_{be} = 0, lowering and
     raising with g_{ab} = (g^{ab})^{-1}.  Second form (constrains S and g
-    alone): S^{ae}_{df} g^{fg} S^{bc}_{eg} = g^{ab} delta^c_d.
+    alone): S^{ae}_{df} g^{fg} S^{bc}_{eg} = g^{ab} delta^c_d.  g is singular by
+    condition number, whatever its scale; a non-finite g gives NaN residuals.
     """
     g = np.asarray(g, dtype=complex)
-    if abs(np.linalg.det(g)) < 1e-14:
+    if np.all(np.isfinite(g)) and not np.linalg.cond(g) <= INVERSE_COND_LIMIT:
         raise ValueError("metric is singular; cannot raise/lower indices")
     g_low = np.linalg.inv(g)
     lowered = np.einsum('cf,fdgij,ge->cdeij', g_low, c.omega, g)
@@ -244,7 +238,7 @@ def dn(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
 
 def curvature_of_form(c: Connection, b: Braiding, xi: FrameTensorField) -> FrameTensorField:
     """pi_12 o D_2 o D applied to a 1-form."""
-    return wedge_project(d2(c, b, covariant_derivative(c, xi)), 1, c.geom.P)
+    return apply_central_at(d2(c, b, covariant_derivative(c, xi)), c.geom.P, 1)
 
 
 def curvature(c: Connection, b: Braiding) -> CurvatureData:
@@ -299,5 +293,5 @@ def curvature_d0_closed_form(geom: FrameGeometry, b: Braiding,
     lamlam = np.einsum('bij,cjk->bcik', geom.lam, geom.lam)
     t2 = np.einsum('aij,bcjk->abcik', xi.coeffs, lamlam)
     field2 = apply_word(FrameTensorField(geom.n, t2), b, [1, 2, 1])
-    field2 = wedge_project(field2, 1, geom.P)
+    field2 = apply_central_at(field2, geom.P, 1)
     return FrameTensorField(geom.n, t1) + field2

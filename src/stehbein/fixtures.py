@@ -35,6 +35,7 @@ from .frametensor import (
     flip_central,
     identity_central,
     max_coeff_norm,
+    worst,
 )
 
 PAULI = (
@@ -199,16 +200,16 @@ def _f_zero_geometry(seed: int, n: int, N: int, tau: np.ndarray | None) -> Frame
     residuals = {
         "structure": check_structure(geom),
         "theta-squared": check_theta_squared(geom),
-        "d-squared": max(max_coeff_norm(differential1(differential0(e, geom), geom))
-                         for e in units),
+        "d-squared": worst(max_coeff_norm(differential1(differential0(e, geom), geom))
+                           for e in units),
     }
     bad = {k: v for k, v in residuals.items() if not v <= F_ZERO_TOL}
     if bad:
         raise ValueError(f"F = 0 geometry for n={n}, N={N}, seed={seed} is not exact: "
                          + ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items()))
     omega = np.max(np.abs(d0_connection(geom, braid).omega))
-    curv = max(max_coeff_norm(c) for c in curvature_d0_closed_form(geom, braid))
-    if not min(omega, curv) > F_ZERO_FLAT_TOL:
+    curv = worst(max_coeff_norm(c) for c in curvature_d0_closed_form(geom, braid))
+    if not (omega > F_ZERO_FLAT_TOL and curv > F_ZERO_FLAT_TOL):
         raise ValueError(f"F = 0 geometry for n={n}, N={N}, seed={seed} is degenerate: "
                          f"max |omega_0| {omega:.3e}, D_(0) curvature {curv:.3e}")
     return geom

@@ -27,6 +27,9 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # central tensors
 
+# largest condition number of a central tensor (S, or the metric g) that is inverted
+INVERSE_COND_LIMIT = 1e12
+
 
 def identity_central(n: int, pairs: int = 2) -> np.ndarray:
     """The rank-2k identity tensor delta^{a1..ak}_{b1..bk}."""
@@ -180,11 +183,6 @@ def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTenso
     out = np.tensordot(m, t.coeffs, axes=(list(range(k)), axes))
     out = np.moveaxis(out, list(range(k)), axes)
     return FrameTensorField(t.n, out)
-
-
-def wedge_project(t: FrameTensorField, pos: int, p: np.ndarray) -> FrameTensorField:
-    """Project the index pair (pos, pos+1) onto 2-forms with the projector P."""
-    return apply_central_at(t, p, pos)
 
 
 def max_coeff_norm(t: FrameTensorField) -> float:

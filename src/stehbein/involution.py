@@ -24,18 +24,18 @@ from .calculus import FrameGeometry, differential0
 from .braiding import Braiding, SingularBraidingError
 from .connection import Connection, d2, dn
 from .frametensor import (
+    INVERSE_COND_LIMIT,
     FrameTensorField,
+    apply_central_at,
     basis_field,
     central_as_matrix,
     max_coeff_norm,
     tensor_product,
-    wedge_project,
     word_tensor,
     worst,
 )
 
 
-INVERSE_COND_LIMIT = 1e12  # above it, check_fifa refuses to invert S
 WEDGE_STAR_SAMPLES = 8  # seeded element pairs in check_wedge_star's field route
 
 
@@ -164,7 +164,6 @@ def check_D2_reality(c: Connection, b: Braiding) -> tuple[float, float, float]:
     These are provably equivalent once the connection itself is real; the
     caller is responsible for cross-checking them (see the verify runner).
     """
-    from .frametensor import apply_central_at
     geom = c.geom
     n, N = geom.n, geom.N
     j2 = build_jn(b, 2)
@@ -178,12 +177,12 @@ def check_D2_reality(c: Connection, b: Braiding) -> tuple[float, float, float]:
         lhs2 = d2(c, b, apply_central_at(basis, b.S, 1))
         rhs2 = apply_central_at(d2(c, b, basis), b.S, 2)
         braided.append(max_coeff_norm(lhs2 - rhs2))
-    j = build_J(b.S)
-    om = c.omega
-    t1 = np.einsum('abpe,pcdij->abcdeij', j, om)
-    t2 = np.einsum('apde,bcpij->abcdeij', j, om)
-    t3 = np.einsum('abpq,rpcd,qreij->abcdeij', j, j, om)
-    t4 = np.einsum('qbcp,rpde,aqrij->abcdeij', j, j, om)
+    # the coefficient identity, with each J^{ab}_{cd} read as S^{ba}_{cd}
+    s, om = b.S, c.omega
+    t1 = np.einsum('bape,pcdij->abcdeij', s, om)
+    t2 = np.einsum('pade,bcpij->abcdeij', s, om)
+    t3 = np.einsum('bapq,prcd,qreij->abcdeij', s, s, om)
+    t4 = np.einsum('bqcp,prde,aqrij->abcdeij', s, s, om)
     coeff = float(np.max(np.linalg.norm(t1 - t2 + t3 - t4, axis=(-2, -1))))
     return worst(strong), coeff, worst(braided)
 
@@ -218,22 +217,21 @@ def check_wedge_star(geom: FrameGeometry, b: Braiding, seed: int = 42) -> float:
     max of both residuals.
     """
     p_t = geom.P
-    j = build_J(b.S)
-    lhs = np.einsum('abcd,cdef,efgh->abgh', np.conj(p_t), j, p_t)
+    j2 = build_jn(b, 2)
+    lhs = np.einsum('abcd,cdef,efgh->abgh', np.conj(p_t), j2, p_t)
     rhs = -np.einsum('baef,efgh->abgh', p_t, p_t)
     tensor_res = float(np.max(np.abs(lhs - rhs)))
 
     rng = np.random.default_rng(seed)
-    j2 = build_jn(b, 2)
     field_res = []
     for _ in range(WEDGE_STAR_SAMPLES):
         f = rng.uniform(0, 1, (geom.N, geom.N)) + 1j * rng.uniform(0, 1, (geom.N, geom.N))
         g = rng.uniform(0, 1, (geom.N, geom.N)) + 1j * rng.uniform(0, 1, (geom.N, geom.N))
         df = differential0(f, geom)
         dg = differential0(g, geom)
-        prod = wedge_project(tensor_product(df, dg), 1, p_t)
-        lhs_f = wedge_project(star_form(prod, j2), 1, p_t)
-        rhs_f = wedge_project(tensor_product(star_form(dg), star_form(df)), 1, p_t)
+        prod = apply_central_at(tensor_product(df, dg), p_t, 1)
+        lhs_f = apply_central_at(star_form(prod, j2), p_t, 1)
+        rhs_f = apply_central_at(tensor_product(star_form(dg), star_form(df)), p_t, 1)
         field_res.append(max_coeff_norm(lhs_f + rhs_f))
     return worst([tensor_res, *field_res])
 

@@ -3,8 +3,8 @@
 Files are UTF-8 JSON.  Complex numbers are two-element arrays [re, im];
 tensors are nested row-major arrays of those.  A geometry file carries
 "matrix_dim", "frame_dim", "lambda", "P" and one of "S"/"tau", plus
-optional "F", "K", "metric", "omega", "chi".  A braiding file carries
-"n" and "S".
+optional "F", "K", "metric" and at most one of "omega"/"chi".  A braiding
+file carries "n" and "S".
 """
 
 from __future__ import annotations

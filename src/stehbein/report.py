@@ -3,11 +3,12 @@
 Every row is a residual plus the identity it instantiates (a formula
 string in ``equation_anchor``); the tolerance decides pass/fail, and NaN
 fails.  ``CHECKS`` declares each row once: its ``--checks`` group, one
-prerequisite (none, geometry, projector, connection, metric or never),
-its (name, anchor) rows, and ``run(ctx, order)`` returning one
-(residual or None, note) per row; an entry with a first order expands
-into rows ``<name>-<order>`` up to ``max_order``.  ``GROUPS`` and
-``BRAIDING_GROUPS`` are read off the table.
+prerequisite (none, geometry, projector, metric or never), its (name,
+anchor) rows, and ``run(ctx, order)`` returning one (residual or None,
+note) per row; an entry with a first order expands into rows
+``<name>-<order>`` up to ``max_order``.  ``GROUPS`` is read off the table.
+A geometry always implies a connection (``resolve_connection``), so the
+connection rows need only ``geometry``.
 
 ``run_verify`` walks the table in order.  A row is skipped, never
 dropped: with ``not selected`` when its group is filtered out, with the
@@ -69,6 +70,7 @@ from .frametensor import FrameTensorField, apply_central_at, basis_field, max_co
 from .fixtures import random_element, random_field
 
 DEFAULT_TOL = 1e-9
+CONNECTION_MODES = ("auto", "d0", "torsion-free")  # see resolve_connection
 
 
 @dataclass
@@ -184,14 +186,14 @@ REPORT_SCHEMA = {
 
 def resolve_connection(geom: FrameGeometry, braid: Braiding,
                        mode: str = "auto") -> tuple[Connection, str]:
-    """Build the connection a geometry implies, returning it and a label."""
-    if mode == "omega" or (mode == "auto" and geom.omega is not None):
-        if geom.omega is None:
-            raise ValueError("geometry has no explicit omega")
+    """Build the connection a geometry implies, returning it and a label.
+
+    ``auto`` takes the geometry's omega, else D_(0) + its chi, else D_(0);
+    ``d0`` and ``torsion-free`` ignore omega and chi.
+    """
+    if mode == "auto" and geom.omega is not None:
         return Connection(geom, geom.omega), "omega from input"
-    if mode == "chi" or (mode == "auto" and geom.chi is not None):
-        if geom.chi is None:
-            raise ValueError("geometry has no chi")
+    if mode == "auto" and geom.chi is not None:
         return central_connection(geom, geom.chi, braid), "D_(0) + chi from input"
     if mode == "torsion-free":
         return torsionfree_connection(geom, braid), "D_(0) + torsion-free chi"
@@ -211,13 +213,9 @@ class _Context:
             self.braid, self.P = loaded
         self.tol, self.seed = tol, seed
         self.rng = np.random.default_rng(seed)
-        self.conn = self.conn_label = self.conn_error = None
+        self.conn = self.conn_label = None
         if self.geom is not None:
-            try:
-                self.conn, self.conn_label = resolve_connection(
-                    self.geom, self.braid, connection_mode)
-            except ValueError as exc:
-                self.conn_error = str(exc)
+            self.conn, self.conn_label = resolve_connection(self.geom, self.braid, connection_mode)
 
     def missing(self, needs: str | None) -> str | None:
         """Why the prerequisite ``needs`` is not met, or None when it is."""
@@ -230,8 +228,6 @@ class _Context:
             return None
         if self.geom is None:
             return "requires a geometry input"
-        if needs in ("connection", "metric") and self.conn is None:
-            return f"no connection available ({self.conn_error})"
         if needs == "metric" and self.geom.g is None:
             return "no metric in input"
         return None
@@ -358,11 +354,11 @@ CHECKS = (
           lambda ctx, _: [(check_yang_baxter(ctx.J), "")]),
     Check("unitarity", None, (("sigma-unitarity", "(S^{ba}_{cd})* S^{dc}_{ef} = δ^a_e δ^b_f"),),
           lambda ctx, _: [(sigma_unitarity_residual(ctx.braid.S), "")]),
-    Check("leibniz", "connection",
+    Check("leibniz", "geometry",
           (("leibniz-left", "D(fξ) = df⊗ξ + f Dξ"),
            ("leibniz-right", "D(ξf) = σ(ξ⊗df) + (Dξ)f")),
           _leibniz),
-    Check("torsion", "connection",
+    Check("torsion", "geometry",
           (("torsion", "Θ^a = dθ^a − π∘Dθ^a  ⇔  ω^a_{de} P^{de}_{bc} = ½ C^a_{bc}"),),
           _torsion),
     Check("metric", "metric",
@@ -371,12 +367,12 @@ CHECKS = (
            ("metric-compat-second", "S^{ae}_{df} g^{fg} S^{bc}_{eg} = g^{ab} δ^c_d"),
            ("metric-reality", "S^{ab}_{cd} g^{cd} = (g^{ba})*")),
           _metric),
-    Check("connection-reality", "connection",
+    Check("connection-reality", "geometry",
           (("connection-reality", "(ω^a_{bc})* = ω^a_{de} (J^{de}_{bc})*"),),
           lambda ctx, _: [(ctx.connection_reality, ctx.conn_label)]),
     Check("wedge-star", "geometry", (("wedge-star", "(ξη)* = −η*ξ*"),),
           lambda ctx, _: [(check_wedge_star(ctx.geom, ctx.braid, seed=ctx.seed), "")]),
-    Check("d2-reality", "connection",
+    Check("d2-reality", "geometry",
           (("d2-reality-strong", "D₂∘ȷ₂ = ȷ₃∘D₂"),
            ("d2-reality-coeffs",
             "J^{ab}_{pe}ω^p_{cd} − J^{ap}_{de}ω^b_{cp} + J^{ab}_{pq}J^{rp}_{cd}ω^q_{re}"
@@ -387,9 +383,9 @@ CHECKS = (
     Check("jn", None, (("jn-involutive", "conj(J^(n)) ∘ J^(n) = 1"),), _jn, first_order=2),
     Check("fifa", None, (("fifa", "σ_{i(i+1)} ℓ_n = ℓ_n σ⁻¹_{(n−i)(n+1−i)}"),),
           lambda ctx, _: [(ctx.fifa, "max over all positions")], first_order=2),
-    Check("dn-lemma", "connection", (("dn-sigma-lemma", "D_n∘σ_{(i−1)i} = σ_{i(i+1)}∘D_n"),),
+    Check("dn-lemma", "geometry", (("dn-sigma-lemma", "D_n∘σ_{(i−1)i} = σ_{i(i+1)}∘D_n"),),
           _dn_lemma, first_order=2),
-    Check("dn-reality", "connection", (("dn-reality", "D_n∘ȷ_n = ȷ_{n+1}∘D_n"),),
+    Check("dn-reality", "geometry", (("dn-reality", "D_n∘ȷ_n = ȷ_{n+1}∘D_n"),),
           lambda ctx, k: [(check_Dn_reality(ctx.conn, ctx.braid, k), ctx.conn_label)],
           first_order=1),
     Check(None, "never", (("i-weak-yang-baxter", "weak Yang-Baxter property of I = −Pᵀ"),), None),
@@ -397,8 +393,6 @@ CHECKS = (
 
 # group names accepted by --checks, with the rows of each
 GROUPS = {c.group: [name for name, _ in c.rows] for c in CHECKS if c.group}
-# the groups a braiding-only input can run (the braid-check command)
-BRAIDING_GROUPS = tuple(c.group for c in CHECKS if c.group and c.needs in (None, "projector"))
 
 
 def run_verify(loaded, *, tol: float = DEFAULT_TOL, checks=None,
@@ -409,7 +403,8 @@ def run_verify(loaded, *, tol: float = DEFAULT_TOL, checks=None,
     ``loaded`` is a FrameGeometry or a (Braiding, P-or-None) pair as
     returned by the loader.  ``checks`` is an optional set of group names
     (see GROUPS); everything applicable runs by default.  Report order is
-    the order of CHECKS.
+    the order of CHECKS.  ``connection_mode`` is auto, d0 or torsion-free
+    (see ``resolve_connection``).
     """
     report = VerificationReport(tolerance=tol, seed=seed, max_order=max_order,
                                 source=str(source))

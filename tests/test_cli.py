@@ -9,6 +9,9 @@ from stehbein import build_jn, cli, curvature, make_braiding
 from stehbein.io import decode_complex_array, load_input
 from stehbein.report import resolve_connection
 
+# the groups that read only S and P, the checks a braiding file can run
+BRAIDING_CHECKS = "sigma-consistency,braid,yb,unitarity,jn,fifa"
+
 
 @pytest.fixture(scope="module")
 def fixture_file(tmp_path_factory):
@@ -41,15 +44,15 @@ def test_exit_2_on_an_unknown_group(fixture_file, capsys):
 def test_exit_2_on_a_malformed_file(text, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")
-    for command in ("verify", "braid-check"):
-        assert cli.main([command, str(path)]) == 2
+    for extra in ([], ["--checks", BRAIDING_CHECKS]):
+        assert cli.main(["verify", str(path), *extra]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_braid_check_runs_the_braiding_groups(fixture_file, tmp_path):
+def test_verify_runs_the_braiding_groups_alone(fixture_file, tmp_path):
     out = tmp_path / "report.json"
-    assert cli.main(["braid-check", fixture_file("su2-torsion-free"), "--max-order", "3",
-                     "--report", str(out)]) == 0
+    assert cli.main(["verify", fixture_file("su2-torsion-free"), "--checks", BRAIDING_CHECKS,
+                     "--max-order", "3", "--report", str(out)]) == 0
     checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
     ran = {c["name"] for c in checks if c["status"] == "pass"}
     assert ran == {"sigma-consistency", "braid", "yang-baxter", "sigma-unitarity",
@@ -58,21 +61,25 @@ def test_braid_check_runs_the_braiding_groups(fixture_file, tmp_path):
                if c["status"] == "skipped" and c["name"] != "i-weak-yang-baxter")
 
 
-@pytest.mark.parametrize("command", ["verify", "braid-check"])
+CHECK_SELECTIONS = pytest.mark.parametrize(
+    "extra", [[], ["--checks", BRAIDING_CHECKS]], ids=["verify", "verify-braiding"])
+
+
+@CHECK_SELECTIONS
 @pytest.mark.parametrize("order", [0, 1, 8])
-def test_exit_2_on_a_max_order_out_of_range(command, order, fixture_file, tmp_path, capsys):
+def test_exit_2_on_a_max_order_out_of_range(extra, order, fixture_file, tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert cli.main([command, fixture_file("su2-flip"), "--max-order", str(order),
+    assert cli.main(["verify", fixture_file("su2-flip"), *extra, "--max-order", str(order),
                      "--report", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: --max-order must be between 2 and 7, got {order}\n")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["verify", "braid-check"])
-def test_lowest_max_order_runs(command, fixture_file, tmp_path):
+@CHECK_SELECTIONS
+def test_lowest_max_order_runs(extra, fixture_file, tmp_path):
     out = tmp_path / "report.json"
-    assert cli.main([command, fixture_file("su2-flip"), "--max-order", "2",
+    assert cli.main(["verify", fixture_file("su2-flip"), *extra, "--max-order", "2",
                      "--report", str(out)]) == 0
     assert json.loads(out.read_text(encoding="utf-8"))["max_order"] == 2
 
@@ -98,11 +105,18 @@ def test_curvature_writes_the_curvature_of_the_input_connection(fixture_file, tm
     assert doc["centrality_residual"] == expected.centrality_residual
 
 
+def test_curvature_without_a_file_connection_is_that_of_d0(fixture_file, tmp_path, capsys):
+    outs = [tmp_path / "auto.json", tmp_path / "d0.json"]
+    path = fixture_file("su2-flip")
+    assert cli.main(["curvature", path, "--out", str(outs[0])]) == 0
+    assert cli.main(["curvature", path, "--connection", "d0", "--out", str(outs[1])]) == 0
+    assert capsys.readouterr().out.count("curvature of D_(0):") == 2
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 @pytest.mark.parametrize("name, extra, message", [
     ("phase-twist", [], "curvature needs a geometry file"),
-    ("su2-flip", [], "the geometry has no connection"),
-    ("su2-flip", ["--connection", "omega"], "geometry has no explicit omega"),
-], ids=["braiding-file", "no-connection", "omega-absent"])
+], ids=["braiding-file"])
 def test_curvature_exit_2(name, extra, message, fixture_file, capsys):
     assert cli.main(["curvature", fixture_file(name), *extra]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
@@ -111,9 +125,21 @@ def test_curvature_exit_2(name, extra, message, fixture_file, capsys):
 def test_jn_emits_the_star_tensor(fixture_file, capsys):
     path = fixture_file("su2-torsion-free")
     assert cli.main(["jn", path, "-n", "0"]) == 2
-    assert capsys.readouterr().err == "error: order must be >= 1\n"
+    assert capsys.readouterr().err == "error: --order must be between 1 and 8, got 0\n"
     assert cli.main(["jn", path, "-n", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["order"], doc["n"]) == (3, 3)
     expected = build_jn(make_braiding(load_input(path).S), 3)
     assert np.array_equal(decode_complex_array(doc["J"], 6, "J"), expected)
+
+
+def test_jn_order_is_bounded_before_the_file_loads(tmp_path, capsys):
+    # j_8, the largest star tensor verify builds, is the highest order; at
+    # n = 2 it has 2^16 entries, so the bound itself is cheap to run
+    path = tmp_path / "twist2.json"
+    assert cli.main(["fixture", "phase-twist", "--frame-dim", "2", "--out", str(path)]) == 0
+    assert cli.main(["jn", str(path), "-n", "8", "--out", str(tmp_path / "j8.json")]) == 0
+    capsys.readouterr()
+    for order, source in ((9, path), (40, path), (40, tmp_path / "missing.json")):
+        assert cli.main(["jn", str(source), "-n", str(order)]) == 2
+        assert capsys.readouterr().err == f"error: --order must be between 1 and 8, got {order}\n"

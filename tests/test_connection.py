@@ -20,7 +20,6 @@ from stehbein.connection import (
     d0_connection,
     d2,
     dn,
-    metric_eval,
     solve_torsionfree_chi,
     torsion,
     torsionfree_connection,
@@ -35,7 +34,6 @@ from stehbein.frametensor import (
     left_mul,
     max_coeff_norm,
     tensor_product,
-    wedge_project,
     zero_field,
 )
 
@@ -214,21 +212,6 @@ def test_f_zero_geometry_d0_is_torsion_free():
 # metric
 
 
-def test_metric_eval_identity_metric():
-    g = np.eye(3, dtype=complex)
-    assert np.allclose(metric_eval(g, basis_field(3, 2, (0, 0))), np.eye(2))
-    assert np.allclose(metric_eval(g, basis_field(3, 2, (0, 1))), 0)
-
-
-def test_metric_eval_bilinear(su2_geom, rng):
-    g = su2_geom.g
-    t = tensor_product(_rand_1form(rng), _rand_1form(rng))
-    f = random_matrix(rng)
-    assert np.max(np.abs(metric_eval(g, left_mul(f, t)) - f @ metric_eval(g, t))) <= 1e-13
-    from stehbein.frametensor import right_mul
-    assert np.max(np.abs(metric_eval(g, right_mul(t, f)) - metric_eval(g, t) @ f)) <= 1e-13
-
-
 def test_metric_symmetry_flip(su2_braid):
     res, c = check_metric_symmetry(np.eye(3, dtype=complex), su2_braid)
     assert res <= 1e-14
@@ -262,8 +245,11 @@ def test_metric_compat_second_flip_identity(su2_geom, su2_braid):
 
 
 def test_metric_compat_first_chi_connection(su2_chi_conn, su2_braid, su2_geom):
-    r1, _ = check_metric_compatibility(su2_chi_conn, su2_braid, su2_geom.g)
-    assert r1 <= 1e-13
+    # g and a scaled g lower and raise alike: singularity goes by condition
+    # number, which is 1 for both, not by the determinant (1e-15 for the second)
+    for g in (su2_geom.g, 1e-5 * su2_geom.g):
+        r1, _ = check_metric_compatibility(su2_chi_conn, su2_braid, g)
+        assert r1 <= 1e-13
 
 
 def test_metric_compat_perturbed_sigma(su2_geom, su2_braid):

@@ -11,7 +11,12 @@ from stehbein.calculus import (
 )
 from stehbein.connection import curvature_of_form, d0_connection
 from stehbein.fixtures import random_geometry
-from stehbein.frametensor import antisymmetrizer_central, basis_field, max_coeff_norm
+from stehbein.frametensor import (
+    FrameTensorField,
+    antisymmetrizer_central,
+    basis_field,
+    max_coeff_norm,
+)
 
 from conftest import random_matrix
 
@@ -69,6 +74,30 @@ def test_f_zero_geometry_refuses_sizes_without_one(n):
 def test_f_zero_geometry_refuses_a_residual(monkeypatch):
     monkeypatch.setattr(fixtures, "check_structure", lambda geom: 0.5)
     with pytest.raises(ValueError, match=r"n=3, N=2.*structure residual 5\.000e-01"):
+        random_geometry(23, force_f_zero=True)
+
+
+def _nan_field(t):
+    return FrameTensorField(t.n, np.full_like(t.coeffs, np.nan))
+
+
+@pytest.mark.parametrize("target,message", [
+    ("differential0", "d-squared residual nan"),
+    ("curvature_d0_closed_form", "D_\\(0\\) curvature nan"),
+], ids=["d-squared", "curvature"])
+def test_f_zero_geometry_refuses_nan_on_the_last_unit(target, message, monkeypatch):
+    # a NaN after the first matrix unit or basis 1-form must not be maxed away
+    real = getattr(fixtures, target)
+    if target == "differential0":
+        def poisoned(f, geom):
+            out = real(f, geom)
+            return _nan_field(out) if f[-1, -1] == 1 else out
+    else:
+        def poisoned(geom, braid):
+            *head, last = real(geom, braid)
+            return [*head, _nan_field(last)]
+    monkeypatch.setattr(fixtures, target, poisoned)
+    with pytest.raises(ValueError, match=message):
         random_geometry(23, force_f_zero=True)
 
 

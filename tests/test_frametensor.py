@@ -15,7 +15,6 @@ from stehbein.frametensor import (
     max_coeff_norm,
     right_mul,
     tensor_product,
-    wedge_project,
     word_tensor,
     zero_field,
 )
@@ -185,20 +184,20 @@ def test_composition_convention():
 def test_wedge_project_idempotent():
     t = _rand_field(15, degree=2)
     p = antisymmetrizer_central(3)
-    once = wedge_project(t, 1, p)
-    twice = wedge_project(once, 1, p)
+    once = apply_central_at(t, p, 1)
+    twice = apply_central_at(once, p, 1)
     assert max_coeff_norm(twice - once) <= 1e-12
 
 
 def test_wedge_kills_diagonal_basis():
     t = basis_field(3, 2, (0, 0))
-    out = wedge_project(t, 1, antisymmetrizer_central(3))
+    out = apply_central_at(t, antisymmetrizer_central(3), 1)
     assert max_coeff_norm(out) == 0.0
 
 
 def test_wedge_antisymmetrizes_offdiagonal():
     t = basis_field(3, 2, (0, 1))
-    out = wedge_project(t, 1, antisymmetrizer_central(3))
+    out = apply_central_at(t, antisymmetrizer_central(3), 1)
     assert np.allclose(out.coeffs[0, 1], 0.5 * np.eye(2))
     assert np.allclose(out.coeffs[1, 0], -0.5 * np.eye(2))
 

@@ -74,6 +74,8 @@ def test_valid_documents_round_trip(doc, tmp_path):
     (SU2 | {"lambda": [[[[1e300, 0]] * 2] * 2] * 3}, "lambda_antihermitian"),
     (SU2 | {"F": encode_complex_array(np.zeros((3, 3, 3))), "P": _overflowing_projector()},
      "P_projector"),
+    (SU2_TF | {"omega": encode_complex_array(np.zeros((3, 3, 3, 2, 2)))},
+     "geometry carries both 'omega' and 'chi'"),
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
@@ -81,6 +83,15 @@ def test_malformed_documents_are_named(doc, message, tmp_path):
     path = _write(doc, tmp_path / "in.json")
     with pytest.raises(GeometryFileError, match=message):
         load_input(path)
+
+
+@pytest.mark.parametrize("command", ["verify", "curvature"])
+def test_omega_with_chi_exits_2(command, tmp_path, capsys):
+    # the connection would be ambiguous, so the file is refused
+    doc = SU2_TF | {"omega": encode_complex_array(np.zeros((3, 3, 3, 2, 2)))}
+    assert cli.main([command, str(_write(doc, tmp_path / "in.json"))]) == 2
+    assert capsys.readouterr().err == (
+        "error: geometry carries both 'omega' and 'chi'; give one connection\n")
 
 
 def test_curvature_to_dict_round_trips_through_json(su2_braid):

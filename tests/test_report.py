@@ -11,7 +11,7 @@ from jsonschema import Draft202012Validator, ValidationError
 
 from stehbein import cli, make_braiding, su2_flip_geometry, su2_torsionfree_connection
 from stehbein.fixtures import build_fixture
-from stehbein.report import BRAIDING_GROUPS, CHECKS, GROUPS, REPORT_SCHEMA, run_verify
+from stehbein.report import CHECKS, GROUPS, REPORT_SCHEMA, resolve_connection, run_verify
 
 # (name, status, equation_anchor) of every row, recorded before the check
 # table replaced the hand-written runner
@@ -66,7 +66,7 @@ def test_groups_are_read_off_the_table():
         "jn", "fifa", "dn-lemma", "dn-reality"]
     assert GROUPS["metric"] == ["metric-symmetry", "metric-compat-first",
                                 "metric-compat-second", "metric-reality"]
-    assert BRAIDING_GROUPS == ("sigma-consistency", "braid", "yb", "unitarity", "jn", "fifa")
+    assert {c.needs for c in CHECKS} == {None, "geometry", "projector", "metric", "never"}
 
 
 def test_each_row_is_declared_once():
@@ -93,10 +93,17 @@ def test_missing_prerequisites_name_the_reason():
     geom = dataclasses.replace(su2_flip_geometry(), g=None)
     notes = {c.name: c.note for c in run_verify(geom, max_order=2).checks}
     assert notes["metric-reality"] == "no metric in input"
-    notes = {c.name: c.note for c in
-             run_verify(geom, max_order=2, connection_mode="omega").checks}
-    assert notes["torsion"] == notes["metric-symmetry"] == (
-        "no connection available (geometry has no explicit omega)")
+
+
+def test_connection_modes_are_auto_d0_and_torsion_free(su2_tf):
+    braid = make_braiding(su2_tf.S)
+    labels = {mode: resolve_connection(su2_tf, braid, mode)[1]
+              for mode in ("auto", "d0", "torsion-free")}
+    assert labels == {"auto": "D_(0) + chi from input", "d0": "D_(0)",
+                      "torsion-free": "D_(0) + torsion-free chi"}
+    for mode in ("omega", "chi"):
+        with pytest.raises(ValueError, match=f"unknown connection mode '{mode}'"):
+            run_verify(su2_tf, connection_mode=mode)
 
 
 def test_singular_braiding_skips_only_the_checks_that_invert_it():
@@ -132,7 +139,7 @@ def test_nan_in_omega_fails_every_connection_row():
     assert {c.name for c in report.checks if c.status == "pass"} >= {"structure", "braid"}
 
 
-@pytest.mark.parametrize("mode", ["auto", "d0", "torsion-free", "chi", "braiding"])
+@pytest.mark.parametrize("mode", ["auto", "d0", "torsion-free", "braiding"])
 def test_nan_in_s_fails_every_row_that_reads_s(mode, su2_tf):
     s = su2_tf.S.copy()
     s[0, 1, 1, 0] = np.nan
