@@ -8,7 +8,7 @@ Their connection is the file's omega, else D_(0) + its chi, else D_(0);
 omega and chi is rejected.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails,
-2 input or usage error.
+2 input or usage error, or out of memory.
 """
 
 from __future__ import annotations
@@ -102,14 +102,6 @@ def main(argv=None) -> int:
             print(f"error: {flag} must be between {lo} and {hi}, got {value}",
                   file=sys.stderr)
             return 2
-    try:
-        return _dispatch(args)
-    except GeometryFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _dispatch(args) -> int:
     if args.command == "fixture":
         kind, obj = build_fixture(args.name, seed=args.seed, n=args.frame_dim)
         if kind == "geometry":
@@ -119,9 +111,23 @@ def _dispatch(args) -> int:
             save_json(braiding_to_dict(braid, p), args.out)
         print(f"{args.name} fixture written to {args.out}")
         return 0
+    try:
+        loaded = load_input(args.input)
+    except GeometryFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return _dispatch(args, loaded)
+    except MemoryError:
+        n = loaded.n if isinstance(loaded, FrameGeometry) else loaded[0].n
+        # j_k alone has n^(2k) entries, so the order bounds cannot hold for every n
+        where = f" at {flag} {value}" if args.command in bounds else ""
+        print(f"error: {args.command}{where} with frame dimension n={n} ran out of memory",
+              file=sys.stderr)
+        return 2
 
-    loaded = load_input(args.input)
 
+def _dispatch(args, loaded) -> int:
     if args.command == "verify":
         checks = None
         if args.checks:

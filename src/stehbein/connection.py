@@ -19,9 +19,9 @@ from .frametensor import (
     worst,
 )
 
-_SLOT_LETTERS = "abcdefgh"
-# highest degree dn accepts: it needs one einsum letter per slot of its result
-MAX_DEGREE = len(_SLOT_LETTERS) - 1
+# highest --max-order verify accepts; the limit is memory, not dn: at order 7
+# dn-reality-7 reads the star tensor j_8, which has n^16 entries
+MAX_DEGREE = 7
 
 
 @dataclass(frozen=True)
@@ -198,16 +198,50 @@ def check_metric_compatibility(c: Connection, b: Braiding,
     return res1, res2
 
 
+def _lambda_commutator(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """lam_p t_A - t_A lam_p at (p, A...), each product one GEMM over all A."""
+    n, N = lam.shape[0], lam.shape[-1]
+    c = coeffs.reshape(-1, N, N)
+    m = c.shape[0]
+    left = lam.reshape(n * N, N) @ c.transpose(1, 0, 2).reshape(N, m * N)
+    right = c.reshape(m * N, N) @ lam.transpose(1, 0, 2).reshape(N, n * N)
+    out = left.reshape(n, N, m, N).transpose(0, 2, 1, 3)
+    out = out - right.reshape(m, N, n, N).transpose(2, 0, 1, 3)
+    return out.reshape((n,) + coeffs.shape)
+
+
+def _omega_matrix(omega: np.ndarray) -> np.ndarray:
+    """omega^z_{xy} as the (n N, n^2 N) matrix with rows (z, j) and columns (x, y, k)."""
+    n, N = omega.shape[0], omega.shape[-1]
+    return omega.transpose(0, 3, 1, 2, 4).reshape(n * N, n * n * N)
+
+
+def _omega_at_slot(coeffs: np.ndarray, w: np.ndarray, i: int) -> np.ndarray:
+    """sum_z t_{..z..} omega^z_{xy}: slot i (1-based) of t becomes the pair (x, y).
+
+    ``w`` is ``_omega_matrix(omega)``; the contraction is one GEMM.
+    """
+    n, N = coeffs.shape[0], coeffs.shape[-1]
+    p = coeffs.ndim - 2
+    left, right = n ** (i - 1), n ** (p - i)
+    c = coeffs.reshape(left, n, right, N, N).transpose(0, 2, 3, 1, 4)
+    out = (c.reshape(left * right * N, n * N) @ w).reshape(left, right, N, n * n, N)
+    return out.transpose(0, 3, 1, 2, 4).reshape((n,) * (p + 1) + (N, N))
+
+
 def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
     """D_2(f_{ab} theta^a x theta^b) = df_{ab} x theta^a x theta^b + f_{ab} D_2(theta^a x theta^b)."""
     if t.degree != 2:
         raise ValueError(f"expected a degree-2 field, got degree {t.degree}")
     geom = c.geom
-    out = np.einsum('pij,qrjk->pqrik', geom.lam, t.coeffs)
-    out -= np.einsum('qrij,pjk->pqrik', t.coeffs, geom.lam)
-    out -= np.einsum('abij,apqjk->pqbik', t.coeffs, c.omega)
-    out -= np.einsum('abij,acpq,bcrjk->pqrik', t.coeffs, b.S, c.omega)
-    return FrameTensorField(geom.n, out)
+    n = geom.n
+    w = _omega_matrix(c.omega)
+    out = _lambda_commutator(geom.lam, t.coeffs)
+    out -= _omega_at_slot(t.coeffs, w, 1)
+    # S^{ac}_{pq} (t_{ab} omega^b_{cr}): t.omega first, then S on its first pair
+    tw = _omega_at_slot(t.coeffs, w, 2)
+    out -= (b.S.reshape(n * n, n * n).T @ tw.reshape(n * n, -1)).reshape(out.shape)
+    return FrameTensorField(n, out)
 
 
 def dn(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
@@ -220,17 +254,11 @@ def dn(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
     p = t.degree
     if p < 1:
         raise ValueError("D_n needs a field of degree >= 1")
-    if p > MAX_DEGREE:
-        raise ValueError(f"degree {p} exceeds the supported maximum {MAX_DEGREE}")
     geom = c.geom
-    out = np.einsum('pij,...jk->p...ik', geom.lam, t.coeffs)
-    out -= np.einsum('...ij,pjk->p...ik', t.coeffs, geom.lam)
-    result = FrameTensorField(geom.n, out)
-    letters = list(_SLOT_LETTERS[:p])
+    w = _omega_matrix(c.omega)
+    result = FrameTensorField(geom.n, _lambda_commutator(geom.lam, t.coeffs))
     for i in range(1, p + 1):
-        src = "".join(letters[: i - 1] + ["z"] + letters[i:])
-        dst = "".join(letters[: i - 1] + ["xy"] + letters[i:])
-        term = -np.einsum(f"{src}ij,zxyjk->{dst}ik", t.coeffs, c.omega)
+        term = -_omega_at_slot(t.coeffs, w, i)
         term_field = apply_word(FrameTensorField(geom.n, term), b, range(1, i))
         result = result + term_field
     return result

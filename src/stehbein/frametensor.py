@@ -103,7 +103,7 @@ class FrameTensorField:
         object.__setattr__(self, "coeffs", c)
         if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
             raise ValueError(f"coefficient grid of shape {c.shape} has no square matrix axes")
-        if any(d != self.n for d in c.shape[:-2]):
+        if c.shape[:-2] != (self.n,) * (c.ndim - 2):
             raise ValueError(f"frame axes of {c.shape} do not all equal n={self.n}")
 
     @property
@@ -175,14 +175,15 @@ def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTenso
     k = m.ndim // 2
     if m.ndim != 2 * k or m.ndim == 0:
         raise ValueError(f"central tensor of rank {m.ndim} is not of even rank 2k")
-    if m.shape[0] != t.n:
-        raise ValueError(f"frame dimension mismatch: tensor n={m.shape[0]}, field n={t.n}")
+    if m.shape != (t.n,) * m.ndim:
+        raise ValueError(f"frame dimension mismatch: tensor of shape {m.shape}, field n={t.n}")
     if not (1 <= pos and pos + k - 1 <= t.degree):
         raise ValueError(f"position {pos} (+{k} indices) out of range for degree {t.degree}")
-    axes = list(range(pos - 1, pos - 1 + k))
-    out = np.tensordot(m, t.coeffs, axes=(list(range(k)), axes))
-    out = np.moveaxis(out, list(range(k)), axes)
-    return FrameTensorField(t.n, out)
+    n = t.n
+    # new[.., c.., ..] = sum_a M[a.., c..] old[.., a.., ..]: one matmul by mat(M).T
+    mat = m.reshape(n ** k, n ** k)
+    out = np.matmul(mat.T, t.coeffs.reshape(n ** (pos - 1), n ** k, -1))
+    return FrameTensorField(n, out.reshape(t.coeffs.shape))
 
 
 def max_coeff_norm(t: FrameTensorField) -> float:

@@ -24,6 +24,7 @@ from stehbein.frametensor import (
     left_mul,
     max_coeff_norm,
     right_mul,
+    worst,
 )
 from stehbein.involution import star_form
 
@@ -159,11 +160,10 @@ def test_differential1_requires_degree_one(su2_geom):
 
 
 def test_d_squared_vanishes_su2(su2_geom, rng):
-    worst = 0.0
-    for _ in range(100):
-        f = random_matrix(rng)
-        worst = max(worst, max_coeff_norm(differential1(differential0(f, su2_geom), su2_geom)))
-    assert worst <= 1e-10
+    residual = worst(max_coeff_norm(differential1(differential0(random_matrix(rng), su2_geom),
+                                                  su2_geom))
+                     for _ in range(100))
+    assert residual <= 1e-10
 
 
 def test_pauli_twist_is_exact_with_symmetric_projector(pauli_twist_geom):
@@ -177,12 +177,11 @@ def test_pauli_twist_is_exact_with_symmetric_projector(pauli_twist_geom):
 def test_d_squared_vanishes_with_symmetric_projector(pauli_twist_geom, rng):
     # the structure condition implies d^2 = 0 for every P, not only for P
     # antisymmetric in its upper pair (derivation in maurer_cartan)
-    worst = 0.0
-    for _ in range(50):
-        f = random_matrix(rng)
-        worst = max(worst, max_coeff_norm(differential1(differential0(f, pauli_twist_geom),
-                                                        pauli_twist_geom)))
-    assert worst <= 1e-12
+    residual = worst(max_coeff_norm(differential1(differential0(random_matrix(rng),
+                                                               pauli_twist_geom),
+                                                  pauli_twist_geom))
+                     for _ in range(50))
+    assert residual <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -194,9 +193,9 @@ def test_d_squared_vanishes_on_exact_random_geometries(seed):
     assert np.max(np.abs(geom.F)) >= 1e-2
     assert np.max(np.abs(geom.P + np.swapaxes(geom.P, 0, 1))) >= 1e-2
     rng = np.random.default_rng(seed)
-    worst = max(max_coeff_norm(differential1(differential0(random_matrix(rng), geom), geom))
-                for _ in range(20))
-    assert worst <= 1e-12
+    residual = worst(max_coeff_norm(differential1(differential0(random_matrix(rng), geom), geom))
+                     for _ in range(20))
+    assert residual <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -143,3 +143,26 @@ def test_jn_order_is_bounded_before_the_file_loads(tmp_path, capsys):
     for order, source in ((9, path), (40, path), (40, tmp_path / "missing.json")):
         assert cli.main(["jn", str(source), "-n", str(order)]) == 2
         assert capsys.readouterr().err == f"error: --order must be between 1 and 8, got {order}\n"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("name, argv, patched, where", [
+    ("su2-torsion-free", ["verify", "--max-order", "7", "--report", "{out}"], "run_verify",
+     "verify at --max-order 7"),
+    ("phase-twist", ["jn", "-n", "8", "--out", "{out}"], "build_jn", "jn at --order 8"),
+    ("su2-torsion-free", ["curvature", "--out", "{out}"], "curvature", "curvature"),
+], ids=["verify", "jn-braiding-file", "curvature"])
+def test_exit_2_when_memory_runs_out(name, argv, patched, where, fixture_file, tmp_path,
+                                     capsys, monkeypatch):
+    # the order bounds do not depend on n; a command that outgrows memory
+    # names its order and n instead of ending in a traceback
+    monkeypatch.setattr(cli, patched, _out_of_memory)
+    out = tmp_path / "out.json"
+    argv = [a.format(out=out) for a in argv]
+    assert cli.main([argv[0], fixture_file(name), *argv[1:]]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {where} with frame dimension n=3 ran out of memory\n")
+    assert not out.exists()

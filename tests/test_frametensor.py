@@ -164,6 +164,13 @@ def test_apply_central_position_out_of_range():
         apply_central_at(t, flip_central(3), 0)
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 9, 1), (9, 9)])
+def test_apply_central_rejects_a_tensor_not_over_the_field_frame(shape):
+    # each of these flattens to a square matrix, so only the shape check stops it
+    with pytest.raises(ValueError, match="frame dimension mismatch"):
+        apply_central_at(_rand_field(12, degree=2), np.ones(shape), 1)
+
+
 def test_composition_convention():
     # applying m then m2 equals applying the composed tensor once
     rng = np.random.default_rng(13)

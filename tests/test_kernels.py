@@ -1,0 +1,147 @@
+"""The GEMM kernels of D_n, D_2 and the central action against einsum oracles.
+
+The reference functions are the einsum and tensordot bodies these kernels
+replaced; the GEMMs sum in another order, so agreement is to 1e-13.
+"""
+
+import dataclasses
+import itertools
+
+import numpy as np
+import pytest
+
+from stehbein.braiding import Braiding, make_braiding
+from stehbein.connection import Connection, d0_connection, d2, dn
+from stehbein.fixtures import random_geometry, su2_braiding, su2_torsionfree_connection
+from stehbein.frametensor import FrameTensorField, apply_central_at, basis_field
+
+TOL = 1e-13
+
+
+def ref_apply_central_at(t, m, pos):
+    k = m.ndim // 2
+    axes = list(range(pos - 1, pos - 1 + k))
+    out = np.tensordot(m, t.coeffs, axes=(list(range(k)), axes))
+    return FrameTensorField(t.n, np.moveaxis(out, list(range(k)), axes))
+
+
+def ref_dn(c, b, t):
+    geom = c.geom
+    letters = list("abcdefgh"[:t.degree])
+    out = np.einsum('pij,...jk->p...ik', geom.lam, t.coeffs)
+    out -= np.einsum('...ij,pjk->p...ik', t.coeffs, geom.lam)
+    for i in range(1, t.degree + 1):
+        src = "".join(letters[: i - 1] + ["z"] + letters[i:])
+        dst = "".join(letters[: i - 1] + ["xy"] + letters[i:])
+        term = FrameTensorField(geom.n, -np.einsum(f"{src}ij,zxyjk->{dst}ik", t.coeffs, c.omega))
+        for letter in reversed(range(1, i)):
+            term = ref_apply_central_at(term, b.S, letter)
+        out = out + term.coeffs
+    return FrameTensorField(geom.n, out)
+
+
+def ref_d2(c, b, t):
+    geom = c.geom
+    out = np.einsum('pij,qrjk->pqrik', geom.lam, t.coeffs)
+    out -= np.einsum('qrij,pjk->pqrik', t.coeffs, geom.lam)
+    out -= np.einsum('abij,apqjk->pqbik', t.coeffs, c.omega)
+    out -= np.einsum('abij,acpq,bcrjk->pqrik', t.coeffs, b.S, c.omega)
+    return FrameTensorField(geom.n, out)
+
+
+def _geometry(name, request):
+    """(connection, braiding) of each geometry the kernels are checked on; the
+    random one carries a random complex omega, the others their own D."""
+    if name == "su2-torsion-free":
+        return su2_torsionfree_connection(), su2_braiding()
+    if name == "random-n4":
+        geom = random_geometry(5, n=4, N=3, force_f_zero=True)
+        rng = np.random.default_rng(11)
+        shape = (4, 4, 4, 3, 3)
+        omega = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return Connection(geom, omega), make_braiding(geom.S)
+    geom = request.getfixturevalue("pauli_twist_geom")
+    braid = make_braiding(geom.S)
+    return d0_connection(geom, braid), braid
+
+
+GEOMETRIES = pytest.mark.parametrize("name", ["su2-torsion-free", "random-n4", "pauli-twist"])
+
+
+def _random_field(rng, n, N, degree):
+    shape = (n,) * degree + (N, N)
+    return FrameTensorField(n, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def _gap(a, b):
+    return float(np.max(np.abs(a.coeffs - b.coeffs)))
+
+
+@GEOMETRIES
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_dn_matches_its_einsum_oracle(name, degree, request):
+    conn, braid = _geometry(name, request)
+    t = _random_field(np.random.default_rng(degree), conn.geom.n, conn.geom.N, degree)
+    assert _gap(dn(conn, braid, t), ref_dn(conn, braid, t)) <= TOL
+
+
+@GEOMETRIES
+def test_d2_matches_its_einsum_oracle(name, request):
+    conn, braid = _geometry(name, request)
+    t = _random_field(np.random.default_rng(2), conn.geom.n, conn.geom.N, 2)
+    assert _gap(d2(conn, braid, t), ref_d2(conn, braid, t)) <= TOL
+
+
+@GEOMETRIES
+@pytest.mark.parametrize("rank", [2, 4])
+def test_apply_central_at_matches_tensordot_at_every_position(name, rank, request):
+    conn, braid = _geometry(name, request)
+    n, N = conn.geom.n, conn.geom.N
+    rng = np.random.default_rng(rank)
+    m = braid.S if rank == 4 else rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    k = rank // 2
+    for degree in range(k, 5):
+        t = _random_field(rng, n, N, degree)
+        for pos in range(1, degree - k + 2):
+            assert _gap(apply_central_at(t, m, pos), ref_apply_central_at(t, m, pos)) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# NaN must cross every GEMM, even where a basis monomial has only zeros
+
+def _with_nan(arr, index):
+    arr = np.array(arr, dtype=complex)
+    arr[index] = np.nan
+    return arr
+
+
+def _nan_case(where):
+    conn, braid = su2_torsionfree_connection(), su2_braiding()
+    geom = conn.geom
+    if where == "omega":
+        return Connection(geom, _with_nan(conn.omega, (2, 1, 0, 1, 1))), braid
+    if where == "lambda":
+        nan_geom = dataclasses.replace(geom, lam=_with_nan(geom.lam, (1, 0, 1)))
+        return Connection(nan_geom, conn.omega), braid
+    return conn, Braiding(geom.n, _with_nan(braid.S, (0, 2, 2, 0)))
+
+
+@pytest.mark.parametrize("operator", ["dn", "d2"])
+@pytest.mark.parametrize("where", ["omega", "lambda", "S"])
+def test_nan_reaches_the_operators_on_every_basis_monomial(operator, where):
+    conn, braid = _nan_case(where)
+    op = dn if operator == "dn" else d2
+    for degree in ((2, 3) if operator == "dn" else (2,)):
+        for idx in itertools.product(range(3), repeat=degree):
+            out = op(conn, braid, basis_field(3, 2, idx))
+            assert np.isnan(out.coeffs).any(), (where, idx)
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_nan_in_a_central_tensor_reaches_apply_central_at(rank):
+    m = _with_nan(su2_braiding().S if rank == 4 else np.eye(3), (1,) * rank)
+    for degree in (2, 3):
+        for idx in itertools.product(range(3), repeat=degree):
+            for pos in range(1, degree - rank // 2 + 2):
+                out = apply_central_at(basis_field(3, 2, idx), m, pos)
+                assert np.isnan(out.coeffs).any(), (idx, pos)
