@@ -11,6 +11,7 @@ from .frametensor import (
     FrameTensorField,
     apply_central_at,
     central_as_matrix,
+    central_at,
     max_coeff_norm,
     tensor_product,
     worst,
@@ -78,7 +79,7 @@ def geometry_invariants(geom: FrameGeometry) -> dict[str, float]:
     res["lambda_antihermitian"] = worst(antihermiticity_residual(l) for l in geom.lam)
     pm = central_as_matrix(geom.P)
     res["P_projector"] = float(np.max(np.abs(pm @ pm - pm)))
-    fp = np.einsum('abc,bcde->ade', geom.F, geom.P)
+    fp = central_at(geom.F, geom.P, 2)
     res["F_P_reduced"] = float(np.max(np.abs(fp - geom.F)))
     return res
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matalg import centrality_residual
-from .calculus import FrameGeometry, differential1, maurer_cartan, theta_squared
+from .calculus import (FrameGeometry, differential0, differential1, dirac_form, maurer_cartan,
+                       theta_squared)
 from .braiding import Braiding, apply_word
 from .frametensor import (
     INVERSE_COND_LIMIT,
@@ -15,8 +16,11 @@ from .frametensor import (
     apply_central_at,
     basis_field,
     central_as_matrix,
+    central_at,
+    left_mul,
     max_coeff_norm,
-    worst,
+    right_mul,
+    tensor_product,
 )
 
 # highest --max-order verify accepts; the limit is memory, not dn: at order 7
@@ -86,16 +90,14 @@ def solve_torsionfree_chi(geom: FrameGeometry, b: Braiding) -> np.ndarray:
     """
     base = d0_connection(geom, b)
     c = maurer_cartan(geom)
-    rhs = 0.5 * c - np.einsum('adeij,debc->abcij', base.omega, geom.P)
+    rhs = 0.5 * c - central_at(base.omega, geom.P, 2)
     # central part: coefficient of the identity matrix
     rhs_scalar = np.trace(rhs, axis1=-2, axis2=-1) / geom.N
-    pm = central_as_matrix(geom.P)
     n = geom.n
-    chi = np.empty((n, n * n), dtype=complex)
-    for a in range(n):
-        sol, *_ = np.linalg.lstsq(pm.T, rhs_scalar[a].reshape(n * n), rcond=None)
-        chi[a] = sol
-    return chi.reshape(n, n, n)
+    # one solve with a column of right-hand sides per a
+    sol, *_ = np.linalg.lstsq(central_as_matrix(geom.P).T, rhs_scalar.reshape(n, n * n).T,
+                              rcond=None)
+    return sol.T.reshape(n, n, n)
 
 
 def torsionfree_connection(geom: FrameGeometry, b: Braiding) -> Connection:
@@ -115,8 +117,6 @@ def covariant_derivative(c: Connection, xi: FrameTensorField) -> FrameTensorFiel
 
 def check_left_leibniz(c: Connection, f: np.ndarray, xi: FrameTensorField) -> float:
     """Residual of D(f xi) = df x xi + f D xi (holds by construction; regression)."""
-    from .frametensor import left_mul, tensor_product
-    from .calculus import differential0
     lhs = covariant_derivative(c, left_mul(f, xi))
     rhs = tensor_product(differential0(f, c.geom), xi) + left_mul(f, covariant_derivative(c, xi))
     return max_coeff_norm(lhs - rhs)
@@ -125,8 +125,6 @@ def check_left_leibniz(c: Connection, f: np.ndarray, xi: FrameTensorField) -> fl
 def check_right_leibniz(c: Connection, b: Braiding, f: np.ndarray,
                         xi: FrameTensorField) -> float:
     """Residual of D(xi f) = sigma(xi x df) + (D xi) f."""
-    from .frametensor import right_mul, tensor_product
-    from .calculus import differential0
     lhs = covariant_derivative(c, right_mul(xi, f))
     rhs = apply_central_at(tensor_product(xi, differential0(f, c.geom)), b.S, 1)
     rhs += right_mul(covariant_derivative(c, xi), f)
@@ -152,7 +150,7 @@ def algebraic_torsion(c: Connection) -> np.ndarray:
     through an independent code path so the agreement itself can be
     cross-checked.
     """
-    return np.einsum('adeij,debc->abcij', c.omega, c.geom.P) - 0.5 * maurer_cartan(c.geom)
+    return central_at(c.omega, c.geom.P, 2) - 0.5 * maurer_cartan(c.geom)
 
 
 def torsion(c: Connection) -> tuple[list[FrameTensorField], float]:
@@ -234,14 +232,12 @@ def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
     if t.degree != 2:
         raise ValueError(f"expected a degree-2 field, got degree {t.degree}")
     geom = c.geom
-    n = geom.n
     w = _omega_matrix(c.omega)
     out = _lambda_commutator(geom.lam, t.coeffs)
     out -= _omega_at_slot(t.coeffs, w, 1)
     # S^{ac}_{pq} (t_{ab} omega^b_{cr}): t.omega first, then S on its first pair
-    tw = _omega_at_slot(t.coeffs, w, 2)
-    out -= (b.S.reshape(n * n, n * n).T @ tw.reshape(n * n, -1)).reshape(out.shape)
-    return FrameTensorField(n, out)
+    out -= central_at(_omega_at_slot(t.coeffs, w, 2), b.S, 1)
+    return FrameTensorField(geom.n, out)
 
 
 def dn(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
@@ -283,10 +279,10 @@ def curvature(c: Connection, b: Braiding) -> CurvatureData:
         curv = curvature_of_form(c, b, basis_field(n, N, (a,)))
         # coefficient at (c, d, b) is -1/2 R^a_{bcd}
         r[a] = -2.0 * np.moveaxis(curv.coeffs, 2, 0)
-    r = np.einsum('abcdij,cdef->abefij', r, geom.P)
+    r = central_at(r, geom.P, 3)
     g = geom.g if geom.g is not None else np.eye(n, dtype=complex)
     ricci = 0.5 * np.einsum('abcdij,db->acij', r, g)
-    cent = worst(centrality_residual(r[idx], geom.lam) for idx in np.ndindex(n, n, n, n))
+    cent = centrality_residual(r.reshape(-1, N, N), geom.lam)
     return CurvatureData(R=r, ricci=ricci, centrality_residual=cent)
 
 
@@ -315,11 +311,6 @@ def curvature_d0_closed_form(geom: FrameGeometry, b: Braiding,
     if xi is None:
         return [curvature_d0_closed_form(geom, b, basis_field(geom.n, geom.N, (a,)))
                 for a in range(geom.n)]
-    th2 = theta_squared(geom)
-    # theta^2 x xi: coefficient at (p, q, a) is theta^2_{pq} xi_a
-    t1 = np.einsum('pqij,ajk->pqaik', th2.coeffs, xi.coeffs)
-    lamlam = np.einsum('bij,cjk->bcik', geom.lam, geom.lam)
-    t2 = np.einsum('aij,bcjk->abcik', xi.coeffs, lamlam)
-    field2 = apply_word(FrameTensorField(geom.n, t2), b, [1, 2, 1])
-    field2 = apply_central_at(field2, geom.P, 1)
-    return FrameTensorField(geom.n, t1) + field2
+    th = dirac_form(geom)
+    field2 = apply_word(tensor_product(xi, tensor_product(th, th)), b, [1, 2, 1])
+    return tensor_product(theta_squared(geom), xi) + apply_central_at(field2, geom.P, 1)

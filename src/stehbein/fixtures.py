@@ -253,13 +253,9 @@ def random_geometry(seed: int, n: int = 3, N: int = 2, *,
     basis = list(lam)
     basis.append(np.eye(N, dtype=complex))
     amat = np.stack([m.reshape(-1) for m in basis], axis=1)
-    f = np.zeros((n, n, n), dtype=complex)
-    k = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            sol, *_ = np.linalg.lstsq(amat, target[a, b].reshape(-1), rcond=None)
-            f[:, a, b] = sol[:-1]
-            k[a, b] = sol[-1]
+    sol, *_ = np.linalg.lstsq(amat, target.reshape(n * n, N * N).T, rcond=None)
+    f = sol[:-1].reshape(n, n, n)
+    k = sol[-1].reshape(n, n)
     # keep F in the image of P on its lower pair, as required of geometries
     f = np.einsum('abc,bcde->ade', f, p)
     return FrameGeometry(N=N, n=n, lam=lam, P=p, S=braid.S, F=f, K=k,

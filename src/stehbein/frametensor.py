@@ -11,6 +11,7 @@ Conventions fixed here and used identically everywhere else:
 * A central tensor M acts on a field by contracting its upper indices with
   the field's indices; the result carries the lower indices:
   ``new[..., c, ...] = sum_a M[a..., c...] old[..., a, ...]``.
+  ``central_at`` is the one implementation of this contraction.
 * Applying M then M2 composes to the tensor with matrix form
   ``mat(M) @ mat(M2)`` (the first map applied is leftmost).
 * A word of adjacent operators is a sequence of positions i, each acting
@@ -64,6 +65,20 @@ def matrix_as_central(mat: np.ndarray, n: int) -> np.ndarray:
     return mat.reshape((n,) * (2 * k))
 
 
+def central_at(a: np.ndarray, m: np.ndarray, pos: int) -> np.ndarray:
+    """Contract a rank-2k central tensor against axes pos..pos+k-1 (1-based) of ``a``.
+
+    ``new[.., c.., ..] = sum_a M[a.., c..] old[.., a.., ..]``, as one matmul by
+    mat(M).T.  The axes of ``a`` up to the contracted ones must all be n; the
+    axes after them can be anything.
+    """
+    k, n = m.ndim // 2, m.shape[0]
+    if a.shape[:pos - 1 + k] != (n,) * (pos - 1 + k):
+        raise ValueError(f"axes 1..{pos - 1 + k} of {a.shape} do not all equal n={n}")
+    out = np.matmul(m.reshape(n ** k, n ** k).T, a.reshape(n ** (pos - 1), n ** k, -1))
+    return out.reshape(a.shape)
+
+
 def word_tensor(s: np.ndarray, strands: int, letters) -> np.ndarray:
     """Composite central tensor of a word of adjacent rank-4 operators.
 
@@ -73,15 +88,14 @@ def word_tensor(s: np.ndarray, strands: int, letters) -> np.ndarray:
     """
     s = np.asarray(s)
     n = s.shape[0]
+    # the composite is kept lower block first, so each letter acts on its
+    # leading axes; one transpose puts the upper block back in front
     out = identity_central(n, strands)
     for letter in reversed(tuple(letters)):
         if not 1 <= letter <= strands - 1:
             raise ValueError(f"letter {letter} out of range for {strands} strands")
-        # contract the lower pair at `letter` with the upper pair of s
-        axes = [strands + letter - 1, strands + letter]
-        out = np.tensordot(out, s, axes=(axes, [0, 1]))
-        out = np.moveaxis(out, [-2, -1], axes)
-    return out
+        out = central_at(out, s, letter)
+    return out.transpose(list(range(strands, 2 * strands)) + list(range(strands)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +193,7 @@ def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTenso
         raise ValueError(f"frame dimension mismatch: tensor of shape {m.shape}, field n={t.n}")
     if not (1 <= pos and pos + k - 1 <= t.degree):
         raise ValueError(f"position {pos} (+{k} indices) out of range for degree {t.degree}")
-    n = t.n
-    # new[.., c.., ..] = sum_a M[a.., c..] old[.., a.., ..]: one matmul by mat(M).T
-    mat = m.reshape(n ** k, n ** k)
-    out = np.matmul(mat.T, t.coeffs.reshape(n ** (pos - 1), n ** k, -1))
-    return FrameTensorField(n, out.reshape(t.coeffs.shape))
+    return FrameTensorField(t.n, central_at(t.coeffs, m, pos))
 
 
 def max_coeff_norm(t: FrameTensorField) -> float:

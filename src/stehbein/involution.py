@@ -29,6 +29,7 @@ from .frametensor import (
     apply_central_at,
     basis_field,
     central_as_matrix,
+    central_at,
     max_coeff_norm,
     tensor_product,
     word_tensor,
@@ -110,8 +111,7 @@ def star_form(t: FrameTensorField, jn: np.ndarray | None = None) -> FrameTensorF
     jn = np.asarray(jn)
     if jn.ndim != 2 * p:
         raise ValueError(f"star tensor of rank {jn.ndim} does not match degree {p}")
-    out = np.tensordot(jn, adj, axes=(list(range(p)), list(range(p))))
-    return FrameTensorField(t.n, out)
+    return FrameTensorField(t.n, central_at(adj, jn, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def check_fifa(b: Braiding) -> float:
 def check_connection_reality(c: Connection, j: np.ndarray) -> float:
     """Residual of (omega^a_{bc})* = omega^a_{de} (J^{de}_{bc})*."""
     lhs = adjoint(c.omega)
-    rhs = np.einsum('adeij,debc->abcij', c.omega, np.conj(np.asarray(j)))
+    rhs = central_at(c.omega, np.conj(np.asarray(j)), 2)
     return max_coeff_norm(FrameTensorField(c.geom.n, lhs - rhs))
 
 

@@ -80,12 +80,17 @@ def save_json(payload: dict, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
+def _dimension(doc: dict, key: str, what: str) -> int:
+    """A JSON integer >= 1: 3.9, "3" and true are refused, never truncated."""
+    value = doc.get(key)
+    if type(value) is not int or value < 1:
+        raise GeometryFileError(f"invalid {what}: {key!r} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _geometry_from_dict(doc: dict) -> FrameGeometry:
-    try:
-        N = int(doc["matrix_dim"])
-        n = int(doc["frame_dim"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise GeometryFileError(f"missing or invalid matrix_dim/frame_dim: {exc}") from exc
+    N = _dimension(doc, "matrix_dim", "matrix dimension")
+    n = _dimension(doc, "frame_dim", "frame dimension")
     lam = decode_complex_array(doc["lambda"], 3, "lambda")
     # checked before FrameGeometry allocates zero F and K of the declared size
     if lam.shape != (n, N, N):
@@ -136,13 +141,9 @@ def load_input(path):
     if "lambda" in doc:
         return _geometry_from_dict(doc)
     if "S" in doc:
-        try:
-            n = int(doc.get("n", doc.get("frame_dim", 0)))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise GeometryFileError(f"invalid frame dimension n: {exc}") from exc
+        key = "n" if "n" in doc else "frame_dim"
         s = decode_complex_array(doc["S"], 4, "S")
-        if n == 0:
-            n = s.shape[0]
+        n = _dimension(doc, key, "frame dimension n") if key in doc else s.shape[0]
         if s.shape != (n,) * 4:
             raise GeometryFileError(f"S has shape {s.shape}, expected {(n,) * 4}")
         p = decode_complex_array(doc["P"], 4, "P") if "P" in doc else None

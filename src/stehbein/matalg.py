@@ -35,15 +35,16 @@ def antihermiticity_residual(a: np.ndarray) -> float:
 
 
 def centrality_residual(a: np.ndarray, geom) -> float:
-    """Max over frame generators of ||[lambda_a, a]||_F.
+    """Max over frame generators, and over a stack of elements, of ||[lambda_a, a]||_F.
 
-    ``geom`` may be anything with a ``lam`` attribute (a geometry record)
-    or a stack of generator matrices directly.  Zero within tolerance iff
-    ``a`` commutes with every generator.
+    ``a`` is one element or a stack of shape (..., N, N).  ``geom`` may be
+    anything with a ``lam`` attribute (a geometry record) or a stack of
+    generator matrices directly.  Zero within tolerance iff every element
+    commutes with every generator; a NaN anywhere gives NaN.
     """
-    lam = getattr(geom, "lam", geom)
-    lam = np.asarray(lam)
+    lam = np.asarray(getattr(geom, "lam", geom))
     a = np.asarray(a)
     if lam.shape[-1] != a.shape[-1]:
         raise ValueError(f"dimension mismatch: element is {a.shape}, generators are {lam.shape}")
-    return worst(frobenius_norm(commutator(gen, a)) for gen in lam)
+    stack = a.reshape(-1, 1, *a.shape[-2:])
+    return worst(np.linalg.norm(commutator(lam, stack), axis=(-2, -1)).ravel())

@@ -85,6 +85,17 @@ def test_malformed_documents_are_named(doc, message, tmp_path):
         load_input(path)
 
 
+@pytest.mark.parametrize("value", [3.9, 2.5, 3.7, 3.0, "3", True, 0, -1])
+@pytest.mark.parametrize("doc,key", [(SU2, "frame_dim"), (SU2, "matrix_dim"), (TWIST, "n")])
+def test_dimensions_must_be_positive_json_integers(doc, key, value, tmp_path, capsys):
+    # int() would truncate 3.9 to 3 and parse "3", and True is an int in Python
+    path = _write(doc | {key: value}, tmp_path / "in.json")
+    with pytest.raises(GeometryFileError, match=f"'{key}' must be an integer >= 1, got {value!r}"):
+        load_input(path)
+    assert cli.main(["verify", str(path)]) == 2
+    assert f"'{key}' must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify", "curvature"])
 def test_omega_with_chi_exits_2(command, tmp_path, capsys):
     # the connection would be ambiguous, so the file is refused

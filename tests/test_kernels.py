@@ -1,7 +1,9 @@
 """The GEMM kernels of D_n, D_2 and the central action against einsum oracles.
 
 The reference functions are the einsum and tensordot bodies these kernels
-replaced; the GEMMs sum in another order, so agreement is to 1e-13.
+replaced; the GEMMs sum in another order, so agreement is to 1e-13.  Where
+every output entry is a single product (the flip and the phase twists) the
+agreement is exact.
 """
 
 import dataclasses
@@ -13,16 +15,40 @@ import pytest
 from stehbein.braiding import Braiding, make_braiding
 from stehbein.connection import Connection, d0_connection, d2, dn
 from stehbein.fixtures import random_geometry, su2_braiding, su2_torsionfree_connection
-from stehbein.frametensor import FrameTensorField, apply_central_at, basis_field
+from stehbein.fixtures import phase_twist_braiding, random_phase_twist
+from stehbein.frametensor import (
+    FrameTensorField,
+    apply_central_at,
+    basis_field,
+    central_at,
+    flip_central,
+    identity_central,
+    word_tensor,
+)
+from stehbein.involution import build_jn, reverse_word, star_form
 
 TOL = 1e-13
 
 
-def ref_apply_central_at(t, m, pos):
+def ref_central_at(a, m, pos):
     k = m.ndim // 2
     axes = list(range(pos - 1, pos - 1 + k))
-    out = np.tensordot(m, t.coeffs, axes=(list(range(k)), axes))
-    return FrameTensorField(t.n, np.moveaxis(out, list(range(k)), axes))
+    out = np.tensordot(m, a, axes=(list(range(k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
+
+
+def ref_apply_central_at(t, m, pos):
+    return FrameTensorField(t.n, ref_central_at(t.coeffs, m, pos))
+
+
+def ref_word_tensor(s, strands, letters):
+    n = s.shape[0]
+    out = identity_central(n, strands)
+    for letter in reversed(tuple(letters)):
+        axes = [strands + letter - 1, strands + letter]
+        out = np.tensordot(out, s, axes=(axes, [0, 1]))
+        out = np.moveaxis(out, [-2, -1], axes)
+    return out
 
 
 def ref_dn(c, b, t):
@@ -106,6 +132,70 @@ def test_apply_central_at_matches_tensordot_at_every_position(name, rank, reques
             assert _gap(apply_central_at(t, m, pos), ref_apply_central_at(t, m, pos)) <= TOL
 
 
+@GEOMETRIES
+@pytest.mark.parametrize("rank", [2, 4])
+def test_central_at_matches_tensordot_on_f_omega_and_star_shapes(name, rank, request):
+    conn, braid = _geometry(name, request)
+    n, N = conn.geom.n, conn.geom.N
+    rng = np.random.default_rng(rank + 10)
+    m = braid.S if rank == 4 else rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    k = rank // 2
+    arrays = {  # label -> (array, number of leading frame axes)
+        "F": (rng.normal(size=(n,) * 3) + 1j * rng.normal(size=(n,) * 3), 3),
+        "omega": (conn.omega, 3),
+        "j3": (build_jn(braid, 3), 6),
+    }
+    for label, (a, frame_axes) in arrays.items():
+        for pos in range(1, frame_axes - k + 2):
+            gap = np.max(np.abs(central_at(a, m, pos) - ref_central_at(a, m, pos)))
+            assert gap <= TOL, (label, pos)
+
+
+def test_central_at_rejects_axes_that_are_not_n():
+    s = su2_braiding().S
+    with pytest.raises(ValueError, match="do not all equal n=3"):
+        central_at(np.zeros((3, 3, 2, 2)), s, 2)
+    with pytest.raises(ValueError, match="do not all equal n=3"):
+        central_at(np.zeros((4, 3, 3)), s, 2)
+    with pytest.raises(ValueError, match="do not all equal n=3"):
+        central_at(np.zeros((3, 9, 1)), s, 1)
+
+
+def _exact_braidings():
+    yield "flip", flip_central(3)
+    yield "phase-twist", random_phase_twist(0, 3)[0].S
+    yield "phase-twist-n4", random_phase_twist(1, 4)[0].S
+    yield "pauli-twist", phase_twist_braiding(3, {(0, 1): -1, (0, 2): -1, (1, 2): -1})[0].S
+
+
+def _exact_words(strands):
+    """The j_n word and, from three strands on, both sides of the braid relation."""
+    yield reverse_word(strands).letters
+    for i in range(1, strands - 1):
+        yield i, i + 1, i
+        yield i + 1, i, i + 1
+
+
+@pytest.mark.parametrize("strands", [2, 3, 4, 5])
+def test_word_tensor_matches_its_tensordot_oracle(strands):
+    # a seeded word with repeated letters multiplies phases together, where the
+    # two GEMMs may round differently; it is checked to the bound, not exactly
+    random_word = tuple(np.random.default_rng(strands).integers(1, strands, size=2 * strands))
+    rng = np.random.default_rng(7)
+    normal = rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4)
+    # scaled to unit operator norm, so no word outgrows the bound
+    normal /= np.linalg.norm(normal.reshape(9, 9), 2)
+    for label, s in [*_exact_braidings(), ("normal", normal)]:
+        if s.shape[0] ** (2 * strands) > 4 ** 8:
+            continue
+        for letters in [*_exact_words(strands), random_word]:
+            ours, ref = word_tensor(s, strands, letters), ref_word_tensor(s, strands, letters)
+            if label == "normal" or letters == random_word:
+                assert np.max(np.abs(ours - ref)) <= TOL, (label, letters)
+            else:
+                assert np.array_equal(ours, ref), (label, letters)
+
+
 # ---------------------------------------------------------------------------
 # NaN must cross every GEMM, even where a basis monomial has only zeros
 
@@ -145,3 +235,13 @@ def test_nan_in_a_central_tensor_reaches_apply_central_at(rank):
             for pos in range(1, degree - rank // 2 + 2):
                 out = apply_central_at(basis_field(3, 2, idx), m, pos)
                 assert np.isnan(out.coeffs).any(), (idx, pos)
+
+
+def test_nan_in_s_reaches_word_tensor_and_star_form():
+    braid = Braiding(3, _with_nan(su2_braiding().S, (0, 2, 2, 0)))
+    for letters in ([1], [1, 2, 1], [2, 1, 2]):
+        assert np.isnan(word_tensor(braid.S, 3, letters)).any(), letters
+    for degree in (2, 3):
+        jn = build_jn(braid, degree)
+        for idx in itertools.product(range(3), repeat=degree):
+            assert np.isnan(star_form(basis_field(3, 2, idx), jn).coeffs).any(), idx

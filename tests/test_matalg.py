@@ -97,3 +97,15 @@ def test_centrality_accepts_geometry_duck_type(su2_geom):
 def test_centrality_dimension_mismatch():
     with pytest.raises(ValueError):
         centrality_residual(np.eye(3), LAM)
+
+
+def test_centrality_of_a_stack_is_its_worst_entry():
+    stack = np.array([np.eye(2), 2.0 * np.eye(2), LAM3, np.zeros((2, 2))]).reshape(2, 2, 2, 2)
+    assert centrality_residual(stack, LAM) == centrality_residual(LAM3, LAM)
+    assert centrality_residual(stack[0], LAM) == 0.0
+
+
+def test_centrality_of_a_stack_with_nan_is_nan():
+    stack = np.array([np.eye(2)] * 4, dtype=complex)
+    stack[2, 1, 0] = np.nan
+    assert np.isnan(centrality_residual(stack, LAM))

@@ -3,6 +3,7 @@ schema, with verdict lists pinned on the built-in fixtures."""
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,20 +18,28 @@ from stehbein.report import CHECKS, GROUPS, REPORT_SCHEMA, resolve_connection, r
 # table replaced the hand-written runner
 PINNED = json.loads((Path(__file__).parent / "data" / "pinned_verdicts.json")
                     .read_text(encoding="utf-8"))
+# every row's residual on the same fixtures and on `random` at order 3, recorded
+# before the contractions were routed through frametensor.central_at; null
+# where the row is skipped
+PINNED_RESIDUALS = json.loads((Path(__file__).parent / "data" / "pinned_residuals.json")
+                              .read_text(encoding="utf-8"))
+RESIDUAL_TOL = 1e-14
 
 
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
-    """``verify --report`` documents of the pinned fixtures, keyed as PINNED."""
+    """``verify --report`` documents of the pinned fixtures, keyed as PINNED
+    and PINNED_RESIDUALS; `random` fails rows, so its exit code is 1."""
     tmp = tmp_path_factory.mktemp("reports")
     out = {}
-    for key in PINNED:
+    for key in PINNED_RESIDUALS:
         name, order = key.split("@")
         path = tmp / f"{name}.json"
         if not path.exists():
             assert cli.main(["fixture", name, "--out", str(path)]) == 0
         report = tmp / f"{key}.json"
-        assert cli.main(["verify", str(path), "--max-order", order, "--report", str(report)]) == 0
+        code = cli.main(["verify", str(path), "--max-order", order, "--report", str(report)])
+        assert code == (1 if name == "random" else 0)
         out[key] = json.loads(report.read_text(encoding="utf-8"))
     return out
 
@@ -44,6 +53,29 @@ def su2_tf():
 def test_verdicts_are_pinned(key, reports):
     rows = [[c["name"], c["status"], c["equation_anchor"]] for c in reports[key]["checks"]]
     assert rows == PINNED[key]
+
+
+def _matches_pin(residual, pin) -> bool:
+    """Both skipped, or within RESIDUAL_TOL; NaN matches nothing."""
+    if residual is None or pin is None:
+        return residual is pin
+    return abs(residual - pin) <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("key", list(PINNED_RESIDUALS))
+def test_residuals_stay_within_1e_14_of_their_pins(key, reports):
+    got = {c["name"]: c["residual"] for c in reports[key]["checks"]}
+    assert list(got) == list(PINNED_RESIDUALS[key])
+    moved = {name: (got[name], pin) for name, pin in PINNED_RESIDUALS[key].items()
+             if not _matches_pin(got[name], pin)}
+    assert not moved
+
+
+def test_a_nan_residual_never_matches_its_pin():
+    assert _matches_pin(0.5, 0.5 + RESIDUAL_TOL / 2) and _matches_pin(None, None)
+    for residual, pin in ((math.nan, 0.0), (math.nan, math.nan), (0.0, math.nan),
+                          (None, 0.0), (0.0, None), (0.0, 2 * RESIDUAL_TOL)):
+        assert not _matches_pin(residual, pin)
 
 
 def test_reports_follow_the_schema(reports):
