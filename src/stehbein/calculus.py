@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .matalg import antihermiticity_residual, commutator
 from .frametensor import (
     FrameTensorField,
+    _omega_at_slot,
+    _omega_matrix,
     apply_central_at,
     central_as_matrix,
     central_at,
@@ -16,6 +19,12 @@ from .frametensor import (
     tensor_product,
     worst,
 )
+
+
+def _read_only(x) -> np.ndarray:
+    a = np.array(x, dtype=complex)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -26,6 +35,11 @@ class FrameGeometry:
     ``P`` the wedge projector, ``S`` the generalized-permutation tensor,
     ``F``/``K`` the central structure tensors, ``g`` an optional metric,
     ``omega``/``chi`` optional connection data, at most one of the two.
+
+    The arrays are read-only copies, so the Maurer-Cartan tensor ``C``,
+    built on first use and kept, cannot go stale: an in-place write into
+    any of them raises ValueError.  ``dataclasses.replace`` makes a new
+    geometry with its own ``C``.
     """
 
     N: int
@@ -41,12 +55,12 @@ class FrameGeometry:
 
     def __post_init__(self):
         n, N = self.n, self.N
-        conv = lambda x: None if x is None else np.asarray(x, dtype=complex)
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=complex))
-        object.__setattr__(self, "P", np.asarray(self.P, dtype=complex))
-        object.__setattr__(self, "S", np.asarray(self.S, dtype=complex))
-        object.__setattr__(self, "F", conv(self.F) if self.F is not None else np.zeros((n, n, n), complex))
-        object.__setattr__(self, "K", conv(self.K) if self.K is not None else np.zeros((n, n), complex))
+        conv = lambda x: None if x is None else _read_only(x)
+        object.__setattr__(self, "lam", _read_only(self.lam))
+        object.__setattr__(self, "P", _read_only(self.P))
+        object.__setattr__(self, "S", _read_only(self.S))
+        object.__setattr__(self, "F", _read_only(np.zeros((n,) * 3) if self.F is None else self.F))
+        object.__setattr__(self, "K", _read_only(np.zeros((n,) * 2) if self.K is None else self.K))
         for name, val, shape in [
             ("lam", self.lam, (n, N, N)),
             ("P", self.P, (n,) * 4),
@@ -66,6 +80,13 @@ class FrameGeometry:
                 raise ValueError(f"{name} has shape {val.shape}, expected {shape}")
         if self.omega is not None and self.chi is not None:
             raise ValueError("geometry carries both 'omega' and 'chi'; give one connection")
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        """The Maurer-Cartan tensor ``maurer_cartan(self)``, read-only."""
+        c = maurer_cartan(self)
+        c.flags.writeable = False
+        return c
 
 
 def geometry_invariants(geom: FrameGeometry) -> dict[str, float]:
@@ -129,16 +150,17 @@ def differential1(xi: FrameTensorField, geom: FrameGeometry) -> FrameTensorField
     """d(xi_a theta^a) = (e_b xi_a) theta^b theta^a - 1/2 xi_a C^a_{bc} theta^b theta^c.
 
     The result is wedge-projected immediately; raw antisymmetric data is
-    never exposed.
+    never exposed.  xi_a C^a is one GEMM (``frametensor._omega_at_slot``) with
+    the geometry's cached C.  The lam-commutator stays an einsum, as in
+    ``connection.covariant_derivative``.
     """
     if xi.degree != 1:
         raise ValueError(f"expected a degree-1 field, got degree {xi.degree}")
     if xi.n != geom.n or xi.N != geom.N:
         raise ValueError("field does not match geometry dimensions")
-    c = maurer_cartan(geom)
     raw = np.einsum('bij,cjk->bcik', geom.lam, xi.coeffs)
     raw -= np.einsum('cij,bjk->bcik', xi.coeffs, geom.lam)
-    raw -= 0.5 * np.einsum('aij,abcjk->bcik', xi.coeffs, c)
+    raw -= 0.5 * _omega_at_slot(xi.coeffs, _omega_matrix(geom.C), 1)
     return apply_central_at(FrameTensorField(geom.n, raw), geom.P, 1)
 
 

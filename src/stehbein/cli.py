@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -38,6 +39,16 @@ from .report import (CONNECTION_MODES, DEFAULT_TOL, GROUPS, REPORT_SCHEMA,
 
 
 MIN_ORDER = REPORT_SCHEMA["properties"]["max_order"]["minimum"]
+
+# command -> (flag, lowest, highest or None) of each integer option it bounds;
+# the order comes first, and an out-of-memory message names it
+INT_BOUNDS = {
+    "verify": (("--max-order", MIN_ORDER, MAX_DEGREE), ("--seed", 0, None)),
+    # dn-reality-7 reads j_8, the largest star tensor verify builds
+    "jn": (("--order", 1, MAX_DEGREE + 1),),
+    # the loader refuses a file whose frame dimension is below 1
+    "fixture": (("--frame-dim", 1, None), ("--seed", 0, None)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,18 +101,30 @@ def _finish_report(report, path):
     return 0 if report.all_pass else 1
 
 
+def _option_value(args, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
+def _option_error(args) -> str | None:
+    """Why an option value is out of bounds, or None; checked before any file loads."""
+    for flag, lo, hi in INT_BOUNDS.get(args.command, ()):
+        value = _option_value(args, flag)
+        if hi is None and value < lo:
+            return f"{flag} must be >= {lo}, got {value}"
+        if hi is not None and not lo <= value <= hi:
+            return f"{flag} must be between {lo} and {hi}, got {value}"
+    # the report schema requires a tolerance > 0, and inf would pass every finite residual
+    if args.command == "verify" and not (math.isfinite(args.tol) and args.tol > 0):
+        return f"--tol must be finite and > 0, got {args.tol:g}"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    bounds = {"verify": ("--max-order", MIN_ORDER, MAX_DEGREE),
-              # dn-reality-7 reads j_8, the largest star tensor verify builds
-              "jn": ("--order", 1, MAX_DEGREE + 1)}
-    if args.command in bounds:
-        flag, lo, hi = bounds[args.command]
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if not lo <= value <= hi:
-            print(f"error: {flag} must be between {lo} and {hi}, got {value}",
-                  file=sys.stderr)
-            return 2
+    error = _option_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     if args.command == "fixture":
         kind, obj = build_fixture(args.name, seed=args.seed, n=args.frame_dim)
         if kind == "geometry":
@@ -121,7 +144,10 @@ def main(argv=None) -> int:
     except MemoryError:
         n = loaded.n if isinstance(loaded, FrameGeometry) else loaded[0].n
         # j_k alone has n^(2k) entries, so the order bounds cannot hold for every n
-        where = f" at {flag} {value}" if args.command in bounds else ""
+        where = ""
+        if args.command in INT_BOUNDS:
+            flag = INT_BOUNDS[args.command][0][0]
+            where = f" at {flag} {_option_value(args, flag)}"
         print(f"error: {args.command}{where} with frame dimension n={n} ran out of memory",
               file=sys.stderr)
         return 2

@@ -117,6 +117,40 @@ def test_maurer_cartan_p_reduced_on_random_geometry():
     assert np.max(np.abs(reduced - c)) <= 1e-12
 
 
+def test_cached_c_is_maurer_cartan_exactly(su2_geom, pauli_twist_geom):
+    for geom in (su2_geom, pauli_twist_geom, random_geometry(0), random_geometry(5, n=4, N=3)):
+        assert np.array_equal(geom.C, maurer_cartan(geom))
+        assert geom.C is geom.C
+
+
+def test_replace_builds_a_fresh_c(pauli_twist_geom):
+    geom = pauli_twist_geom
+    before = geom.C.copy()
+    other = dataclasses.replace(geom, P=antisymmetrizer_central(3))
+    assert np.array_equal(other.C, maurer_cartan(other))
+    assert not np.array_equal(other.C, before)
+    assert np.array_equal(geom.C, before)
+
+
+@pytest.mark.parametrize("attr", ["lam", "P", "S", "F", "K", "g", "C"])
+def test_geometry_arrays_refuse_in_place_writes(attr):
+    # a write would leave the cached C stale, so it raises instead
+    geom = dataclasses.replace(_zero_geometry(), lam=LAM.copy(), g=np.eye(3))
+    arr = getattr(geom, attr)
+    with pytest.raises(ValueError, match="read-only"):
+        arr[(0,) * arr.ndim] = 1.0
+
+
+def test_geometry_copies_its_input_arrays():
+    lam, f = LAM.copy(), levi_civita3().astype(complex)
+    geom = FrameGeometry(N=2, n=3, lam=lam, P=antisymmetrizer_central(3), S=flip_central(3), F=f)
+    c = geom.C.copy()
+    lam[0] = 0.0
+    f[0] = 0.0
+    assert np.array_equal(geom.lam, LAM) and np.array_equal(geom.F, levi_civita3())
+    assert np.array_equal(geom.C, c)
+
+
 def _frame_commutation_residual(geom, f):
     """Residual of d(f theta^a) = d(theta^a f) on 2-forms:
     (e_b f)(P^{ba} + P^{ab})_{pq} + 1/2 [C^a_{pq}, f]."""

@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
 from stehbein import build_jn, cli, curvature, make_braiding
 from stehbein.io import decode_complex_array, load_input
-from stehbein.report import resolve_connection
+from stehbein.report import REPORT_SCHEMA, resolve_connection
 
 # the groups that read only S and P, the checks a braiding file can run
 BRAIDING_CHECKS = "sigma-consistency,braid,yb,unitarity,jn,fifa"
@@ -74,6 +75,52 @@ def test_exit_2_on_a_max_order_out_of_range(extra, order, fixture_file, tmp_path
     assert capsys.readouterr().err == (
         f"error: --max-order must be between 2 and 7, got {order}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "inf", "nan"])
+def test_exit_2_on_a_tolerance_that_is_not_finite_and_positive(tol, tmp_path, capsys):
+    # 0 and -1 would write a report that fails REPORT_SCHEMA, inf would pass
+    # every finite residual and nan would write a bare NaN; the file never loads
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", str(tmp_path / "missing.json"), f"--tol={tol}",
+                     "--report", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --tol must be finite and > 0, got {tol}\n"
+    assert not out.exists()
+
+
+def test_smallest_positive_tolerance_writes_a_valid_report(fixture_file, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", fixture_file("su2-flip"), "--max-order", "2", "--tol", "5e-324",
+                     "--report", str(out)]) in (0, 1)
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    Draft202012Validator(REPORT_SCHEMA).validate(doc)
+    assert doc["tolerance"] == 5e-324
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "{missing}", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["fixture", "random", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["fixture", "random", "--frame-dim", "0"], "--frame-dim must be >= 1, got 0"),
+    (["fixture", "random", "--frame-dim", "-2"], "--frame-dim must be >= 1, got -2"),
+    (["fixture", "phase-twist", "--frame-dim", "0"], "--frame-dim must be >= 1, got 0"),
+    (["fixture", "phase-twist", "--frame-dim", "-2"], "--frame-dim must be >= 1, got -2"),
+], ids=["verify-seed", "fixture-seed", "random-dim-0", "random-dim-neg", "twist-dim-0",
+        "twist-dim-neg"])
+def test_exit_2_on_an_integer_option_below_its_bound(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    extra = ["--report", str(out)] if argv[0] == "verify" else ["--out", str(out)]
+    assert cli.main([*argv, *extra]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["random", "phase-twist"])
+def test_lowest_frame_dim_and_seed_write_a_file_the_loader_accepts(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    assert cli.main(["fixture", name, "--frame-dim", "1", "--seed", "0", "--out", str(path)]) == 0
+    loaded = load_input(path)
+    assert (loaded.n if name == "random" else loaded[0].n) == 1
 
 
 @CHECK_SELECTIONS

@@ -98,6 +98,15 @@ def test_covariant_derivative_needs_degree_one(su2_chi_conn):
         covariant_derivative(su2_chi_conn, basis_field(3, 2, (0, 1)))
 
 
+@pytest.mark.parametrize("n, N", [(4, 2), (2, 2), (3, 3)])
+def test_d_and_differential1_reject_a_field_of_other_dimensions(n, N, su2_chi_conn):
+    xi = basis_field(n, N, (0,))
+    with pytest.raises(ValueError, match="field does not match geometry dimensions"):
+        covariant_derivative(su2_chi_conn, xi)
+    with pytest.raises(ValueError, match="field does not match geometry dimensions"):
+        differential1(xi, su2_chi_conn.geom)
+
+
 def test_left_leibniz_holds(su2_chi_conn, rng):
     for _ in range(20):
         f = random_matrix(rng)

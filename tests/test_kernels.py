@@ -1,9 +1,10 @@
-"""The GEMM kernels of D_n, D_2 and the central action against einsum oracles.
+"""The GEMM kernels of D, d on 1-forms, D_n, D_2 and the central action
+against einsum oracles.
 
 The reference functions are the einsum and tensordot bodies these kernels
 replaced; the GEMMs sum in another order, so agreement is to 1e-13.  Where
 every output entry is a single product (the flip and the phase twists) the
-agreement is exact.
+agreement is exact, and so is that of D and d on su2-torsion-free.
 """
 
 import dataclasses
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from stehbein.braiding import Braiding, make_braiding
-from stehbein.connection import Connection, d0_connection, d2, dn
+from stehbein.calculus import differential1, maurer_cartan
+from stehbein.connection import Connection, covariant_derivative, d0_connection, d2, dn
 from stehbein.fixtures import random_geometry, su2_braiding, su2_torsionfree_connection
 from stehbein.fixtures import phase_twist_braiding, random_phase_twist
 from stehbein.frametensor import (
@@ -75,6 +77,30 @@ def ref_d2(c, b, t):
     return FrameTensorField(geom.n, out)
 
 
+def ref_covariant_derivative(c, xi):
+    geom = c.geom
+    out = np.einsum('pij,qjk->pqik', geom.lam, xi.coeffs)
+    out -= np.einsum('qij,pjk->pqik', xi.coeffs, geom.lam)
+    out -= np.einsum('aij,apqjk->pqik', xi.coeffs, c.omega)
+    return FrameTensorField(geom.n, out)
+
+
+def ref_differential1(xi, geom):
+    raw = np.einsum('bij,cjk->bcik', geom.lam, xi.coeffs)
+    raw -= np.einsum('cij,bjk->bcik', xi.coeffs, geom.lam)
+    raw -= 0.5 * np.einsum('aij,abcjk->bcik', xi.coeffs, maurer_cartan(geom))
+    return apply_central_at(FrameTensorField(geom.n, raw), geom.P, 1)
+
+
+# name -> (operator, its oracle), both called as (connection, braiding, field)
+ONE_FORM_OPERATORS = {
+    "covariant_derivative": (lambda c, b, t: covariant_derivative(c, t),
+                             lambda c, b, t: ref_covariant_derivative(c, t)),
+    "differential1": (lambda c, b, t: differential1(t, c.geom),
+                      lambda c, b, t: ref_differential1(t, c.geom)),
+}
+
+
 def _geometry(name, request):
     """(connection, braiding) of each geometry the kernels are checked on; the
     random one carries a random complex omega, the others their own D."""
@@ -109,6 +135,31 @@ def test_dn_matches_its_einsum_oracle(name, degree, request):
     conn, braid = _geometry(name, request)
     t = _random_field(np.random.default_rng(degree), conn.geom.n, conn.geom.N, degree)
     assert _gap(dn(conn, braid, t), ref_dn(conn, braid, t)) <= TOL
+
+
+@GEOMETRIES
+@pytest.mark.parametrize("operator", ONE_FORM_OPERATORS)
+def test_d_and_differential1_match_their_einsum_oracles(name, operator, request):
+    conn, braid = _geometry(name, request)
+    ours, ref = ONE_FORM_OPERATORS[operator]
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        t = _random_field(rng, conn.geom.n, conn.geom.N, 1)
+        got, want = ours(conn, braid, t), ref(conn, braid, t)
+        if name == "su2-torsion-free":
+            assert np.array_equal(got.coeffs, want.coeffs)
+        else:
+            assert _gap(got, want) <= TOL
+
+
+def test_differential1_matches_its_oracle_on_a_generic_c():
+    # C vanishes on random-n4 (F = 0, antisymmetric P) and is symmetric in its
+    # lower pair on the Pauli twist; a fitted random geometry has neither
+    geom = random_geometry(0, n=3, N=4)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        t = _random_field(rng, 3, 4, 1)
+        assert _gap(differential1(t, geom), ref_differential1(t, geom)) <= TOL
 
 
 @GEOMETRIES
@@ -210,21 +261,38 @@ def _nan_case(where):
     geom = conn.geom
     if where == "omega":
         return Connection(geom, _with_nan(conn.omega, (2, 1, 0, 1, 1))), braid
-    if where == "lambda":
-        nan_geom = dataclasses.replace(geom, lam=_with_nan(geom.lam, (1, 0, 1)))
-        return Connection(nan_geom, conn.omega), braid
-    return conn, Braiding(geom.n, _with_nan(braid.S, (0, 2, 2, 0)))
+    if where == "S":
+        return conn, Braiding(geom.n, _with_nan(braid.S, (0, 2, 2, 0)))
+    entry = {"lambda": ("lam", (1, 0, 1)), "F": ("F", (0, 1, 2)), "P": ("P", (1, 2, 0, 1))}
+    attr, index = entry[where]
+    nan_geom = dataclasses.replace(geom, **{attr: _with_nan(getattr(geom, attr), index)})
+    return Connection(nan_geom, conn.omega), braid
 
 
-@pytest.mark.parametrize("operator", ["dn", "d2"])
-@pytest.mark.parametrize("where", ["omega", "lambda", "S"])
-def test_nan_reaches_the_operators_on_every_basis_monomial(operator, where):
+# name -> (operator, the degrees it is checked on)
+NAN_OPERATORS = {
+    "dn": (dn, (2, 3)),
+    "d2": (d2, (2,)),
+    **{name: (ours, (1,)) for name, (ours, _) in ONE_FORM_OPERATORS.items()},
+}
+
+
+@pytest.mark.parametrize("where, operator", [
+    *((where, op) for where in ("S", "lambda", "omega") for op in ("d2", "dn")),
+    ("omega", "covariant_derivative"), ("lambda", "covariant_derivative"),
+    ("lambda", "differential1"), ("F", "differential1"), ("P", "differential1"),
+])
+def test_nan_reaches_the_operators_on_every_basis_monomial(where, operator):
     conn, braid = _nan_case(where)
-    op = dn if operator == "dn" else d2
-    for degree in ((2, 3) if operator == "dn" else (2,)):
+    op, degrees = NAN_OPERATORS[operator]
+    for degree in degrees:
         for idx in itertools.product(range(3), repeat=degree):
-            out = op(conn, braid, basis_field(3, 2, idx))
+            t = basis_field(3, 2, idx)
+            out = op(conn, braid, t)
             assert np.isnan(out.coeffs).any(), (where, idx)
+            if operator in ONE_FORM_OPERATORS:
+                ref = ONE_FORM_OPERATORS[operator][1](conn, braid, t)
+                assert np.array_equal(np.isnan(out.coeffs), np.isnan(ref.coeffs)), (where, idx)
 
 
 @pytest.mark.parametrize("rank", [2, 4])

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator, ValidationError
 
-from stehbein import cli, make_braiding, su2_flip_geometry, su2_torsionfree_connection
+from stehbein import calculus, cli, make_braiding, su2_flip_geometry, su2_torsionfree_connection
+from stehbein.calculus import maurer_cartan
+from stehbein.connection import solve_torsionfree_chi
 from stehbein.fixtures import build_fixture
 from stehbein.report import CHECKS, GROUPS, REPORT_SCHEMA, resolve_connection, run_verify
 
@@ -169,6 +171,50 @@ def test_nan_in_omega_fails_every_connection_row():
     assert np.isnan(triangle.residual) and triangle.note == "a residual is NaN"
     # checks that do not read omega are unaffected
     assert {c.name for c in report.checks if c.status == "pass"} >= {"structure", "braid"}
+
+
+def test_inf_in_omega_fails_the_rows_that_nan_fails():
+    conn = su2_torsionfree_connection()
+
+    def verdicts(bad):
+        omega = conn.omega.copy()
+        omega[0, 1, 2, 0, 1] = bad
+        report = run_verify(dataclasses.replace(conn.geom, omega=omega), max_order=3)
+        return [(c.name, c.status) for c in report.checks], report.counts
+
+    nan_rows, nan_counts = verdicts(np.nan)
+    # inf times the zeros of a basis monomial is NaN, which matmul warns about
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        inf_rows, inf_counts = verdicts(np.inf)
+    assert inf_rows == nan_rows
+    assert inf_counts == nan_counts == {"pass": 15, "fail": 14, "skipped": 1}
+
+
+def _spin_frame_geometry(j):
+    """lam_a = -i J_a of the spin-j irrep, F = eps, K = 0, antisymmetric P, flip S,
+    metric delta and the torsion-free chi: perfbench's su2-wide frame at j = 15/2,
+    without its seeded unitary conjugation."""
+    dim = int(2 * j) + 1
+    m = j - np.arange(dim)
+    j_plus = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), k=1).astype(complex)
+    jx, jy = (j_plus + j_plus.T) / 2, (j_plus - j_plus.T) / 2j
+    lam = -1j * np.array([jx, jy, np.diag(m).astype(complex)])
+    base = dataclasses.replace(su2_flip_geometry(), N=dim, lam=lam)
+    return dataclasses.replace(base, chi=solve_torsionfree_chi(base, make_braiding(base.S)))
+
+
+def test_one_maurer_cartan_build_per_run_on_the_wide_frame(monkeypatch):
+    geom = _spin_frame_geometry(7.5)
+    builds = []
+
+    def counted(g):
+        builds.append(g)
+        return maurer_cartan(g)
+
+    monkeypatch.setattr(calculus, "maurer_cartan", counted)
+    report = run_verify(geom, max_order=2)
+    assert report.counts == {"pass": 25, "fail": 0, "skipped": 1}
+    assert len(builds) == 1 and builds[0] is geom
 
 
 @pytest.mark.parametrize("mode", ["auto", "d0", "torsion-free", "braiding"])
