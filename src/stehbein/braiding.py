@@ -23,7 +23,8 @@ class SingularBraidingError(ValueError):
     """Raised by ``check_fifa``, the one check that inverts S, when S is (near-)singular."""
 
 
-@dataclass(frozen=True)
+# eq=False: array fields have no truth value, so equality and hashing are by identity
+@dataclass(frozen=True, eq=False)
 class Braiding:
     """sigma(theta^a x theta^b) = S^{ab}_{cd} theta^c x theta^d.
 

@@ -27,7 +27,8 @@ def _read_only(x) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+# eq=False: array fields have no truth value, so equality and hashing are by identity
+@dataclass(frozen=True, eq=False)
 class FrameGeometry:
     """Everything needed to run the calculus over M_N(C) with an n-frame.
 

@@ -24,7 +24,7 @@ from .calculus import FrameGeometry
 from .braiding import make_braiding
 from .connection import MAX_DEGREE, curvature
 from .involution import build_jn
-from .fixtures import FIXTURE_NAMES, build_fixture
+from .fixtures import FIXTURE_NAMES, PARAMETRIC_FIXTURES, build_fixture
 from .io import (
     GeometryFileError,
     braiding_to_dict,
@@ -86,9 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fixture", help="emit a built-in geometry or braiding file")
     f.add_argument("name", choices=FIXTURE_NAMES)
     f.add_argument("--out", required=True)
-    f.add_argument("--frame-dim", type=int, default=3,
-                   help="frame dimension for parametric fixtures")
-    f.add_argument("--seed", type=int, default=42, help="seed for random fixtures")
+    # None marks an option not given: the fixed fixtures reject any value
+    f.add_argument("--frame-dim", type=int, default=None,
+                   help=f"frame dimension of {' and '.join(PARAMETRIC_FIXTURES)} (default 3)")
+    f.add_argument("--seed", type=int, default=None,
+                   help=f"seed of {' and '.join(PARAMETRIC_FIXTURES)} (default 42)")
     return ap
 
 
@@ -107,8 +109,14 @@ def _option_value(args, flag: str):
 
 def _option_error(args) -> str | None:
     """Why an option value is out of bounds, or None; checked before any file loads."""
+    if args.command == "fixture" and args.name not in PARAMETRIC_FIXTURES:
+        for flag in ("--frame-dim", "--seed"):
+            if _option_value(args, flag) is not None:
+                return f"fixture {args.name} is fixed at n = 3; it takes no {flag}"
     for flag, lo, hi in INT_BOUNDS.get(args.command, ()):
         value = _option_value(args, flag)
+        if value is None:
+            continue
         if hi is None and value < lo:
             return f"{flag} must be >= {lo}, got {value}"
         if hi is not None and not lo <= value <= hi:
@@ -126,7 +134,8 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     if args.command == "fixture":
-        kind, obj = build_fixture(args.name, seed=args.seed, n=args.frame_dim)
+        given = {"seed": args.seed, "n": args.frame_dim}
+        kind, obj = build_fixture(args.name, **{k: v for k, v in given.items() if v is not None})
         if kind == "geometry":
             save_json(geometry_to_dict(obj), args.out)
         else:

@@ -29,7 +29,8 @@ from .frametensor import (
 MAX_DEGREE = 7
 
 
-@dataclass(frozen=True)
+# eq=False: array fields have no truth value, so equality and hashing are by identity
+@dataclass(frozen=True, eq=False)
 class Connection:
     """D theta^a = -omega^a_{bc} theta^b x theta^c with algebra-valued omega."""
 
@@ -44,7 +45,8 @@ class Connection:
             raise ValueError(f"omega has shape {om.shape}, expected {(n, n, n, N, N)}")
 
 
-@dataclass(frozen=True)
+# eq=False: array fields have no truth value, so equality and hashing are by identity
+@dataclass(frozen=True, eq=False)
 class CurvatureData:
     """Curv(theta^a) = -1/2 R^a_{bcd} theta^c theta^d x theta^b, plus Ricci R^a_b.
 

@@ -270,6 +270,8 @@ def random_field(rng: np.random.Generator, n: int, N: int, degree: int):
 
 # registry used by the command-line `fixture` subcommand
 FIXTURE_NAMES = ("su2-flip", "su2-torsion-free", "phase-twist", "random")
+# the fixtures that read ``seed`` and ``n``; the su(2) ones are fixed at n = 3
+PARAMETRIC_FIXTURES = ("phase-twist", "random")
 
 
 def build_fixture(name: str, *, seed: int = 42, n: int = 3):

@@ -127,7 +127,8 @@ def word_tensor(s: np.ndarray, strands: int, letters) -> np.ndarray:
 # frame tensor fields
 
 
-@dataclass(frozen=True)
+# eq=False: array fields have no truth value, so equality and hashing are by identity
+@dataclass(frozen=True, eq=False)
 class FrameTensorField:
     """A degree-p form/tensor with algebra-element coefficients.
 

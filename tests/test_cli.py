@@ -123,6 +123,27 @@ def test_lowest_frame_dim_and_seed_write_a_file_the_loader_accepts(name, tmp_pat
     assert (loaded.n if name == "random" else loaded[0].n) == 1
 
 
+@pytest.mark.parametrize("flag", ["--frame-dim", "--seed"])
+@pytest.mark.parametrize("name", ["su2-flip", "su2-torsion-free"])
+def test_fixed_fixtures_reject_frame_dim_and_seed(name, flag, tmp_path, capsys):
+    # su(2) is fixed at n = 3; a value, even the parametric default, is refused
+    out = tmp_path / "out.json"
+    for value in ("5", "3", "42"):
+        assert cli.main(["fixture", name, flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: fixture {name} is fixed at n = 3; it takes no {flag}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["random", "phase-twist"])
+def test_parametric_fixtures_default_to_frame_dim_3_and_seed_42(name, tmp_path):
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    assert cli.main(["fixture", name, "--out", str(default)]) == 0
+    assert cli.main(["fixture", name, "--frame-dim", "3", "--seed", "42",
+                     "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
 @CHECK_SELECTIONS
 def test_lowest_max_order_runs(extra, fixture_file, tmp_path):
     out = tmp_path / "report.json"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from stehbein.calculus import (
     differential0,
     differential1,
 )
-from stehbein.connection import curvature_of_form, d0_connection
+from stehbein.connection import curvature, curvature_of_form, d0_connection
 from stehbein.fixtures import random_geometry
 from stehbein.frametensor import (
     FrameTensorField,
@@ -19,6 +21,26 @@ from stehbein.frametensor import (
 )
 
 from conftest import random_matrix
+
+# each fixture object whose fields include arrays, built once
+ARRAY_DATACLASSES = {
+    "geometry": lambda: fixtures.su2_flip_geometry(),
+    "braiding": lambda: fixtures.su2_braiding(),
+    "connection": lambda: fixtures.su2_torsionfree_connection(),
+    "curvature": lambda: curvature(fixtures.su2_torsionfree_connection(), fixtures.su2_braiding()),
+    "field": lambda: basis_field(3, 2, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("kind", ARRAY_DATACLASSES)
+def test_array_dataclasses_compare_and_hash_by_identity(kind):
+    # the generated __eq__ would compare arrays and raise; identity never does
+    obj = ARRAY_DATACLASSES[kind]()
+    assert obj == obj
+    assert obj != dataclasses.replace(obj)
+    assert obj != ARRAY_DATACLASSES[kind]()
+    assert len({obj, fixtures.su2_flip_geometry(), fixtures.su2_braiding()}) == 3
+
 
 F_ZERO_CASES = [(seed, n, N) for seed in (23, 31) for n, N in ((3, 2), (4, 3), (5, 4))]
 

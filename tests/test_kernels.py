@@ -1,14 +1,16 @@
-"""The GEMM kernels of D, d on 1-forms, D_n, D_2 and the central action
-against einsum oracles.
+"""The GEMM kernels of D, d on 1-forms, D_n, D_2, the central action and
+the star tensors j_n against einsum oracles.
 
-The reference functions are the einsum and tensordot bodies these kernels
-replaced; the GEMMs sum in another order, so agreement is to 1e-13.  Where
-every output entry is a single product (the flip and the phase twists) the
-agreement is exact, and so is that of D and d on su2-torsion-free.
+The reference functions are the einsum, tensordot and dense-product bodies
+these kernels replaced; the GEMMs sum in another order, so agreement is to
+1e-13.  Where every output entry is a single product (the flip and the phase
+twists) the agreement is exact, and so is that of D and d on
+su2-torsion-free; j_n is exact on the flip.
 """
 
 import dataclasses
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +29,9 @@ from stehbein.frametensor import (
     identity_central,
     word_tensor,
 )
-from stehbein.involution import build_jn, reverse_word, star_form
+from stehbein import cli, involution
+from stehbein.involution import build_jn, check_jn_involutive, reverse_word, star_form
+from stehbein.report import run_verify
 
 TOL = 1e-13
 
@@ -51,6 +55,18 @@ def ref_word_tensor(s, strands, letters):
         out = np.tensordot(out, s, axes=(axes, [0, 1]))
         out = np.moveaxis(out, [-2, -1], axes)
     return out
+
+
+def ref_build_jn(b, k):
+    """J^(k): the reverse-permutation word composed letter by letter, then the reversal."""
+    w = word_tensor(b.S, k, reverse_word(k).letters)
+    return np.transpose(w, list(range(k - 1, -1, -1)) + list(range(k, 2 * k)))
+
+
+def ref_jn_involutive(b, k):
+    """max|conj(J) J - 1| as one dense (n^k, n^k) product."""
+    jm = ref_build_jn(b, k).reshape(b.n ** k, b.n ** k)
+    return float(np.max(np.abs(np.conj(jm) @ jm - np.eye(b.n ** k))))
 
 
 def ref_dn(c, b, t):
@@ -219,6 +235,13 @@ def _exact_braidings():
     yield "pauli-twist", phase_twist_braiding(3, {(0, 1): -1, (0, 2): -1, (1, 2): -1})[0].S
 
 
+def _unit_normal_s():
+    rng = np.random.default_rng(7)
+    normal = rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4)
+    # scaled to unit operator norm, so no word outgrows the bound
+    return normal / np.linalg.norm(normal.reshape(9, 9), 2)
+
+
 def _exact_words(strands):
     """The j_n word and, from three strands on, both sides of the braid relation."""
     yield reverse_word(strands).letters
@@ -232,11 +255,7 @@ def test_word_tensor_matches_its_tensordot_oracle(strands):
     # a seeded word with repeated letters multiplies phases together, where the
     # two GEMMs may round differently; it is checked to the bound, not exactly
     random_word = tuple(np.random.default_rng(strands).integers(1, strands, size=2 * strands))
-    rng = np.random.default_rng(7)
-    normal = rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4)
-    # scaled to unit operator norm, so no word outgrows the bound
-    normal /= np.linalg.norm(normal.reshape(9, 9), 2)
-    for label, s in [*_exact_braidings(), ("normal", normal)]:
+    for label, s in [*_exact_braidings(), ("normal", _unit_normal_s())]:
         if s.shape[0] ** (2 * strands) > 4 ** 8:
             continue
         for letters in [*_exact_words(strands), random_word]:
@@ -245,6 +264,71 @@ def test_word_tensor_matches_its_tensordot_oracle(strands):
                 assert np.max(np.abs(ours - ref)) <= TOL, (label, letters)
             else:
                 assert np.array_equal(ours, ref), (label, letters)
+
+
+def _star_braidings():
+    for label, s in _exact_braidings():
+        yield label, Braiding(s.shape[0], s)
+    for seed, n in itertools.product((0, 1), (3, 4)):
+        yield f"random-{seed}-n{n}", make_braiding(random_geometry(seed, n=n).S)
+    yield "normal", Braiding(3, _unit_normal_s())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_build_jn_and_jn_involutive_match_their_dense_oracles(k):
+    for label, b in _star_braidings():
+        if b.n ** (2 * k) > 4 ** 8:
+            continue
+        jn, ref = build_jn(b, k), ref_build_jn(b, k)
+        got, want = check_jn_involutive(b, k), ref_jn_involutive(b, k)
+        if label == "flip":
+            assert np.array_equal(jn, ref) and got == want == 0.0, k
+        else:
+            assert np.max(np.abs(jn - ref)) <= TOL, (label, k)
+            assert abs(got - want) <= TOL, (label, k)
+
+
+def test_jn_involutive_matches_its_dense_oracle_at_order_6():
+    b = random_phase_twist(0, 3)[0]
+    assert np.max(np.abs(build_jn(b, 6) - ref_build_jn(b, 6))) <= TOL
+    assert abs(check_jn_involutive(b, 6) - ref_jn_involutive(b, 6)) <= TOL
+
+
+def test_jn_involutive_is_nan_for_a_nan_in_s_at_every_order():
+    braid = Braiding(3, _with_nan(su2_braiding().S, (0, 2, 2, 0)))
+    for k in (2, 3, 4, 5):
+        assert np.isnan(check_jn_involutive(braid, k)), k
+    report = run_verify((braid, None), checks={"jn"}, max_order=5)
+    rows = [c for c in report.checks if c.name.startswith("jn-involutive")]
+    assert [(c.name, c.status) for c in rows] == [
+        (f"jn-involutive-{k}", "fail") for k in (2, 3, 4, 5)]
+    assert all(np.isnan(c.residual) for c in rows)
+
+
+def test_jn_involutive_takes_no_inverse_of_a_singular_s():
+    # J = 0, so conj(J) J - 1 = -1, the residual the dense product gives
+    zero = Braiding(3, np.zeros((3,) * 4, dtype=complex))
+    for k in (2, 3, 4):
+        assert check_jn_involutive(zero, k) == ref_jn_involutive(zero, k) == 1.0
+
+
+def test_out_of_memory_in_the_jn_letter_loop_exits_2(tmp_path, capsys, monkeypatch):
+    path, out = tmp_path / "twist.json", tmp_path / "report.json"
+    assert cli.main(["fixture", "phase-twist", "--out", str(path)]) == 0
+    capsys.readouterr()
+    real = involution.central_at
+
+    def failing_in_the_check(*args):
+        if sys._getframe(1).f_code.co_name == "check_jn_involutive":
+            raise MemoryError
+        return real(*args)
+
+    monkeypatch.setattr(involution, "central_at", failing_in_the_check)
+    assert cli.main(["verify", str(path), "--checks", "jn", "--max-order", "3",
+                     "--report", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: verify at --max-order 3 with frame dimension n=3 ran out of memory\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
