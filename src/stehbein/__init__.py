@@ -22,10 +22,10 @@ from .frametensor import (
     right_mul,
     tensor_product,
     word_tensor,
-    zero_field,
 )
 from .calculus import (
     FrameGeometry,
+    check_d_squared,
     check_structure,
     check_theta_squared,
     differential0,
@@ -56,8 +56,8 @@ from .connection import (
     check_metric_compatibility,
     check_metric_symmetry,
     check_right_leibniz,
+    check_sigma_lemma,
     solve_torsionfree_chi,
-    torsion,
     torsionfree_connection,
 )
 from .involution import (
@@ -77,10 +77,8 @@ from .involution import (
 from .fixtures import (
     phase_twist_braiding,
     random_geometry,
-    random_tau,
     su2_braiding,
     su2_flip_geometry,
-    su2_torsionfree_connection,
 )
 from .io import GeometryFileError, load_input
 from .report import REPORT_SCHEMA, VerificationReport, run_verify

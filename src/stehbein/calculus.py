@@ -165,6 +165,15 @@ def differential1(xi: FrameTensorField, geom: FrameGeometry) -> FrameTensorField
     return apply_central_at(FrameTensorField(geom.n, raw), geom.P, 1)
 
 
+def check_d_squared(geom: FrameGeometry, elements) -> float:
+    """Largest coefficient norm of d(df) over the matrices in ``elements``.
+
+    d^2 is linear, so the N^2 matrix units decide d^2 = 0 exactly; the
+    structure condition implies it (see ``maurer_cartan``).
+    """
+    return worst(max_coeff_norm(differential1(differential0(f, geom), geom)) for f in elements)
+
+
 def theta_squared(geom: FrameGeometry) -> FrameTensorField:
     """theta^2 as a 2-form: the wedge projection of lam_b lam_c theta^b x theta^c."""
     th = dirac_form(geom)

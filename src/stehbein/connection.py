@@ -22,6 +22,7 @@ from .frametensor import (
     max_coeff_norm,
     right_mul,
     tensor_product,
+    worst,
 )
 
 # highest --max-order verify accepts; the limit is memory, not dn: at order 7
@@ -164,12 +165,6 @@ def algebraic_torsion(c: Connection) -> np.ndarray:
     return central_at(c.omega, c.geom.P, 2) - 0.5 * c.geom.C
 
 
-def torsion(c: Connection) -> tuple[list[FrameTensorField], float]:
-    """Torsion 2-forms, plus the residual of the algebraic condition
-    omega^a_{de} P^{de}_{bc} = 1/2 C^a_{bc}; the 2-forms vanish iff it does."""
-    return torsion_forms(c), max_coeff_norm(FrameTensorField(c.geom.n, algebraic_torsion(c)))
-
-
 def check_metric_symmetry(g: np.ndarray, b: Braiding) -> tuple[float, complex]:
     """Least-squares proportionality of g o sigma to g.
 
@@ -249,6 +244,29 @@ def dn(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
         term = FrameTensorField(geom.n, _omega_at_slot(t.coeffs, w, i))
         out -= apply_word(term, b, range(1, i)).coeffs
     return FrameTensorField(geom.n, out)
+
+
+def check_sigma_lemma(c: Connection, b: Braiding, p: int, op=None) -> float:
+    """Residual of op o sigma_{(i-1)i} = sigma_{i(i+1)} o op, 2 <= i <= p, on
+    every degree-p basis monomial.
+
+    ``op`` maps degree-p fields to degree p + 1 and defaults to ``dn``,
+    which is looked up when the check runs, so a wrapper bound to that name
+    is the one called.  At p = 2 with ``op = d2`` this is the braided form
+    of D_2 reality, D_2 o sigma = sigma_23 o D_2.
+    """
+    if p < 2:
+        raise ValueError("the sigma lemma needs order >= 2")
+    op = dn if op is None else op
+    n, N = c.geom.n, c.geom.N
+    residuals = []
+    for i in range(2, p + 1):
+        for idx in np.ndindex(*(n,) * p):
+            basis = basis_field(n, N, idx)
+            lhs = op(c, b, apply_central_at(basis, b.S, i - 1))
+            rhs = apply_central_at(op(c, b, basis), b.S, i)
+            residuals.append(max_coeff_norm(lhs - rhs))
+    return worst(residuals)
 
 
 def curvature_of_form(c: Connection, b: Braiding, xi: FrameTensorField) -> FrameTensorField:

@@ -15,21 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .matalg import adjoint
-from .calculus import (
-    FrameGeometry,
-    check_structure,
-    check_theta_squared,
-    differential0,
-    differential1,
-)
-from .braiding import Braiding, make_braiding, sigma_from_tau
-from .connection import (
-    Connection,
-    curvature_d0_closed_form,
-    d0_connection,
-    solve_torsionfree_chi,
-    torsionfree_connection,
-)
+from .calculus import FrameGeometry, check_d_squared, check_structure, check_theta_squared
+from .braiding import Braiding, make_braiding
+from .connection import curvature_d0_closed_form, d0_connection, solve_torsionfree_chi
 from .frametensor import (
     antisymmetrizer_central,
     flip_central,
@@ -74,13 +62,6 @@ def su2_flip_geometry() -> FrameGeometry:
 
 def su2_braiding() -> Braiding:
     return make_braiding(flip_central(3))
-
-
-def su2_torsionfree_connection() -> Connection:
-    """D_(0) (which has omega = 0 here) plus the minimum-norm central chi
-    solving the torsion-free condition; for this geometry chi^a_{bc} = eps_{bca}/2."""
-    geom = su2_flip_geometry()
-    return torsionfree_connection(geom, su2_braiding())
 
 
 def phase_twist_braiding(n: int,
@@ -145,12 +126,6 @@ def random_projector(rng: np.random.Generator, n: int) -> np.ndarray:
     return m.reshape(n, n, n, n)
 
 
-def random_tau(seed: int, n: int = 3) -> np.ndarray:
-    """Seeded rank-4 tensor with entries uniform over the unit square."""
-    rng = np.random.default_rng(seed)
-    return rng.uniform(0, 1, (n,) * 4) + 1j * rng.uniform(0, 1, (n,) * 4)
-
-
 def random_unitary(rng: np.random.Generator, N: int) -> np.ndarray:
     """Haar-random unitary: QR of a complex Gaussian matrix, phases fixed by R."""
     q, r = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
@@ -175,7 +150,7 @@ F_ZERO_TOL = 1e-12
 F_ZERO_FLAT_TOL = 1e-8
 
 
-def _f_zero_geometry(seed: int, n: int, N: int, tau: np.ndarray | None) -> FrameGeometry:
+def _f_zero_geometry(seed: int, n: int, N: int) -> FrameGeometry:
     """The exact F = 0 family behind ``random_geometry(..., force_f_zero=True)``."""
     pairs = n * (n - 1) // 2
     if pairs < 2:
@@ -192,16 +167,14 @@ def _f_zero_geometry(seed: int, n: int, N: int, tau: np.ndarray | None) -> Frame
     # flat, so n = 3 draws rank 1; larger n draw any proper rank
     top = 1 if n == 3 else pairs - 1
     p = random_wedge_projector(rng, n, int(rng.integers(1, top + 1)))
-    braid = make_braiding(identity_central(n) - 2.0 * p) if tau is None else sigma_from_tau(tau, p)
+    braid = make_braiding(identity_central(n) - 2.0 * p)
     geom = FrameGeometry(N=N, n=n, lam=lam, P=p, S=braid.S, g=np.eye(n, dtype=complex))
 
-    # d^2 is linear, so the matrix units test it completely
-    units = np.eye(N * N, dtype=complex).reshape(N * N, N, N)
     residuals = {
         "structure": check_structure(geom),
         "theta-squared": check_theta_squared(geom),
-        "d-squared": worst(max_coeff_norm(differential1(differential0(e, geom), geom))
-                           for e in units),
+        # the matrix units decide d^2 = 0 exactly
+        "d-squared": check_d_squared(geom, np.eye(N * N, dtype=complex).reshape(N * N, N, N)),
     }
     bad = {k: v for k, v in residuals.items() if not v <= F_ZERO_TOL}
     if bad:
@@ -216,11 +189,9 @@ def _f_zero_geometry(seed: int, n: int, N: int, tau: np.ndarray | None) -> Frame
 
 
 def random_geometry(seed: int, n: int = 3, N: int = 2, *,
-                    force_f_zero: bool = False,
-                    tau: np.ndarray | None = None) -> FrameGeometry:
+                    force_f_zero: bool = False) -> FrameGeometry:
     """Seeded geometry: antihermitianized lam, spectral-rounded projector P,
-    sigma from tau (default tau = 2, i.e. S = 1 - 2P), and F, K fitted to the
-    structure condition by least squares.
+    S = 1 - 2P, and F, K fitted to the structure condition by least squares.
 
     The fit is exact only when 2 lam lam P happens to lie in the span of
     {lam_c, 1}, as it always does at n = 3, N = 2 where {lam_c, 1} spans
@@ -233,21 +204,17 @@ def random_geometry(seed: int, n: int = 3, N: int = 2, *,
     random proper subspace of the antisymmetric pairs Lambda^2, so that
     P^{ab}_{cd} = -P^{ba}_{cd} and lam_c lam_d P^{cd}_{ab} = 0.  Guaranteed:
     F = 0, the structure condition, d theta + theta^2 = 0 and d^2 = 0 hold to
-    1e-12 (else ValueError); sigma is 1 - 2P (or from ``tau``) and satisfies
+    1e-12 (else ValueError); sigma is 1 - 2P and satisfies
     pi o (sigma + 1) = 0; omega_0 of D_(0) and its curvature do not vanish
     (else ValueError).  Sizes with no such geometry raise ValueError: n <= 2,
     where Lambda^2 has no proper subspace of positive dimension.
     """
     if force_f_zero:
-        return _f_zero_geometry(seed, n, N, tau)
+        return _f_zero_geometry(seed, n, N)
     rng = np.random.default_rng(seed)
     lam = np.array([random_antihermitian(rng, N) for _ in range(n)])
     p = random_projector(rng, n)
-    if tau is None:
-        s = identity_central(n) - 2.0 * p
-        braid = make_braiding(s)
-    else:
-        braid = sigma_from_tau(tau, p)
+    s = identity_central(n) - 2.0 * p
     target = 2.0 * np.einsum('cij,djk,cdab->abik', lam, lam, p)
     # fit target_{ab} ~ lam_c F^c_{ab} + K_{ab} 1 columnwise over (a, b)
     basis = list(lam)
@@ -258,7 +225,7 @@ def random_geometry(seed: int, n: int = 3, N: int = 2, *,
     k = sol[-1].reshape(n, n)
     # keep F in the image of P on its lower pair, as required of geometries
     f = np.einsum('abc,bcde->ade', f, p)
-    return FrameGeometry(N=N, n=n, lam=lam, P=p, S=braid.S, F=f, K=k,
+    return FrameGeometry(N=N, n=n, lam=lam, P=p, S=s, F=f, K=k,
                          g=np.eye(n, dtype=complex))
 
 

@@ -172,10 +172,6 @@ class FrameTensorField:
                 f"{other.coeffs.shape} (n={other.n})")
 
 
-def zero_field(n: int, N: int, degree: int) -> FrameTensorField:
-    return FrameTensorField(n, np.zeros((n,) * degree + (N, N), dtype=complex))
-
-
 def basis_field(n: int, N: int, index) -> FrameTensorField:
     """The basis monomial theta^{a1} x ... x theta^{ap} (0-based indices)."""
     index = tuple(np.atleast_1d(index))

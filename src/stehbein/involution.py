@@ -30,7 +30,7 @@ import numpy as np
 from .matalg import adjoint
 from .calculus import FrameGeometry, differential0
 from .braiding import Braiding, SingularBraidingError
-from .connection import Connection, d2, dn
+from .connection import Connection, check_sigma_lemma, d2, dn
 from .frametensor import (
     INVERSE_COND_LIMIT,
     FrameTensorField,
@@ -42,9 +42,6 @@ from .frametensor import (
     tensor_product,
     worst,
 )
-
-
-WEDGE_STAR_SAMPLES = 8  # seeded element pairs in check_wedge_star's field route
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +211,18 @@ def check_connection_reality(c: Connection, j: np.ndarray) -> float:
 def check_D2_reality(c: Connection, b: Braiding) -> tuple[float, float, float]:
     """The three second-order reality residuals:
 
-    * strong form  D_2 o j_2 = j_3 o D_2,
-    * the four-term coefficient identity in J and omega,
-    * the braided form  D_2 o sigma = sigma_23 o D_2.
+    * strong form  D_2 o j_2 = j_3 o D_2: ``check_Dn_reality`` at n = 2,
+    * the four-term coefficient identity in J and omega, written out here
+      as the independent route,
+    * the braided form  D_2 o sigma = sigma_23 o D_2: ``check_sigma_lemma``
+      at p = 2.
 
-    These are provably equivalent once the connection itself is real; the
-    caller is responsible for cross-checking them (see the verify runner).
+    The two D_n checks run with ``op = d2``.  The three forms are provably
+    equivalent once the connection itself is real; the caller is
+    responsible for cross-checking them (see the verify runner).
     """
-    geom = c.geom
-    n, N = geom.n, geom.N
-    j2 = build_jn(b, 2)
-    j3 = build_jn(b, 3)
-    strong, braided = [], []
-    for idx in np.ndindex(n, n):
-        basis = basis_field(n, N, idx)
-        lhs = d2(c, b, star_form(basis, j2))
-        rhs = star_form(d2(c, b, basis), j3)
-        strong.append(max_coeff_norm(lhs - rhs))
-        lhs2 = d2(c, b, apply_central_at(basis, b.S, 1))
-        rhs2 = apply_central_at(d2(c, b, basis), b.S, 2)
-        braided.append(max_coeff_norm(lhs2 - rhs2))
+    strong = check_Dn_reality(c, b, 2, d2)
+    braided = check_sigma_lemma(c, b, 2, d2)
     # the coefficient identity, with each J^{ab}_{cd} read as S^{ba}_{cd}
     s, om = b.S, c.omega
     t1 = np.einsum('bape,pcdij->abcdeij', s, om)
@@ -241,37 +230,40 @@ def check_D2_reality(c: Connection, b: Braiding) -> tuple[float, float, float]:
     t3 = np.einsum('bapq,prcd,qreij->abcdeij', s, s, om)
     t4 = np.einsum('bqcp,prde,aqrij->abcdeij', s, s, om)
     coeff = float(np.max(np.linalg.norm(t1 - t2 + t3 - t4, axis=(-2, -1))))
-    return worst(strong), coeff, worst(braided)
+    return strong, coeff, braided
 
 
-def check_Dn_reality(c: Connection, b: Braiding, n: int) -> float:
+def check_Dn_reality(c: Connection, b: Braiding, n: int, op=None) -> float:
     """Residual of D_n o j_n = j_{n+1} o D_n over all degree-n basis monomials.
 
     Additivity plus the Leibniz structure make the basis monomials
     sufficient.  For n = 1 this is the basic reality condition
-    D xi* = (D xi)*.
+    D xi* = (D xi)*.  ``op`` stands for D_n as in
+    ``connection.check_sigma_lemma``: ``dn`` by default, looked up when the
+    check runs, or ``d2`` at n = 2.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
+    op = dn if op is None else op
     geom = c.geom
     jn_t = build_jn(b, n)
     jn1_t = build_jn(b, n + 1)
     residuals = []
     for idx in np.ndindex(*(geom.n,) * n):
         basis = basis_field(geom.n, geom.N, idx)
-        lhs = dn(c, b, star_form(basis, jn_t))
-        rhs = star_form(dn(c, b, basis), jn1_t)
+        lhs = op(c, b, star_form(basis, jn_t))
+        rhs = star_form(op(c, b, basis), jn1_t)
         residuals.append(max_coeff_norm(lhs - rhs))
     return worst(residuals)
 
 
-def check_wedge_star(geom: FrameGeometry, b: Braiding, seed: int = 42) -> float:
+def check_wedge_star(geom: FrameGeometry, b: Braiding, pairs) -> float:
     """Residual of the sign rule for the star of wedge products.
 
     Two routes are compared: the tensor identity that the star of a
     projected 2-form equals minus its reversed projection, and the field
-    identity (df dg)* = -dg* df* on seeded random elements.  Returns the
-    max of both residuals.
+    identity (df dg)* = -dg* df* on each (f, g) of ``pairs``, an iterable
+    of element pairs.  Returns the max of both residuals.
     """
     p_t = geom.P
     j2 = build_jn(b, 2)
@@ -279,11 +271,8 @@ def check_wedge_star(geom: FrameGeometry, b: Braiding, seed: int = 42) -> float:
     rhs = -np.einsum('baef,efgh->abgh', p_t, p_t)
     tensor_res = float(np.max(np.abs(lhs - rhs)))
 
-    rng = np.random.default_rng(seed)
     field_res = []
-    for _ in range(WEDGE_STAR_SAMPLES):
-        f = rng.uniform(0, 1, (geom.N, geom.N)) + 1j * rng.uniform(0, 1, (geom.N, geom.N))
-        g = rng.uniform(0, 1, (geom.N, geom.N)) + 1j * rng.uniform(0, 1, (geom.N, geom.N))
+    for f, g in pairs:
         df = differential0(f, geom)
         dg = differential0(g, geom)
         prod = apply_central_at(tensor_product(df, dg), p_t, 1)

@@ -4,7 +4,8 @@ Files are UTF-8 JSON.  Complex numbers are two-element arrays [re, im];
 tensors are nested row-major arrays of those.  A geometry file carries
 "matrix_dim", "frame_dim", "lambda", "P" and one of "S"/"tau", plus
 optional "F", "K", "metric" and at most one of "omega"/"chi".  A braiding
-file carries "n" and "S".
+file carries "S", optionally "n" (or "frame_dim") and "P".  Any other key
+is refused, so a misspelt key cannot silently drop the data it names.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from .calculus import FrameGeometry, geometry_invariants
 from .braiding import Braiding, make_braiding, sigma_from_tau
 
 LOAD_TOL = 1e-8  # structural gate for invariants enforced at load
+
+GEOMETRY_KEYS = frozenset({"matrix_dim", "frame_dim", "lambda", "P", "S", "tau", "F", "K",
+                           "metric", "omega", "chi"})
+BRAIDING_KEYS = frozenset({"n", "frame_dim", "S", "P"})
 
 
 class GeometryFileError(ValueError):
@@ -98,6 +103,8 @@ def _geometry_from_dict(doc: dict) -> FrameGeometry:
     p = decode_complex_array(doc["P"], 4, "P") if "P" in doc else None
     if p is None:
         raise GeometryFileError("geometry file lacks the wedge projector 'P'")
+    if "S" in doc and "tau" in doc:
+        raise GeometryFileError("geometry carries both 'S' and 'tau'; give one braiding")
     if "S" in doc:
         s = decode_complex_array(doc["S"], 4, "S")
     elif "tau" in doc:
@@ -128,6 +135,8 @@ def _geometry_from_dict(doc: dict) -> FrameGeometry:
 def load_input(path):
     """Load a geometry or braiding file; the type is detected from its keys.
 
+    A key that only a geometry carries makes it a geometry file, which then
+    needs "lambda".  A key outside the type's set is refused by name.
     Returns a FrameGeometry or a (Braiding, P-or-None) pair.  Structural
     invariants of a geometry are enforced here; violations raise
     GeometryFileError naming the invariant.
@@ -138,7 +147,18 @@ def load_input(path):
         raise GeometryFileError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise GeometryFileError(f"{path} does not contain a JSON object")
-    if "lambda" in doc:
+    geometry_only = sorted(set(doc) & (GEOMETRY_KEYS - BRAIDING_KEYS))
+    allowed = GEOMETRY_KEYS if geometry_only else BRAIDING_KEYS
+    unknown = sorted(set(doc) - allowed)
+    if geometry_only and "lambda" not in doc:
+        raise GeometryFileError(
+            f"{path} has geometry keys {geometry_only} but lacks 'lambda'"
+            + (f"; unknown keys {unknown}" if unknown else ""))
+    if unknown:
+        kind = "geometry" if geometry_only else "braiding"
+        raise GeometryFileError(f"{path} has unknown {kind} keys {unknown}; "
+                                f"allowed: {sorted(allowed)}")
+    if geometry_only:
         return _geometry_from_dict(doc)
     if "S" in doc:
         key = "n" if "n" in doc else "frame_dim"

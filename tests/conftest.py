@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from stehbein import (
+    FrameTensorField,
     identity_central,
     make_braiding,
+    max_coeff_norm,
     phase_twist_braiding,
     su2_braiding,
     su2_flip_geometry,
-    su2_torsionfree_connection,
+    torsionfree_connection,
 )
+from stehbein.connection import algebraic_torsion, torsion_forms
 
 # lam_a = -(i/2) Pauli_a, written out so the tests do not depend on the fixtures
 LAM1 = np.array([[0, -0.5j], [-0.5j, 0]])
@@ -25,6 +28,32 @@ def levi_civita3() -> np.ndarray:
         eps[a, b, c] = 1.0
         eps[a, c, b] = -1.0
     return eps
+
+
+# ---------------------------------------------------------------------------
+# objects only the tests build
+
+
+def su2_torsionfree_connection():
+    """D_(0) (which has omega = 0 here) plus the minimum-norm central chi
+    solving the torsion-free condition; for this geometry chi^a_{bc} = eps_{bca}/2."""
+    return torsionfree_connection(su2_flip_geometry(), su2_braiding())
+
+
+def random_tau(seed: int, n: int = 3) -> np.ndarray:
+    """Seeded rank-4 tensor with entries uniform over the unit square."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0, 1, (n,) * 4) + 1j * rng.uniform(0, 1, (n,) * 4)
+
+
+def zero_field(n: int, N: int, degree: int) -> FrameTensorField:
+    return FrameTensorField(n, np.zeros((n,) * degree + (N, N), dtype=complex))
+
+
+def torsion(c):
+    """Torsion 2-forms, plus the residual of the algebraic condition
+    omega^a_{de} P^{de}_{bc} = 1/2 C^a_{bc}; the 2-forms vanish iff it does."""
+    return torsion_forms(c), max_coeff_norm(FrameTensorField(c.geom.n, algebraic_torsion(c)))
 
 
 # ---------------------------------------------------------------------------

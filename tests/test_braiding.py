@@ -12,7 +12,6 @@ from stehbein.braiding import (
     make_braiding,
     sigma_from_tau,
 )
-from stehbein.fixtures import random_tau
 from stehbein.frametensor import (
     antisymmetrizer_central,
     basis_field,
@@ -22,6 +21,8 @@ from stehbein.frametensor import (
     word_tensor,
 )
 from stehbein.involution import build_J, check_fifa
+
+from conftest import random_tau
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from stehbein.calculus import (
     FrameGeometry,
+    check_d_squared,
     check_structure,
     check_theta_squared,
     differential0,
@@ -24,7 +25,6 @@ from stehbein.frametensor import (
     left_mul,
     max_coeff_norm,
     right_mul,
-    worst,
 )
 from stehbein.involution import star_form
 
@@ -194,10 +194,24 @@ def test_differential1_requires_degree_one(su2_geom):
 
 
 def test_d_squared_vanishes_su2(su2_geom, rng):
-    residual = worst(max_coeff_norm(differential1(differential0(random_matrix(rng), su2_geom),
-                                                  su2_geom))
-                     for _ in range(100))
-    assert residual <= 1e-10
+    assert check_d_squared(su2_geom, (random_matrix(rng) for _ in range(100))) <= 1e-10
+
+
+def _matrix_units(N):
+    return np.eye(N * N, dtype=complex).reshape(N * N, N, N)
+
+
+def test_matrix_units_decide_d_squared(rng):
+    # d^2 is linear: on a geometry that misses the structure condition the
+    # units see the failure, and bound any element by the sum of its entries
+    geom = random_geometry(0, n=4, N=3)
+    assert check_structure(geom) >= 1e-3
+    units = check_d_squared(geom, _matrix_units(3))
+    assert units >= 1e-3
+    f = random_matrix(rng, 3)
+    assert check_d_squared(geom, [f]) <= np.sum(np.abs(f)) * units * (1 + 1e-12)
+    assert check_d_squared(geom, []) == 0.0
+    assert np.isnan(check_d_squared(geom, [np.full((3, 3), np.nan)]))
 
 
 def test_pauli_twist_is_exact_with_symmetric_projector(pauli_twist_geom):
@@ -211,11 +225,7 @@ def test_pauli_twist_is_exact_with_symmetric_projector(pauli_twist_geom):
 def test_d_squared_vanishes_with_symmetric_projector(pauli_twist_geom, rng):
     # the structure condition implies d^2 = 0 for every P, not only for P
     # antisymmetric in its upper pair (derivation in maurer_cartan)
-    residual = worst(max_coeff_norm(differential1(differential0(random_matrix(rng),
-                                                               pauli_twist_geom),
-                                                  pauli_twist_geom))
-                     for _ in range(50))
-    assert residual <= 1e-12
+    assert check_d_squared(pauli_twist_geom, (random_matrix(rng) for _ in range(50))) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -226,10 +236,7 @@ def test_d_squared_vanishes_on_exact_random_geometries(seed):
     assert check_structure(geom) <= 1e-12
     assert np.max(np.abs(geom.F)) >= 1e-2
     assert np.max(np.abs(geom.P + np.swapaxes(geom.P, 0, 1))) >= 1e-2
-    rng = np.random.default_rng(seed)
-    residual = worst(max_coeff_norm(differential1(differential0(random_matrix(rng), geom), geom))
-                     for _ in range(20))
-    assert residual <= 1e-12
+    assert check_d_squared(geom, _matrix_units(2)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The command-line front end: exit codes, option bounds and every command."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,49 @@ def test_exit_2_on_a_malformed_file(text, tmp_path, capsys):
     for extra in ([], ["--checks", BRAIDING_CHECKS]):
         assert cli.main(["verify", str(path), *extra]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def _su2_doc(fixture_file):
+    return json.loads(Path(fixture_file("su2-flip")).read_text(encoding="utf-8"))
+
+
+def _renamed(doc, old, new):
+    return {(new if k == old else k): v for k, v in doc.items()}
+
+
+def test_a_misspelt_metric_key_cannot_turn_a_failure_into_a_pass(fixture_file, tmp_path, capsys):
+    # a non-hermitian metric fails metric-reality; dropping it by a typo must not pass
+    g = np.eye(3, dtype=complex)
+    g[0, 1] = g[1, 0] = 0.5j
+    failing = _su2_doc(fixture_file) | {"metric": [[[z.real, z.imag] for z in row] for row in g]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(failing), encoding="utf-8")
+    assert cli.main(["verify", str(path), "--max-order", "2"]) == 1
+    capsys.readouterr()
+    path.write_text(json.dumps(_renamed(failing, "metric", "metirc")), encoding="utf-8")
+    assert cli.main(["verify", str(path), "--max-order", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'metirc'" in err
+
+
+@pytest.mark.parametrize("case,named", [
+    ("lamda", "lacks 'lambda'"),
+    ("S-and-tau", "both 'S' and 'tau'"),
+    ("braiding-extra", "'lambda_'"),
+])
+def test_exit_2_names_the_offending_key(case, named, fixture_file, tmp_path, capsys):
+    doc = _su2_doc(fixture_file)
+    if case == "lamda":
+        doc = _renamed(doc, "lambda", "lamda")
+    elif case == "S-and-tau":
+        doc["tau"] = doc["S"]
+    else:
+        doc = {"n": 3, "S": doc["S"], "lambda_": doc["lambda"]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_verify_runs_the_braiding_groups_alone(fixture_file, tmp_path):

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from stehbein import connection, involution
 from stehbein.braiding import make_braiding
 from stehbein.calculus import differential0, differential1, dirac_form, maurer_cartan
 from stehbein.connection import (
@@ -13,6 +14,7 @@ from stehbein.connection import (
     check_metric_compatibility,
     check_metric_symmetry,
     check_right_leibniz,
+    check_sigma_lemma,
     covariant_derivative,
     curvature,
     curvature_d0_closed_form,
@@ -21,10 +23,9 @@ from stehbein.connection import (
     d2,
     dn,
     solve_torsionfree_chi,
-    torsion,
     torsionfree_connection,
 )
-from stehbein.fixtures import random_geometry, random_phase_twist, su2_flip_geometry
+from stehbein.fixtures import random_geometry, random_phase_twist, su2_braiding, su2_flip_geometry
 from stehbein.frametensor import (
     FrameTensorField,
     apply_central_at,
@@ -35,10 +36,18 @@ from stehbein.frametensor import (
     max_coeff_norm,
     tensor_product,
     worst,
-    zero_field,
 )
 
-from conftest import LAM, levi_civita3, random_matrix
+from stehbein.involution import check_Dn_reality
+
+from conftest import (
+    LAM,
+    levi_civita3,
+    random_matrix,
+    su2_torsionfree_connection,
+    torsion,
+    zero_field,
+)
 
 
 def _rand_1form(rng, n=3, N=2):
@@ -371,6 +380,66 @@ def test_dn_sigma_lemma(su2_chi_conn, su2_braid):
                 rhs = apply_central_at(dn(su2_chi_conn, su2_braid, basis), su2_braid.S, i)
                 residuals.append(max_coeff_norm(lhs - rhs))
     assert worst(residuals) <= 1e-10
+
+
+# one implementation per identity: the D_2 rows are the D_n checks at n = 2
+
+
+def _with_d0(geom):
+    braid = make_braiding(geom.S)
+    return d0_connection(geom, braid), braid
+
+
+ORACLE_CONNECTIONS = {
+    "su2-torsion-free": lambda: (su2_torsionfree_connection(), su2_braiding()),
+    "random": lambda: _with_d0(random_geometry(42)),
+    "f-zero-n4": lambda: _with_d0(random_geometry(5, n=4, N=3, force_f_zero=True)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONNECTIONS)
+def test_d2_and_dn_give_the_same_order_2_checks(name):
+    # D_2 is D_n at n = 2, and d2 and dn do the same arithmetic, so bit for bit
+    conn, braid = ORACLE_CONNECTIONS[name]()
+    reality = check_Dn_reality(conn, braid, 2)
+    lemma = check_sigma_lemma(conn, braid, 2)
+    assert check_Dn_reality(conn, braid, 2, d2) == reality
+    assert check_sigma_lemma(conn, braid, 2, d2) == lemma
+    if name == "random":
+        # D_(0) of `random` is not real, so the equalities compare non-zero residuals
+        assert reality > 1e-3
+
+
+def test_the_default_operator_is_looked_up_at_call_time(su2_chi_conn, su2_braid, monkeypatch):
+    # a default bound at definition time would bypass a wrapper set on the module
+    real, degrees = dn, []
+
+    def counted(c, b, t):
+        degrees.append(t.degree)
+        return real(c, b, t)
+    monkeypatch.setattr(connection, "dn", counted)
+    check_sigma_lemma(su2_chi_conn, su2_braid, 2)
+    assert degrees == [2] * 18
+    degrees.clear()
+    monkeypatch.setattr(involution, "dn", counted)
+    check_Dn_reality(su2_chi_conn, su2_braid, 2)
+    assert degrees == [2] * 18
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_sigma_lemma_propagates_nan(order, su2_chi_conn, su2_braid):
+    omega = su2_chi_conn.omega.copy()
+    omega[0, 1, 2, 0, 1] = np.nan
+    conn = Connection(su2_chi_conn.geom, omega)
+    assert np.isnan(check_sigma_lemma(conn, su2_braid, order))
+    assert np.isnan(check_Dn_reality(conn, su2_braid, order))
+    if order == 2:
+        assert np.isnan(check_sigma_lemma(conn, su2_braid, order, d2))
+
+
+def test_sigma_lemma_needs_order_2(su2_chi_conn, su2_braid):
+    with pytest.raises(ValueError, match="order"):
+        check_sigma_lemma(su2_chi_conn, su2_braid, 1)
 
 
 # ---------------------------------------------------------------------------

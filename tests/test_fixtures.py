@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stehbein import fixtures
+from stehbein import calculus, fixtures
 from stehbein.braiding import check_sigma_consistency, make_braiding
 from stehbein.calculus import (
     check_structure,
@@ -20,14 +20,14 @@ from stehbein.frametensor import (
     max_coeff_norm,
 )
 
-from conftest import random_matrix
+from conftest import random_matrix, su2_torsionfree_connection
 
 # each fixture object whose fields include arrays, built once
 ARRAY_DATACLASSES = {
     "geometry": lambda: fixtures.su2_flip_geometry(),
     "braiding": lambda: fixtures.su2_braiding(),
-    "connection": lambda: fixtures.su2_torsionfree_connection(),
-    "curvature": lambda: curvature(fixtures.su2_torsionfree_connection(), fixtures.su2_braiding()),
+    "connection": lambda: su2_torsionfree_connection(),
+    "curvature": lambda: curvature(su2_torsionfree_connection(), fixtures.su2_braiding()),
     "field": lambda: basis_field(3, 2, (0, 1)),
 }
 
@@ -103,13 +103,14 @@ def _nan_field(t):
     return FrameTensorField(t.n, np.full_like(t.coeffs, np.nan))
 
 
-@pytest.mark.parametrize("target,message", [
-    ("differential0", "d-squared residual nan"),
-    ("curvature_d0_closed_form", "D_\\(0\\) curvature nan"),
+@pytest.mark.parametrize("module,target,message", [
+    (calculus, "differential0", "d-squared residual nan"),
+    (fixtures, "curvature_d0_closed_form", "D_\\(0\\) curvature nan"),
 ], ids=["d-squared", "curvature"])
-def test_f_zero_geometry_refuses_nan_on_the_last_unit(target, message, monkeypatch):
-    # a NaN after the first matrix unit or basis 1-form must not be maxed away
-    real = getattr(fixtures, target)
+def test_f_zero_geometry_refuses_nan_on_the_last_unit(module, target, message, monkeypatch):
+    # a NaN after the first matrix unit or basis 1-form must not be maxed away;
+    # the d-squared gate reaches differential0 through calculus.check_d_squared
+    real = getattr(module, target)
     if target == "differential0":
         def poisoned(f, geom):
             out = real(f, geom)
@@ -118,7 +119,7 @@ def test_f_zero_geometry_refuses_nan_on_the_last_unit(target, message, monkeypat
         def poisoned(geom, braid):
             *head, last = real(geom, braid)
             return [*head, _nan_field(last)]
-    monkeypatch.setattr(fixtures, target, poisoned)
+    monkeypatch.setattr(module, target, poisoned)
     with pytest.raises(ValueError, match=message):
         random_geometry(23, force_f_zero=True)
 

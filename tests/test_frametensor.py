@@ -16,10 +16,9 @@ from stehbein.frametensor import (
     right_mul,
     tensor_product,
     word_tensor,
-    zero_field,
 )
 
-from conftest import LAM1, LAM2, lift_central, reversal_central
+from conftest import LAM1, LAM2, lift_central, reversal_central, zero_field
 
 
 def _rand_field(seed, n=3, N=2, degree=1):

@@ -2,8 +2,11 @@
 malformed document gets past the loader or the CLI with a traceback."""
 
 import copy
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +18,8 @@ from stehbein import (
     curvature,
     make_braiding,
     su2_flip_geometry,
-    su2_torsionfree_connection,
 )
-from stehbein.fixtures import build_fixture, random_phase_twist, random_tau
+from stehbein.fixtures import build_fixture, random_phase_twist
 from stehbein.io import (
     GeometryFileError,
     braiding_to_dict,
@@ -27,6 +29,8 @@ from stehbein.io import (
     geometry_to_dict,
     load_input,
 )
+
+from conftest import random_tau, su2_torsionfree_connection
 
 SU2 = geometry_to_dict(su2_flip_geometry())
 SU2_TF = geometry_to_dict(build_fixture("su2-torsion-free")[1])
@@ -103,6 +107,35 @@ def test_omega_with_chi_exits_2(command, tmp_path, capsys):
     assert cli.main([command, str(_write(doc, tmp_path / "in.json"))]) == 2
     assert capsys.readouterr().err == (
         "error: geometry carries both 'omega' and 'chi'; give one connection\n")
+
+
+# a typo in a key must not drop the data it names: su2-flip with a misspelt
+# metric would otherwise skip every metric row and pass
+@pytest.mark.parametrize("doc,named", [
+    ({("metirc" if k == "metric" else k): v for k, v in SU2.items()}, "'metirc'"),
+    (SU2 | {"n": 3}, "'n'"),
+    ({("lamda" if k == "lambda" else k): v for k, v in SU2.items()}, "lacks 'lambda'"),
+    ({k: v for k, v in SU2.items() if k != "lambda"}, "lacks 'lambda'"),
+    (TWIST | {"tau": TWIST["S"]}, "lacks 'lambda'"),
+    (TWIST | {"Q": TWIST["P"]}, "'Q'"),
+    (SU2_TAU | {"S": SU2["S"]}, "both 'S' and 'tau'"),
+], ids=["metirc", "n-in-geometry", "lamda", "no-lambda", "tau-in-braiding", "Q-in-braiding",
+        "S-and-tau"])
+def test_unknown_and_misplaced_keys_are_named(doc, named, tmp_path):
+    with pytest.raises(GeometryFileError, match=named):
+        load_input(_write(doc, tmp_path / "in.json"))
+
+
+def test_every_benchmark_input_loads(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        path, _ = workloads.write_input(name, 0, tmp_path)
+        load_input(path)
 
 
 def test_curvature_to_dict_round_trips_through_json(su2_braid):

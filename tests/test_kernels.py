@@ -18,7 +18,7 @@ import pytest
 from stehbein.braiding import Braiding, make_braiding
 from stehbein.calculus import differential1, maurer_cartan
 from stehbein.connection import Connection, covariant_derivative, d0_connection, d2, dn
-from stehbein.fixtures import random_geometry, su2_braiding, su2_torsionfree_connection
+from stehbein.fixtures import random_geometry, su2_braiding
 from stehbein.fixtures import phase_twist_braiding, random_phase_twist
 from stehbein.frametensor import (
     FrameTensorField,
@@ -32,6 +32,8 @@ from stehbein.frametensor import (
 from stehbein import cli, involution
 from stehbein.involution import build_jn, check_jn_involutive, reverse_word, star_form
 from stehbein.report import run_verify
+
+from conftest import su2_torsionfree_connection
 
 TOL = 1e-13
 

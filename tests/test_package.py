@@ -1,0 +1,45 @@
+"""Package-wide guards: every public definition has a caller outside the tests."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src" / "stehbein"
+
+
+def _referenced_names(node) -> set:
+    """Names, attribute names and imported names under ``node``; docstrings are strings, not names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # __init__.py only re-exports, so a name it lists is not thereby used
+    modules = {p: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    modules |= {p: ast.parse(p.read_text(encoding="utf-8"))
+                for p in sorted((ROOT / "perfbench").glob("*.py"))}
+    unused = []
+    for path, tree in modules.items():
+        if path.parent != SRC:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            used = any(node.name in _referenced_names(top)
+                       for other in modules.values() for top in other.body if top is not node)
+            if not used:
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
+
+
+def test_the_guard_sees_references_not_docstrings():
+    tree = ast.parse('def f():\n    """calls g"""\n    return h.k\nfrom m import n as o\n')
+    assert _referenced_names(tree) == {"h", "k", "n"}

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator, ValidationError
 
-from stehbein import calculus, cli, make_braiding, su2_flip_geometry, su2_torsionfree_connection
+from stehbein import calculus, cli, make_braiding, su2_flip_geometry
 from stehbein.calculus import maurer_cartan
 from stehbein.connection import solve_torsionfree_chi
 from stehbein.fixtures import build_fixture
 from stehbein.report import CHECKS, GROUPS, REPORT_SCHEMA, resolve_connection, run_verify
+
+from conftest import su2_torsionfree_connection
 
 # (name, status, equation_anchor) of every row, recorded before the check
 # table replaced the hand-written runner
@@ -115,6 +117,22 @@ def test_unselected_groups_are_reported_not_dropped(su2_tf):
                    "i-weak-yang-baxter": "skipped"}
     assert report.counts == {"pass": 3, "fail": 0, "skipped": 27}
     assert report.checks[-1].note == "not checked (condition unspecified)"
+
+
+@pytest.mark.parametrize("name", ["su2-torsion-free", "phase-twist", "random"])
+def test_no_row_depends_on_which_groups_run(name):
+    # each sampled check draws from its own --seed stream, so a group run
+    # alone reads exactly what it reads in the full run
+    loaded = build_fixture(name)[1]
+    full = {c.name: (c.residual, c.status) for c in run_verify(loaded, max_order=3).checks}
+    compared = set()
+    for group in GROUPS:
+        alone = run_verify(loaded, checks={group}, max_order=3)
+        rows = {c.name: (c.residual, c.status) for c in alone.checks
+                if c.note != "not selected" and c.name != "i-weak-yang-baxter"}
+        assert rows == {row: full[row] for row in rows}, group
+        compared |= set(rows)
+    assert compared == set(full) - {"i-weak-yang-baxter"}
 
 
 def test_missing_prerequisites_name_the_reason():
