@@ -37,10 +37,10 @@ class FrameGeometry:
     ``F``/``K`` the central structure tensors, ``g`` an optional metric,
     ``omega``/``chi`` optional connection data, at most one of the two.
 
-    The arrays are read-only copies, so the Maurer-Cartan tensor ``C``,
-    built on first use and kept, cannot go stale: an in-place write into
-    any of them raises ValueError.  ``dataclasses.replace`` makes a new
-    geometry with its own ``C``.
+    The arrays are read-only copies, so the Maurer-Cartan tensor ``C`` and
+    its GEMM form ``C_matrix``, each built on first use and kept, cannot go
+    stale: an in-place write into any of them raises ValueError.
+    ``dataclasses.replace`` makes a new geometry with its own ``C``.
     """
 
     N: int
@@ -88,6 +88,13 @@ class FrameGeometry:
         c = maurer_cartan(self)
         c.flags.writeable = False
         return c
+
+    @cached_property
+    def C_matrix(self) -> np.ndarray:
+        """``_omega_matrix(self.C)``, read-only: the operand of ``_omega_at_slot``."""
+        w = _omega_matrix(self.C)
+        w.flags.writeable = False
+        return w
 
 
 def geometry_invariants(geom: FrameGeometry) -> dict[str, float]:
@@ -152,8 +159,8 @@ def differential1(xi: FrameTensorField, geom: FrameGeometry) -> FrameTensorField
 
     The result is wedge-projected immediately; raw antisymmetric data is
     never exposed.  xi_a C^a is one GEMM (``frametensor._omega_at_slot``) with
-    the geometry's cached C.  The lam-commutator stays an einsum, as in
-    ``connection.covariant_derivative``.
+    the geometry's cached ``C_matrix``.  The lam-commutator stays an einsum,
+    as in ``connection.covariant_derivative``.
     """
     if xi.degree != 1:
         raise ValueError(f"expected a degree-1 field, got degree {xi.degree}")
@@ -161,7 +168,7 @@ def differential1(xi: FrameTensorField, geom: FrameGeometry) -> FrameTensorField
         raise ValueError("field does not match geometry dimensions")
     raw = np.einsum('bij,cjk->bcik', geom.lam, xi.coeffs)
     raw -= np.einsum('cij,bjk->bcik', xi.coeffs, geom.lam)
-    raw -= 0.5 * _omega_at_slot(xi.coeffs, _omega_matrix(geom.C), 1)
+    raw -= 0.5 * _omega_at_slot(xi.coeffs, geom.C_matrix, 1)
     return apply_central_at(FrameTensorField(geom.n, raw), geom.P, 1)
 
 

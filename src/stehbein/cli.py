@@ -8,7 +8,8 @@ Their connection is the file's omega, else D_(0) + its chi, else D_(0);
 omega and chi is rejected.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails,
-2 input or usage error, or out of memory.
+2 input or usage error, an output file that cannot be written, or out of
+memory.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -49,6 +51,8 @@ INT_BOUNDS = {
     # the loader refuses a file whose frame dimension is below 1
     "fixture": (("--frame-dim", 1, None), ("--seed", 0, None)),
 }
+# command -> the option naming the file it writes
+OUTPUT_FLAGS = {"verify": "--report", "curvature": "--out", "jn": "--out", "fixture": "--out"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,12 +98,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _write(payload: dict, path, what: str) -> bool:
+    """Write ``payload`` to ``path``; on an OSError print why and return False."""
+    try:
+        save_json(payload, path)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    print(f"{what} written to {path}")
+    return True
+
+
 def _finish_report(report, path):
     for line in report.summary_lines():
         print(line)
-    if path:
-        save_json(report.to_dict(), path)
-        print(f"report written to {path}")
+    if path and not _write(report.to_dict(), path, "report"):
+        return 2
     return 0 if report.all_pass else 1
 
 
@@ -124,6 +138,14 @@ def _option_error(args) -> str | None:
     # the report schema requires a tolerance > 0, and inf would pass every finite residual
     if args.command == "verify" and not (math.isfinite(args.tol) and args.tol > 0):
         return f"--tol must be finite and > 0, got {args.tol:g}"
+    out = _option_value(args, OUTPUT_FLAGS[args.command])
+    if out is not None:
+        parent = Path(out).parent
+        if Path(out).is_dir():
+            return f"cannot write {out}: it is a directory"
+        if not parent.is_dir():
+            reason = "is not a directory" if parent.exists() else "does not exist"
+            return f"cannot write {out}: directory {parent} {reason}"
     return None
 
 
@@ -136,13 +158,8 @@ def main(argv=None) -> int:
     if args.command == "fixture":
         given = {"seed": args.seed, "n": args.frame_dim}
         kind, obj = build_fixture(args.name, **{k: v for k, v in given.items() if v is not None})
-        if kind == "geometry":
-            save_json(geometry_to_dict(obj), args.out)
-        else:
-            braid, p = obj
-            save_json(braiding_to_dict(braid, p), args.out)
-        print(f"{args.name} fixture written to {args.out}")
-        return 0
+        payload = geometry_to_dict(obj) if kind == "geometry" else braiding_to_dict(*obj)
+        return 0 if _write(payload, args.out, f"{args.name} fixture") else 2
     try:
         loaded = load_input(args.input)
     except GeometryFileError as exc:
@@ -165,12 +182,14 @@ def main(argv=None) -> int:
 def _dispatch(args, loaded) -> int:
     if args.command == "verify":
         checks = None
-        if args.checks:
+        # an empty --checks selects nothing; it does not mean the default of all groups
+        if args.checks is not None:
             checks = set(args.checks.split(","))
             unknown = checks - set(GROUPS)
             if unknown:
-                print(f"error: unknown check groups {sorted(unknown)}; "
-                      f"known: {sorted(GROUPS)}", file=sys.stderr)
+                what = ("--checks names no group" if checks == {""}
+                        else f"unknown check groups {sorted(unknown)}")
+                print(f"error: {what}; known: {sorted(GROUPS)}", file=sys.stderr)
                 return 2
         report = run_verify(loaded, tol=args.tol, checks=checks,
                             max_order=args.max_order, seed=args.seed,
@@ -184,10 +203,8 @@ def _dispatch(args, loaded) -> int:
         payload = {"order": args.order, "n": braid.n,
                    "J": encode_complex_array(tensor)}
         if args.out:
-            save_json(payload, args.out)
-            print(f"J^({args.order}) written to {args.out}")
-        else:
-            print(json.dumps(payload))
+            return 0 if _write(payload, args.out, f"J^({args.order})") else 2
+        print(json.dumps(payload))
         return 0
 
     if args.command == "curvature":
@@ -200,9 +217,8 @@ def _dispatch(args, loaded) -> int:
         print(f"curvature of {label}: max |R| coefficient norm = "
               f"{float(np.max(np.linalg.norm(data.R, axis=(-2, -1)))):.6e}, "
               f"centrality residual = {data.centrality_residual:.3e}")
-        if args.out:
-            save_json(curvature_to_dict(data), args.out)
-            print(f"curvature written to {args.out}")
+        if args.out and not _write(curvature_to_dict(data), args.out, "curvature"):
+            return 2
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .matalg import centrality_residual
-from .calculus import FrameGeometry, differential0, differential1, dirac_form, theta_squared
+from .calculus import (FrameGeometry, _read_only, differential0, differential1, dirac_form,
+                       theta_squared)
 from .braiding import Braiding, apply_word
 from .frametensor import (
     INVERSE_COND_LIMIT,
@@ -33,17 +35,29 @@ MAX_DEGREE = 7
 # eq=False: array fields have no truth value, so equality and hashing are by identity
 @dataclass(frozen=True, eq=False)
 class Connection:
-    """D theta^a = -omega^a_{bc} theta^b x theta^c with algebra-valued omega."""
+    """D theta^a = -omega^a_{bc} theta^b x theta^c with algebra-valued omega.
+
+    ``omega`` is a read-only copy, as the arrays of ``FrameGeometry`` are, so
+    its GEMM form ``omega_matrix``, built on first use and kept, cannot go
+    stale: an in-place write into ``omega`` raises ValueError.
+    """
 
     geom: FrameGeometry
     omega: np.ndarray  # (n, n, n, N, N)
 
     def __post_init__(self):
-        om = np.asarray(self.omega, dtype=complex)
+        om = _read_only(self.omega)
         object.__setattr__(self, "omega", om)
         n, N = self.geom.n, self.geom.N
         if om.shape != (n, n, n, N, N):
             raise ValueError(f"omega has shape {om.shape}, expected {(n, n, n, N, N)}")
+
+    @cached_property
+    def omega_matrix(self) -> np.ndarray:
+        """``_omega_matrix(self.omega)``, read-only: the operand of ``_omega_at_slot``."""
+        w = _omega_matrix(self.omega)
+        w.flags.writeable = False
+        return w
 
 
 # eq=False: array fields have no truth value, so equality and hashing are by identity
@@ -123,7 +137,7 @@ def covariant_derivative(c: Connection, xi: FrameTensorField) -> FrameTensorFiel
         raise ValueError("field does not match geometry dimensions")
     out = np.einsum('pij,qjk->pqik', geom.lam, xi.coeffs)
     out -= np.einsum('qij,pjk->pqik', xi.coeffs, geom.lam)
-    out -= _omega_at_slot(xi.coeffs, _omega_matrix(c.omega), 1)
+    out -= _omega_at_slot(xi.coeffs, c.omega_matrix, 1)
     return FrameTensorField(geom.n, out)
 
 
@@ -219,7 +233,7 @@ def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
     if t.degree != 2:
         raise ValueError(f"expected a degree-2 field, got degree {t.degree}")
     geom = c.geom
-    w = _omega_matrix(c.omega)
+    w = c.omega_matrix
     out = _lambda_commutator(geom.lam, t.coeffs)
     out -= _omega_at_slot(t.coeffs, w, 1)
     # S^{ac}_{pq} (t_{ab} omega^b_{cr}): t.omega first, then S on its first pair
@@ -238,7 +252,7 @@ def dn(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
     if p < 1:
         raise ValueError("D_n needs a field of degree >= 1")
     geom = c.geom
-    w = _omega_matrix(c.omega)
+    w = c.omega_matrix
     out = _lambda_commutator(geom.lam, t.coeffs)
     for i in range(1, p + 1):
         term = FrameTensorField(geom.n, _omega_at_slot(t.coeffs, w, i))

@@ -220,17 +220,54 @@ def check_D2_reality(c: Connection, b: Braiding) -> tuple[float, float, float]:
     The two D_n checks run with ``op = d2``.  The three forms are provably
     equivalent once the connection itself is real; the caller is
     responsible for cross-checking them (see the verify runner).
+
+    The coefficient identity (``_d2_coefficient_residual``) is four GEMMs,
+    t3 and t4 over a precomposed S S: n^7 N^2 multiply-adds in BLAS, where a
+    three-operand einsum loops over n^8 N^2.  It reads only S and omega and
+    calls neither ``d2`` nor ``dn``, so a fault in D_2 cannot cancel out of
+    the comparison.
     """
     strong = check_Dn_reality(c, b, 2, d2)
     braided = check_sigma_lemma(c, b, 2, d2)
-    # the coefficient identity, with each J^{ab}_{cd} read as S^{ba}_{cd}
-    s, om = b.S, c.omega
-    t1 = np.einsum('bape,pcdij->abcdeij', s, om)
-    t2 = np.einsum('pade,bcpij->abcdeij', s, om)
-    t3 = np.einsum('bapq,prcd,qreij->abcdeij', s, s, om)
-    t4 = np.einsum('bqcp,prde,aqrij->abcdeij', s, s, om)
-    coeff = float(np.max(np.linalg.norm(t1 - t2 + t3 - t4, axis=(-2, -1))))
-    return strong, coeff, braided
+    return strong, _d2_coefficient_residual(b.S, c.omega), braided
+
+
+def _d2_coefficient_residual(s: np.ndarray, om: np.ndarray) -> float:
+    """Max coefficient norm of t1 - t2 + t3 - t4, with each J^{ab}_{cd} read as S^{ba}_{cd}:
+
+        t1 = S^{ba}_{pe} omega^p_{cd},   t2 = S^{pa}_{de} omega^b_{cp},
+        t3 = S^{ba}_{pq} S^{pr}_{cd} omega^q_{re},
+        t4 = S^{bq}_{cp} S^{pr}_{de} omega^a_{qr},
+
+    at (a, b, c, d, e).  Contraction order: t1 and t2 are one GEMM each
+    over p between a reshaped S and a reshaped omega.  t3 and t4 first
+    compose S with S over p, an einsum on S alone of n^7 products, then
+    take one GEMM with omega over the pair (q, r).  At frame dimension n
+    and matrix size N, t1 and t2 cost n^6 N^2 multiply-adds and t3 and t4
+    n^7 N^2, all in BLAS; a three-operand einsum of t3 or t4 is one nested
+    loop of n^8 N^2 triple products.
+
+    The route reads only S and omega, never ``d2``, ``dn``, ``central_at``
+    or ``_omega_at_slot``, so it stays independent of the strong and
+    braided forms it is compared with.
+    """
+    n, N = s.shape[0], om.shape[-1]
+    m = N * N
+    # t1: rows (a, b, e) of S^{ba}_{pe} times omega^p on its columns (c, d, i, j)
+    t1 = s.transpose(1, 0, 3, 2).reshape(n ** 3, n) @ om.reshape(n, n * n * m)
+    # t2: rows (a, d, e) of S^{pa}_{de} times omega^b_{cp} moved to rows p
+    t2 = s.transpose(1, 2, 3, 0).reshape(n ** 3, n) @ om.transpose(2, 0, 1, 3, 4).reshape(n, -1)
+    # the sum is accumulated in place, in the order t1 - t2 + t3 - t4
+    out = np.subtract(t1.reshape((n,) * 5 + (N, N)).transpose(0, 1, 3, 4, 2, 5, 6),
+                      t2.reshape((n,) * 5 + (N, N)).transpose(0, 3, 4, 1, 2, 5, 6))
+    # t3: (S S)^{ba}_{cd, qr} by rows (a, b, c, d), then omega^q_{re} over (q, r)
+    ss = np.einsum('bapq,prcd->abcdqr', s, s)
+    out += (ss.reshape(n ** 4, n * n) @ om.reshape(n * n, n * m)).reshape(out.shape)
+    # t4: omega^a_{qr} by rows (a, i, j) times (S S)^{bq}_{cde, r} on columns (b, c, d, e)
+    ss = np.einsum('bqcp,prde->qrbcde', s, s)
+    t4 = om.transpose(0, 3, 4, 1, 2).reshape(n * m, n * n) @ ss.reshape(n * n, n ** 4)
+    out -= t4.reshape(n, N, N, n, n, n, n).transpose(0, 3, 4, 5, 6, 1, 2)
+    return float(np.max(np.linalg.norm(out, axis=(-2, -1))))
 
 
 def check_Dn_reality(c: Connection, b: Braiding, n: int, op=None) -> float:

@@ -143,7 +143,8 @@ def load_input(path):
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    # UnicodeDecodeError: the file is not UTF-8
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GeometryFileError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise GeometryFileError(f"{path} does not contain a JSON object")

@@ -1,6 +1,8 @@
 """The command-line front end: exit codes, option bounds and every command."""
 
+import errno
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,77 @@ def test_exit_1_when_a_check_fails(fixture_file, capsys):
 def test_exit_2_on_an_unknown_group(fixture_file, capsys):
     assert cli.main(["verify", fixture_file("su2-flip"), "--checks", "braid,nope"]) == 2
     assert "unknown check groups ['nope']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checks", ["", ","], ids=["empty", "comma"])
+def test_exit_2_on_an_empty_selection(checks, fixture_file, capsys):
+    # an empty selection is not the default of every group
+    assert cli.main(["verify", fixture_file("su2-flip"), "--checks", checks]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --checks names no group; known: ['braid', ")
+    assert captured.out == ""
+
+
+def test_exit_2_on_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe")
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
+
+
+# each command's output option, with the rest of its arguments; {out} is the path
+WRITERS = {
+    "verify": ["verify", "{input}", "--max-order", "2", "--report", "{out}"],
+    "curvature": ["curvature", "{input}", "--out", "{out}"],
+    "jn": ["jn", "{input}", "-n", "2", "--out", "{out}"],
+    "fixture": ["fixture", "su2-flip", "--out", "{out}"],
+}
+
+
+def _writer_argv(command, source, out):
+    return [a.format(input=source, out=out) for a in WRITERS[command]]
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_exit_2_before_any_work_when_the_output_directory_is_missing(command, fixture_file,
+                                                                    tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    # the input does not exist either: the output is refused before the input loads
+    assert cli.main(_writer_argv(command, tmp_path / "absent.json", out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot write {out}: directory {out.parent} "
+                            "does not exist\n")
+    assert captured.out == ""
+    assert not out.parent.exists()
+    # a file where the directory should be, and a directory where the file should be
+    blocker = tmp_path / "file.json"
+    blocker.write_text("x", encoding="utf-8")
+    for out, reason in ((blocker / "out.json", f"directory {blocker} is not a directory"),
+                        (tmp_path, "it is a directory")):
+        assert cli.main(_writer_argv(command, tmp_path / "absent.json", out)) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert blocker.read_text(encoding="utf-8") == "x"
+
+
+def _disk_full(payload, path):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_exit_2_when_the_output_cannot_be_written(command, fixture_file, tmp_path, capsys,
+                                                  monkeypatch):
+    # an error that only the write itself meets; the input is written before the patch
+    source = fixture_file("su2-torsion-free")
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "save_json", _disk_full)
+    out = tmp_path / "out.json"
+    assert cli.main(_writer_argv(command, source, out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: No space left on device\n"
+    assert "written to" not in captured.out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["{", "[1, 2]", '{"S": [[1]], "n": "x"}', '{"S": 1, "n": [1]}',

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stehbein import connection, involution
+from stehbein import calculus, connection, involution
 from stehbein.braiding import make_braiding
 from stehbein.calculus import differential0, differential1, dirac_form, maurer_cartan
 from stehbein.connection import (
@@ -28,6 +28,7 @@ from stehbein.connection import (
 from stehbein.fixtures import random_geometry, random_phase_twist, su2_braiding, su2_flip_geometry
 from stehbein.frametensor import (
     FrameTensorField,
+    _omega_matrix,
     apply_central_at,
     basis_field,
     flip_central,
@@ -53,6 +54,53 @@ from conftest import (
 def _rand_1form(rng, n=3, N=2):
     shape = (n, N, N)
     return FrameTensorField(n, rng.uniform(0, 1, shape) + 1j * rng.uniform(0, 1, shape))
+
+
+# ---------------------------------------------------------------------------
+# the connection record: a read-only omega and the cached GEMM operands
+
+
+def test_omega_is_a_read_only_copy(su2_geom):
+    source = np.zeros((3, 3, 3, 2, 2), dtype=complex)
+    conn = Connection(su2_geom, source)
+    for array in (conn.omega, conn.omega_matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    source[0, 0, 0] = LAM[0]
+    assert not np.any(conn.omega) and not np.any(conn.omega_matrix)
+
+
+def test_cached_matrices_equal_the_omega_matrix(su2_chi_conn, su2_braid):
+    geom = random_geometry(3)
+    for conn in (su2_chi_conn, d0_connection(geom, make_braiding(geom.S))):
+        # the bytes, so that a -0.0 for a 0.0 would count as a difference
+        assert conn.omega_matrix.tobytes() == _omega_matrix(conn.omega).tobytes()
+        assert conn.geom.C_matrix.tobytes() == _omega_matrix(conn.geom.C).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        geom.C_matrix[0, 0] = 1.0
+
+
+def test_omega_matrix_is_built_once_per_connection_and_geometry(monkeypatch, rng):
+    built = []
+
+    def counted(t):
+        built.append(t)
+        return _omega_matrix(t)
+    monkeypatch.setattr(connection, "_omega_matrix", counted)
+    monkeypatch.setattr(calculus, "_omega_matrix", counted)
+    # built here, so that nothing is cached before the patch
+    geom = random_geometry(3)
+    braid = make_braiding(geom.S)
+    conn = d0_connection(geom, braid)
+    xi = _rand_1form(rng)
+    for _ in range(3):
+        covariant_derivative(conn, xi)
+        differential1(xi, geom)
+        d2(conn, braid, tensor_product(xi, xi))
+        for t in (xi, tensor_product(xi, xi), tensor_product(xi, tensor_product(xi, xi))):
+            dn(conn, braid, t)
+    assert len(built) == 2
+    assert built[0] is conn.omega and built[1] is geom.C
 
 
 # ---------------------------------------------------------------------------

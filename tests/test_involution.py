@@ -19,7 +19,9 @@ from stehbein import (
     star_form,
 )
 from stehbein.braiding import Braiding, sigma_from_tau
-from stehbein.fixtures import random_phase_twist
+from stehbein.connection import d0_connection
+from stehbein.fixtures import random_geometry, random_phase_twist
+from stehbein.involution import _d2_coefficient_residual
 from stehbein.frametensor import (
     antisymmetrizer_central,
     central_as_matrix,
@@ -268,3 +270,67 @@ def test_reality_residuals_propagate_nan(su2_chi_conn, su2_braid):
     conn = Connection(su2_chi_conn.geom, omega)
     assert all(np.isnan(r) for r in check_D2_reality(conn, su2_braid))
     assert np.isnan(check_Dn_reality(conn, su2_braid, 2))
+
+
+# ---------------------------------------------------------------------------
+# the D_2 coefficient identity against its einsum form
+
+
+def ref_d2_coeffs(s: np.ndarray, om: np.ndarray) -> float:
+    """The coefficient identity as four plain einsums, summed t1 - t2 + t3 - t4."""
+    t1 = np.einsum('bape,pcdij->abcdeij', s, om)
+    t2 = np.einsum('pade,bcpij->abcdeij', s, om)
+    t3 = np.einsum('bapq,prcd,qreij->abcdeij', s, s, om)
+    t4 = np.einsum('bqcp,prde,aqrij->abcdeij', s, s, om)
+    return float(np.max(np.linalg.norm(t1 - t2 + t3 - t4, axis=(-2, -1))))
+
+
+def _d0_inputs(geom):
+    braid = make_braiding(geom.S)
+    return braid.S, d0_connection(geom, braid).omega
+
+
+def _random_s_and_omega(n=3, N=3):
+    rng = np.random.default_rng(11)
+    shape = (n, n, n, N, N)
+    return random_tau(12, n), rng.uniform(0, 1, shape) + 1j * rng.uniform(0, 1, shape)
+
+
+def _coefficient_routes(s, om):
+    """The einsum residual, and its gap to the GEMM route."""
+    ref = ref_d2_coeffs(s, om)
+    # the GEMMs sum in another order: 1e-15 of an O(1) residual, relative beyond it
+    assert abs(_d2_coefficient_residual(s, om) - ref) <= 1e-15 * max(1.0, ref)
+    return ref
+
+
+@pytest.mark.parametrize("seed, n", [(42, 3), (0, 4), (1, 4), (2, 4)])
+def test_d2_coefficients_match_the_einsum_form_on_random_geometries(seed, n):
+    # D_(0) of these geometries is not real, so the residuals compared are O(1)
+    assert _coefficient_routes(*_d0_inputs(random_geometry(seed, n=n))) > 1e-3
+
+
+def test_d2_coefficients_match_the_einsum_form_off_the_geometries(pauli_twist_geom):
+    # D_(0) of the Pauli twist satisfies the identity; a random S and omega do not
+    assert _coefficient_routes(*_d0_inputs(pauli_twist_geom)) == 0.0
+    assert _coefficient_routes(*_random_s_and_omega()) > 1e-3
+
+
+def test_d2_coefficients_are_exact_for_the_flip(su2_chi_conn, su2_braid):
+    # with the flip every product is by 1 or 0, so both routes form t1..t4
+    # exactly and then sum them in the same order: equal bit for bit.  t1 = t4
+    # and t2 = t3, so only the rounding of that sum is left
+    normal = np.random.default_rng(0).standard_normal((2, 3, 3, 3, 2, 2))
+    for om in (su2_chi_conn.omega, _random_s_and_omega(N=2)[1], normal[0] + 1j * normal[1]):
+        ref = ref_d2_coeffs(su2_braid.S, om)
+        assert _d2_coefficient_residual(su2_braid.S, om) == ref
+        assert ref <= 1e-15
+    assert ref > 0.0
+
+
+@pytest.mark.parametrize("which, index", [(1, (0, 1, 2)), (0, (2, 1, 0, 1))],
+                         ids=["omega", "S"])
+def test_d2_coefficients_propagate_nan(which, index):
+    inputs = _random_s_and_omega()
+    inputs[which][index] = np.nan
+    assert np.isnan(_d2_coefficient_residual(*inputs))

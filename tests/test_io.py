@@ -5,6 +5,7 @@ import copy
 import importlib.util
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -124,6 +125,13 @@ def test_omega_with_chi_exits_2(command, tmp_path, capsys):
 def test_unknown_and_misplaced_keys_are_named(doc, named, tmp_path):
     with pytest.raises(GeometryFileError, match=named):
         load_input(_write(doc, tmp_path / "in.json"))
+
+
+def test_a_file_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(GeometryFileError, match=re.escape(f"cannot read {path}: 'utf-8' codec")):
+        load_input(path)
 
 
 def test_every_benchmark_input_loads(tmp_path, monkeypatch):
