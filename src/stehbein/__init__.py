@@ -9,7 +9,7 @@ checks every consistency and reality identity as a numerical residual.
 
 __version__ = "0.1.0"
 
-from .matalg import adjoint, commutator, centrality_residual, frobenius_norm
+from .matalg import adjoint, centrality_residual, frobenius_norm
 from .frametensor import (
     FrameTensorField,
     apply_central_at,

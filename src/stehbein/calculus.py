@@ -7,9 +7,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .matalg import antihermiticity_residual, commutator
+from .matalg import antihermiticity_residual
 from .frametensor import (
     FrameTensorField,
+    _lambda_commutator,
     _omega_at_slot,
     _omega_matrix,
     apply_central_at,
@@ -97,6 +98,12 @@ class FrameGeometry:
         return w
 
 
+def _projector_residual(p: np.ndarray) -> float:
+    """max |P o P - P|; the loader gates geometry and braiding files on it."""
+    pm = central_as_matrix(p)
+    return float(np.max(np.abs(pm @ pm - pm)))
+
+
 def geometry_invariants(geom: FrameGeometry) -> dict[str, float]:
     """Residuals of the structural invariants enforced on any geometry.
 
@@ -106,8 +113,7 @@ def geometry_invariants(geom: FrameGeometry) -> dict[str, float]:
     """
     res = {}
     res["lambda_antihermitian"] = worst(antihermiticity_residual(l) for l in geom.lam)
-    pm = central_as_matrix(geom.P)
-    res["P_projector"] = float(np.max(np.abs(pm @ pm - pm)))
+    res["P_projector"] = _projector_residual(geom.P)
     fp = central_at(geom.F, geom.P, 2)
     res["F_P_reduced"] = float(np.max(np.abs(fp - geom.F)))
     return res
@@ -123,7 +129,7 @@ def differential0(f: np.ndarray, geom: FrameGeometry) -> FrameTensorField:
     f = np.asarray(f, dtype=complex)
     if f.shape != (geom.N, geom.N):
         raise ValueError(f"element of shape {f.shape} does not match N={geom.N}")
-    return FrameTensorField(geom.n, commutator(geom.lam, f))
+    return FrameTensorField(geom.n, _lambda_commutator(geom.lam, f))
 
 
 def maurer_cartan(geom: FrameGeometry) -> np.ndarray:
@@ -158,16 +164,15 @@ def differential1(xi: FrameTensorField, geom: FrameGeometry) -> FrameTensorField
     """d(xi_a theta^a) = (e_b xi_a) theta^b theta^a - 1/2 xi_a C^a_{bc} theta^b theta^c.
 
     The result is wedge-projected immediately; raw antisymmetric data is
-    never exposed.  xi_a C^a is one GEMM (``frametensor._omega_at_slot``) with
-    the geometry's cached ``C_matrix``.  The lam-commutator stays an einsum,
-    as in ``connection.covariant_derivative``.
+    never exposed.  e_b xi_a is ``frametensor._lambda_commutator`` and
+    xi_a C^a one GEMM (``frametensor._omega_at_slot``) with the geometry's
+    cached ``C_matrix``.
     """
     if xi.degree != 1:
         raise ValueError(f"expected a degree-1 field, got degree {xi.degree}")
     if xi.n != geom.n or xi.N != geom.N:
         raise ValueError("field does not match geometry dimensions")
-    raw = np.einsum('bij,cjk->bcik', geom.lam, xi.coeffs)
-    raw -= np.einsum('cij,bjk->bcik', xi.coeffs, geom.lam)
+    raw = _lambda_commutator(geom.lam, xi.coeffs)
     raw -= 0.5 * _omega_at_slot(xi.coeffs, geom.C_matrix, 1)
     return apply_central_at(FrameTensorField(geom.n, raw), geom.P, 1)
 

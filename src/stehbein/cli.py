@@ -36,11 +36,9 @@ from .io import (
     load_input,
     save_json,
 )
-from .report import (CONNECTION_MODES, DEFAULT_TOL, GROUPS, REPORT_SCHEMA,
-                     resolve_connection, run_verify)
+from .report import (CONNECTION_MODES, DEFAULT_TOL, GROUPS, MIN_ORDER, resolve_connection,
+                     run_verify)
 
-
-MIN_ORDER = REPORT_SCHEMA["properties"]["max_order"]["minimum"]
 
 # command -> (flag, lowest, highest or None) of each integer option it bounds;
 # the order comes first, and an out-of-memory message names it

@@ -14,6 +14,7 @@ from .braiding import Braiding, apply_word
 from .frametensor import (
     INVERSE_COND_LIMIT,
     FrameTensorField,
+    _lambda_commutator,
     _omega_at_slot,
     _omega_matrix,
     apply_central_at,
@@ -125,10 +126,10 @@ def covariant_derivative(c: Connection, xi: FrameTensorField) -> FrameTensorFiel
     """D(xi_a theta^a) = d xi_a x theta^a + xi_a D theta^a.
 
     xi_a omega^a is one GEMM (``frametensor._omega_at_slot``).  The
-    lam-commutator stays an einsum until verdicts use a residual scale: its
-    GEMM form (``_lambda_commutator``) sums in another order, differs by up
-    to ~5e-15 per entry on the N = 16 spin frame and moved that frame's
-    leibniz residuals by up to 3.2e-14.
+    lam-commutator is the last einsum form of it outside
+    ``_lambda_commutator``; it waits for verdicts on a residual scale
+    (ROADMAP item 1), since the kernel sums in another order and moved the
+    leibniz residuals of the conjugated N = 16 spin frame by up to 2.4e-14.
     """
     if xi.degree != 1:
         raise ValueError(f"expected a degree-1 field, got degree {xi.degree}")
@@ -214,18 +215,6 @@ def check_metric_compatibility(c: Connection, b: Braiding,
     rhs2 = np.einsum('ab,cd->abcd', g, np.eye(c.geom.n))
     res2 = float(np.max(np.abs(lhs2 - rhs2)))
     return res1, res2
-
-
-def _lambda_commutator(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """lam_p t_A - t_A lam_p at (p, A...), each product one GEMM over all A."""
-    n, N = lam.shape[0], lam.shape[-1]
-    c = coeffs.reshape(-1, N, N)
-    m = c.shape[0]
-    left = lam.reshape(n * N, N) @ c.transpose(1, 0, 2).reshape(N, m * N)
-    right = c.reshape(m * N, N) @ lam.transpose(1, 0, 2).reshape(N, n * N)
-    out = left.reshape(n, N, m, N).transpose(0, 2, 1, 3)
-    out = out - right.reshape(m, N, n, N).transpose(2, 0, 1, 3)
-    return out.reshape((n,) + coeffs.shape)
 
 
 def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:

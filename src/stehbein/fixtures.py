@@ -12,6 +12,8 @@ reproducible:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .matalg import adjoint
@@ -105,11 +107,6 @@ def random_phase_twist(seed: int, n: int) -> tuple[Braiding, np.ndarray]:
 def random_element(rng: np.random.Generator, N: int) -> np.ndarray:
     """Complex matrix with entries uniform over the unit square."""
     return rng.uniform(0, 1, (N, N)) + 1j * rng.uniform(0, 1, (N, N))
-
-
-def random_antihermitian(rng: np.random.Generator, N: int) -> np.ndarray:
-    a = random_element(rng, N)
-    return (a - adjoint(a)) / 2
 
 
 def random_projector(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -212,7 +209,8 @@ def random_geometry(seed: int, n: int = 3, N: int = 2, *,
     if force_f_zero:
         return _f_zero_geometry(seed, n, N)
     rng = np.random.default_rng(seed)
-    lam = np.array([random_antihermitian(rng, N) for _ in range(n)])
+    lam = np.array([random_element(rng, N) for _ in range(n)])
+    lam = (lam - adjoint(lam)) / 2
     p = random_projector(rng, n)
     s = identity_central(n) - 2.0 * p
     target = 2.0 * np.einsum('cij,djk,cdab->abik', lam, lam, p)
@@ -247,13 +245,9 @@ def build_fixture(name: str, *, seed: int = 42, n: int = 3):
         return "geometry", su2_flip_geometry()
     if name == "su2-torsion-free":
         geom = su2_flip_geometry()
-        chi = solve_torsionfree_chi(geom, su2_braiding())
-        return "geometry", FrameGeometry(
-            N=geom.N, n=geom.n, lam=geom.lam, P=geom.P, S=geom.S,
-            F=geom.F, K=geom.K, g=geom.g, chi=chi)
+        return "geometry", replace(geom, chi=solve_torsionfree_chi(geom, su2_braiding()))
     if name == "phase-twist":
-        b, p = random_phase_twist(seed, n)
-        return "braiding", (b, p)
+        return "braiding", random_phase_twist(seed, n)
     if name == "random":
         return "geometry", random_geometry(seed, n=n)
     raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")

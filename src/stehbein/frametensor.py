@@ -18,6 +18,9 @@ Conventions fixed here and used identically everywhere else:
   becomes the pair (x, y) and the coefficient is multiplied on the right.
   ``_omega_at_slot`` (one GEMM by ``_omega_matrix(T)``) is the one
   implementation of this contraction.
+* The inner derivation t_A -> lam_p t_A - t_A lam_p, with p a new leading
+  frame slot, has one implementation, ``_lambda_commutator`` (two GEMMs);
+  only ``connection.covariant_derivative`` still keeps an einsum of its own.
 * Applying M then M2 composes to the tensor with matrix form
   ``mat(M) @ mat(M2)`` (the first map applied is leftmost).
 * A word of adjacent operators is a sequence of positions i, each acting
@@ -102,6 +105,19 @@ def _omega_at_slot(coeffs: np.ndarray, w: np.ndarray, i: int) -> np.ndarray:
     c = coeffs.reshape(left, n, right, N, N).transpose(0, 2, 3, 1, 4)
     out = (c.reshape(left * right * N, n * N) @ w).reshape(left, right, N, n * n, N)
     return out.transpose(0, 3, 1, 2, 4).reshape((n,) * (p + 1) + (N, N))
+
+
+def _lambda_commutator(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """lam_p t_A - t_A lam_p at (p, A...) for any stack t of shape (..., N, N);
+    each product is one GEMM over all A."""
+    n, N = lam.shape[0], lam.shape[-1]
+    c = coeffs.reshape(-1, N, N)
+    m = c.shape[0]
+    left = lam.reshape(n * N, N) @ c.transpose(1, 0, 2).reshape(N, m * N)
+    right = c.reshape(m * N, N) @ lam.transpose(1, 0, 2).reshape(N, n * N)
+    out = left.reshape(n, N, m, N).transpose(0, 2, 1, 3)
+    out = out - right.reshape(m, N, n, N).transpose(2, 0, 1, 3)
+    return out.reshape((n,) + coeffs.shape)
 
 
 def word_tensor(s: np.ndarray, strands: int, letters) -> np.ndarray:

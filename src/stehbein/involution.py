@@ -108,11 +108,9 @@ def _reverse_word_tensor(s: np.ndarray, k: int) -> np.ndarray:
 def build_jn(b: Braiding, n: int) -> np.ndarray:
     """The rank-2n star tensor J^(n) = R W_n.
 
-    W_n, the braiding word for the inverse-order permutation, is built by
-    the recursion W_n = (W_(n-1) x 1) o sigma_(n-1) ... sigma_1 (see
-    ``_reverse_word_tensor``): n-1 letter passes on the rank-2n tensor, not
-    the n(n-1)/2 of composing the word letter by letter.  Then the upper
-    index block is reversed (R, the action of l_n on basis monomials).
+    W_n, the braiding word for the inverse-order permutation, comes from the
+    recursion of ``_reverse_word_tensor``; then the upper index block is
+    reversed (R, the action of l_n on basis monomials).
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -156,12 +154,10 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
     """Max entry of conj(J^(n)) o J^(n) - identity.
 
     With J = R W (``build_jn``) and R a real involution, conj(J) J - 1 is
-    R (conj(W) J - R), the same entries in other rows.  So the conjugate
-    word acts on J one letter at a time, leftmost letter first, and R is
-    subtracted in place: n(n-1)/2 passes of d^(2n) d^2 MACs at frame
-    dimension d, with no dense (d^n)^2 product, conj copy or identity.  No
-    inverse is taken, so a singular S gives its residual and a NaN in S
-    gives NaN.
+    R (conj(W) J - R), the same entries in other rows: the conjugate word
+    acts on J one letter at a time, leftmost first, and R is subtracted in
+    place (see the module docstring).  No inverse is taken, so a singular S
+    gives its residual and a NaN in S gives NaN.
     """
     y = build_jn(b, n)
     if n == 1:
@@ -219,13 +215,8 @@ def check_D2_reality(c: Connection, b: Braiding) -> tuple[float, float, float]:
 
     The two D_n checks run with ``op = d2``.  The three forms are provably
     equivalent once the connection itself is real; the caller is
-    responsible for cross-checking them (see the verify runner).
-
-    The coefficient identity (``_d2_coefficient_residual``) is four GEMMs,
-    t3 and t4 over a precomposed S S: n^7 N^2 multiply-adds in BLAS, where a
-    three-operand einsum loops over n^8 N^2.  It reads only S and omega and
-    calls neither ``d2`` nor ``dn``, so a fault in D_2 cannot cancel out of
-    the comparison.
+    responsible for cross-checking them (see the verify runner).  The
+    coefficient identity is ``_d2_coefficient_residual``.
     """
     strong = check_Dn_reality(c, b, 2, d2)
     braided = check_sigma_lemma(c, b, 2, d2)
@@ -239,13 +230,10 @@ def _d2_coefficient_residual(s: np.ndarray, om: np.ndarray) -> float:
         t3 = S^{ba}_{pq} S^{pr}_{cd} omega^q_{re},
         t4 = S^{bq}_{cp} S^{pr}_{de} omega^a_{qr},
 
-    at (a, b, c, d, e).  Contraction order: t1 and t2 are one GEMM each
-    over p between a reshaped S and a reshaped omega.  t3 and t4 first
-    compose S with S over p, an einsum on S alone of n^7 products, then
-    take one GEMM with omega over the pair (q, r).  At frame dimension n
-    and matrix size N, t1 and t2 cost n^6 N^2 multiply-adds and t3 and t4
-    n^7 N^2, all in BLAS; a three-operand einsum of t3 or t4 is one nested
-    loop of n^8 N^2 triple products.
+    at (a, b, c, d, e).  t1 and t2 are one GEMM each over p.  t3 and t4
+    first compose S with S over p (n^7 products on S alone), then take one
+    GEMM with omega over (q, r): n^7 N^2 multiply-adds in BLAS, where a
+    three-operand einsum is one nested loop of n^8 N^2 triple products.
 
     The route reads only S and omega, never ``d2``, ``dn``, ``central_at``
     or ``_omega_at_slot``, so it stays independent of the strong and

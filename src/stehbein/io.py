@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calculus import FrameGeometry, geometry_invariants
+from .calculus import FrameGeometry, _projector_residual, geometry_invariants
 from .braiding import Braiding, make_braiding, sigma_from_tau
 
 LOAD_TOL = 1e-8  # structural gate for invariants enforced at load
@@ -124,12 +124,17 @@ def _geometry_from_dict(doc: dict) -> FrameGeometry:
         geom = FrameGeometry(N=N, n=n, lam=lam, P=p, S=s, **kwargs)
     except ValueError as exc:
         raise GeometryFileError(str(exc)) from exc
-    for name, residual in geometry_invariants(geom).items():
+    _enforce("geometry", geometry_invariants(geom))
+    return geom
+
+
+def _enforce(kind: str, invariants: dict[str, float]) -> None:
+    """Raise GeometryFileError naming the first invariant whose residual exceeds LOAD_TOL."""
+    for name, residual in invariants.items():
         if not residual <= LOAD_TOL:
             raise GeometryFileError(
-                f"geometry violates invariant {name!r} (residual {residual:.3g})",
+                f"{kind} violates invariant {name!r} (residual {residual:.3g})",
                 violation=name)
-    return geom
 
 
 def load_input(path):
@@ -138,8 +143,8 @@ def load_input(path):
     A key that only a geometry carries makes it a geometry file, which then
     needs "lambda".  A key outside the type's set is refused by name.
     Returns a FrameGeometry or a (Braiding, P-or-None) pair.  Structural
-    invariants of a geometry are enforced here; violations raise
-    GeometryFileError naming the invariant.
+    invariants (a braiding file's P must be a projector too) are enforced
+    here; violations raise GeometryFileError naming the invariant.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -168,8 +173,10 @@ def load_input(path):
         if s.shape != (n,) * 4:
             raise GeometryFileError(f"S has shape {s.shape}, expected {(n,) * 4}")
         p = decode_complex_array(doc["P"], 4, "P") if "P" in doc else None
-        if p is not None and p.shape != s.shape:
-            raise GeometryFileError(f"P has shape {p.shape}, expected {s.shape}")
+        if p is not None:
+            if p.shape != s.shape:
+                raise GeometryFileError(f"P has shape {p.shape}, expected {s.shape}")
+            _enforce("braiding", {"P_projector": _projector_residual(p)})
         return make_braiding(s), p
     raise GeometryFileError(
         f"{path} is neither a geometry file (needs 'lambda') nor a braiding file (needs 'S')")

@@ -8,21 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frametensor import worst
+from .frametensor import _lambda_commutator, worst
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose.  Works on a single element or a stack of them."""
     return np.conj(np.swapaxes(np.asarray(a), -1, -2))
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] = ab - ba."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -46,5 +37,4 @@ def centrality_residual(a: np.ndarray, geom) -> float:
     a = np.asarray(a)
     if lam.shape[-1] != a.shape[-1]:
         raise ValueError(f"dimension mismatch: element is {a.shape}, generators are {lam.shape}")
-    stack = a.reshape(-1, 1, *a.shape[-2:])
-    return worst(np.linalg.norm(commutator(lam, stack), axis=(-2, -1)).ravel())
+    return worst(np.linalg.norm(_lambda_commutator(lam, a), axis=(-2, -1)).ravel())

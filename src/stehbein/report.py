@@ -22,6 +22,7 @@ residual is the same whichever ``--checks`` groups run with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -39,6 +40,7 @@ from .braiding import (
     sigma_unitarity_residual,
 )
 from .connection import (
+    MAX_DEGREE,
     Connection,
     algebraic_torsion,
     central_connection,
@@ -179,6 +181,7 @@ REPORT_SCHEMA = {
         },
     },
 }
+MIN_ORDER = REPORT_SCHEMA["properties"]["max_order"]["minimum"]
 
 
 def resolve_connection(geom: FrameGeometry, braid: Braiding,
@@ -393,8 +396,16 @@ def run_verify(loaded, *, tol: float = DEFAULT_TOL, checks=None,
     returned by the loader.  ``checks`` is an optional set of group names
     (see GROUPS); everything applicable runs by default.  Report order is
     the order of CHECKS.  ``connection_mode`` is auto, d0 or torsion-free
-    (see ``resolve_connection``).
+    (see ``resolve_connection``).  An unknown or empty ``checks``, a ``tol``
+    that is not finite and > 0, or a ``max_order`` outside [2, MAX_DEGREE]
+    raises ValueError before any check runs.
     """
+    if checks is not None and (not checks or set(checks) - set(GROUPS)):
+        raise ValueError(f"checks {sorted(checks)} must name known groups: {sorted(GROUPS)}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
+    if not MIN_ORDER <= max_order <= MAX_DEGREE:
+        raise ValueError(f"max_order must be between {MIN_ORDER} and {MAX_DEGREE}, got {max_order}")
     report = VerificationReport(tolerance=tol, seed=seed, max_order=max_order,
                                 source=str(source))
     ctx = _Context(loaded, tol, seed, connection_mode)

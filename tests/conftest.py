@@ -13,7 +13,7 @@ from stehbein import (
     su2_flip_geometry,
     torsionfree_connection,
 )
-from stehbein.connection import algebraic_torsion, torsion_forms
+from stehbein.connection import algebraic_torsion, solve_torsionfree_chi, torsion_forms
 
 # lam_a = -(i/2) Pauli_a, written out so the tests do not depend on the fixtures
 LAM1 = np.array([[0, -0.5j], [-0.5j, 0]])
@@ -38,6 +38,19 @@ def su2_torsionfree_connection():
     """D_(0) (which has omega = 0 here) plus the minimum-norm central chi
     solving the torsion-free condition; for this geometry chi^a_{bc} = eps_{bca}/2."""
     return torsionfree_connection(su2_flip_geometry(), su2_braiding())
+
+
+def spin_frame_geometry(j):
+    """lam_a = -i J_a of the spin-j irrep, F = eps, K = 0, antisymmetric P, flip S,
+    metric delta and the torsion-free chi: perfbench's su2-wide frame at j = 15/2,
+    without its seeded unitary conjugation."""
+    dim = int(2 * j) + 1
+    m = j - np.arange(dim)
+    j_plus = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), k=1).astype(complex)
+    jx, jy = (j_plus + j_plus.T) / 2, (j_plus - j_plus.T) / 2j
+    lam = -1j * np.array([jx, jy, np.diag(m).astype(complex)])
+    base = dataclasses.replace(su2_flip_geometry(), N=dim, lam=lam)
+    return dataclasses.replace(base, chi=solve_torsionfree_chi(base, make_braiding(base.S)))
 
 
 def random_tau(seed: int, n: int = 3) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from stehbein import build_jn, cli, curvature, make_braiding
-from stehbein.io import decode_complex_array, load_input
+from stehbein.io import decode_complex_array, encode_complex_array, load_input
 from stehbein.report import REPORT_SCHEMA, resolve_connection
 
 # the groups that read only S and P, the checks a braiding file can run
@@ -351,3 +351,27 @@ def test_exit_2_when_memory_runs_out(name, argv, patched, where, fixture_file, t
     assert capsys.readouterr().err == (
         f"error: {where} with frame dimension n=3 ran out of memory\n")
     assert not out.exists()
+
+
+def test_a_braiding_file_whose_p_is_not_a_projector_exits_2(tmp_path, capsys):
+    twist, out = tmp_path / "twist.json", tmp_path / "report.json"
+    assert cli.main(["fixture", "phase-twist", "--out", str(twist)]) == 0
+    doc = json.loads(twist.read_text(encoding="utf-8"))
+    braid, p = load_input(twist)
+    doc["P"] = encode_complex_array(2 * p)
+    twist.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["verify", str(twist), "--checks", "sigma-consistency",
+                     "--report", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: braiding violates invariant 'P_projector' (residual 1)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (4, 5)])
+def test_phase_twist_fixtures_still_load_with_their_projector(n, seed, tmp_path):
+    path = tmp_path / "twist.json"
+    assert cli.main(["fixture", "phase-twist", "--frame-dim", str(n), "--seed", str(seed),
+                     "--out", str(path)]) == 0
+    braid, p = load_input(path)
+    assert braid.n == n and p.shape == (n,) * 4

@@ -134,6 +134,15 @@ def test_a_file_that_is_not_utf8_is_refused(tmp_path):
         load_input(path)
 
 
+def test_a_braiding_file_whose_p_is_not_a_projector_is_refused(tmp_path):
+    # (S + 1) 2 P0 = 0 still holds, so sigma-consistency alone would pass it
+    braid, p = random_phase_twist(0, 3)
+    path = _write(braiding_to_dict(braid, 2 * p), tmp_path / "twist.json")
+    with pytest.raises(GeometryFileError, match="braiding violates invariant 'P_projector'") as exc:
+        load_input(path)
+    assert exc.value.violation == "P_projector"
+
+
 def test_every_benchmark_input_loads(tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")

@@ -1,5 +1,5 @@
-"""The GEMM kernels of D, d on 1-forms, D_n, D_2, the central action and
-the star tensors j_n against einsum oracles.
+"""The GEMM kernels of D, d on 0- and 1-forms, D_n, D_2, the lambda-commutator,
+the central action and the star tensors j_n against einsum oracles.
 
 The reference functions are the einsum, tensordot and dense-product bodies
 these kernels replaced; the GEMMs sum in another order, so agreement is to
@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from stehbein.braiding import Braiding, make_braiding
-from stehbein.calculus import differential1, maurer_cartan
+from stehbein.calculus import differential0, differential1, maurer_cartan
 from stehbein.connection import Connection, covariant_derivative, d0_connection, d2, dn
 from stehbein.fixtures import random_geometry, su2_braiding
 from stehbein.fixtures import phase_twist_braiding, random_phase_twist
 from stehbein.frametensor import (
     FrameTensorField,
+    _lambda_commutator,
     apply_central_at,
     basis_field,
     central_at,
@@ -31,9 +32,10 @@ from stehbein.frametensor import (
 )
 from stehbein import cli, involution
 from stehbein.involution import build_jn, check_jn_involutive, reverse_word, star_form
+from stehbein.matalg import centrality_residual
 from stehbein.report import run_verify
 
-from conftest import su2_torsionfree_connection
+from conftest import spin_frame_geometry, su2_torsionfree_connection
 
 TOL = 1e-13
 
@@ -110,6 +112,15 @@ def ref_differential1(xi, geom):
     return apply_central_at(FrameTensorField(geom.n, raw), geom.P, 1)
 
 
+def ref_differential0_matmul(f, geom):
+    return FrameTensorField(geom.n, geom.lam @ f - f @ geom.lam)
+
+
+def ref_differential0_einsum(f, geom):
+    out = np.einsum('pij,jk->pik', geom.lam, f) - np.einsum('ij,pjk->pik', f, geom.lam)
+    return FrameTensorField(geom.n, out)
+
+
 # name -> (operator, its oracle), both called as (connection, braiding, field)
 ONE_FORM_OPERATORS = {
     "covariant_derivative": (lambda c, b, t: covariant_derivative(c, t),
@@ -156,18 +167,53 @@ def test_dn_matches_its_einsum_oracle(name, degree, request):
 
 
 @GEOMETRIES
-@pytest.mark.parametrize("operator", ONE_FORM_OPERATORS)
+@pytest.mark.parametrize("operator", [*ONE_FORM_OPERATORS, "differential0"])
 def test_d_and_differential1_match_their_einsum_oracles(name, operator, request):
     conn, braid = _geometry(name, request)
-    ours, ref = ONE_FORM_OPERATORS[operator]
+    if operator == "differential0":
+        # d on the coefficient of a 1-form, against the commutator it replaced
+        # (one broadcast matmul) and against an einsum, to 1e-14
+        ours = lambda c, b, t: differential0(t.coeffs[0], c.geom)
+        refs = [lambda c, b, t, ref=ref: ref(t.coeffs[0], c.geom)
+                for ref in (ref_differential0_matmul, ref_differential0_einsum)]
+        tol = 1e-14
+    else:
+        ours, ref = ONE_FORM_OPERATORS[operator]
+        refs, tol = [ref], TOL
     rng = np.random.default_rng(3)
     for _ in range(3):
         t = _random_field(rng, conn.geom.n, conn.geom.N, 1)
-        got, want = ours(conn, braid, t), ref(conn, braid, t)
-        if name == "su2-torsion-free":
-            assert np.array_equal(got.coeffs, want.coeffs)
-        else:
-            assert _gap(got, want) <= TOL
+        got = ours(conn, braid, t)
+        for ref in refs:
+            want = ref(conn, braid, t)
+            if name == "su2-torsion-free":
+                assert np.array_equal(got.coeffs, want.coeffs)
+            else:
+                assert _gap(got, want) <= tol
+
+
+@pytest.mark.parametrize("N", [2, 16])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_lambda_commutator_matches_a_loop_over_p_and_a(N, degree):
+    rng = np.random.default_rng(10 * N + degree)
+    lam = (rng.normal(size=(3, N, N)) + 1j * rng.normal(size=(3, N, N))) / np.sqrt(N)
+    t = _random_field(rng, 3, N, degree).coeffs
+    got = _lambda_commutator(lam, t)
+    assert got.shape == (3,) + t.shape
+    for p in range(3):
+        for idx in np.ndindex(*t.shape[:-2]):
+            want = lam[p] @ t[idx] - t[idx] @ lam[p]
+            assert np.max(np.abs(got[(p,) + idx] - want)) <= 1e-14, (p, idx)
+
+
+def test_lambda_commutator_closes_the_spin_frame():
+    # [lam_a, lam_b] = eps_abc lam_c for lam_a = -i J_a, here at N = 16
+    lam = spin_frame_geometry(7.5).lam
+    got = _lambda_commutator(lam, lam)
+    eps = np.zeros((3, 3, 3))
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[a, b, c], eps[b, a, c] = 1.0, -1.0
+    assert np.max(np.abs(got - np.einsum('abc,cij->abij', eps, lam))) <= 1e-13
 
 
 def test_differential1_matches_its_oracle_on_a_generic_c():
@@ -399,3 +445,20 @@ def test_nan_in_s_reaches_word_tensor_and_star_form():
         jn = build_jn(braid, degree)
         for idx in itertools.product(range(3), repeat=degree):
             assert np.isnan(star_form(basis_field(3, 2, idx), jn).coeffs).any(), idx
+
+
+@pytest.mark.parametrize("where", ["lambda", "argument"])
+def test_nan_reaches_d0_d1_and_the_centrality_residual(where):
+    # matrix units and basis 1-forms are mostly zeros, which a GEMM must not skip
+    geom = su2_torsionfree_connection().geom
+    if where == "lambda":
+        geom = dataclasses.replace(geom, lam=_with_nan(geom.lam, (1, 0, 1)))
+    for i, j in itertools.product(range(2), repeat=2):
+        unit = np.zeros((2, 2), dtype=complex)
+        unit[i, j] = np.nan if where == "argument" else 1.0
+        assert np.isnan(differential0(unit, geom).coeffs).any(), (where, i, j)
+        assert np.isnan(centrality_residual(unit, geom)), (where, i, j)
+        for a in range(3):
+            field = FrameTensorField(3, np.zeros((3, 2, 2), dtype=complex))
+            field.coeffs[a] = unit
+            assert np.isnan(differential1(field, geom).coeffs).any(), (where, a, i, j)

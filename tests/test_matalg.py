@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stehbein.calculus import differential0
+from stehbein.frametensor import _lambda_commutator
 from stehbein.matalg import (
     adjoint,
     antihermiticity_residual,
     centrality_residual,
-    commutator,
     frobenius_norm,
 )
 
@@ -45,25 +46,39 @@ def test_adjoint_antihomomorphism(seed, N):
     assert frobenius_norm(adjoint(a @ b) - adjoint(b) @ adjoint(a)) <= 1e-12
 
 
+def commutator(a, b):
+    """[a, b] through the one lambda-commutator kernel, with a as the only generator."""
+    return _lambda_commutator(np.asarray(a)[None], np.asarray(b))[0]
+
+
 def test_commutator_with_self_is_zero():
     a = _rand(1)
     assert frobenius_norm(commutator(a, a)) == 0.0
 
 
-def test_commutator_su2_cyclic():
-    assert np.allclose(commutator(LAM1, LAM2), LAM3, atol=1e-15)
-    assert np.allclose(commutator(LAM2, LAM3), LAM1, atol=1e-15)
-    assert np.allclose(commutator(LAM3, LAM1), LAM2, atol=1e-15)
+def test_commutator_su2_cyclic(su2_geom):
+    # d f = [lam_a, f] theta^a, so slot a of d lam_b is [lam_a, lam_b]
+    assert np.allclose(differential0(LAM2, su2_geom).coeffs[0], LAM3, atol=1e-15)
+    assert np.allclose(differential0(LAM3, su2_geom).coeffs[1], LAM1, atol=1e-15)
+    assert np.allclose(differential0(LAM1, su2_geom).coeffs[2], LAM2, atol=1e-15)
+    for a in range(3):
+        assert np.array_equal(differential0(LAM[a], su2_geom).coeffs[a], np.zeros((2, 2)))
 
 
-def test_commutator_identity_is_central():
+def test_commutator_identity_is_central(su2_geom):
     b = _rand(2)
     assert frobenius_norm(commutator(np.eye(2), b)) == 0.0
+    assert not differential0(np.eye(2), su2_geom).coeffs.any()
 
 
-def test_commutator_dimension_mismatch():
-    with pytest.raises(ValueError):
-        commutator(np.eye(2), np.eye(3))
+def test_commutator_dimension_mismatch(su2_geom):
+    # the kernel takes any stack; its callers check the matrix size
+    for f in (np.eye(3), np.zeros((3, 2, 2))):
+        with pytest.raises(ValueError):
+            differential0(f, su2_geom)
+    for a in (np.eye(3), np.zeros((4, 3, 3))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            centrality_residual(a, LAM)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,19 +12,21 @@ from jsonschema import Draft202012Validator, ValidationError
 
 from stehbein import calculus, cli, make_braiding, su2_flip_geometry
 from stehbein.calculus import maurer_cartan
-from stehbein.connection import solve_torsionfree_chi
+from stehbein.connection import MAX_DEGREE
 from stehbein.fixtures import build_fixture
+from stehbein.io import geometry_to_dict, save_json
 from stehbein.report import CHECKS, GROUPS, REPORT_SCHEMA, resolve_connection, run_verify
 
-from conftest import su2_torsionfree_connection
+from conftest import spin_frame_geometry, su2_torsionfree_connection
 
 # (name, status, equation_anchor) of every row, recorded before the check
 # table replaced the hand-written runner
 PINNED = json.loads((Path(__file__).parent / "data" / "pinned_verdicts.json")
                     .read_text(encoding="utf-8"))
 # every row's residual on the same fixtures and on `random` at order 3, recorded
-# before the contractions were routed through frametensor.central_at; null
-# where the row is skipped
+# before the contractions were routed through frametensor.central_at, and on
+# the N = 16 spin frame, recorded before d joined the lambda-commutator GEMM;
+# null where the row is skipped
 PINNED_RESIDUALS = json.loads((Path(__file__).parent / "data" / "pinned_residuals.json")
                               .read_text(encoding="utf-8"))
 RESIDUAL_TOL = 1e-14
@@ -32,14 +34,17 @@ RESIDUAL_TOL = 1e-14
 
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
-    """``verify --report`` documents of the pinned fixtures, keyed as PINNED
-    and PINNED_RESIDUALS; `random` fails rows, so its exit code is 1."""
+    """``verify --report`` documents of the pinned inputs, keyed as PINNED
+    and PINNED_RESIDUALS; `random` fails rows, so its exit code is 1.  The
+    spin frame is built here, the other inputs by ``fixture``."""
     tmp = tmp_path_factory.mktemp("reports")
     out = {}
     for key in PINNED_RESIDUALS:
         name, order = key.split("@")
         path = tmp / f"{name}.json"
-        if not path.exists():
+        if name == "spin-7.5":
+            save_json(geometry_to_dict(spin_frame_geometry(7.5)), path)
+        elif not path.exists():
             assert cli.main(["fixture", name, "--out", str(path)]) == 0
         report = tmp / f"{key}.json"
         code = cli.main(["verify", str(path), "--max-order", order, "--report", str(report)])
@@ -208,21 +213,8 @@ def test_inf_in_omega_fails_the_rows_that_nan_fails():
     assert inf_counts == nan_counts == {"pass": 15, "fail": 14, "skipped": 1}
 
 
-def _spin_frame_geometry(j):
-    """lam_a = -i J_a of the spin-j irrep, F = eps, K = 0, antisymmetric P, flip S,
-    metric delta and the torsion-free chi: perfbench's su2-wide frame at j = 15/2,
-    without its seeded unitary conjugation."""
-    dim = int(2 * j) + 1
-    m = j - np.arange(dim)
-    j_plus = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), k=1).astype(complex)
-    jx, jy = (j_plus + j_plus.T) / 2, (j_plus - j_plus.T) / 2j
-    lam = -1j * np.array([jx, jy, np.diag(m).astype(complex)])
-    base = dataclasses.replace(su2_flip_geometry(), N=dim, lam=lam)
-    return dataclasses.replace(base, chi=solve_torsionfree_chi(base, make_braiding(base.S)))
-
-
 def test_one_maurer_cartan_build_per_run_on_the_wide_frame(monkeypatch):
-    geom = _spin_frame_geometry(7.5)
+    geom = spin_frame_geometry(7.5)
     builds = []
 
     def counted(g):
@@ -249,3 +241,23 @@ def test_nan_in_s_fails_every_row_that_reads_s(mode, su2_tf):
     # only the calculus rows, which never read S, may pass
     assert passed <= {"structure", "theta-squared", "d-squared"}
     assert status["braid"] == status["jn-involutive-3"] == "fail"
+
+
+# run_verify checks its request itself: from Python, nothing validated it first
+@pytest.mark.parametrize("checks", [{"brai"}, {"braid", "yb", "leibnitz"}, set()])
+def test_run_verify_refuses_an_unknown_or_empty_group_selection(checks):
+    with pytest.raises(ValueError, match="must name known groups"):
+        run_verify(su2_flip_geometry(), checks=checks)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_run_verify_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+        run_verify(su2_flip_geometry(), tol=tol, checks={"braid"})
+
+
+@pytest.mark.parametrize("order", [1, 0, MAX_DEGREE + 1])
+def test_run_verify_refuses_an_order_outside_2_to_max_degree(order):
+    # with only the braid group selected, an unchecked order would return at once
+    with pytest.raises(ValueError, match=f"max_order must be between 2 and {MAX_DEGREE}"):
+        run_verify(su2_flip_geometry(), max_order=order, checks={"braid"})
