@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import _read_only
 from .frametensor import (
     FrameTensorField,
     apply_central_at,
@@ -28,23 +29,19 @@ class SingularBraidingError(ValueError):
 class Braiding:
     """sigma(theta^a x theta^b) = S^{ab}_{cd} theta^c x theta^d.
 
-    Only S is stored; a singular S is accepted here and left for the
-    checks to judge.
+    Only S is stored, as a read-only copy; a singular S is accepted here
+    and left for the checks to judge.
     """
 
     n: int
     S: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.S, dtype=complex)
-        object.__setattr__(self, "S", s)
-        if s.shape != (self.n,) * 4:
-            raise ValueError(f"S has shape {s.shape}, expected {(self.n,) * 4}")
+        object.__setattr__(self, "S", _read_only(self.S, "S", (self.n,) * 4))
 
 
 def make_braiding(s: np.ndarray) -> Braiding:
-    s = np.asarray(s, dtype=complex)
-    return Braiding(n=s.shape[0], S=s)
+    return Braiding(n=np.shape(s)[0], S=s)
 
 
 def sigma_from_tau(t: np.ndarray, p: np.ndarray) -> Braiding:

@@ -22,10 +22,29 @@ from .frametensor import (
 )
 
 
-def _read_only(x) -> np.ndarray:
+def _read_only(x, name: str, shape: tuple) -> np.ndarray:
+    """A read-only complex copy of ``x`` of the given shape: the one rule for every
+    array a record keeps.  ``FrameTensorField``, built per term of the D_n loops
+    and written into by ``dn`` before it is wrapped, keeps its coefficients as given."""
     a = np.array(x, dtype=complex)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
     a.flags.writeable = False
     return a
+
+
+# (field, geometry-file key, axes) of each array a geometry carries; an axis
+# is the frame dimension n or the matrix dimension N
+GEOMETRY_ARRAYS = (
+    ("lam", "lambda", "nNN"),
+    ("P", "P", "nnnn"),
+    ("S", "S", "nnnn"),
+    ("F", "F", "nnn"),
+    ("K", "K", "nn"),
+    ("g", "metric", "nn"),
+    ("omega", "omega", "nnnNN"),
+    ("chi", "chi", "nnn"),
+)
 
 
 # eq=False: array fields have no truth value, so equality and hashing are by identity
@@ -35,8 +54,9 @@ class FrameGeometry:
 
     ``lam`` are the frame generators (the differential is f -> [lam_a, f]),
     ``P`` the wedge projector, ``S`` the generalized-permutation tensor,
-    ``F``/``K`` the central structure tensors, ``g`` an optional metric,
-    ``omega``/``chi`` optional connection data, at most one of the two.
+    ``F``/``K`` the central structure tensors, zero when not given, ``g`` an
+    optional metric, ``omega``/``chi`` optional connection data, at most one
+    of the two.  ``GEOMETRY_ARRAYS`` gives each array's shape and file key.
 
     The arrays are read-only copies, so the Maurer-Cartan tensor ``C`` and
     its GEMM form ``C_matrix``, each built on first use and kept, cannot go
@@ -46,56 +66,36 @@ class FrameGeometry:
 
     N: int
     n: int
-    lam: np.ndarray              # (n, N, N)
-    P: np.ndarray                # (n, n, n, n)
-    S: np.ndarray                # (n, n, n, n)
-    F: np.ndarray | None = None  # (n, n, n), defaults to zero
-    K: np.ndarray | None = None  # (n, n), defaults to zero
-    g: np.ndarray | None = None  # (n, n)
-    omega: np.ndarray | None = None  # (n, n, n, N, N)
-    chi: np.ndarray | None = None    # (n, n, n)
+    lam: np.ndarray
+    P: np.ndarray
+    S: np.ndarray
+    F: np.ndarray | None = None
+    K: np.ndarray | None = None
+    g: np.ndarray | None = None
+    omega: np.ndarray | None = None
+    chi: np.ndarray | None = None
 
     def __post_init__(self):
-        n, N = self.n, self.N
-        conv = lambda x: None if x is None else _read_only(x)
-        object.__setattr__(self, "lam", _read_only(self.lam))
-        object.__setattr__(self, "P", _read_only(self.P))
-        object.__setattr__(self, "S", _read_only(self.S))
-        object.__setattr__(self, "F", _read_only(np.zeros((n,) * 3) if self.F is None else self.F))
-        object.__setattr__(self, "K", _read_only(np.zeros((n,) * 2) if self.K is None else self.K))
-        for name, val, shape in [
-            ("lam", self.lam, (n, N, N)),
-            ("P", self.P, (n,) * 4),
-            ("S", self.S, (n,) * 4),
-            ("F", self.F, (n,) * 3),
-            ("K", self.K, (n,) * 2),
-        ]:
-            if val.shape != shape:
-                raise ValueError(f"{name} has shape {val.shape}, expected {shape}")
-        for name, val, shape in [
-            ("g", conv(self.g), (n,) * 2),
-            ("omega", conv(self.omega), (n, n, n, N, N)),
-            ("chi", conv(self.chi), (n,) * 3),
-        ]:
-            object.__setattr__(self, name, val)
-            if val is not None and val.shape != shape:
-                raise ValueError(f"{name} has shape {val.shape}, expected {shape}")
+        dims = {"n": self.n, "N": self.N}
+        for field, _, axes in GEOMETRY_ARRAYS:
+            shape, value = tuple(dims[a] for a in axes), getattr(self, field)
+            if value is None and field in ("F", "K"):
+                value = np.zeros(shape)
+            if value is not None:
+                object.__setattr__(self, field, _read_only(value, field, shape))
         if self.omega is not None and self.chi is not None:
             raise ValueError("geometry carries both 'omega' and 'chi'; give one connection")
 
     @cached_property
     def C(self) -> np.ndarray:
         """The Maurer-Cartan tensor ``maurer_cartan(self)``, read-only."""
-        c = maurer_cartan(self)
-        c.flags.writeable = False
-        return c
+        return _read_only(maurer_cartan(self), "C", (self.n,) * 3 + (self.N,) * 2)
 
     @cached_property
     def C_matrix(self) -> np.ndarray:
         """``_omega_matrix(self.C)``, read-only: the operand of ``_omega_at_slot``."""
-        w = _omega_matrix(self.C)
-        w.flags.writeable = False
-        return w
+        return _read_only(_omega_matrix(self.C), "C_matrix",
+                          (self.n * self.N, self.n ** 2 * self.N))
 
 
 def _projector_residual(p: np.ndarray) -> float:

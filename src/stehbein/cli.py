@@ -153,31 +153,33 @@ def main(argv=None) -> int:
     if error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.command == "fixture":
-        given = {"seed": args.seed, "n": args.frame_dim}
-        kind, obj = build_fixture(args.name, **{k: v for k, v in given.items() if v is not None})
-        payload = geometry_to_dict(obj) if kind == "geometry" else braiding_to_dict(*obj)
-        return 0 if _write(payload, args.out, f"{args.name} fixture") else 2
     try:
-        loaded = load_input(args.input)
+        loaded = None if args.command == "fixture" else load_input(args.input)
     except GeometryFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         return _dispatch(args, loaded)
     except MemoryError:
-        n = loaded.n if isinstance(loaded, FrameGeometry) else loaded[0].n
+        # a fixture has n = 3 unless --frame-dim gives another
+        n = ((args.frame_dim or 3) if loaded is None
+             else loaded.n if isinstance(loaded, FrameGeometry) else loaded[0].n)
         # j_k alone has n^(2k) entries, so the order bounds cannot hold for every n
-        where = ""
-        if args.command in INT_BOUNDS:
-            flag = INT_BOUNDS[args.command][0][0]
-            where = f" at {flag} {_option_value(args, flag)}"
+        flag = INT_BOUNDS[args.command][0][0] if args.command in INT_BOUNDS else None
+        value = None if flag is None else _option_value(args, flag)
+        where = "" if value is None else f" at {flag} {value}"
         print(f"error: {args.command}{where} with frame dimension n={n} ran out of memory",
               file=sys.stderr)
         return 2
 
 
 def _dispatch(args, loaded) -> int:
+    if args.command == "fixture":
+        given = {"seed": args.seed, "n": args.frame_dim}
+        kind, obj = build_fixture(args.name, **{k: v for k, v in given.items() if v is not None})
+        payload = geometry_to_dict(obj) if kind == "geometry" else braiding_to_dict(*obj)
+        return 0 if _write(payload, args.out, f"{args.name} fixture") else 2
+
     if args.command == "verify":
         checks = None
         # an empty --checks selects nothing; it does not mean the default of all groups

@@ -47,18 +47,14 @@ class Connection:
     omega: np.ndarray  # (n, n, n, N, N)
 
     def __post_init__(self):
-        om = _read_only(self.omega)
-        object.__setattr__(self, "omega", om)
         n, N = self.geom.n, self.geom.N
-        if om.shape != (n, n, n, N, N):
-            raise ValueError(f"omega has shape {om.shape}, expected {(n, n, n, N, N)}")
+        object.__setattr__(self, "omega", _read_only(self.omega, "omega", (n, n, n, N, N)))
 
     @cached_property
     def omega_matrix(self) -> np.ndarray:
         """``_omega_matrix(self.omega)``, read-only: the operand of ``_omega_at_slot``."""
-        w = _omega_matrix(self.omega)
-        w.flags.writeable = False
-        return w
+        n, N = self.geom.n, self.geom.N
+        return _read_only(_omega_matrix(self.omega), "omega_matrix", (n * N, n * n * N))
 
 
 # eq=False: array fields have no truth value, so equality and hashing are by identity

@@ -3,9 +3,10 @@
 Files are UTF-8 JSON.  Complex numbers are two-element arrays [re, im];
 tensors are nested row-major arrays of those.  A geometry file carries
 "matrix_dim", "frame_dim", "lambda", "P" and one of "S"/"tau", plus
-optional "F", "K", "metric" and at most one of "omega"/"chi".  A braiding
-file carries "S", optionally "n" (or "frame_dim") and "P".  Any other key
-is refused, so a misspelt key cannot silently drop the data it names.
+optional "F", "K", "metric" and at most one of "omega"/"chi"; each array's
+key and axes are those of ``calculus.GEOMETRY_ARRAYS``.  A braiding file
+carries "S", optionally one of "n"/"frame_dim", and "P".  Any other key is
+refused, so a misspelt key cannot silently drop the data it names.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .calculus import FrameGeometry, _projector_residual, geometry_invariants
-from .braiding import Braiding, make_braiding, sigma_from_tau
+from .calculus import GEOMETRY_ARRAYS, FrameGeometry, _projector_residual, geometry_invariants
+from .braiding import Braiding, sigma_from_tau
 
 LOAD_TOL = 1e-8  # structural gate for invariants enforced at load
 
-GEOMETRY_KEYS = frozenset({"matrix_dim", "frame_dim", "lambda", "P", "S", "tau", "F", "K",
-                           "metric", "omega", "chi"})
+GEOMETRY_KEYS = frozenset({"matrix_dim", "frame_dim", "tau"} | {k for _, k, _ in GEOMETRY_ARRAYS})
 BRAIDING_KEYS = frozenset({"n", "frame_dim", "S", "P"})
 
 
@@ -56,21 +56,10 @@ def decode_complex_array(data, ndim: int, name: str) -> np.ndarray:
 
 
 def geometry_to_dict(geom: FrameGeometry) -> dict:
-    out = {
-        "matrix_dim": geom.N,
-        "frame_dim": geom.n,
-        "lambda": encode_complex_array(geom.lam),
-        "P": encode_complex_array(geom.P),
-        "S": encode_complex_array(geom.S),
-        "F": encode_complex_array(geom.F),
-        "K": encode_complex_array(geom.K),
-    }
-    if geom.g is not None:
-        out["metric"] = encode_complex_array(geom.g)
-    if geom.omega is not None:
-        out["omega"] = encode_complex_array(geom.omega)
-    if geom.chi is not None:
-        out["chi"] = encode_complex_array(geom.chi)
+    out = {"matrix_dim": geom.N, "frame_dim": geom.n}
+    for field, key, _ in GEOMETRY_ARRAYS:
+        if getattr(geom, field) is not None:
+            out[key] = encode_complex_array(getattr(geom, field))
     return out
 
 
@@ -96,32 +85,29 @@ def _dimension(doc: dict, key: str, what: str) -> int:
 def _geometry_from_dict(doc: dict) -> FrameGeometry:
     N = _dimension(doc, "matrix_dim", "matrix dimension")
     n = _dimension(doc, "frame_dim", "frame dimension")
-    lam = decode_complex_array(doc["lambda"], 3, "lambda")
-    # checked before FrameGeometry allocates zero F and K of the declared size
-    if lam.shape != (n, N, N):
-        raise GeometryFileError(f"lambda has shape {lam.shape}, expected {(n, N, N)}")
-    p = decode_complex_array(doc["P"], 4, "P") if "P" in doc else None
-    if p is None:
-        raise GeometryFileError("geometry file lacks the wedge projector 'P'")
-    if "S" in doc and "tau" in doc:
-        raise GeometryFileError("geometry carries both 'S' and 'tau'; give one braiding")
-    if "S" in doc:
-        s = decode_complex_array(doc["S"], 4, "S")
-    elif "tau" in doc:
-        tau = decode_complex_array(doc["tau"], 4, "tau")
-        try:
-            s = sigma_from_tau(tau, p).S
-        except ValueError as exc:
-            raise GeometryFileError(f"cannot build S from tau: {exc}") from exc
-    else:
-        raise GeometryFileError("geometry file needs one of 'S' or 'tau'")
-    kwargs = {}
-    for key, attr, ndim in (("F", "F", 3), ("K", "K", 2), ("metric", "g", 2),
-                            ("omega", "omega", 5), ("chi", "chi", 3)):
+    arrays = {}
+    # in table order, so that a document with several faults is refused for the first
+    for field, key, axes in GEOMETRY_ARRAYS:
         if key in doc:
-            kwargs[attr] = decode_complex_array(doc[key], ndim, key)
+            arrays[field] = decode_complex_array(doc[key], len(axes), key)
+        if field == "lam" and arrays["lam"].shape != (n, N, N):
+            # checked before FrameGeometry allocates zero F and K of the declared size
+            raise GeometryFileError(f"lambda has shape {arrays['lam'].shape}, expected {(n, N, N)}")
+        if field == "P":
+            if "P" not in doc:
+                raise GeometryFileError("geometry file lacks the wedge projector 'P'")
+            if "S" in doc and "tau" in doc:
+                raise GeometryFileError("geometry carries both 'S' and 'tau'; give one braiding")
+            if "tau" in doc:
+                tau = decode_complex_array(doc["tau"], 4, "tau")
+                try:
+                    arrays["S"] = sigma_from_tau(tau, arrays["P"]).S
+                except ValueError as exc:
+                    raise GeometryFileError(f"cannot build S from tau: {exc}") from exc
+            elif "S" not in doc:
+                raise GeometryFileError("geometry file needs one of 'S' or 'tau'")
     try:
-        geom = FrameGeometry(N=N, n=n, lam=lam, P=p, S=s, **kwargs)
+        geom = FrameGeometry(N=N, n=n, **arrays)
     except ValueError as exc:
         raise GeometryFileError(str(exc)) from exc
     _enforce("geometry", geometry_invariants(geom))
@@ -167,17 +153,21 @@ def load_input(path):
     if geometry_only:
         return _geometry_from_dict(doc)
     if "S" in doc:
+        if "n" in doc and "frame_dim" in doc:
+            raise GeometryFileError(f"{path} gives both 'n' and 'frame_dim'; give one frame dimension")
         key = "n" if "n" in doc else "frame_dim"
         s = decode_complex_array(doc["S"], 4, "S")
         n = _dimension(doc, key, "frame dimension n") if key in doc else s.shape[0]
-        if s.shape != (n,) * 4:
-            raise GeometryFileError(f"S has shape {s.shape}, expected {(n,) * 4}")
+        try:
+            braid = Braiding(n, s)
+        except ValueError as exc:
+            raise GeometryFileError(str(exc)) from exc
         p = decode_complex_array(doc["P"], 4, "P") if "P" in doc else None
         if p is not None:
             if p.shape != s.shape:
                 raise GeometryFileError(f"P has shape {p.shape}, expected {s.shape}")
             _enforce("braiding", {"P_projector": _projector_residual(p)})
-        return make_braiding(s), p
+        return braid, p
     raise GeometryFileError(
         f"{path} is neither a geometry file (needs 'lambda') nor a braiding file (needs 'S')")
 

@@ -40,15 +40,20 @@ def su2_torsionfree_connection():
     return torsionfree_connection(su2_flip_geometry(), su2_braiding())
 
 
-def spin_frame_geometry(j):
+def spin_frame_geometry(j, rng=None):
     """lam_a = -i J_a of the spin-j irrep, F = eps, K = 0, antisymmetric P, flip S,
-    metric delta and the torsion-free chi: perfbench's su2-wide frame at j = 15/2,
-    without its seeded unitary conjugation."""
+    metric delta and the torsion-free chi: perfbench's su2-wide frame at j = 15/2.
+    With ``rng`` the frame is conjugated by a Haar unitary drawn from it, as
+    perfbench draws its su2-wide input from ``default_rng([seed, 0x5eb])``."""
     dim = int(2 * j) + 1
     m = j - np.arange(dim)
     j_plus = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), k=1).astype(complex)
     jx, jy = (j_plus + j_plus.T) / 2, (j_plus - j_plus.T) / 2j
     lam = -1j * np.array([jx, jy, np.diag(m).astype(complex)])
+    if rng is not None:
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        lam = u @ lam @ u.conj().T
     base = dataclasses.replace(su2_flip_geometry(), N=dim, lam=lam)
     return dataclasses.replace(base, chi=solve_torsionfree_chi(base, make_braiding(base.S)))
 

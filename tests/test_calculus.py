@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stehbein.calculus import (
+    GEOMETRY_ARRAYS,
     FrameGeometry,
     check_d_squared,
     check_structure,
@@ -15,7 +16,8 @@ from stehbein.calculus import (
     maurer_cartan,
     theta_squared,
 )
-from stehbein.braiding import check_braid, make_braiding
+from stehbein.braiding import Braiding, check_braid, make_braiding
+from stehbein.connection import Connection
 from stehbein.fixtures import random_geometry, su2_flip_geometry
 from stehbein.frametensor import (
     FrameTensorField,
@@ -149,6 +151,34 @@ def test_geometry_copies_its_input_arrays():
     f[0] = 0.0
     assert np.array_equal(geom.lam, LAM) and np.array_equal(geom.F, levi_civita3())
     assert np.array_equal(geom.C, c)
+
+
+def _record(kind, sources):
+    if kind == "Braiding":
+        return Braiding(3, sources["S"])
+    if kind == "Connection":
+        return Connection(su2_flip_geometry(), sources["omega"])
+    return FrameGeometry(N=2, n=3, **sources)
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("FrameGeometry", ("lam", "P", "S", "F", "K", "g", "omega")),
+    ("FrameGeometry", ("lam", "P", "S", "F", "K", "g", "chi")),
+    ("Connection", ("omega",)),
+    ("Braiding", ("S",)),
+], ids=["geometry-omega", "geometry-chi", "connection", "braiding"])
+def test_every_kept_array_is_a_read_only_copy(kind, fields, rng):
+    # complex sources, which np.asarray(x, dtype=complex) would keep as aliases
+    shapes = {f: tuple({"n": 3, "N": 2}[a] for a in axes) for f, _, axes in GEOMETRY_ARRAYS}
+    sources = {f: rng.uniform(0, 1, shapes[f]) + 1j for f in fields}
+    record = _record(kind, sources)
+    for field in fields:
+        kept = getattr(record, field)
+        before = kept.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            kept[(0,) * kept.ndim] = 1.0
+        sources[field][...] = 7.0
+        assert np.array_equal(kept, before), field
 
 
 def _frame_commutation_residual(geom, f):

@@ -339,7 +339,10 @@ def _out_of_memory(*args, **kwargs):
      "verify at --max-order 7"),
     ("phase-twist", ["jn", "-n", "8", "--out", "{out}"], "build_jn", "jn at --order 8"),
     ("su2-torsion-free", ["curvature", "--out", "{out}"], "curvature", "curvature"),
-], ids=["verify", "jn-braiding-file", "curvature"])
+    ("phase-twist", ["fixture", "--frame-dim", "3", "--out", "{out}"], "build_fixture",
+     "fixture at --frame-dim 3"),
+    ("su2-flip", ["fixture", "--out", "{out}"], "build_fixture", "fixture"),
+], ids=["verify", "jn-braiding-file", "curvature", "fixture-frame-dim", "fixture-fixed"])
 def test_exit_2_when_memory_runs_out(name, argv, patched, where, fixture_file, tmp_path,
                                      capsys, monkeypatch):
     # the order bounds do not depend on n; a command that outgrows memory
@@ -347,7 +350,9 @@ def test_exit_2_when_memory_runs_out(name, argv, patched, where, fixture_file, t
     monkeypatch.setattr(cli, patched, _out_of_memory)
     out = tmp_path / "out.json"
     argv = [a.format(out=out) for a in argv]
-    assert cli.main([argv[0], fixture_file(name), *argv[1:]]) == 2
+    # fixture takes the fixture's name where the other commands take a file
+    source = name if argv[0] == "fixture" else fixture_file(name)
+    assert cli.main([argv[0], source, *argv[1:]]) == 2
     assert capsys.readouterr().err == (
         f"error: {where} with frame dimension n=3 ran out of memory\n")
     assert not out.exists()

@@ -2,6 +2,7 @@
 malformed document gets past the loader or the CLI with a traceback."""
 
 import copy
+import dataclasses
 import importlib.util
 import json
 import math
@@ -14,14 +15,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stehbein import (
+    FrameGeometry,
     check_sigma_consistency,
     cli,
     curvature,
+    d0_connection,
     make_braiding,
+    su2_braiding,
     su2_flip_geometry,
 )
+from stehbein.calculus import GEOMETRY_ARRAYS
 from stehbein.fixtures import build_fixture, random_phase_twist
 from stehbein.io import (
+    GEOMETRY_KEYS,
     GeometryFileError,
     braiding_to_dict,
     curvature_to_dict,
@@ -36,8 +42,10 @@ from conftest import random_tau, su2_torsionfree_connection
 SU2 = geometry_to_dict(su2_flip_geometry())
 SU2_TF = geometry_to_dict(build_fixture("su2-torsion-free")[1])
 SU2_TAU = {k: v for k, v in SU2.items() if k != "S"} | {"tau": encode_complex_array(random_tau(0))}
+SU2_OMEGA = geometry_to_dict(dataclasses.replace(
+    su2_flip_geometry(), omega=d0_connection(su2_flip_geometry(), su2_braiding()).omega))
 TWIST = braiding_to_dict(*random_phase_twist(0, 3))
-VALID = (SU2, SU2_TF, SU2_TAU, TWIST)
+VALID = (SU2, SU2_TF, SU2_TAU, SU2_OMEGA, TWIST)
 
 
 def _overflowing_projector():
@@ -52,7 +60,7 @@ def _write(doc, path):
     return path
 
 
-@pytest.mark.parametrize("doc", VALID, ids=["su2", "su2-tf", "su2-tau", "twist"])
+@pytest.mark.parametrize("doc", VALID, ids=["su2", "su2-tf", "su2-tau", "su2-omega", "twist"])
 def test_valid_documents_round_trip(doc, tmp_path):
     loaded = load_input(_write(doc, tmp_path / "in.json"))
     if "lambda" not in doc:
@@ -81,6 +89,7 @@ def test_valid_documents_round_trip(doc, tmp_path):
      "P_projector"),
     (SU2_TF | {"omega": encode_complex_array(np.zeros((3, 3, 3, 2, 2)))},
      "geometry carries both 'omega' and 'chi'"),
+    (TWIST | {"frame_dim": 7}, "both 'n' and 'frame_dim'"),
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
@@ -125,6 +134,14 @@ def test_omega_with_chi_exits_2(command, tmp_path, capsys):
 def test_unknown_and_misplaced_keys_are_named(doc, named, tmp_path):
     with pytest.raises(GeometryFileError, match=named):
         load_input(_write(doc, tmp_path / "in.json"))
+
+
+def test_one_table_declares_the_geometry_arrays_and_their_keys():
+    arrays = {f.name for f in dataclasses.fields(FrameGeometry) if "ndarray" in f.type}
+    assert {field for field, _, _ in GEOMETRY_ARRAYS} == arrays
+    keys = {key for _, key, _ in GEOMETRY_ARRAYS}
+    assert keys == {"lambda", "P", "S", "F", "K", "metric", "omega", "chi"}
+    assert keys | {"matrix_dim", "frame_dim", "tau"} == GEOMETRY_KEYS
 
 
 def test_a_file_that_is_not_utf8_is_refused(tmp_path):

@@ -1,4 +1,5 @@
-"""Package-wide guards: every public definition has a caller outside the tests."""
+"""Package-wide guards: every public definition has a caller outside the tests, and
+one helper freezes the arrays the records keep."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,15 @@ def test_every_public_definition_is_used_outside_the_tests():
 def test_the_guard_sees_references_not_docstrings():
     tree = ast.parse('def f():\n    """calls g"""\n    return h.k\nfrom m import n as o\n')
     assert _referenced_names(tree) == {"h", "k", "n"}
+
+
+def test_one_helper_freezes_every_kept_array():
+    # calculus._read_only is the one rule; a second freezing site could copy or check differently
+    sites = [(p.name, line) for p in sorted(SRC.glob("*.py"))
+             for line in p.read_text(encoding="utf-8").splitlines()
+             if "flags.writeable = False" in line]
+    assert len(sites) == 1 and sites[0][0] == "calculus.py"
+    tree = ast.parse((SRC / "calculus.py").read_text(encoding="utf-8"))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_read_only")
+    assert "flags.writeable = False" in ast.unparse(helper)

@@ -25,8 +25,9 @@ PINNED = json.loads((Path(__file__).parent / "data" / "pinned_verdicts.json")
                     .read_text(encoding="utf-8"))
 # every row's residual on the same fixtures and on `random` at order 3, recorded
 # before the contractions were routed through frametensor.central_at, and on
-# the N = 16 spin frame, recorded before d joined the lambda-commutator GEMM;
-# null where the row is skipped
+# the N = 16 spin frame, recorded before d joined the lambda-commutator GEMM,
+# and on perfbench's su2-wide input at seed 0, recorded to see the summation
+# order of covariant_derivative; null where the row is skipped
 PINNED_RESIDUALS = json.loads((Path(__file__).parent / "data" / "pinned_residuals.json")
                               .read_text(encoding="utf-8"))
 RESIDUAL_TOL = 1e-14
@@ -36,18 +37,23 @@ RESIDUAL_TOL = 1e-14
 def reports(tmp_path_factory):
     """``verify --report`` documents of the pinned inputs, keyed as PINNED
     and PINNED_RESIDUALS; `random` fails rows, so its exit code is 1.  The
-    spin frame is built here, the other inputs by ``fixture``."""
+    spin frames are built here, the other inputs by ``fixture``."""
     tmp = tmp_path_factory.mktemp("reports")
     out = {}
     for key in PINNED_RESIDUALS:
         name, order = key.split("@")
-        path = tmp / f"{name}.json"
+        path, seed = tmp / f"{name}.json", "42"
         if name == "spin-7.5":
             save_json(geometry_to_dict(spin_frame_geometry(7.5)), path)
+        elif name == "su2-wide-seed0":
+            rng = np.random.default_rng([0, 0x5eb])
+            save_json(geometry_to_dict(spin_frame_geometry(7.5, rng)), path)
+            seed = "0"
         elif not path.exists():
             assert cli.main(["fixture", name, "--out", str(path)]) == 0
         report = tmp / f"{key}.json"
-        code = cli.main(["verify", str(path), "--max-order", order, "--report", str(report)])
+        code = cli.main(["verify", str(path), "--max-order", order, "--seed", seed,
+                         "--report", str(report)])
         assert code == (1 if name == "random" else 0)
         out[key] = json.loads(report.read_text(encoding="utf-8"))
     return out
