@@ -62,7 +62,6 @@ from .connection import (
 )
 from .involution import (
     PermutationWord,
-    build_J,
     build_jn,
     check_connection_reality,
     check_D2_reality,

@@ -67,15 +67,6 @@ def check_sigma_consistency(b: Braiding, p: np.ndarray) -> float:
     return float(np.max(np.abs((sm + np.eye(sm.shape[0])) @ pm)))
 
 
-def sigma_unitarity_residual(s: np.ndarray) -> float:
-    """Max entry of (S^{ba}_{cd})* S^{dc}_{ef} - delta^a_e delta^b_f."""
-    s = np.asarray(s)
-    lhs = np.einsum('bacd,dcef->abef', np.conj(s), s)
-    n = s.shape[0]
-    eye2 = np.einsum('ae,bf->abef', np.eye(n), np.eye(n))
-    return float(np.max(np.abs(lhs - eye2)))
-
-
 def apply_word(t: FrameTensorField, b: Braiding, letters) -> FrameTensorField:
     for letter in reversed(tuple(letters)):
         t = apply_central_at(t, b.S, letter)

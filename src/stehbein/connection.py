@@ -257,15 +257,18 @@ def check_sigma_lemma(c: Connection, b: Braiding, p: int, op=None) -> float:
     if p < 2:
         raise ValueError("the sigma lemma needs order >= 2")
     op = dn if op is None else op
+    return worst(_intertwining_residual(c, b, p, op, lambda t: apply_central_at(t, b.S, i - 1),
+                                        lambda t: apply_central_at(t, b.S, i))
+                 for i in range(2, p + 1))
+
+
+def _intertwining_residual(c: Connection, b: Braiding, p: int, op, before, after) -> float:
+    """Worst coefficient norm of op(before(t)) - after(op(t)) over the degree-p basis
+    monomials t, in that call order: the sweep of ``check_sigma_lemma`` and
+    ``involution.check_Dn_reality``."""
     n, N = c.geom.n, c.geom.N
-    residuals = []
-    for i in range(2, p + 1):
-        for idx in np.ndindex(*(n,) * p):
-            basis = basis_field(n, N, idx)
-            lhs = op(c, b, apply_central_at(basis, b.S, i - 1))
-            rhs = apply_central_at(op(c, b, basis), b.S, i)
-            residuals.append(max_coeff_norm(lhs - rhs))
-    return worst(residuals)
+    monomials = (basis_field(n, N, idx) for idx in np.ndindex(*(n,) * p))
+    return worst(max_coeff_norm(op(c, b, before(t)) - after(op(c, b, t))) for t in monomials)
 
 
 def curvature_of_form(c: Connection, b: Braiding, xi: FrameTensorField) -> FrameTensorField:

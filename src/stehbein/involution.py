@@ -19,6 +19,10 @@ W_k = (W_(k-1) x 1) o sigma_(k-1) ... sigma_1: one Kronecker lift of the
 ``check_jn_involutive`` uses conj(J) J = R conj(W_k) J: the conjugate word
 acts on J one letter at a time, k(k-1)/2 passes instead of one dense
 (n^k)^2 product of n^(3k) MACs.
+
+``build_jn`` is the one builder of J, J^(2)^{ab}_{cd} = S^{ba}_{cd} included.
+The involution residual of J^(2) is (S^{ba}_{cd})* S^{dc}_{ef} - delta^a_e delta^b_f,
+the unitarity of sigma, so sigma-unitarity and jn-involutive-2 read one value.
 """
 
 from __future__ import annotations
@@ -30,12 +34,11 @@ import numpy as np
 from .matalg import adjoint
 from .calculus import FrameGeometry, differential0
 from .braiding import Braiding, SingularBraidingError
-from .connection import Connection, check_sigma_lemma, d2, dn
+from .connection import Connection, _intertwining_residual, check_sigma_lemma, d2, dn
 from .frametensor import (
     INVERSE_COND_LIMIT,
     FrameTensorField,
     apply_central_at,
-    basis_field,
     central_as_matrix,
     central_at,
     max_coeff_norm,
@@ -71,11 +74,6 @@ def reverse_word(n: int) -> PermutationWord:
 
 # ---------------------------------------------------------------------------
 # the central tensors I, J, J^(n)
-
-
-def build_J(s: np.ndarray) -> np.ndarray:
-    """J^{ab}_{cd} = S^{ba}_{cd}: the star on 1-form x 1-form."""
-    return np.einsum('bacd->abcd', np.asarray(s, dtype=complex))
 
 
 def _letter_tensor(s: np.ndarray) -> np.ndarray:
@@ -151,25 +149,35 @@ def star_form(t: FrameTensorField, jn: np.ndarray | None = None) -> FrameTensorF
 
 
 def check_jn_involutive(b: Braiding, n: int) -> float:
-    """Max entry of conj(J^(n)) o J^(n) - identity.
+    """Max entry of conj(J^(n)) o J^(n) - identity: ``_involution_residual`` of
+    ``build_jn(b, n)``, and exactly 0 at n = 1, where J^(1) is the identity.
 
-    With J = R W (``build_jn``) and R a real involution, conj(J) J - 1 is
+    No inverse is taken, so a singular S gives its residual and a NaN in S
+    gives NaN.
+    """
+    if n == 1:
+        return 0.0
+    # J^(n) is handed over as a temporary, so the helper holds its only reference
+    return _involution_residual(b, build_jn(b, n))
+
+
+def _involution_residual(b: Braiding, y: np.ndarray) -> float:
+    """Max entry of conj(J) o J - identity for J = ``build_jn(b, k)``, k >= 2.
+
+    With J = R W and R a real involution, conj(J) J - 1 is
     R (conj(W) J - R), the same entries in other rows: the conjugate word
     acts on J one letter at a time, leftmost first, and R is subtracted in
-    place (see the module docstring).  No inverse is taken, so a singular S
-    gives its residual and a NaN in S gives NaN.
+    place (see the module docstring), in the fresh tensor of the first letter.
     """
-    y = build_jn(b, n)
-    if n == 1:
-        return float(np.max(np.abs(np.conj(y) @ y - np.eye(b.n))))
+    n, k = b.n, y.ndim // 2
     letter = np.conj(_letter_tensor(b.S))
-    # rebinding y drops J after the first letter, so at most two rank-2n
-    # tensors are alive, and the write below lands in central_at's fresh output
-    for i in reverse_word(n).letters:
+    # rebinding y drops a J passed as a temporary after the first letter, so at
+    # most two rank-2k tensors are alive
+    for i in reverse_word(k).letters:
         y = central_at(y, letter, i)
     # column c of R holds its 1 at the row of the reversed index tuple
-    size = b.n ** n
-    rows = np.arange(size).reshape((b.n,) * n).transpose().ravel()
+    size = n ** k
+    rows = np.arange(size).reshape((n,) * k).transpose().ravel()
     ym = y.reshape(size, size)
     ym[rows, np.arange(size)] -= 1
     return float(np.max(np.abs(ym)))
@@ -265,21 +273,15 @@ def check_Dn_reality(c: Connection, b: Braiding, n: int, op=None) -> float:
     sufficient.  For n = 1 this is the basic reality condition
     D xi* = (D xi)*.  ``op`` stands for D_n as in
     ``connection.check_sigma_lemma``: ``dn`` by default, looked up when the
-    check runs, or ``d2`` at n = 2.
+    check runs, or ``d2`` at n = 2.  Both checks sweep the basis with
+    ``connection._intertwining_residual``.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    op = dn if op is None else op
-    geom = c.geom
     jn_t = build_jn(b, n)
     jn1_t = build_jn(b, n + 1)
-    residuals = []
-    for idx in np.ndindex(*(geom.n,) * n):
-        basis = basis_field(geom.n, geom.N, idx)
-        lhs = op(c, b, star_form(basis, jn_t))
-        rhs = star_form(op(c, b, basis), jn1_t)
-        residuals.append(max_coeff_norm(lhs - rhs))
-    return worst(residuals)
+    return _intertwining_residual(c, b, n, dn if op is None else op,
+                                  lambda t: star_form(t, jn_t), lambda t: star_form(t, jn1_t))
 
 
 def check_wedge_star(geom: FrameGeometry, b: Braiding, pairs) -> float:

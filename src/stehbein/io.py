@@ -36,9 +36,7 @@ class GeometryFileError(ValueError):
 def encode_complex_array(arr: np.ndarray):
     """Nested row-major lists with [re, im] leaves."""
     arr = np.asarray(arr, dtype=complex)
-    if arr.ndim == 0:
-        return [float(arr.real), float(arr.imag)]
-    return [encode_complex_array(sub) for sub in arr]
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
 def decode_complex_array(data, ndim: int, name: str) -> np.ndarray:
@@ -50,6 +48,10 @@ def decode_complex_array(data, ndim: int, name: str) -> np.ndarray:
     if raw.ndim != ndim + 1 or raw.shape[-1] != 2:
         raise GeometryFileError(
             f"field {name!r} has shape {raw.shape}; expected {ndim} axes of [re, im] pairs")
+    kinds = {type(x) for x in np.array(data, dtype=object).flat} - {int, float}
+    if kinds:  # the cast above also takes true, false and "0.0"
+        raise GeometryFileError(f"field {name!r} has leaves that are not JSON numbers: "
+                                f"{sorted(k.__name__ for k in kinds)}")
     if not np.all(np.isfinite(raw)):
         raise GeometryFileError(f"field {name!r} has a non-finite entry")
     return raw[..., 0] + 1j * raw[..., 1]

@@ -3,7 +3,7 @@
 Every row is a residual plus the identity it instantiates (a formula
 string in ``equation_anchor``); the tolerance decides pass/fail, and NaN
 fails.  ``CHECKS`` declares each row once: its ``--checks`` group, one
-prerequisite (none, geometry, projector, metric or never), its (name,
+prerequisite (none, geometry, projector or metric), its (name,
 anchor) rows, and ``run(ctx, order)`` returning one (residual or None,
 note) per row; an entry with a first order expands into rows
 ``<name>-<order>`` up to ``max_order``.  ``GROUPS`` is read off the table.
@@ -37,7 +37,6 @@ from .braiding import (
     check_sigma_consistency,
     check_yang_baxter,
     make_braiding,
-    sigma_unitarity_residual,
 )
 from .connection import (
     MAX_DEGREE,
@@ -54,7 +53,8 @@ from .connection import (
     check_metric_compatibility,
 )
 from .involution import (
-    build_J,
+    _involution_residual,
+    build_jn,
     check_connection_reality,
     check_D2_reality,
     check_Dn_reality,
@@ -218,9 +218,6 @@ class _Context:
 
     def missing(self, needs: str | None) -> str | None:
         """Why the prerequisite ``needs`` is not met, or None when it is."""
-        if needs == "never":
-            # the weak Yang-Baxter property of -P^T has no stated form to check
-            return "not checked (condition unspecified)"
         if needs == "projector" and self.P is None:
             return "no projector in input"
         if needs in (None, "projector"):
@@ -233,7 +230,11 @@ class _Context:
 
     @cached_property
     def J(self) -> np.ndarray:
-        return build_J(self.braid.S)
+        return build_jn(self.braid, 2)
+
+    @cached_property
+    def j2_involution(self) -> float:
+        return _involution_residual(self.braid, self.J)
 
     @cached_property
     def braid_residual(self) -> float:
@@ -255,7 +256,7 @@ class Check(NamedTuple):
     group: str | None
     needs: str | None
     rows: tuple
-    run: Callable | None
+    run: Callable
     first_order: int | None = None
 
 
@@ -324,7 +325,7 @@ def _wedge_star(ctx, _):
 
 def _jn(ctx, order):
     braid_res = ctx.braid_residual
-    return [(check_jn_involutive(ctx.braid, order),
+    return [(ctx.j2_involution if order == 2 else check_jn_involutive(ctx.braid, order),
              "" if braid_res <= 100 * ctx.tol else f"braid residual {braid_res:.3e}")]
 
 
@@ -344,7 +345,7 @@ CHECKS = (
             "J^{ab}_{pq} J^{pc}_{dr} J^{qr}_{ef} = J^{bc}_{pq} J^{aq}_{rf} J^{rp}_{de}"),),
           lambda ctx, _: [(check_yang_baxter(ctx.J), "")]),
     Check("unitarity", None, (("sigma-unitarity", "(S^{ba}_{cd})* S^{dc}_{ef} = δ^a_e δ^b_f"),),
-          lambda ctx, _: [(sigma_unitarity_residual(ctx.braid.S), "")]),
+          lambda ctx, _: [(ctx.j2_involution, "")]),
     Check("leibniz", "geometry",
           (("leibniz-left", "D(fξ) = df⊗ξ + f Dξ"),
            ("leibniz-right", "D(ξf) = σ(ξ⊗df) + (Dξ)f")),
@@ -380,7 +381,8 @@ CHECKS = (
     Check("dn-reality", "geometry", (("dn-reality", "D_n∘ȷ_n = ȷ_{n+1}∘D_n"),),
           lambda ctx, k: [(check_Dn_reality(ctx.conn, ctx.braid, k), ctx.conn_label)],
           first_order=1),
-    Check(None, "never", (("i-weak-yang-baxter", "weak Yang-Baxter property of I = −Pᵀ"),), None),
+    Check(None, None, (("i-weak-yang-baxter", "weak Yang-Baxter property of I = −Pᵀ"),),
+          lambda ctx, _: [(None, "not checked (condition unspecified)")]),  # no stated form
 )
 
 # group names accepted by --checks, with the rows of each

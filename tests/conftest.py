@@ -13,6 +13,7 @@ from stehbein import (
     su2_flip_geometry,
     torsionfree_connection,
 )
+from stehbein.calculus import GEOMETRY_ARRAYS
 from stehbein.connection import algebraic_torsion, solve_torsionfree_chi, torsion_forms
 
 # lam_a = -(i/2) Pauli_a, written out so the tests do not depend on the fixtures
@@ -51,11 +52,33 @@ def spin_frame_geometry(j, rng=None):
     jx, jy = (j_plus + j_plus.T) / 2, (j_plus - j_plus.T) / 2j
     lam = -1j * np.array([jx, jy, np.diag(m).astype(complex)])
     if rng is not None:
-        q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        u = haar_unitary(rng, dim)
         lam = u @ lam @ u.conj().T
     base = dataclasses.replace(su2_flip_geometry(), N=dim, lam=lam)
     return dataclasses.replace(base, chi=solve_torsionfree_chi(base, make_braiding(base.S)))
+
+
+def transformed_geometry(geom, perm, u):
+    """``geom`` with its frame relabelled, theta^a -> theta^perm[a], on every n axis of
+    every array in ``calculus.GEOMETRY_ARRAYS``, and each array ending in N x N
+    conjugated by the unitary ``u``.  Every identity the report checks is a
+    contraction over frame indices of U-covariant coefficients, so its residual
+    can move only by rounding."""
+    arrays = {}
+    for field, _, axes in GEOMETRY_ARRAYS:
+        a = getattr(geom, field)
+        if a is None:
+            continue
+        for axis, kind in enumerate(axes):
+            if kind == "n":
+                a = np.take(a, perm, axis=axis)
+        arrays[field] = u @ a @ u.conj().T if axes.endswith("NN") else a
+    return dataclasses.replace(geom, **arrays)
+
+
+def haar_unitary(rng, dim: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_tau(seed: int, n: int = 3) -> np.ndarray:

@@ -20,7 +20,7 @@ from stehbein.frametensor import (
     identity_central,
     word_tensor,
 )
-from stehbein.involution import build_J, check_fifa
+from stehbein.involution import build_jn, check_fifa
 
 from conftest import random_tau
 
@@ -118,17 +118,17 @@ def test_braid_random_fails():
 
 
 def test_yang_baxter_flip(su2_braid):
-    assert check_yang_baxter(build_J(su2_braid.S)) == 0.0
+    assert check_yang_baxter(build_jn(su2_braid, 2)) == 0.0
 
 
 def test_yang_baxter_phase_twist(pt3_full):
     b, _ = pt3_full
-    assert check_yang_baxter(build_J(b.S)) <= 1e-12
+    assert check_yang_baxter(build_jn(b, 2)) <= 1e-12
 
 
 def test_yang_baxter_perturbed_flip():
     # pair-diagonal perturbations keep the equation; an off-diagonal one breaks it
-    j = build_J(flip_central(3))
+    j = build_jn(make_braiding(flip_central(3)), 2)
     j[0, 1, 1, 0] += 0.1
     assert check_yang_baxter(j) > 1e-3
 

@@ -55,6 +55,13 @@ def _overflowing_projector():
     return encode_complex_array(pm.reshape(3, 3, 3, 3))
 
 
+def _leaves_replaced(data, leaf):
+    """``data`` with every number x of its [re, im] leaves replaced by ``leaf(x)``."""
+    if isinstance(data, list):
+        return [_leaves_replaced(sub, leaf) for sub in data]
+    return leaf(data)
+
+
 def _write(doc, path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
@@ -90,6 +97,11 @@ def test_valid_documents_round_trip(doc, tmp_path):
     (SU2_TF | {"omega": encode_complex_array(np.zeros((3, 3, 3, 2, 2)))},
      "geometry carries both 'omega' and 'chi'"),
     (TWIST | {"frame_dim": 7}, "both 'n' and 'frame_dim'"),
+    # a float cast reads true, false and "0.0" as numbers; JSON does not
+    (SU2 | {"metric": _leaves_replaced(SU2["metric"], bool)},
+     re.escape("field 'metric' has leaves that are not JSON numbers: ['bool']")),
+    (SU2 | {"lambda": _leaves_replaced(SU2["lambda"], lambda x: "0.0" if x == 0 else x)},
+     re.escape("field 'lambda' has leaves that are not JSON numbers: ['str']")),
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
@@ -97,6 +109,21 @@ def test_malformed_documents_are_named(doc, message, tmp_path):
     path = _write(doc, tmp_path / "in.json")
     with pytest.raises(GeometryFileError, match=message):
         load_input(path)
+
+
+def _encode_by_recursion(arr):
+    arr = np.asarray(arr, dtype=complex)
+    if arr.ndim == 0:
+        return [float(arr.real), float(arr.imag)]
+    return [_encode_by_recursion(sub) for sub in arr]
+
+
+@pytest.mark.parametrize("arr", [
+    complex(-0.0, -0.0), np.array([-0.0, 1j, complex(2.5, -0.0)]), np.zeros((0, 3)), np.zeros((3, 0)),
+    np.arange(6).reshape(2, 3), np.random.default_rng(0).standard_normal((2, 3, 2, 2, 2)) * 1j,
+    su2_flip_geometry().lam])
+def test_encoding_is_the_recursive_form_byte_for_byte(arr):
+    assert json.dumps(encode_complex_array(arr)) == json.dumps(_encode_by_recursion(arr))
 
 
 @pytest.mark.parametrize("value", [3.9, 2.5, 3.7, 3.0, "3", True, 0, -1])

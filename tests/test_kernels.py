@@ -367,7 +367,7 @@ def test_out_of_memory_in_the_jn_letter_loop_exits_2(tmp_path, capsys, monkeypat
     real = involution.central_at
 
     def failing_in_the_check(*args):
-        if sys._getframe(1).f_code.co_name == "check_jn_involutive":
+        if sys._getframe(1).f_code.co_name == "_involution_residual":
             raise MemoryError
         return real(*args)
 

@@ -3,21 +3,24 @@ schema, with verdict lists pinned on the built-in fixtures."""
 
 import dataclasses
 import json
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator, ValidationError
 
 from stehbein import calculus, cli, make_braiding, su2_flip_geometry
 from stehbein.calculus import maurer_cartan
 from stehbein.connection import MAX_DEGREE
-from stehbein.fixtures import build_fixture
+from stehbein.fixtures import build_fixture, random_geometry
 from stehbein.io import geometry_to_dict, save_json
 from stehbein.report import CHECKS, GROUPS, REPORT_SCHEMA, resolve_connection, run_verify
 
-from conftest import spin_frame_geometry, su2_torsionfree_connection
+from conftest import (haar_unitary, spin_frame_geometry, su2_torsionfree_connection,
+                      transformed_geometry)
 
 # (name, status, equation_anchor) of every row, recorded before the check
 # table replaced the hand-written runner
@@ -113,7 +116,7 @@ def test_groups_are_read_off_the_table():
         "jn", "fifa", "dn-lemma", "dn-reality"]
     assert GROUPS["metric"] == ["metric-symmetry", "metric-compat-first",
                                 "metric-compat-second", "metric-reality"]
-    assert {c.needs for c in CHECKS} == {None, "geometry", "projector", "metric", "never"}
+    assert {c.needs for c in CHECKS} == {None, "geometry", "projector", "metric"}
 
 
 def test_each_row_is_declared_once():
@@ -128,6 +131,48 @@ def test_unselected_groups_are_reported_not_dropped(su2_tf):
                    "i-weak-yang-baxter": "skipped"}
     assert report.counts == {"pass": 3, "fail": 0, "skipped": 27}
     assert report.checks[-1].note == "not checked (condition unspecified)"
+
+
+def test_the_d2_strong_and_braided_rows_repeat_the_order_2_dn_rows(reports):
+    # dn at degree 2 runs d2's operations in d2's order, so the rows agree bit for bit
+    compared = 0
+    for doc in reports.values():
+        got = {c["name"]: c["residual"] for c in doc["checks"]}
+        if got["d2-reality-strong"] is not None:
+            assert got["d2-reality-strong"] == got["dn-reality-2"]
+            assert got["d2-reality-braided"] == got["dn-sigma-lemma-2"]
+            compared += 1
+    assert compared == 5
+
+
+INVARIANCE_GEOMETRIES = {
+    "su2-torsion-free": lambda: build_fixture("su2-torsion-free")[1],
+    "random": lambda: build_fixture("random")[1],
+    "f-zero-n4": lambda: random_geometry(0, n=4, N=3, force_f_zero=True),
+}
+# rows whose residual reads seeded samples, which the transformation does not move
+SAMPLED_ROWS = {"d-squared", "leibniz-left", "leibniz-right", "wedge-star"}
+
+
+@functools.cache
+def _invariance_base(name):
+    geom = INVARIANCE_GEOMETRIES[name]()
+    return geom, run_verify(geom, max_order=3, seed=0).checks
+
+
+@pytest.mark.parametrize("name", list(INVARIANCE_GEOMETRIES))
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_verdicts_survive_a_frame_permutation_and_a_unitary_conjugation(name, data):
+    geom, base = _invariance_base(name)
+    perm = data.draw(st.permutations(range(geom.n)), label="perm")
+    u = haar_unitary(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), geom.N)
+    moved = run_verify(transformed_geometry(geom, perm, u), max_order=3, seed=0).checks
+    assert [(c.name, c.status) for c in moved] == [(c.name, c.status) for c in base]
+    for before, after in zip(base, moved):
+        if before.residual is not None and before.name not in SAMPLED_ROWS:
+            r = before.residual
+            assert abs(after.residual - r) <= 1e-14 * max(1.0, abs(r)), before.name
 
 
 @pytest.mark.parametrize("name", ["su2-torsion-free", "phase-twist", "random"])
