@@ -9,11 +9,12 @@ checks every consistency and reality identity as a numerical residual.
 
 __version__ = "0.1.0"
 
-from .matalg import adjoint, centrality_residual, frobenius_norm
 from .frametensor import (
     FrameTensorField,
+    adjoint,
     apply_central_at,
     basis_field,
+    centrality_residual,
     flip_central,
     identity_central,
     antisymmetrizer_central,

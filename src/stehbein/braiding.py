@@ -10,14 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _read_only
-from .frametensor import (
-    FrameTensorField,
-    apply_central_at,
-    central_as_matrix,
-    matrix_as_central,
-    word_tensor,
-)
+from .frametensor import (FrameTensorField, _read_only, apply_central_at, central_as_matrix,
+                          word_tensor)
 
 
 class SingularBraidingError(ValueError):
@@ -57,7 +51,7 @@ def sigma_from_tau(t: np.ndarray, p: np.ndarray) -> Braiding:
     n = t.shape[0]
     eye = np.eye(n * n)
     sm = central_as_matrix(t) @ (eye - central_as_matrix(p)) - eye
-    return make_braiding(matrix_as_central(sm, n))
+    return make_braiding(sm.reshape(t.shape))
 
 
 def check_sigma_consistency(b: Braiding, p: np.ndarray) -> float:

@@ -7,12 +7,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .matalg import antihermiticity_residual
 from .frametensor import (
     FrameTensorField,
     _lambda_commutator,
     _omega_at_slot,
     _omega_matrix,
+    _read_only,
+    antihermiticity_residual,
     apply_central_at,
     central_as_matrix,
     central_at,
@@ -20,17 +21,6 @@ from .frametensor import (
     tensor_product,
     worst,
 )
-
-
-def _read_only(x, name: str, shape: tuple) -> np.ndarray:
-    """A read-only complex copy of ``x`` of the given shape: the one rule for every
-    array a record keeps.  ``FrameTensorField``, built per term of the D_n loops
-    and written into by ``dn`` before it is wrapped, keeps its coefficients as given."""
-    a = np.array(x, dtype=complex)
-    if a.shape != shape:
-        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-    a.flags.writeable = False
-    return a
 
 
 # (field, geometry-file key, axes) of each array a geometry carries; an axis

@@ -7,9 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matalg import centrality_residual
-from .calculus import (FrameGeometry, _read_only, differential0, differential1, dirac_form,
-                       theta_squared)
+from .calculus import FrameGeometry, differential0, differential1, dirac_form, theta_squared
 from .braiding import Braiding, apply_word
 from .frametensor import (
     INVERSE_COND_LIMIT,
@@ -17,10 +15,12 @@ from .frametensor import (
     _lambda_commutator,
     _omega_at_slot,
     _omega_matrix,
+    _read_only,
     apply_central_at,
     basis_field,
     central_as_matrix,
     central_at,
+    centrality_residual,
     left_mul,
     max_coeff_norm,
     right_mul,
@@ -103,8 +103,7 @@ def solve_torsionfree_chi(geom: FrameGeometry, b: Braiding) -> np.ndarray:
     squares on the scalar part of the right-hand side; non-uniqueness along
     the kernel of P is resolved by the minimum-norm solution.
     """
-    base = d0_connection(geom, b)
-    rhs = 0.5 * geom.C - central_at(base.omega, geom.P, 2)
+    rhs = -algebraic_torsion(d0_connection(geom, b))
     # central part: coefficient of the identity matrix
     rhs_scalar = np.trace(rhs, axis1=-2, axis2=-1) / geom.N
     n = geom.n
@@ -298,7 +297,7 @@ def curvature(c: Connection, b: Braiding) -> CurvatureData:
 
 
 def curvature_d0_closed_form(geom: FrameGeometry, b: Braiding,
-                             xi: FrameTensorField | None = None) -> FrameTensorField | list[FrameTensorField]:
+                             xi: FrameTensorField) -> FrameTensorField:
     """Closed-form curvature of D_(0):
 
         Curv_0(xi) = theta^2 x xi
@@ -316,12 +315,7 @@ def curvature_d0_closed_form(geom: FrameGeometry, b: Braiding,
     the theta^2 coefficients stand left of xi_a; the order matters unless
     they commute with xi_a (they are central when F = 0 and the structure
     condition holds, since then theta^2 = 1/2 K).
-
-    With ``xi=None`` returns the list over all frame basis 1-forms.
     """
-    if xi is None:
-        return [curvature_d0_closed_form(geom, b, basis_field(geom.n, geom.N, (a,)))
-                for a in range(geom.n)]
     th = dirac_form(geom)
     field2 = apply_word(tensor_product(xi, tensor_product(th, th)), b, [1, 2, 1])
     return tensor_product(theta_squared(geom), xi) + apply_central_at(field2, geom.P, 1)

@@ -16,12 +16,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .matalg import adjoint
 from .calculus import FrameGeometry, check_d_squared, check_structure, check_theta_squared
 from .braiding import Braiding, make_braiding
 from .connection import curvature_d0_closed_form, d0_connection, solve_torsionfree_chi
 from .frametensor import (
+    FrameTensorField,
+    adjoint,
     antisymmetrizer_central,
+    basis_field,
     flip_central,
     identity_central,
     max_coeff_norm,
@@ -178,7 +180,8 @@ def _f_zero_geometry(seed: int, n: int, N: int) -> FrameGeometry:
         raise ValueError(f"F = 0 geometry for n={n}, N={N}, seed={seed} is not exact: "
                          + ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items()))
     omega = np.max(np.abs(d0_connection(geom, braid).omega))
-    curv = worst(max_coeff_norm(c) for c in curvature_d0_closed_form(geom, braid))
+    curv = worst(max_coeff_norm(curvature_d0_closed_form(geom, braid, basis_field(n, N, (a,))))
+                 for a in range(n))
     if not (omega > F_ZERO_FLAT_TOL and curv > F_ZERO_FLAT_TOL):
         raise ValueError(f"F = 0 geometry for n={n}, N={N}, seed={seed} is degenerate: "
                          f"max |omega_0| {omega:.3e}, D_(0) curvature {curv:.3e}")
@@ -227,8 +230,7 @@ def random_geometry(seed: int, n: int = 3, N: int = 2, *,
                          g=np.eye(n, dtype=complex))
 
 
-def random_field(rng: np.random.Generator, n: int, N: int, degree: int):
-    from .frametensor import FrameTensorField
+def random_field(rng: np.random.Generator, n: int, N: int, degree: int) -> FrameTensorField:
     shape = (n,) * degree + (N, N)
     return FrameTensorField(n, rng.uniform(0, 1, shape) + 1j * rng.uniform(0, 1, shape))
 

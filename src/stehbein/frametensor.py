@@ -1,4 +1,6 @@
-"""Frame tensor fields, central tensors and the contraction conventions.
+"""Frame tensor fields, central tensors, algebra helpers and the contraction conventions.
+
+This is the package's base module: it imports none of the others.
 
 A degree-p field is a grid of algebra elements indexed by p frame indices;
 the coefficient always sits to the LEFT of the frame basis monomial, which
@@ -25,6 +27,12 @@ Conventions fixed here and used identically everywhere else:
   ``mat(M) @ mat(M2)`` (the first map applied is leftmost).
 * A word of adjacent operators is a sequence of positions i, each acting
   on the index pair (i, i+1); the RIGHTMOST letter acts first.
+* Algebra elements of M_N(C) are plain complex arrays of shape (N, N), or
+  stacks (..., N, N) of them.  ``adjoint``, ``antihermiticity_residual`` and
+  ``centrality_residual`` are pure and never mutate their inputs.
+* Every array a record keeps (a geometry's, a braiding's S, a connection's
+  omega) is frozen by one rule, ``_read_only``: a read-only complex copy of
+  the declared shape.
 """
 
 from __future__ import annotations
@@ -32,6 +40,45 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+
+def _read_only(x, name: str, shape: tuple) -> np.ndarray:
+    """A read-only complex copy of ``x`` of the given shape: the one rule for every
+    array a record keeps.  ``FrameTensorField``, built per term of the D_n loops
+    and written into by ``dn`` before it is wrapped, keeps its coefficients as given."""
+    a = np.array(x, dtype=complex)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    a.flags.writeable = False
+    return a
+
+
+# ---------------------------------------------------------------------------
+# algebra elements
+
+
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose.  Works on a single element or a stack of them."""
+    return np.conj(np.swapaxes(np.asarray(a), -1, -2))
+
+
+def antihermiticity_residual(a: np.ndarray) -> float:
+    """Frobenius norm of a + a*; zero iff a is antihermitian."""
+    return float(np.linalg.norm(np.asarray(a) + adjoint(a)))
+
+
+def centrality_residual(a: np.ndarray, lam: np.ndarray) -> float:
+    """Max over frame generators, and over a stack of elements, of ||[lambda_a, a]||_F.
+
+    ``a`` is one element or a stack of shape (..., N, N); ``lam`` is the stack
+    of generator matrices.  Zero within tolerance iff every element commutes
+    with every generator; a NaN anywhere gives NaN.
+    """
+    lam = np.asarray(lam)
+    a = np.asarray(a)
+    if lam.shape[-1] != a.shape[-1]:
+        raise ValueError(f"dimension mismatch: element is {a.shape}, generators are {lam.shape}")
+    return worst(np.linalg.norm(_lambda_commutator(lam, a), axis=(-2, -1)).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +111,6 @@ def central_as_matrix(m: np.ndarray) -> np.ndarray:
     k = m.ndim // 2
     n = m.shape[0]
     return m.reshape(n ** k, n ** k)
-
-
-def matrix_as_central(mat: np.ndarray, n: int) -> np.ndarray:
-    mat = np.asarray(mat)
-    k = round(np.log(mat.shape[0]) / np.log(n)) if n > 1 else 1
-    if n ** k != mat.shape[0] or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"matrix of shape {mat.shape} is not a flattened rank-2k tensor over n={n}")
-    return mat.reshape((n,) * (2 * k))
 
 
 def central_at(a: np.ndarray, m: np.ndarray, pos: int) -> np.ndarray:

@@ -31,13 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matalg import adjoint
 from .calculus import FrameGeometry, differential0
 from .braiding import Braiding, SingularBraidingError
 from .connection import Connection, _intertwining_residual, check_sigma_lemma, d2, dn
 from .frametensor import (
     INVERSE_COND_LIMIT,
     FrameTensorField,
+    adjoint,
     apply_central_at,
     central_as_matrix,
     central_at,

@@ -62,10 +62,12 @@ def test_consistency_flip_antisymmetrizer():
     assert check_sigma_consistency(make_braiding(flip_central(3)), antisymmetrizer_central(3)) == 0.0
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_consistency_for_any_tau(seed):
-    p = antisymmetrizer_central(3)
-    b = sigma_from_tau(random_tau(seed), p)
+# n = 3, the first size tested, keeps the bare seed as its id
+@pytest.mark.parametrize("seed,n", [pytest.param(seed, n, id=str(seed) if n == 3 else f"{seed}-n{n}")
+                                    for n in (3, 2, 4) for seed in range(50)])
+def test_consistency_for_any_tau(seed, n):
+    p = antisymmetrizer_central(n)
+    b = sigma_from_tau(random_tau(seed, n), p)
     assert check_sigma_consistency(b, p) <= 1e-12
 
 

@@ -27,7 +27,6 @@ from stehbein.frametensor import (
     central_as_matrix,
     flip_central,
     identity_central,
-    matrix_as_central,
 )
 
 from conftest import lift_central, random_matrix, random_tau, reversal_central
@@ -73,7 +72,7 @@ def jn_recursive(b: Braiding, form: str) -> np.ndarray:
                   lift_central(b.S, 4, 3), lift_central(b.S, 4, 2)]
     else:
         raise ValueError(f"unknown recursive form {form!r}")
-    return matrix_as_central(antilinear_then_linear(matrix_as_central(anti, n), linear), n)
+    return antilinear_then_linear(anti, linear).reshape(linear[0].shape)
 
 
 ORDER = {"half2": 3, "half3": 4, "pair": 4}
@@ -165,7 +164,7 @@ def test_jn_involutive_fails_off_unitarity(su2_braid):
 
 def fifa_kronecker(b: Braiding, n: int, i: int) -> float:
     """max|R S_i - conj(S^{-1}_{n-i}) R| with the lifts formed as n-strand Kronecker products."""
-    s_inv = matrix_as_central(np.linalg.inv(central_as_matrix(b.S)), b.n)
+    s_inv = np.linalg.inv(central_as_matrix(b.S)).reshape(b.S.shape)
     r = central_as_matrix(reversal_central(b.n, n))
     lhs = r @ central_as_matrix(lift_central(b.S, n, i))
     rhs = np.conj(central_as_matrix(lift_central(s_inv, n, n - i))) @ r

@@ -26,13 +26,13 @@ from stehbein.frametensor import (
     apply_central_at,
     basis_field,
     central_at,
+    centrality_residual,
     flip_central,
     identity_central,
     word_tensor,
 )
 from stehbein import cli, involution
 from stehbein.involution import build_jn, check_jn_involutive, reverse_word, star_form
-from stehbein.matalg import centrality_residual
 from stehbein.report import run_verify
 
 from conftest import spin_frame_geometry, su2_torsionfree_connection
@@ -457,7 +457,7 @@ def test_nan_reaches_d0_d1_and_the_centrality_residual(where):
         unit = np.zeros((2, 2), dtype=complex)
         unit[i, j] = np.nan if where == "argument" else 1.0
         assert np.isnan(differential0(unit, geom).coeffs).any(), (where, i, j)
-        assert np.isnan(centrality_residual(unit, geom)), (where, i, j)
+        assert np.isnan(centrality_residual(unit, geom.lam)), (where, i, j)
         for a in range(3):
             field = FrameTensorField(3, np.zeros((3, 2, 2), dtype=complex))
             field.coeffs[a] = unit

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stehbein.calculus import differential0
-from stehbein.frametensor import _lambda_commutator
-from stehbein.matalg import (
+from stehbein.frametensor import (
+    _lambda_commutator,
     adjoint,
     antihermiticity_residual,
     centrality_residual,
-    frobenius_norm,
 )
 
 from conftest import LAM, LAM1, LAM2, LAM3
@@ -43,7 +42,7 @@ def test_adjoint_involutive_exactly():
 @given(st.integers(0, 10 ** 6), st.integers(2, 5))
 def test_adjoint_antihomomorphism(seed, N):
     a, b = _rand(seed, N), _rand(seed + 1, N)
-    assert frobenius_norm(adjoint(a @ b) - adjoint(b) @ adjoint(a)) <= 1e-12
+    assert np.linalg.norm(adjoint(a @ b) - adjoint(b) @ adjoint(a)) <= 1e-12
 
 
 def commutator(a, b):
@@ -53,7 +52,7 @@ def commutator(a, b):
 
 def test_commutator_with_self_is_zero():
     a = _rand(1)
-    assert frobenius_norm(commutator(a, a)) == 0.0
+    assert np.linalg.norm(commutator(a, a)) == 0.0
 
 
 def test_commutator_su2_cyclic(su2_geom):
@@ -67,7 +66,7 @@ def test_commutator_su2_cyclic(su2_geom):
 
 def test_commutator_identity_is_central(su2_geom):
     b = _rand(2)
-    assert frobenius_norm(commutator(np.eye(2), b)) == 0.0
+    assert np.linalg.norm(commutator(np.eye(2), b)) == 0.0
     assert not differential0(np.eye(2), su2_geom).coeffs.any()
 
 
@@ -85,11 +84,11 @@ def test_commutator_dimension_mismatch(su2_geom):
 @given(st.integers(0, 10 ** 6), st.integers(2, 4))
 def test_commutator_antisymmetry_and_jacobi(seed, N):
     a, b, c = _rand(seed, N), _rand(seed + 1, N), _rand(seed + 2, N)
-    assert frobenius_norm(commutator(a, b) + commutator(b, a)) <= 1e-12
+    assert np.linalg.norm(commutator(a, b) + commutator(b, a)) <= 1e-12
     jac = (commutator(a, commutator(b, c))
            + commutator(b, commutator(c, a))
            + commutator(c, commutator(a, b)))
-    assert frobenius_norm(jac) <= 1e-12
+    assert np.linalg.norm(jac) <= 1e-12
 
 
 def test_centrality_scalar_multiple_of_identity():
@@ -106,7 +105,7 @@ def test_centrality_of_su2_generator():
 
 
 def test_centrality_accepts_geometry_duck_type(su2_geom):
-    assert centrality_residual(np.eye(2), su2_geom) == 0.0
+    assert centrality_residual(np.eye(2), su2_geom.lam) == 0.0
 
 
 def test_centrality_dimension_mismatch():

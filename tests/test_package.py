@@ -1,5 +1,5 @@
-"""Package-wide guards: every module-level definition has a caller outside the tests, and
-one helper freezes the arrays the records keep."""
+"""Package-wide guards: every module-level definition has a caller outside the tests, one
+helper freezes the arrays the records keep, and the modules import in one direction."""
 
 import ast
 from pathlib import Path
@@ -48,12 +48,32 @@ def test_the_guard_sees_references_not_docstrings():
 
 
 def test_one_helper_freezes_every_kept_array():
-    # calculus._read_only is the one rule; a second freezing site could copy or check differently
+    # frametensor._read_only is the one rule; a second freezing site could copy or check differently
     sites = [(p.name, line) for p in sorted(SRC.glob("*.py"))
              for line in p.read_text(encoding="utf-8").splitlines()
              if "flags.writeable = False" in line]
-    assert len(sites) == 1 and sites[0][0] == "calculus.py"
-    tree = ast.parse((SRC / "calculus.py").read_text(encoding="utf-8"))
+    assert len(sites) == 1 and sites[0][0] == "frametensor.py"
+    tree = ast.parse((SRC / "frametensor.py").read_text(encoding="utf-8"))
     helper = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_read_only")
     assert "flags.writeable = False" in ast.unparse(helper)
+
+
+# each module may import only the modules before it; frametensor is the base
+LAYERS = ("frametensor", "braiding", "calculus", "connection", "involution", "fixtures", "io",
+          "report", "cli")
+
+
+def test_modules_import_only_earlier_layers():
+    # __init__ only re-exports; report reads __version__ from it lazily
+    assert sorted(LAYERS) == sorted(p.stem for p in SRC.glob("*.py") if p.name != "__init__.py")
+    upward = []
+    for i, name in enumerate(LAYERS):
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            upward += [f"{name} imports {t}" for t in targets
+                       if t not in LAYERS[:i] and t != "__version__"]
+    assert upward == []
