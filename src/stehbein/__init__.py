@@ -77,7 +77,6 @@ from .involution import (
 from .fixtures import (
     phase_twist_braiding,
     random_geometry,
-    su2_braiding,
     su2_flip_geometry,
 )
 from .io import GeometryFileError, load_input

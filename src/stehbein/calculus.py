@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
+from .braiding import Braiding
 from .frametensor import (
     FrameTensorField,
     _lambda_commutator,
@@ -51,7 +52,9 @@ class FrameGeometry:
     The arrays are read-only copies, so the Maurer-Cartan tensor ``C`` and
     its GEMM form ``C_matrix``, each built on first use and kept, cannot go
     stale: an in-place write into any of them raises ValueError.
-    ``dataclasses.replace`` makes a new geometry with its own ``C``.
+    ``braid`` is the geometry's ``Braiding``, built once from S; ``S`` is
+    its array, so S has one holder.  ``dataclasses.replace`` makes a new
+    geometry with its own ``braid`` and ``C``.
     """
 
     N: int
@@ -64,17 +67,20 @@ class FrameGeometry:
     g: np.ndarray | None = None
     omega: np.ndarray | None = None
     chi: np.ndarray | None = None
+    braid: Braiding = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = {"n": self.n, "N": self.N}
-        for field, _, axes in GEOMETRY_ARRAYS:
-            shape, value = tuple(dims[a] for a in axes), getattr(self, field)
-            if value is None and field in ("F", "K"):
+        for name, _, axes in GEOMETRY_ARRAYS:
+            shape, value = tuple(dims[a] for a in axes), getattr(self, name)
+            if value is None and name in ("F", "K"):
                 value = np.zeros(shape)
             if value is not None:
-                object.__setattr__(self, field, _read_only(value, field, shape))
+                object.__setattr__(self, name, _read_only(value, name, shape))
         if self.omega is not None and self.chi is not None:
             raise ValueError("geometry carries both 'omega' and 'chi'; give one connection")
+        object.__setattr__(self, "braid", Braiding(self.n, self.S))
+        object.__setattr__(self, "S", self.braid.S)
 
     @cached_property
     def C(self) -> np.ndarray:

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .calculus import FrameGeometry
-from .braiding import make_braiding
 from .connection import MAX_DEGREE, curvature
 from .involution import build_jn
 from .fixtures import FIXTURE_NAMES, PARAMETRIC_FIXTURES, build_fixture
@@ -197,8 +196,7 @@ def _dispatch(args, loaded) -> int:
         return _finish_report(report, args.report)
 
     if args.command == "jn":
-        braid = (make_braiding(loaded.S) if isinstance(loaded, FrameGeometry)
-                 else loaded[0])
+        braid = loaded.braid if isinstance(loaded, FrameGeometry) else loaded[0]
         tensor = build_jn(braid, args.order)
         payload = {"order": args.order, "n": braid.n,
                    "J": encode_complex_array(tensor)}
@@ -211,9 +209,8 @@ def _dispatch(args, loaded) -> int:
         if not isinstance(loaded, FrameGeometry):
             print("error: curvature needs a geometry file", file=sys.stderr)
             return 2
-        braid = make_braiding(loaded.S)
-        conn, label = resolve_connection(loaded, braid, args.connection)
-        data = curvature(conn, braid)
+        conn, label = resolve_connection(loaded, loaded.braid, args.connection)
+        data = curvature(conn, loaded.braid)
         print(f"curvature of {label}: max |R| coefficient norm = "
               f"{float(np.max(np.linalg.norm(data.R, axis=(-2, -1)))):.6e}, "
               f"centrality residual = {data.centrality_residual:.3e}")

@@ -64,10 +64,6 @@ def su2_flip_geometry() -> FrameGeometry:
     )
 
 
-def su2_braiding() -> Braiding:
-    return make_braiding(flip_central(3))
-
-
 def phase_twist_braiding(n: int,
                          phases: dict[tuple[int, int], complex]) -> tuple[Braiding, np.ndarray]:
     """Diagonal-type braiding S^{ab}_{cd} = L_{ab} delta^a_d delta^b_c.
@@ -166,8 +162,8 @@ def _f_zero_geometry(seed: int, n: int, N: int) -> FrameGeometry:
     # flat, so n = 3 draws rank 1; larger n draw any proper rank
     top = 1 if n == 3 else pairs - 1
     p = random_wedge_projector(rng, n, int(rng.integers(1, top + 1)))
-    braid = make_braiding(identity_central(n) - 2.0 * p)
-    geom = FrameGeometry(N=N, n=n, lam=lam, P=p, S=braid.S, g=np.eye(n, dtype=complex))
+    geom = FrameGeometry(N=N, n=n, lam=lam, P=p, S=identity_central(n) - 2.0 * p,
+                         g=np.eye(n, dtype=complex))
 
     residuals = {
         "structure": check_structure(geom),
@@ -179,8 +175,8 @@ def _f_zero_geometry(seed: int, n: int, N: int) -> FrameGeometry:
     if bad:
         raise ValueError(f"F = 0 geometry for n={n}, N={N}, seed={seed} is not exact: "
                          + ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items()))
-    omega = np.max(np.abs(d0_connection(geom, braid).omega))
-    curv = worst(max_coeff_norm(curvature_d0_closed_form(geom, braid, basis_field(n, N, (a,))))
+    omega = np.max(np.abs(d0_connection(geom, geom.braid).omega))
+    curv = worst(max_coeff_norm(curvature_d0_closed_form(geom, geom.braid, basis_field(n, N, (a,))))
                  for a in range(n))
     if not (omega > F_ZERO_FLAT_TOL and curv > F_ZERO_FLAT_TOL):
         raise ValueError(f"F = 0 geometry for n={n}, N={N}, seed={seed} is degenerate: "
@@ -247,7 +243,7 @@ def build_fixture(name: str, *, seed: int = 42, n: int = 3):
         return "geometry", su2_flip_geometry()
     if name == "su2-torsion-free":
         geom = su2_flip_geometry()
-        return "geometry", replace(geom, chi=solve_torsionfree_chi(geom, su2_braiding()))
+        return "geometry", replace(geom, chi=solve_torsionfree_chi(geom, geom.braid))
     if name == "phase-twist":
         return "braiding", random_phase_twist(seed, n)
     if name == "random":

@@ -281,9 +281,8 @@ def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTenso
 
 
 def max_coeff_norm(t: FrameTensorField) -> float:
-    """Max Frobenius norm over all coefficient matrices."""
-    norms = np.linalg.norm(t.coeffs, axis=(-2, -1))
-    return float(np.max(norms)) if norms.size else float(norms)
+    """Max Frobenius norm over all coefficient matrices; 0.0 for none, NaN if any is NaN."""
+    return float(np.max(np.linalg.norm(t.coeffs, axis=(-2, -1)), initial=0.0))
 
 
 def worst(residuals) -> float:

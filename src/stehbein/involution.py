@@ -108,12 +108,11 @@ def build_jn(b: Braiding, n: int) -> np.ndarray:
 
     W_n, the braiding word for the inverse-order permutation, comes from the
     recursion of ``_reverse_word_tensor``; then the upper index block is
-    reversed (R, the action of l_n on basis monomials).
+    reversed (R, the action of l_n on basis monomials).  At n = 1 both are
+    the identity, and so is J^(1).
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n == 1:
-        return np.eye(b.n, dtype=complex)
     w = _reverse_word_tensor(np.asarray(b.S), n)
     perm = list(range(n - 1, -1, -1)) + list(range(n, 2 * n))
     return np.ascontiguousarray(np.transpose(w, perm))
@@ -126,18 +125,15 @@ def build_jn(b: Braiding, n: int) -> np.ndarray:
 def star_form(t: FrameTensorField, jn: np.ndarray | None = None) -> FrameTensorField:
     """Antilinear star of a degree-p field: star(T)_B = J^{A}_{B} adjoint(T_A).
 
-    Degree 0 is the plain adjoint and degree 1 uses the identity tensor
-    (the frame is hermitian); higher degrees need the matching J^(p).
+    Without ``jn``, degrees 0 and 1 are the plain adjoint (J^(1) is the
+    identity: the frame is hermitian); higher degrees need the matching J^(p).
     """
     p = t.degree
     adj = adjoint(t.coeffs)
-    if p == 0:
-        return FrameTensorField(t.n, adj)
     if jn is None:
-        if p == 1:
-            jn = np.eye(t.n, dtype=complex)
-        else:
+        if p > 1:
             raise ValueError(f"degree {p} needs an explicit rank-{2 * p} star tensor")
+        return FrameTensorField(t.n, adj)
     jn = np.asarray(jn)
     if jn.ndim != 2 * p:
         raise ValueError(f"star tensor of rank {jn.ndim} does not match degree {p}")
@@ -223,8 +219,9 @@ def check_D2_reality(c: Connection, b: Braiding) -> tuple[float, float, float]:
 
     The two D_n checks run with ``op = d2``.  The three forms are provably
     equivalent once the connection itself is real; the caller is
-    responsible for cross-checking them (see the verify runner).  The
-    coefficient identity is ``_d2_coefficient_residual``.
+    responsible for cross-checking them (see the verify runner), which
+    judges the last two only then: on the flip they hold for every omega.
+    The coefficient identity is ``_d2_coefficient_residual``.
     """
     strong = check_Dn_reality(c, b, 2, d2)
     braided = check_sigma_lemma(c, b, 2, d2)

@@ -12,12 +12,14 @@ connection rows need only ``geometry``.
 
 ``run_verify`` walks the table in order.  A row is skipped, never
 dropped: with ``not selected`` when its group is filtered out, with the
-reason its prerequisite is missing, or with ``skipped: ...`` when it
-needs the inverse of a singular braiding.  The per-run ``_Context`` holds
-the inputs and the intermediates several checks share, each computed at
-most once.  Each sampled check (d-squared, leibniz, wedge-star) draws its
-samples from a generator of its own, seeded with ``--seed``, so a row's
-residual is the same whichever ``--checks`` groups run with it.
+reason its prerequisite is missing, with ``skipped: ...`` when it
+needs the inverse of a singular braiding, or, for the D₂ forms that are
+reality only for a real connection, with the connection-reality
+residual.  The per-run ``_Context`` holds the inputs and the
+intermediates several checks share, each computed at most once.  Each
+sampled check (d-squared, leibniz, wedge-star) draws its samples from a
+generator of its own, seeded with ``--seed``, so a row's residual is the
+same whichever ``--checks`` groups run with it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .braiding import (
     check_braid,
     check_sigma_consistency,
     check_yang_baxter,
-    make_braiding,
 )
 from .connection import (
     MAX_DEGREE,
@@ -207,7 +208,7 @@ class _Context:
 
     def __init__(self, loaded, tol: float, seed: int, connection_mode: str):
         if isinstance(loaded, FrameGeometry):
-            self.geom, self.braid, self.P = loaded, make_braiding(loaded.S), loaded.P
+            self.geom, self.braid, self.P = loaded, loaded.braid, loaded.P
         else:
             self.geom = None
             self.braid, self.P = loaded
@@ -306,9 +307,11 @@ def _d2_reality(ctx, _):
     residuals = check_D2_reality(ctx.conn, ctx.braid)
     rows = [(residuals[0], ctx.conn_label), (residuals[1], ""), (residuals[2], "")]
     real1, tol = ctx.connection_reality, ctx.tol
+    # a NaN real1 falls through, so that every form fails
     if real1 > tol:
-        return rows + [(None, f"equivalence needs a real connection "
-                              f"(connection-reality residual {real1:.3e})")]
+        skip = (None, f"equivalence needs a real connection "
+                      f"(connection-reality residual {real1:.3e})")
+        return [rows[0], skip, skip, skip]
     lo, hi = min(residuals), worst(residuals)
     if np.isnan(hi):
         return rows + [(hi, "a residual is NaN")]

@@ -9,7 +9,6 @@ from stehbein import (
     make_braiding,
     max_coeff_norm,
     phase_twist_braiding,
-    su2_braiding,
     su2_flip_geometry,
     torsionfree_connection,
 )
@@ -38,7 +37,8 @@ def levi_civita3() -> np.ndarray:
 def su2_torsionfree_connection():
     """D_(0) (which has omega = 0 here) plus the minimum-norm central chi
     solving the torsion-free condition; for this geometry chi^a_{bc} = eps_{bca}/2."""
-    return torsionfree_connection(su2_flip_geometry(), su2_braiding())
+    geom = su2_flip_geometry()
+    return torsionfree_connection(geom, geom.braid)
 
 
 def spin_frame_geometry(j, rng=None):
@@ -125,7 +125,7 @@ def su2_geom():
 
 @pytest.fixture(scope="session")
 def su2_braid():
-    return su2_braiding()
+    return su2_flip_geometry().braid
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from stehbein.connection import (
     solve_torsionfree_chi,
     torsionfree_connection,
 )
-from stehbein.fixtures import random_geometry, random_phase_twist, su2_braiding, su2_flip_geometry
+from stehbein.fixtures import random_geometry, random_phase_twist, su2_flip_geometry
 from stehbein.frametensor import (
     FrameTensorField,
     _omega_matrix,
@@ -439,7 +439,7 @@ def _with_d0(geom):
 
 
 ORACLE_CONNECTIONS = {
-    "su2-torsion-free": lambda: (su2_torsionfree_connection(), su2_braiding()),
+    "su2-torsion-free": lambda: (su2_torsionfree_connection(), su2_flip_geometry().braid),
     "random": lambda: _with_d0(random_geometry(42)),
     "f-zero-n4": lambda: _with_d0(random_geometry(5, n=4, N=3, force_f_zero=True)),
 }

@@ -25,9 +25,9 @@ from conftest import random_matrix, su2_torsionfree_connection
 # each fixture object whose fields include arrays, built once
 ARRAY_DATACLASSES = {
     "geometry": lambda: fixtures.su2_flip_geometry(),
-    "braiding": lambda: fixtures.su2_braiding(),
+    "braiding": lambda: fixtures.su2_flip_geometry().braid,
     "connection": lambda: su2_torsionfree_connection(),
-    "curvature": lambda: curvature(su2_torsionfree_connection(), fixtures.su2_braiding()),
+    "curvature": lambda: curvature(su2_torsionfree_connection(), fixtures.su2_flip_geometry().braid),
     "field": lambda: basis_field(3, 2, (0, 1)),
 }
 
@@ -39,7 +39,7 @@ def test_array_dataclasses_compare_and_hash_by_identity(kind):
     assert obj == obj
     assert obj != dataclasses.replace(obj)
     assert obj != ARRAY_DATACLASSES[kind]()
-    assert len({obj, fixtures.su2_flip_geometry(), fixtures.su2_braiding()}) == 3
+    assert len({obj, fixtures.su2_flip_geometry(), fixtures.su2_flip_geometry().braid}) == 3
 
 
 F_ZERO_CASES = [(seed, n, N) for seed in (23, 31) for n, N in ((3, 2), (4, 3), (5, 4))]

@@ -224,6 +224,13 @@ def test_max_coeff_norm_difference_of_equal_fields():
     assert max_coeff_norm(t - t) == 0.0
 
 
+def test_max_coeff_norm_of_an_empty_field_is_zero_and_a_nan_stays_nan():
+    assert max_coeff_norm(FrameTensorField(0, np.zeros((0, 2, 2)))) == 0.0
+    coeffs = np.zeros((3, 2, 2), dtype=complex)
+    coeffs[1, 0, 1] = np.nan
+    assert np.isnan(max_coeff_norm(FrameTensorField(3, coeffs)))
+
+
 # ---------------------------------------------------------------------------
 # words and lifts
 

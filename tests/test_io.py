@@ -21,7 +21,6 @@ from stehbein import (
     curvature,
     d0_connection,
     make_braiding,
-    su2_braiding,
     su2_flip_geometry,
 )
 from stehbein.calculus import GEOMETRY_ARRAYS
@@ -42,8 +41,9 @@ from conftest import random_tau, su2_torsionfree_connection
 SU2 = geometry_to_dict(su2_flip_geometry())
 SU2_TF = geometry_to_dict(build_fixture("su2-torsion-free")[1])
 SU2_TAU = {k: v for k, v in SU2.items() if k != "S"} | {"tau": encode_complex_array(random_tau(0))}
-SU2_OMEGA = geometry_to_dict(dataclasses.replace(
-    su2_flip_geometry(), omega=d0_connection(su2_flip_geometry(), su2_braiding()).omega))
+_GEOM = su2_flip_geometry()
+SU2_OMEGA = geometry_to_dict(
+    dataclasses.replace(_GEOM, omega=d0_connection(_GEOM, _GEOM.braid).omega))
 TWIST = braiding_to_dict(*random_phase_twist(0, 3))
 VALID = (SU2, SU2_TF, SU2_TAU, SU2_OMEGA, TWIST)
 
@@ -77,6 +77,33 @@ def test_valid_documents_round_trip(doc, tmp_path):
         assert check_sigma_consistency(make_braiding(loaded.S), loaded.P) <= 1e-15
     else:
         assert geometry_to_dict(loaded) == doc
+
+
+def _geometry_and_source(how, tmp_path):
+    """A geometry built the way ``how`` names, and the array its S came from, or None."""
+    if how in ("load-S", "load-tau"):
+        return load_input(_write(SU2 if how == "load-S" else SU2_TAU, tmp_path / "in.json")), None
+    if how == "fixture":
+        return build_fixture("su2-torsion-free")[1], None
+    # a complex source, which np.asarray(x, dtype=complex) would keep as an alias
+    base = su2_flip_geometry()
+    s = 1j * base.S
+    if how == "direct":
+        return FrameGeometry(N=2, n=3, lam=base.lam, P=base.P, S=s), s
+    geom = dataclasses.replace(base, S=s)
+    assert geom.braid is not base.braid and np.array_equal(base.braid.S, base.S)
+    return geom, s
+
+
+@pytest.mark.parametrize("how", ["direct", "load-S", "load-tau", "fixture", "replace"])
+def test_the_braid_is_the_one_holder_of_s(how, tmp_path):
+    geom, source = _geometry_and_source(how, tmp_path)
+    assert geom.S is geom.braid.S
+    with pytest.raises(ValueError, match="read-only"):
+        geom.braid.S[0, 0, 0, 0] = 1.0
+    if source is not None:
+        assert np.array_equal(geom.braid.S, source)
+        assert not np.shares_memory(geom.braid.S, source)
 
 
 @pytest.mark.parametrize("doc,message", [

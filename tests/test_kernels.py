@@ -18,7 +18,7 @@ import pytest
 from stehbein.braiding import Braiding, make_braiding
 from stehbein.calculus import differential0, differential1, maurer_cartan
 from stehbein.connection import Connection, covariant_derivative, d0_connection, d2, dn
-from stehbein.fixtures import random_geometry, su2_braiding
+from stehbein.fixtures import random_geometry, su2_flip_geometry
 from stehbein.fixtures import phase_twist_braiding, random_phase_twist
 from stehbein.frametensor import (
     FrameTensorField,
@@ -134,7 +134,7 @@ def _geometry(name, request):
     """(connection, braiding) of each geometry the kernels are checked on; the
     random one carries a random complex omega, the others their own D."""
     if name == "su2-torsion-free":
-        return su2_torsionfree_connection(), su2_braiding()
+        return su2_torsionfree_connection(), su2_flip_geometry().braid
     if name == "random-n4":
         geom = random_geometry(5, n=4, N=3, force_f_zero=True)
         rng = np.random.default_rng(11)
@@ -267,7 +267,7 @@ def test_central_at_matches_tensordot_on_f_omega_and_star_shapes(name, rank, req
 
 
 def test_central_at_rejects_axes_that_are_not_n():
-    s = su2_braiding().S
+    s = su2_flip_geometry().braid.S
     with pytest.raises(ValueError, match="do not all equal n=3"):
         central_at(np.zeros((3, 3, 2, 2)), s, 2)
     with pytest.raises(ValueError, match="do not all equal n=3"):
@@ -343,7 +343,7 @@ def test_jn_involutive_matches_its_dense_oracle_at_order_6():
 
 
 def test_jn_involutive_is_nan_for_a_nan_in_s_at_every_order():
-    braid = Braiding(3, _with_nan(su2_braiding().S, (0, 2, 2, 0)))
+    braid = Braiding(3, _with_nan(su2_flip_geometry().braid.S, (0, 2, 2, 0)))
     for k in (2, 3, 4, 5):
         assert np.isnan(check_jn_involutive(braid, k)), k
     report = run_verify((braid, None), checks={"jn"}, max_order=5)
@@ -389,7 +389,7 @@ def _with_nan(arr, index):
 
 
 def _nan_case(where):
-    conn, braid = su2_torsionfree_connection(), su2_braiding()
+    conn, braid = su2_torsionfree_connection(), su2_flip_geometry().braid
     geom = conn.geom
     if where == "omega":
         return Connection(geom, _with_nan(conn.omega, (2, 1, 0, 1, 1))), braid
@@ -429,7 +429,7 @@ def test_nan_reaches_the_operators_on_every_basis_monomial(where, operator):
 
 @pytest.mark.parametrize("rank", [2, 4])
 def test_nan_in_a_central_tensor_reaches_apply_central_at(rank):
-    m = _with_nan(su2_braiding().S if rank == 4 else np.eye(3), (1,) * rank)
+    m = _with_nan(su2_flip_geometry().braid.S if rank == 4 else np.eye(3), (1,) * rank)
     for degree in (2, 3):
         for idx in itertools.product(range(3), repeat=degree):
             for pos in range(1, degree - rank // 2 + 2):
@@ -438,7 +438,7 @@ def test_nan_in_a_central_tensor_reaches_apply_central_at(rank):
 
 
 def test_nan_in_s_reaches_word_tensor_and_star_form():
-    braid = Braiding(3, _with_nan(su2_braiding().S, (0, 2, 2, 0)))
+    braid = Braiding(3, _with_nan(su2_flip_geometry().braid.S, (0, 2, 2, 0)))
     for letters in ([1], [1, 2, 1], [2, 1, 2]):
         assert np.isnan(word_tensor(braid.S, 3, letters)).any(), letters
     for degree in (2, 3):

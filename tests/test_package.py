@@ -1,5 +1,6 @@
 """Package-wide guards: every module-level definition has a caller outside the tests, one
-helper freezes the arrays the records keep, and the modules import in one direction."""
+helper freezes the arrays the records keep, one record holds S, and the modules import in
+one direction."""
 
 import ast
 from pathlib import Path
@@ -57,6 +58,26 @@ def test_one_helper_freezes_every_kept_array():
     helper = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_read_only")
     assert "flags.writeable = False" in ast.unparse(helper)
+
+
+def _builds_a_braiding_from_an_s(call) -> bool:
+    """``make_braiding(...)`` or ``Braiding(...)`` with an argument of the form ``<expr>.S``."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    args = [*call.args, *(k.value for k in call.keywords)]
+    return name in ("make_braiding", "Braiding") and any(
+        isinstance(a, ast.Attribute) and a.attr == "S" for a in args)
+
+
+def test_only_the_geometry_builds_a_braiding_from_its_s():
+    # FrameGeometry.braid holds S; a Braiding built from some record's S elsewhere would be
+    # a second holder of it
+    sites = [(p.name, top.name) for p in sorted(SRC.glob("*.py"))
+             for top in ast.parse(p.read_text(encoding="utf-8")).body if hasattr(top, "name")
+             for call in ast.walk(top)
+             if isinstance(call, ast.Call) and _builds_a_braiding_from_an_s(call)]
+    assert sites == [("calculus.py", "FrameGeometry")]
+    snippet = ast.parse("make_braiding(geom.S); Braiding(n, S=x.S); make_braiding(s); f(g.S)")
+    assert [_builds_a_braiding_from_an_s(e.value) for e in snippet.body] == [True, True, False, False]
 
 
 # each module may import only the modules before it; frametensor is the base

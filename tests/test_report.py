@@ -16,6 +16,7 @@ from stehbein import calculus, cli, make_braiding, su2_flip_geometry
 from stehbein.calculus import maurer_cartan
 from stehbein.connection import MAX_DEGREE
 from stehbein.fixtures import build_fixture, random_geometry
+from stehbein.involution import check_D2_reality
 from stehbein.io import geometry_to_dict, save_json
 from stehbein.report import CHECKS, GROUPS, REPORT_SCHEMA, resolve_connection, run_verify
 
@@ -136,13 +137,37 @@ def test_unselected_groups_are_reported_not_dropped(su2_tf):
 def test_the_d2_strong_and_braided_rows_repeat_the_order_2_dn_rows(reports):
     # dn at degree 2 runs d2's operations in d2's order, so the rows agree bit for bit
     compared = 0
-    for doc in reports.values():
+    for key, doc in reports.items():
         got = {c["name"]: c["residual"] for c in doc["checks"]}
         if got["d2-reality-strong"] is not None:
+            braided = got["d2-reality-braided"]
+            if braided is None:
+                # skipped on a connection that is not real (random@3), so computed here
+                geom = build_fixture(key.split("@")[0])[1]
+                braided = check_D2_reality(resolve_connection(geom, geom.braid)[0], geom.braid)[2]
             assert got["d2-reality-strong"] == got["dn-reality-2"]
-            assert got["d2-reality-braided"] == got["dn-sigma-lemma-2"]
+            assert braided == got["dn-sigma-lemma-2"]
             compared += 1
     assert compared == 5
+
+
+def test_the_coeffs_and_braided_rows_are_skipped_on_a_connection_that_is_not_real(su2_tf):
+    # on the flip both forms hold for every omega: with this complex omega they read
+    # 3.4e-16 and 0 while connection-reality and the strong form fail
+    rng = np.random.default_rng(0)
+    shape = (3, 3, 3, 2, 2)
+    omega = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    geom = dataclasses.replace(su2_flip_geometry(), omega=omega)
+    checks = {"d2-reality", "connection-reality", "dn-lemma"}
+    rows = {c.name: c for c in run_verify(geom, checks=checks, max_order=2).checks}
+    assert rows["connection-reality"].status == rows["d2-reality-strong"].status == "fail"
+    triangle = rows["d2-reality-triangle"]
+    assert triangle.note.startswith("equivalence needs a real connection")
+    for name in ("d2-reality-coeffs", "d2-reality-braided", "d2-reality-triangle"):
+        assert (rows[name].status, rows[name].note) == ("skipped", triangle.note)
+    # on a real connection both are judged, and pass
+    rows = {c.name: c.status for c in run_verify(su2_tf, checks=checks, max_order=2).checks}
+    assert rows["d2-reality-coeffs"] == rows["d2-reality-braided"] == "pass"
 
 
 INVARIANCE_GEOMETRIES = {
