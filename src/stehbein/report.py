@@ -48,6 +48,7 @@ from .connection import (
     check_right_leibniz,
     check_sigma_lemma,
     d0_connection,
+    d2,
     torsion_forms,
     torsionfree_connection,
     check_metric_symmetry,
@@ -304,14 +305,15 @@ def _metric(ctx, _):
 
 
 def _d2_reality(ctx, _):
-    residuals = check_D2_reality(ctx.conn, ctx.braid)
-    rows = [(residuals[0], ctx.conn_label), (residuals[1], ""), (residuals[2], "")]
     real1, tol = ctx.connection_reality, ctx.tol
     # a NaN real1 falls through, so that every form fails
     if real1 > tol:
+        # only the strong form is judged, so the other two are not computed
         skip = (None, f"equivalence needs a real connection "
                       f"(connection-reality residual {real1:.3e})")
-        return [rows[0], skip, skip, skip]
+        return [(check_Dn_reality(ctx.conn, ctx.braid, 2, d2), ctx.conn_label), skip, skip, skip]
+    residuals = check_D2_reality(ctx.conn, ctx.braid)
+    rows = [(residuals[0], ctx.conn_label), (residuals[1], ""), (residuals[2], "")]
     lo, hi = min(residuals), worst(residuals)
     if np.isnan(hi):
         return rows + [(hi, "a residual is NaN")]

@@ -23,12 +23,15 @@ from stehbein.fixtures import phase_twist_braiding, random_phase_twist
 from stehbein.frametensor import (
     FrameTensorField,
     _lambda_commutator,
+    _omega_at_slot,
     apply_central_at,
     basis_field,
     central_at,
     centrality_residual,
     flip_central,
     identity_central,
+    left_mul,
+    right_mul,
     word_tensor,
 )
 from stehbein import cli, involution
@@ -214,6 +217,26 @@ def test_lambda_commutator_closes_the_spin_frame():
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         eps[a, b, c], eps[b, a, c] = 1.0, -1.0
     assert np.max(np.abs(got - np.einsum('abc,cij->abij', eps, lam))) <= 1e-13
+
+
+@pytest.mark.parametrize("N", [2, 3, 16])
+def test_the_kept_einsums_give_the_bits_of_the_default_order(N):
+    # left_mul, right_mul and covariant_derivative's lam-commutator stay einsums
+    # because the pinned leibniz residuals see their summation order (ROADMAP
+    # item 2); a GEMM, a matmul or a reordered sum in their place fails here
+    rng = np.random.default_rng(N)
+    geom = random_geometry(N, n=3, N=N)
+    conn = Connection(geom, _random_field(rng, 3, N, 3).coeffs)
+    f = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    for degree in (1, 2):
+        t = _random_field(rng, 3, N, degree)
+        assert np.array_equal(left_mul(f, t).coeffs, np.einsum('ij,...jk->...ik', f, t.coeffs))
+        assert np.array_equal(right_mul(t, f).coeffs, np.einsum('...ij,jk->...ik', t.coeffs, f))
+    xi = _random_field(rng, 3, N, 1)
+    want = np.einsum('pij,qjk->pqik', geom.lam, xi.coeffs)
+    want -= np.einsum('qij,pjk->pqik', xi.coeffs, geom.lam)
+    want -= _omega_at_slot(xi.coeffs, conn.omega_matrix, 1)
+    assert np.array_equal(covariant_derivative(conn, xi).coeffs, want)
 
 
 def test_differential1_matches_its_oracle_on_a_generic_c():

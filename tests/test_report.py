@@ -151,23 +151,41 @@ def test_the_d2_strong_and_braided_rows_repeat_the_order_2_dn_rows(reports):
     assert compared == 5
 
 
-def test_the_coeffs_and_braided_rows_are_skipped_on_a_connection_that_is_not_real(su2_tf):
-    # on the flip both forms hold for every omega: with this complex omega they read
-    # 3.4e-16 and 0 while connection-reality and the strong form fail
+NOT_REAL_CHECKS = {"d2-reality", "connection-reality", "dn-lemma"}
+
+
+def _flip_with_a_complex_omega():
     rng = np.random.default_rng(0)
     shape = (3, 3, 3, 2, 2)
     omega = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    geom = dataclasses.replace(su2_flip_geometry(), omega=omega)
-    checks = {"d2-reality", "connection-reality", "dn-lemma"}
-    rows = {c.name: c for c in run_verify(geom, checks=checks, max_order=2).checks}
+    return dataclasses.replace(su2_flip_geometry(), omega=omega)
+
+
+def test_the_coeffs_and_braided_rows_are_skipped_on_a_connection_that_is_not_real(su2_tf):
+    # on the flip both forms hold for every omega: with this complex omega they read
+    # 3.4e-16 and 0 while connection-reality and the strong form fail
+    rows = {c.name: c for c in run_verify(_flip_with_a_complex_omega(), checks=NOT_REAL_CHECKS,
+                                          max_order=2).checks}
     assert rows["connection-reality"].status == rows["d2-reality-strong"].status == "fail"
     triangle = rows["d2-reality-triangle"]
     assert triangle.note.startswith("equivalence needs a real connection")
     for name in ("d2-reality-coeffs", "d2-reality-braided", "d2-reality-triangle"):
         assert (rows[name].status, rows[name].note) == ("skipped", triangle.note)
     # on a real connection both are judged, and pass
-    rows = {c.name: c.status for c in run_verify(su2_tf, checks=checks, max_order=2).checks}
+    rows = {c.name: c.status for c in run_verify(su2_tf, checks=NOT_REAL_CHECKS,
+                                                 max_order=2).checks}
     assert rows["d2-reality-coeffs"] == rows["d2-reality-braided"] == "pass"
+
+
+def test_the_skipped_forms_are_not_computed_on_a_connection_that_is_not_real(monkeypatch):
+    geom = _flip_with_a_complex_omega()
+    expected = run_verify(geom, checks=NOT_REAL_CHECKS, max_order=2).checks
+
+    def all_three_forms(*args):
+        raise AssertionError("check_D2_reality ran on a connection that is not real")
+
+    monkeypatch.setattr("stehbein.report.check_D2_reality", all_three_forms)
+    assert run_verify(geom, checks=NOT_REAL_CHECKS, max_order=2).checks == expected
 
 
 INVARIANCE_GEOMETRIES = {
