@@ -59,13 +59,10 @@ from .connection import (
     check_right_leibniz,
     check_sigma_lemma,
     solve_torsionfree_chi,
-    torsionfree_connection,
 )
 from .involution import (
     PermutationWord,
     build_jn,
-    check_connection_reality,
-    check_D2_reality,
     check_Dn_reality,
     check_fifa,
     check_jn_involutive,

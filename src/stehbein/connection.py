@@ -113,10 +113,6 @@ def solve_torsionfree_chi(geom: FrameGeometry, b: Braiding) -> np.ndarray:
     return sol.T.reshape(n, n, n)
 
 
-def torsionfree_connection(geom: FrameGeometry, b: Braiding) -> Connection:
-    return central_connection(geom, solve_torsionfree_chi(geom, b), b)
-
-
 def covariant_derivative(c: Connection, xi: FrameTensorField) -> FrameTensorField:
     """D(xi_a theta^a) = d xi_a x theta^a + xi_a D theta^a.
 

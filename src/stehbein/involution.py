@@ -33,7 +33,7 @@ import numpy as np
 
 from .calculus import FrameGeometry, differential0
 from .braiding import Braiding, SingularBraidingError
-from .connection import Connection, _intertwining_residual, check_sigma_lemma, d2, dn
+from .connection import Connection, _intertwining_residual, dn
 from .frametensor import (
     INVERSE_COND_LIMIT,
     FrameTensorField,
@@ -201,33 +201,6 @@ def check_fifa(b: Braiding) -> float:
     return float(np.max(np.abs(np.einsum('badc->abcd', b.S) - np.conj(s_inv))))
 
 
-def check_connection_reality(c: Connection, j: np.ndarray) -> float:
-    """Residual of (omega^a_{bc})* = omega^a_{de} (J^{de}_{bc})*."""
-    lhs = adjoint(c.omega)
-    rhs = central_at(c.omega, np.conj(np.asarray(j)), 2)
-    return max_coeff_norm(FrameTensorField(c.geom.n, lhs - rhs))
-
-
-def check_D2_reality(c: Connection, b: Braiding) -> tuple[float, float, float]:
-    """The three second-order reality residuals:
-
-    * strong form  D_2 o j_2 = j_3 o D_2: ``check_Dn_reality`` at n = 2,
-    * the four-term coefficient identity in J and omega, written out here
-      as the independent route,
-    * the braided form  D_2 o sigma = sigma_23 o D_2: ``check_sigma_lemma``
-      at p = 2.
-
-    The two D_n checks run with ``op = d2``.  The three forms are provably
-    equivalent once the connection itself is real; the caller is
-    responsible for cross-checking them (see the verify runner), which
-    judges the last two only then: on the flip they hold for every omega.
-    The coefficient identity is ``_d2_coefficient_residual``.
-    """
-    strong = check_Dn_reality(c, b, 2, d2)
-    braided = check_sigma_lemma(c, b, 2, d2)
-    return strong, _d2_coefficient_residual(b.S, c.omega), braided
-
-
 def _d2_coefficient_residual(s: np.ndarray, om: np.ndarray) -> float:
     """Max coefficient norm of t1 - t2 + t3 - t4, with each J^{ab}_{cd} read as S^{ba}_{cd}:
 
@@ -268,7 +241,9 @@ def check_Dn_reality(c: Connection, b: Braiding, n: int, op=None) -> float:
 
     Additivity plus the Leibniz structure make the basis monomials
     sufficient.  For n = 1 this is the basic reality condition
-    D xi* = (D xi)*.  ``op`` stands for D_n as in
+    D xi* = (D xi)*: on theta^a, D(theta^a*) - (D theta^a)* is minus the adjoint of
+    (omega^a_{bc})* - omega^a_{de} (J^{de}_{bc})*, so the Frobenius norms agree and
+    the report reads its connection-reality residual here.  ``op`` stands for D_n as in
     ``connection.check_sigma_lemma``: ``dn`` by default, looked up when the
     check runs, or ``d2`` at n = 2.  Both checks sweep the basis with
     ``connection._intertwining_residual``.

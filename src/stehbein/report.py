@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from numbers import Integral
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,16 +50,15 @@ from .connection import (
     check_sigma_lemma,
     d0_connection,
     d2,
+    solve_torsionfree_chi,
     torsion_forms,
-    torsionfree_connection,
     check_metric_symmetry,
     check_metric_compatibility,
 )
 from .involution import (
+    _d2_coefficient_residual,
     _involution_residual,
     build_jn,
-    check_connection_reality,
-    check_D2_reality,
     check_Dn_reality,
     check_fifa,
     check_jn_involutive,
@@ -198,7 +198,8 @@ def resolve_connection(geom: FrameGeometry, braid: Braiding,
     if mode == "auto" and geom.chi is not None:
         return central_connection(geom, geom.chi, braid), "D_(0) + chi from input"
     if mode == "torsion-free":
-        return torsionfree_connection(geom, braid), "D_(0) + torsion-free chi"
+        chi = solve_torsionfree_chi(geom, braid)
+        return central_connection(geom, chi, braid), "D_(0) + torsion-free chi"
     if mode in ("auto", "d0"):
         return d0_connection(geom, braid), "D_(0)"
     raise ValueError(f"unknown connection mode {mode!r}")
@@ -249,7 +250,8 @@ class _Context:
 
     @cached_property
     def connection_reality(self) -> float:
-        return check_connection_reality(self.conn, self.J)
+        # D_1 reality: the connection-reality and dn-reality-1 rows and the D₂ skip rule
+        return check_Dn_reality(self.conn, self.braid, 1)
 
 
 class Check(NamedTuple):
@@ -305,15 +307,19 @@ def _metric(ctx, _):
 
 
 def _d2_reality(ctx, _):
-    real1, tol = ctx.connection_reality, ctx.tol
+    # strong and braided: the D_n checks with op = d2; the three forms are provably
+    # equivalent only on a real connection (on the flip the last two hold for every ω)
+    conn, braid, real1, tol = ctx.conn, ctx.braid, ctx.connection_reality, ctx.tol
+    strong = (check_Dn_reality(conn, braid, 2, d2), ctx.conn_label)
     # a NaN real1 falls through, so that every form fails
     if real1 > tol:
         # only the strong form is judged, so the other two are not computed
         skip = (None, f"equivalence needs a real connection "
                       f"(connection-reality residual {real1:.3e})")
-        return [(check_Dn_reality(ctx.conn, ctx.braid, 2, d2), ctx.conn_label), skip, skip, skip]
-    residuals = check_D2_reality(ctx.conn, ctx.braid)
-    rows = [(residuals[0], ctx.conn_label), (residuals[1], ""), (residuals[2], "")]
+        return [strong, skip, skip, skip]
+    rows = [strong, (_d2_coefficient_residual(braid.S, conn.omega), ""),
+            (check_sigma_lemma(conn, braid, 2, d2), "")]
+    residuals = [r for r, _ in rows]
     lo, hi = min(residuals), worst(residuals)
     if np.isnan(hi):
         return rows + [(hi, "a residual is NaN")]
@@ -384,7 +390,8 @@ CHECKS = (
           lambda ctx, k: [(check_sigma_lemma(ctx.conn, ctx.braid, k), ctx.conn_label)],
           first_order=2),
     Check("dn-reality", "geometry", (("dn-reality", "D_n∘ȷ_n = ȷ_{n+1}∘D_n"),),
-          lambda ctx, k: [(check_Dn_reality(ctx.conn, ctx.braid, k), ctx.conn_label)],
+          lambda ctx, k: [(ctx.connection_reality if k == 1 else
+                           check_Dn_reality(ctx.conn, ctx.braid, k), ctx.conn_label)],
           first_order=1),
     Check(None, None, (("i-weak-yang-baxter", "weak Yang-Baxter property of I = −Pᵀ"),),
           lambda ctx, _: [(None, "not checked (condition unspecified)")]),  # no stated form
@@ -404,16 +411,21 @@ def run_verify(loaded, *, tol: float = DEFAULT_TOL, checks=None,
     (see GROUPS); everything applicable runs by default.  Report order is
     the order of CHECKS.  ``connection_mode`` is auto, d0 or torsion-free
     (see ``resolve_connection``).  An unknown or empty ``checks``, a ``tol``
-    that is not finite and > 0, or a ``max_order`` outside [2, MAX_DEGREE]
-    raises ValueError before any check runs.
+    that is not finite and > 0, a ``max_order`` not an integer in [2, MAX_DEGREE],
+    a ``seed`` not an integer >= 0 (a bool is refused) or a ``connection_mode``
+    outside CONNECTION_MODES raises ValueError before any check runs.
     """
     if checks is not None and (not checks or set(checks) - set(GROUPS)):
         raise ValueError(f"checks {sorted(checks)} must name known groups: {sorted(GROUPS)}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
-    if not MIN_ORDER <= max_order <= MAX_DEGREE:
-        raise ValueError(f"max_order must be between {MIN_ORDER} and {MAX_DEGREE}, got {max_order}")
-    report = VerificationReport(tolerance=tol, seed=seed, max_order=max_order,
+    if not (isinstance(max_order, Integral) and MIN_ORDER <= max_order <= MAX_DEGREE):
+        raise ValueError(f"max_order must be between {MIN_ORDER} and {MAX_DEGREE}, got {max_order!r}")
+    if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    if connection_mode not in CONNECTION_MODES:
+        raise ValueError(f"unknown connection mode {connection_mode!r}")
+    report = VerificationReport(tolerance=tol, seed=int(seed), max_order=int(max_order),
                                 source=str(source))
     ctx = _Context(loaded, tol, seed, connection_mode)
     for check in CHECKS:

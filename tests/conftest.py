@@ -10,10 +10,10 @@ from stehbein import (
     max_coeff_norm,
     phase_twist_braiding,
     su2_flip_geometry,
-    torsionfree_connection,
 )
 from stehbein.calculus import GEOMETRY_ARRAYS
 from stehbein.connection import algebraic_torsion, solve_torsionfree_chi, torsion_forms
+from stehbein.report import resolve_connection
 
 # lam_a = -(i/2) Pauli_a, written out so the tests do not depend on the fixtures
 LAM1 = np.array([[0, -0.5j], [-0.5j, 0]])
@@ -38,7 +38,7 @@ def su2_torsionfree_connection():
     """D_(0) (which has omega = 0 here) plus the minimum-norm central chi
     solving the torsion-free condition; for this geometry chi^a_{bc} = eps_{bca}/2."""
     geom = su2_flip_geometry()
-    return torsionfree_connection(geom, geom.braid)
+    return resolve_connection(geom, geom.braid, "torsion-free")[0]
 
 
 def spin_frame_geometry(j, rng=None):

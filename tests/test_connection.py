@@ -23,7 +23,6 @@ from stehbein.connection import (
     d2,
     dn,
     solve_torsionfree_chi,
-    torsionfree_connection,
 )
 from stehbein.fixtures import random_geometry, random_phase_twist, su2_flip_geometry
 from stehbein.frametensor import (

@@ -9,7 +9,6 @@ from stehbein import (
     FrameTensorField,
     SingularBraidingError,
     build_jn,
-    check_D2_reality,
     check_Dn_reality,
     check_fifa,
     check_jn_involutive,
@@ -19,7 +18,7 @@ from stehbein import (
     star_form,
 )
 from stehbein.braiding import Braiding, sigma_from_tau
-from stehbein.connection import d0_connection
+from stehbein.connection import check_sigma_lemma, d0_connection, d2
 from stehbein.fixtures import random_geometry, random_phase_twist
 from stehbein.involution import _d2_coefficient_residual
 from stehbein.frametensor import (
@@ -255,8 +254,14 @@ def test_metric_reality_fails_for_a_non_hermitian_metric(su2_braid):
 # reality of D, D_2 and D_n
 
 
+def _d2_routes(c, b):
+    """The strong, coefficient and braided forms of D_2 reality, as the report runs them."""
+    return (check_Dn_reality(c, b, 2, d2), _d2_coefficient_residual(b.S, c.omega),
+            check_sigma_lemma(c, b, 2, d2))
+
+
 def test_real_connection_satisfies_the_reality_conditions(su2_chi_conn, su2_braid):
-    assert all(r <= 1e-14 for r in check_D2_reality(su2_chi_conn, su2_braid))
+    assert all(r <= 1e-14 for r in _d2_routes(su2_chi_conn, su2_braid))
     for order in (1, 2, 3):
         assert check_Dn_reality(su2_chi_conn, su2_braid, order) <= 1e-14
     with pytest.raises(ValueError, match="order"):
@@ -267,7 +272,7 @@ def test_reality_residuals_propagate_nan(su2_chi_conn, su2_braid):
     omega = su2_chi_conn.omega.copy()
     omega[0, 1, 2, 0, 1] = np.nan
     conn = Connection(su2_chi_conn.geom, omega)
-    assert all(np.isnan(r) for r in check_D2_reality(conn, su2_braid))
+    assert all(np.isnan(r) for r in _d2_routes(conn, su2_braid))
     assert np.isnan(check_Dn_reality(conn, su2_braid, 2))
 
 

@@ -14,11 +14,12 @@ from jsonschema import Draft202012Validator, ValidationError
 
 from stehbein import calculus, cli, make_braiding, su2_flip_geometry
 from stehbein.calculus import maurer_cartan
-from stehbein.connection import MAX_DEGREE
+from stehbein.connection import MAX_DEGREE, check_sigma_lemma, d2
 from stehbein.fixtures import build_fixture, random_geometry
-from stehbein.involution import check_D2_reality
+from stehbein.involution import build_jn, check_Dn_reality
 from stehbein.io import geometry_to_dict, save_json
-from stehbein.report import CHECKS, GROUPS, REPORT_SCHEMA, resolve_connection, run_verify
+from stehbein.report import (CHECKS, CONNECTION_MODES, GROUPS, REPORT_SCHEMA, resolve_connection,
+                             run_verify)
 
 from conftest import (haar_unitary, spin_frame_geometry, su2_torsionfree_connection,
                       transformed_geometry)
@@ -144,7 +145,8 @@ def test_the_d2_strong_and_braided_rows_repeat_the_order_2_dn_rows(reports):
             if braided is None:
                 # skipped on a connection that is not real (random@3), so computed here
                 geom = build_fixture(key.split("@")[0])[1]
-                braided = check_D2_reality(resolve_connection(geom, geom.braid)[0], geom.braid)[2]
+                conn = resolve_connection(geom, geom.braid)[0]
+                braided = check_sigma_lemma(conn, geom.braid, 2, d2)
             assert got["d2-reality-strong"] == got["dn-reality-2"]
             assert braided == got["dn-sigma-lemma-2"]
             compared += 1
@@ -181,11 +183,67 @@ def test_the_skipped_forms_are_not_computed_on_a_connection_that_is_not_real(mon
     geom = _flip_with_a_complex_omega()
     expected = run_verify(geom, checks=NOT_REAL_CHECKS, max_order=2).checks
 
-    def all_three_forms(*args):
-        raise AssertionError("check_D2_reality ran on a connection that is not real")
+    def coefficient_form(*args):
+        raise AssertionError("the coefficient form ran on a connection that is not real")
 
-    monkeypatch.setattr("stehbein.report.check_D2_reality", all_three_forms)
+    def sigma_lemma(c, b, k, op=None):
+        # dn-lemma, selected too, runs the σ-lemma with dn; only the braided form passes d2
+        if op is d2:
+            raise AssertionError("the braided form ran on a connection that is not real")
+        return check_sigma_lemma(c, b, k, op)
+
+    monkeypatch.setattr("stehbein.report._d2_coefficient_residual", coefficient_form)
+    monkeypatch.setattr("stehbein.report.check_sigma_lemma", sigma_lemma)
     assert run_verify(geom, checks=NOT_REAL_CHECKS, max_order=2).checks == expected
+
+
+def _coefficient_reality(conn, braid):
+    """max_a |(ω^a_{bc})* − ω^a_{de} (J^{de}_{bc})*|, the coefficient form of Dξ* = (Dξ)*."""
+    om = conn.omega
+    diff = (np.conj(om).swapaxes(-1, -2)
+            - np.einsum('adeij,debc->abcij', om, np.conj(build_jn(braid, 2))))
+    return float(np.max(np.linalg.norm(diff, axis=(-2, -1))))
+
+
+REALITY_GEOMETRIES = {
+    "su2-flip": su2_flip_geometry,
+    "su2-torsion-free": lambda: build_fixture("su2-torsion-free")[1],
+    "random": lambda: build_fixture("random")[1],
+    "su2-flip-complex-omega": _flip_with_a_complex_omega,
+    **{f"random-n4-{seed}": functools.partial(random_geometry, seed, n=4) for seed in range(3)},
+    **{f"f-zero-n4-{seed}": functools.partial(random_geometry, seed, n=4, N=3, force_f_zero=True)
+       for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("mode", CONNECTION_MODES)
+@pytest.mark.parametrize("name", REALITY_GEOMETRIES)
+def test_connection_reality_is_the_coefficient_form(name, mode):
+    # the row is D_1 reality on the basis 1-forms, which is this formula up to rounding
+    geom = REALITY_GEOMETRIES[name]()
+    report = run_verify(geom, checks={"connection-reality", "dn-reality"}, max_order=2,
+                        connection_mode=mode)
+    rows = {c.name: c.residual for c in report.checks}
+    expected = _coefficient_reality(resolve_connection(geom, geom.braid, mode)[0], geom.braid)
+    assert abs(rows["connection-reality"] - expected) <= 1e-15 * max(1.0, expected)
+    assert rows["dn-reality-1"] == rows["connection-reality"]
+
+
+def test_one_d1_sweep_and_one_d2_strong_form_per_run(monkeypatch):
+    # connection-reality, dn-reality-1 and the D₂ skip rule read one D_1 sweep, and
+    # the strong D₂ form is the one call with op = d2
+    calls = []
+
+    def counted(c, b, n, op=None):
+        calls.append((n, op is d2))
+        return check_Dn_reality(c, b, n, op)
+
+    monkeypatch.setattr("stehbein.report.check_Dn_reality", counted)
+    run_verify(build_fixture("su2-torsion-free")[1], max_order=3)
+    assert calls == [(1, False), (2, True), (2, False), (3, False)]
+    calls.clear()
+    run_verify(_flip_with_a_complex_omega(), max_order=3)
+    assert calls == [(1, False), (2, True), (2, False), (3, False)]
 
 
 INVARIANCE_GEOMETRIES = {
@@ -355,3 +413,34 @@ def test_run_verify_refuses_an_order_outside_2_to_max_degree(order):
     # with only the braid group selected, an unchecked order would return at once
     with pytest.raises(ValueError, match=f"max_order must be between 2 and {MAX_DEGREE}"):
         run_verify(su2_flip_geometry(), max_order=order, checks={"braid"})
+
+
+BAD_ARGUMENTS = [
+    ("seed", -1, "seed must be an integer >= 0"),
+    ("seed", 1.0, "seed must be an integer >= 0"),
+    ("seed", True, "seed must be an integer >= 0"),
+    ("max_order", 2.5, "max_order must be between"),
+    ("max_order", 3.0, "max_order must be between"),
+    ("connection_mode", "bogus", "unknown connection mode 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("kind", ["geometry", "braiding"])
+@pytest.mark.parametrize("argument, value, message", BAD_ARGUMENTS)
+def test_run_verify_refuses_a_bad_seed_order_or_mode_before_any_check_runs(
+        monkeypatch, kind, argument, value, message):
+    def first_row(*args):
+        raise AssertionError("a check ran before the arguments were validated")
+
+    monkeypatch.setattr("stehbein.report.check_structure", first_row)
+    geom = su2_flip_geometry()
+    loaded = geom if kind == "geometry" else (geom.braid, geom.P)
+    with pytest.raises(ValueError, match=message):
+        run_verify(loaded, **{argument: value})
+
+
+def test_run_verify_accepts_numpy_integers_for_seed_and_order():
+    geom = su2_flip_geometry()
+    report = run_verify(geom, seed=np.int64(7), max_order=np.int32(2), checks={"d2"})
+    assert type(report.seed) is type(report.max_order) is int
+    assert report.to_dict() == run_verify(geom, seed=7, max_order=2, checks={"d2"}).to_dict()
