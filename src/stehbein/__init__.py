@@ -53,10 +53,9 @@ from .connection import (
     d0_connection,
     d2,
     dn,
-    check_left_leibniz,
+    check_leibniz,
     check_metric_compatibility,
     check_metric_symmetry,
-    check_right_leibniz,
     check_sigma_lemma,
     solve_torsionfree_chi,
 )
@@ -66,6 +65,7 @@ from .involution import (
     check_Dn_reality,
     check_fifa,
     check_jn_involutive,
+    check_metric_compat_second,
     check_metric_reality,
     check_wedge_star,
     reverse_word,

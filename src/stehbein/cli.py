@@ -8,8 +8,9 @@ Their connection is the file's omega, else D_(0) + its chi, else D_(0);
 omega and chi is rejected.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails,
-2 input or usage error, an output file that cannot be written, or out of
-memory.
+2 input or usage error, an output that cannot be written, or out of
+memory.  Output is strict JSON: the report writes a non-finite residual as
+null, and any other non-finite number cannot be written.
 """
 
 from __future__ import annotations
@@ -96,11 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(payload: dict, path, what: str) -> bool:
-    """Write ``payload`` to ``path``; on an OSError print why and return False."""
+    """Write ``payload`` to ``path`` as strict JSON; on an OSError or a non-finite
+    number print why and return False."""
     try:
         save_json(payload, path)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot write {path}: {getattr(exc, 'strerror', None) or exc}",
+              file=sys.stderr)
         return False
     print(f"{what} written to {path}")
     return True
@@ -202,7 +205,11 @@ def _dispatch(args, loaded) -> int:
                    "J": encode_complex_array(tensor)}
         if args.out:
             return 0 if _write(payload, args.out, f"J^({args.order})") else 2
-        print(json.dumps(payload))
+        try:
+            print(json.dumps(payload, allow_nan=False))
+        except ValueError as exc:
+            print(f"error: cannot write J^({args.order}) to stdout: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     if args.command == "curvature":

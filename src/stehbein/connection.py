@@ -136,20 +136,16 @@ def covariant_derivative(c: Connection, xi: FrameTensorField) -> FrameTensorFiel
     return FrameTensorField(geom.n, out)
 
 
-def check_left_leibniz(c: Connection, f: np.ndarray, xi: FrameTensorField) -> float:
-    """Residual of D(f xi) = df x xi + f D xi (holds by construction; regression)."""
-    lhs = covariant_derivative(c, left_mul(f, xi))
-    rhs = tensor_product(differential0(f, c.geom), xi) + left_mul(f, covariant_derivative(c, xi))
-    return max_coeff_norm(lhs - rhs)
-
-
-def check_right_leibniz(c: Connection, b: Braiding, f: np.ndarray,
-                        xi: FrameTensorField) -> float:
-    """Residual of D(xi f) = sigma(xi x df) + (D xi) f."""
-    lhs = covariant_derivative(c, right_mul(xi, f))
-    rhs = apply_central_at(tensor_product(xi, differential0(f, c.geom)), b.S, 1)
-    rhs += right_mul(covariant_derivative(c, xi), f)
-    return max_coeff_norm(lhs - rhs)
+def check_leibniz(c: Connection, b: Braiding, f: np.ndarray,
+                  xi: FrameTensorField) -> tuple[float, float]:
+    """Residuals (left, right) of the Leibniz pair on one (f, xi), which share df and D xi:
+    D(f xi) = df x xi + f D xi (holds by construction; regression) and
+    D(xi f) = sigma(xi x df) + (D xi) f."""
+    df, dxi = differential0(f, c.geom), covariant_derivative(c, xi)
+    left = covariant_derivative(c, left_mul(f, xi)) - (tensor_product(df, xi) + left_mul(f, dxi))
+    rhs = apply_central_at(tensor_product(xi, df), b.S, 1)
+    rhs += right_mul(dxi, f)
+    return max_coeff_norm(left), max_coeff_norm(covariant_derivative(c, right_mul(xi, f)) - rhs)
 
 
 def torsion_forms(c: Connection) -> list[FrameTensorField]:
@@ -189,14 +185,13 @@ def check_metric_symmetry(g: np.ndarray, b: Braiding) -> tuple[float, complex]:
     return residual, c
 
 
-def check_metric_compatibility(c: Connection, b: Braiding,
-                               g: np.ndarray) -> tuple[float, float]:
-    """Residuals of the two compatibility identities.
+def check_metric_compatibility(c: Connection, b: Braiding, g: np.ndarray) -> float:
+    """Residual of the first compatibility form, omega^a_{bc} + omega_{cd}^e S^{ad}_{be} = 0,
+    lowering and raising with g_{ab} = (g^{ab})^{-1}.
 
-    First form: omega^a_{bc} + omega_{cd}^e S^{ad}_{be} = 0, lowering and
-    raising with g_{ab} = (g^{ab})^{-1}.  Second form (constrains S and g
-    alone): S^{ae}_{df} g^{fg} S^{bc}_{eg} = g^{ab} delta^c_d.  g is singular by
-    condition number, whatever its scale; a non-finite g gives NaN residuals.
+    g is singular by condition number, whatever its scale; a non-finite g
+    gives a NaN residual.  The second form reads S and g alone
+    (``involution.check_metric_compat_second``).
     """
     g = np.asarray(g, dtype=complex)
     if np.all(np.isfinite(g)) and not np.linalg.cond(g) <= INVERSE_COND_LIMIT:
@@ -204,11 +199,7 @@ def check_metric_compatibility(c: Connection, b: Braiding,
     g_low = np.linalg.inv(g)
     lowered = np.einsum('cf,fdgij,ge->cdeij', g_low, c.omega, g)
     res1_t = c.omega + np.einsum('cdeij,adbe->abcij', lowered, b.S)
-    res1 = max_coeff_norm(FrameTensorField(c.geom.n, res1_t))
-    lhs2 = np.einsum('aedf,fg,bceg->abcd', b.S, g, b.S)
-    rhs2 = np.einsum('ab,cd->abcd', g, np.eye(c.geom.n))
-    res2 = float(np.max(np.abs(lhs2 - rhs2)))
-    return res1, res2
+    return max_coeff_norm(FrameTensorField(c.geom.n, res1_t))
 
 
 def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
@@ -277,9 +268,9 @@ def curvature_of_form(c: Connection, b: Braiding, xi: FrameTensorField) -> Frame
 def curvature(c: Connection, b: Braiding) -> CurvatureData:
     """Curvature and Ricci of a connection.
 
-    R^a_{bcd} is read off from Curv(theta^a) = -1/2 R^a_{bcd} theta^c theta^d x theta^b
-    and P-reduced on (c, d); Ricci is R^a_c = 1/2 R^a_{bcd} g^{db} (with the
-    identity metric when none is supplied).
+    R^a_{bcd} is read off from Curv(theta^a) = -1/2 R^a_{bcd} theta^c theta^d x theta^b,
+    whose pi_12 leaves it P-reduced on (c, d); Ricci is R^a_c = 1/2 R^a_{bcd} g^{db}
+    (with the identity metric when none is supplied).
     """
     geom = c.geom
     n, N = geom.n, geom.N
@@ -288,7 +279,6 @@ def curvature(c: Connection, b: Braiding) -> CurvatureData:
         curv = curvature_of_form(c, b, basis_field(n, N, (a,)))
         # coefficient at (c, d, b) is -1/2 R^a_{bcd}
         r[a] = -2.0 * np.moveaxis(curv.coeffs, 2, 0)
-    r = central_at(r, geom.P, 3)
     g = geom.g if geom.g is not None else np.eye(n, dtype=complex)
     ricci = 0.5 * np.einsum('abcdij,db->acij', r, g)
     cent = centrality_residual(r.reshape(-1, N, N), geom.lam)

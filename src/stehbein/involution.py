@@ -281,6 +281,16 @@ def check_wedge_star(geom: FrameGeometry, b: Braiding, pairs) -> float:
     return worst([tensor_res, *field_res])
 
 
+def check_metric_compat_second(g: np.ndarray, b: Braiding) -> float:
+    """Residual of the second metric compatibility form,
+    S^{ae}_{df} g^{fg} S^{bc}_{eg} = g^{ab} delta^c_d: it reads S and g alone, so
+    it needs no inverse of g and is judged on a singular metric too."""
+    g = np.asarray(g, dtype=complex)
+    lhs = np.einsum('aedf,fg,bceg->abcd', b.S, g, b.S)
+    rhs = np.einsum('ab,cd->abcd', g, np.eye(b.n))
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def check_metric_reality(g: np.ndarray, b: Braiding) -> float:
     """Residual of S^{ab}_{cd} g^{cd} = (g^{ba})*."""
     g = np.asarray(g, dtype=complex)

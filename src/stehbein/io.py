@@ -73,7 +73,9 @@ def braiding_to_dict(b: Braiding, p: np.ndarray | None = None) -> dict:
 
 
 def save_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
+    """Write ``payload`` as strict JSON (RFC 8259): a NaN or an infinity, which no
+    JSON number holds, raises ValueError before the file is opened."""
+    Path(path).write_text(json.dumps(payload, indent=1, allow_nan=False), encoding="utf-8")
 
 
 def _dimension(doc: dict, key: str, what: str) -> int:

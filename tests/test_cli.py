@@ -9,8 +9,14 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from stehbein import build_jn, cli, curvature, make_braiding
-from stehbein.io import decode_complex_array, encode_complex_array, load_input
+from stehbein import build_jn, cli, curvature, make_braiding, su2_flip_geometry
+from stehbein.io import (
+    braiding_to_dict,
+    decode_complex_array,
+    encode_complex_array,
+    load_input,
+    save_json,
+)
 from stehbein.report import REPORT_SCHEMA, resolve_connection
 
 # the groups that read only S and P, the checks a braiding file can run
@@ -316,6 +322,23 @@ def test_jn_emits_the_star_tensor(fixture_file, capsys):
     assert (doc["order"], doc["n"]) == (3, 3)
     expected = build_jn(make_braiding(load_input(path).S), 3)
     assert np.array_equal(decode_complex_array(doc["J"], 6, "J"), expected)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_a_non_finite_star_tensor_exits_2_and_writes_nothing(to_file, tmp_path, capsys):
+    # su2-flip's S scaled by 1e200: finite, so the loader accepts it, but j_3 overflows,
+    # and strict JSON has no NaN or Infinity
+    geom = su2_flip_geometry()
+    source, out = tmp_path / "big-s.json", tmp_path / "j3.json"
+    save_json(braiding_to_dict(make_braiding(1e200 * geom.S), geom.P), source)
+    argv = ["jn", str(source), "--order", "3"] + (["--out", str(out)] if to_file else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_jn_order_is_bounded_before_the_file_loads(tmp_path, capsys):

@@ -10,10 +10,9 @@ from stehbein.calculus import differential0, differential1, dirac_form, maurer_c
 from stehbein.connection import (
     Connection,
     central_connection,
-    check_left_leibniz,
+    check_leibniz,
     check_metric_compatibility,
     check_metric_symmetry,
-    check_right_leibniz,
     check_sigma_lemma,
     covariant_derivative,
     curvature,
@@ -24,26 +23,37 @@ from stehbein.connection import (
     dn,
     solve_torsionfree_chi,
 )
-from stehbein.fixtures import random_geometry, random_phase_twist, su2_flip_geometry
+from stehbein.fixtures import (
+    build_fixture,
+    random_element,
+    random_field,
+    random_geometry,
+    random_phase_twist,
+    su2_flip_geometry,
+)
 from stehbein.frametensor import (
     FrameTensorField,
     _omega_matrix,
     apply_central_at,
     basis_field,
+    central_at,
     flip_central,
     identity_central,
     left_mul,
     max_coeff_norm,
+    right_mul,
     tensor_product,
     worst,
 )
 
-from stehbein.involution import check_Dn_reality
+from stehbein.involution import check_Dn_reality, check_metric_compat_second
+from stehbein.report import resolve_connection
 
 from conftest import (
     LAM,
     levi_civita3,
     random_matrix,
+    spin_frame_geometry,
     su2_torsionfree_connection,
     torsion,
     zero_field,
@@ -163,11 +173,11 @@ def test_d_and_differential1_reject_a_field_of_other_dimensions(n, N, su2_chi_co
         differential1(xi, su2_chi_conn.geom)
 
 
-def test_left_leibniz_holds(su2_chi_conn, rng):
+def test_left_leibniz_holds(su2_chi_conn, su2_braid, rng):
     for _ in range(20):
         f = random_matrix(rng)
         xi = _rand_1form(rng)
-        assert check_left_leibniz(su2_chi_conn, f, xi) <= 1e-12
+        assert check_leibniz(su2_chi_conn, su2_braid, f, xi)[0] <= 1e-12
 
 
 def test_constant_central_coefficients_with_zero_omega(su2_geom):
@@ -179,21 +189,57 @@ def test_constant_central_coefficients_with_zero_omega(su2_geom):
 def test_right_leibniz_d0_su2(su2_geom, su2_braid, rng):
     conn = d0_connection(su2_geom, su2_braid)
     for _ in range(20):
-        assert check_right_leibniz(conn, su2_braid, random_matrix(rng), _rand_1form(rng)) <= 1e-10
+        assert check_leibniz(conn, su2_braid, random_matrix(rng), _rand_1form(rng))[1] <= 1e-10
 
 
 def test_right_leibniz_central_element(su2_chi_conn, su2_braid, rng):
     f = 1.7j * np.eye(2)
-    assert check_right_leibniz(su2_chi_conn, su2_braid, f, _rand_1form(rng)) <= 1e-13
+    assert check_leibniz(su2_chi_conn, su2_braid, f, _rand_1form(rng))[1] <= 1e-13
 
 
 def test_right_leibniz_broken_by_noncentral_perturbation(su2_geom, su2_braid, rng):
     omega = np.zeros((3, 3, 3, 2, 2), dtype=complex)
     omega[0, 0, 0] = 0.4 * LAM[0]  # noncentral, not of the central-shift form
     conn = Connection(su2_geom, omega)
-    residual = worst(check_right_leibniz(conn, su2_braid, random_matrix(rng), _rand_1form(rng))
+    residual = worst(check_leibniz(conn, su2_braid, random_matrix(rng), _rand_1form(rng))[1]
                      for _ in range(10))
     assert residual > 1e-3
+
+
+def test_a_real_connection_can_break_only_the_right_rule(su2_chi_conn, su2_braid):
+    # the paper's asymmetry: a hermitian, noncentral shift of omega keeps D real on the
+    # frame and the left rule exact, and breaks the right rule
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((3, 3, 3, 2, 2)) + 1j * rng.standard_normal((3, 3, 3, 2, 2))
+    h = (a + np.conj(np.swapaxes(a, -2, -1))) / 2
+    conn = Connection(su2_chi_conn.geom, su2_chi_conn.omega + 0.3 * h)
+    assert check_Dn_reality(conn, su2_braid, 1) <= 1e-12
+    left, right = check_leibniz(conn, su2_braid, random_matrix(rng), _rand_1form(rng))
+    assert left <= 1e-12
+    assert right > 1e-2
+
+
+def _leibniz_pair_oracle(c, b, f, xi):
+    """The two rules as separate expressions, each computing df and D xi itself."""
+    lhs = covariant_derivative(c, left_mul(f, xi))
+    rhs = tensor_product(differential0(f, c.geom), xi) + left_mul(f, covariant_derivative(c, xi))
+    left = max_coeff_norm(lhs - rhs)
+    lhs = covariant_derivative(c, right_mul(xi, f))
+    rhs = apply_central_at(tensor_product(xi, differential0(f, c.geom)), b.S, 1)
+    rhs += right_mul(covariant_derivative(c, xi), f)
+    return left, max_coeff_norm(lhs - rhs)
+
+
+@pytest.mark.parametrize("build", [lambda: build_fixture("random")[1],
+                                   lambda: spin_frame_geometry(7.5)], ids=["random", "spin-7.5"])
+def test_the_leibniz_pair_reads_the_bits_of_the_separate_rules(build):
+    geom = build()
+    conn, _ = resolve_connection(geom, geom.braid)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        f, xi = random_element(rng, geom.N), random_field(rng, geom.n, geom.N, 1)
+        expected = _leibniz_pair_oracle(conn, geom.braid, f, xi)
+        assert check_leibniz(conn, geom.braid, f, xi) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +351,8 @@ def test_metric_symmetry_rejects_zero_metric(su2_braid):
 
 def test_metric_compat_second_flip_identity(su2_geom, su2_braid):
     conn = d0_connection(su2_geom, su2_braid)
-    r1, r2 = check_metric_compatibility(conn, su2_braid, su2_geom.g)
-    assert r2 == 0.0
+    r1 = check_metric_compatibility(conn, su2_braid, su2_geom.g)
+    assert check_metric_compat_second(su2_geom.g, su2_braid) == 0.0
     assert r1 == 0.0  # omega = 0 makes the first form vanish termwise
 
 
@@ -314,17 +360,14 @@ def test_metric_compat_first_chi_connection(su2_chi_conn, su2_braid, su2_geom):
     # g and a scaled g lower and raise alike: singularity goes by condition
     # number, which is 1 for both, not by the determinant (1e-15 for the second)
     for g in (su2_geom.g, 1e-5 * su2_geom.g):
-        r1, _ = check_metric_compatibility(su2_chi_conn, su2_braid, g)
-        assert r1 <= 1e-13
+        assert check_metric_compatibility(su2_chi_conn, su2_braid, g) <= 1e-13
 
 
 def test_metric_compat_perturbed_sigma(su2_geom, su2_braid):
     s = su2_braid.S.copy()
     s[0, 1, 1, 0] += 0.3
     bad = make_braiding(s)
-    conn = d0_connection(su2_geom, su2_braid)
-    _, r2 = check_metric_compatibility(conn, bad, su2_geom.g)
-    assert r2 > 1e-2
+    assert check_metric_compat_second(su2_geom.g, bad) > 1e-2
 
 
 def test_metric_compat_singular_metric(su2_chi_conn, su2_braid):
@@ -560,6 +603,24 @@ def test_curvature_r_p_reduced(su2_chi_conn, su2_braid, su2_geom):
     data = curvature(su2_chi_conn, su2_braid)
     reduced = np.einsum('abcdij,cdef->abefij', data.R, su2_geom.P)
     assert np.max(np.abs(reduced - data.R)) <= 1e-13
+
+
+CURVATURE_GEOMETRIES = {
+    "su2-flip": lambda: build_fixture("su2-flip")[1],
+    "su2-torsion-free": lambda: build_fixture("su2-torsion-free")[1],
+    "random": lambda: build_fixture("random")[1],
+    "random-n4": lambda: random_geometry(1, n=4),
+    "f-zero-n4": lambda: random_geometry(0, n=4, N=3, force_f_zero=True),
+}
+
+
+@pytest.mark.parametrize("mode", ["auto", "d0", "torsion-free"])
+@pytest.mark.parametrize("name", list(CURVATURE_GEOMETRIES))
+def test_curvature_is_p_reduced_by_its_one_projection(name, mode):
+    # curvature_of_form's pi_12 is the only projection of (c, d): a second one moves nothing
+    geom = CURVATURE_GEOMETRIES[name]()
+    r = curvature(resolve_connection(geom, geom.braid, mode)[0], geom.braid).R
+    assert np.max(np.abs(central_at(r, geom.P, 3) - r)) <= 1e-14 * max(1.0, np.max(np.abs(r)))
 
 
 def test_curvature_d0_closed_form_su2(su2_geom, su2_braid):

@@ -149,3 +149,13 @@ def test_random_wedge_projector_rank_and_symmetry(rank):
     assert np.max(np.abs(pm @ pm - pm)) <= 1e-14
     assert np.max(np.abs(p + np.swapaxes(p, 0, 1))) <= 1e-15
     assert np.max(np.abs(p + np.swapaxes(p, 2, 3))) <= 1e-15
+
+
+@pytest.mark.parametrize("phases, message", [
+    ({(0, 3): 1.0}, r"pair \(0, 3\) out of range for n=3"),
+    ({(1, 1): -1.0}, r"diagonal phase L\[1,1\] must be 1"),
+    ({(0, 1): 1.5}, r"phase L\[0,1\] = 1.5 is not unit modulus"),
+], ids=["out-of-range", "diagonal", "not-unit"])
+def test_phase_twist_refuses_a_phase_it_cannot_hold(phases, message):
+    with pytest.raises(ValueError, match=message):
+        fixtures.phase_twist_braiding(3, phases)

@@ -129,13 +129,16 @@ def test_the_braid_is_the_one_holder_of_s(how, tmp_path):
      re.escape("field 'metric' has leaves that are not JSON numbers: ['bool']")),
     (SU2 | {"lambda": _leaves_replaced(SU2["lambda"], lambda x: "0.0" if x == 0 else x)},
      re.escape("field 'lambda' has leaves that are not JSON numbers: ['str']")),
+    ({k: v for k, v in SU2.items() if k != "P"}, "geometry file lacks the wedge projector 'P'"),
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-def test_malformed_documents_are_named(doc, message, tmp_path):
+def test_malformed_documents_are_named(doc, message, tmp_path, capsys):
     path = _write(doc, tmp_path / "in.json")
     with pytest.raises(GeometryFileError, match=message):
         load_input(path)
+    assert cli.main(["verify", str(path)]) == 2
+    assert re.search(message, capsys.readouterr().err)
 
 
 def _encode_by_recursion(arr):

@@ -197,6 +197,17 @@ def test_the_skipped_forms_are_not_computed_on_a_connection_that_is_not_real(mon
     assert run_verify(geom, checks=NOT_REAL_CHECKS, max_order=2).checks == expected
 
 
+def test_disagreeing_equivalent_forms_fail_the_triangle(monkeypatch):
+    monkeypatch.setattr("stehbein.report._d2_coefficient_residual", lambda S, omega: 1.0)
+    rows = {c.name: c for c in run_verify(build_fixture("su2-torsion-free")[1],
+                                          checks={"d2-reality"}, max_order=2).checks}
+    assert rows["d2-reality-coeffs"].residual == 1.0
+    triangle = rows["d2-reality-triangle"]
+    assert triangle.status == "fail"
+    assert triangle.residual == pytest.approx(1.0, abs=1e-12)
+    assert triangle.note == "internal-consistency error: provably equivalent residuals disagree"
+
+
 def _coefficient_reality(conn, braid):
     """max_a |(ω^a_{bc})* − ω^a_{de} (J^{de}_{bc})*|, the coefficient form of Dξ* = (Dξ)*."""
     om = conn.omega
@@ -329,6 +340,43 @@ def test_zero_metric_is_skipped_not_raised():
     rows = {c.name: (c.status, c.note) for c in run_verify(geom, checks={"metric"}).checks}
     assert rows["metric-symmetry"] == ("skipped", "metric is zero")
     assert rows["metric-compat-first"][0] == "skipped"
+    # the second form and metric-reality read S and g alone, so they are judged
+    assert rows["metric-compat-second"] == rows["metric-reality"] == ("pass", "")
+
+
+def test_a_singular_metric_skips_only_the_form_that_inverts_it():
+    geom = dataclasses.replace(su2_flip_geometry(), g=np.diag([1.0, 1.0, 0.0]))
+    rows = {c.name: c for c in run_verify(geom, checks={"metric"}).checks}
+    assert (rows["metric-compat-first"].status, rows["metric-compat-first"].note) == (
+        "skipped", "metric is singular; cannot raise/lower indices")
+    second = rows["metric-compat-second"]
+    assert (second.status, second.residual) == ("pass", 0.0)
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not a JSON number")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_non_finite_residual_is_written_as_null(tmp_path, capsys):
+    # every lambda entry is finite, so the loader accepts the file; the products overflow
+    geom = su2_flip_geometry()
+    path, out = tmp_path / "big.json", tmp_path / "report.json"
+    save_json(geometry_to_dict(dataclasses.replace(geom, lam=1e200 * geom.lam)), path)
+    assert cli.main(["verify", str(path), "--max-order", "2", "--report", str(out)]) == 1
+    doc = _strict_json(out.read_text(encoding="utf-8"))
+    Draft202012Validator(REPORT_SCHEMA).validate(doc)
+    named = {"structure": "nan", "theta-squared": "nan", "d-squared": "nan",
+             "leibniz-left": "inf", "leibniz-right": "inf", "wedge-star": "nan"}
+    nulls = {c["name"]: c for c in doc["checks"]
+             if c["residual"] is None and c["status"] != "skipped"}
+    assert set(nulls) == set(named)
+    for name, value in named.items():
+        assert nulls[name]["status"] == "fail"
+        assert nulls[name]["note"].endswith(f"residual is {value}"), nulls[name]["note"]
 
 
 def test_nan_in_omega_fails_every_connection_row():
