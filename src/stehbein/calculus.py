@@ -169,7 +169,7 @@ def differential1(xi: FrameTensorField, geom: FrameGeometry) -> FrameTensorField
     if xi.n != geom.n or xi.N != geom.N:
         raise ValueError("field does not match geometry dimensions")
     raw = _lambda_commutator(geom.lam, xi.coeffs)
-    raw -= 0.5 * _omega_at_slot(xi.coeffs, geom.C_matrix, 1)
+    raw -= 0.5 * _omega_at_slot(xi.coeffs, geom.C_matrix, 1)[0]
     return apply_central_at(FrameTensorField(geom.n, raw), geom.P, 1)
 
 

@@ -16,6 +16,7 @@ from .frametensor import (
     _omega_at_slot,
     _omega_matrix,
     _read_only,
+    _unchecked_field,
     apply_central_at,
     basis_field,
     central_as_matrix,
@@ -132,7 +133,7 @@ def covariant_derivative(c: Connection, xi: FrameTensorField) -> FrameTensorFiel
         raise ValueError("field does not match geometry dimensions")
     out = np.einsum('pij,qjk->pqik', geom.lam, xi.coeffs, order='C')
     out -= np.einsum('qij,pjk->pqik', xi.coeffs, geom.lam, order='C')
-    out -= _omega_at_slot(xi.coeffs, c.omega_matrix, 1)
+    out -= _omega_at_slot(xi.coeffs, c.omega_matrix, 1)[0]
     return FrameTensorField(geom.n, out)
 
 
@@ -207,11 +208,11 @@ def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
     if t.degree != 2:
         raise ValueError(f"expected a degree-2 field, got degree {t.degree}")
     geom = c.geom
-    w = c.omega_matrix
+    first, second = _omega_at_slot(t.coeffs, c.omega_matrix, 1, 2)
     out = _lambda_commutator(geom.lam, t.coeffs)
-    out -= _omega_at_slot(t.coeffs, w, 1)
+    out -= first
     # S^{ac}_{pq} (t_{ab} omega^b_{cr}): t.omega first, then S on its first pair
-    out -= central_at(_omega_at_slot(t.coeffs, w, 2), b.S, 1)
+    out -= central_at(second, b.S, 1)
     return FrameTensorField(geom.n, out)
 
 
@@ -220,18 +221,20 @@ def dn(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
 
     Reduces to the covariant derivative for degree 1 and to D_2 for
     degree 2.  The differential of the coefficients enters once, through
-    the first slot.
+    the first slot.  Its p slot contractions t omega are one GEMM
+    (``_omega_at_slot``); each slot's sigma-word then runs through ``apply_word``.
     """
     p = t.degree
     if p < 1:
         raise ValueError("D_n needs a field of degree >= 1")
     geom = c.geom
-    w = c.omega_matrix
+    if t.n != geom.n or t.N != geom.N:
+        raise ValueError("field does not match geometry dimensions")
     out = _lambda_commutator(geom.lam, t.coeffs)
-    for i in range(1, p + 1):
-        term = FrameTensorField(geom.n, _omega_at_slot(t.coeffs, w, i))
-        out -= apply_word(term, b, range(1, i)).coeffs
-    return FrameTensorField(geom.n, out)
+    terms = _omega_at_slot(t.coeffs, c.omega_matrix, *range(1, p + 1))
+    for i, term in enumerate(terms, 1):
+        out -= apply_word(_unchecked_field(geom.n, term), b, range(1, i)).coeffs
+    return _unchecked_field(geom.n, out)
 
 
 def check_sigma_lemma(c: Connection, b: Braiding, p: int, op=None) -> float:

@@ -18,8 +18,8 @@ Conventions fixed here and used identically everywhere else:
   connection's omega or the Maurer-Cartan C, acts on a field by
   ``new[.., x, y, ..] = sum_z old[.., z, ..] T^z_{xy}``: slot i of the field
   becomes the pair (x, y) and the coefficient is multiplied on the right.
-  ``_omega_at_slot`` (one GEMM by ``_omega_matrix(T)``) is the one
-  implementation of this contraction.
+  ``_omega_at_slot`` (one GEMM by ``_omega_matrix(T)`` for all the slots it
+  is given) is the one implementation of this contraction.
 * The inner derivation t_A -> lam_p t_A - t_A lam_p, with p a new leading
   frame slot, has one implementation, ``_lambda_commutator`` (two GEMMs);
   only ``connection.covariant_derivative`` still keeps an einsum of its own.
@@ -44,8 +44,8 @@ import numpy as np
 
 def _read_only(x, name: str, shape: tuple) -> np.ndarray:
     """A read-only complex copy of ``x`` of the given shape: the one rule for every
-    array a record keeps.  ``FrameTensorField``, built per term of the D_n loops
-    and written into by ``dn`` before it is wrapped, keeps its coefficients as given."""
+    array a record keeps.  ``FrameTensorField`` keeps a complex128 grid as given:
+    ``dn`` writes into its array before wrapping it (by ``_unchecked_field``)."""
     a = np.array(x, dtype=complex)
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
@@ -133,17 +133,23 @@ def _omega_matrix(omega: np.ndarray) -> np.ndarray:
     return omega.transpose(0, 3, 1, 2, 4).reshape(n * N, n * n * N)
 
 
-def _omega_at_slot(coeffs: np.ndarray, w: np.ndarray, i: int) -> np.ndarray:
-    """sum_z t_{..z..} omega^z_{xy}: slot i (1-based) of t becomes the pair (x, y).
+def _omega_at_slot(coeffs: np.ndarray, w: np.ndarray, *slots: int) -> list[np.ndarray]:
+    """sum_z t_{..z..} omega^z_{xy}, one array per slot i (1-based) given: slot i of t
+    becomes the pair (x, y).
 
-    ``w`` is ``_omega_matrix(omega)``; the contraction is one GEMM.
+    ``w`` is ``_omega_matrix(omega)``.  The slots' operands are stacked into one
+    GEMM, whose rows are those of each slot's own GEMM, with the same bits.
     """
     n, N = coeffs.shape[0], coeffs.shape[-1]
     p = coeffs.ndim - 2
-    left, right = n ** (i - 1), n ** (p - i)
-    c = coeffs.reshape(left, n, right, N, N).transpose(0, 2, 3, 1, 4)
-    out = (c.reshape(left * right * N, n * N) @ w).reshape(left, right, N, n * n, N)
-    return out.transpose(0, 3, 1, 2, 4).reshape((n,) * (p + 1) + (N, N))
+    blocks = [(n ** (i - 1), n ** (p - i)) for i in slots]
+    rows = np.empty((len(slots), n ** (p - 1) * N, n * N), dtype=coeffs.dtype)
+    for row, (left, right) in zip(rows, blocks):
+        row.reshape(left, right, N, n, N)[...] = (
+            coeffs.reshape(left, n, right, N, N).transpose(0, 2, 3, 1, 4))
+    out = (rows.reshape(-1, n * N) @ w).reshape(len(slots), -1)
+    return [o.reshape(left, right, N, n * n, N).transpose(0, 3, 1, 2, 4).reshape((n,) * (p + 1) + (N, N))
+            for o, (left, right) in zip(out, blocks)]
 
 
 def _lambda_commutator(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -183,19 +189,21 @@ def word_tensor(s: np.ndarray, strands: int, letters) -> np.ndarray:
 
 
 # eq=False: array fields have no truth value, so equality and hashing are by identity
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class FrameTensorField:
     """A degree-p form/tensor with algebra-element coefficients.
 
-    ``coeffs`` has shape (n,)*degree + (N, N).
+    ``coeffs`` has shape (n,)*degree + (N, N); a complex128 ndarray is kept, not copied.
     """
 
     n: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        object.__setattr__(self, "coeffs", c)
+        c = self.coeffs
+        if type(c) is not np.ndarray or c.dtype != complex:
+            c = np.asarray(c, dtype=complex)
+            object.__setattr__(self, "coeffs", c)
         if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
             raise ValueError(f"coefficient grid of shape {c.shape} has no square matrix axes")
         if c.shape[:-2] != (self.n,) * (c.ndim - 2):
@@ -227,11 +235,22 @@ class FrameTensorField:
                 f"{other.coeffs.shape} (n={other.n})")
 
 
+def _unchecked_field(n: int, coeffs: np.ndarray) -> FrameTensorField:
+    """``FrameTensorField(n, coeffs)`` without its checks, for a complex128 grid of a
+    shape that an already checked input fixes."""
+    t = object.__new__(FrameTensorField)
+    object.__setattr__(t, "n", n)
+    object.__setattr__(t, "coeffs", coeffs)
+    return t
+
+
 def basis_field(n: int, N: int, index) -> FrameTensorField:
-    """The basis monomial theta^{a1} x ... x theta^{ap} (0-based indices)."""
-    index = tuple(np.atleast_1d(index))
+    """The basis monomial theta^{a1} x ... x theta^{ap}: indices in [0, n), an int for p = 1."""
+    index = tuple(index) if np.iterable(index) else (index,)
+    if not all(isinstance(a, (int, np.integer)) and 0 <= a < n for a in index):
+        raise ValueError(f"basis index {index} is not a tuple of integers in [0, n) for n={n}")
     c = np.zeros((n,) * len(index) + (N, N), dtype=complex)
-    c[index] = np.eye(N)
+    c[index].flat[::N + 1] = 1  # the identity matrix
     return FrameTensorField(n, c)
 
 
@@ -282,12 +301,14 @@ def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTenso
         raise ValueError(f"frame dimension mismatch: tensor of shape {m.shape}, field n={t.n}")
     if not (1 <= pos and pos + k - 1 <= t.degree):
         raise ValueError(f"position {pos} (+{k} indices) out of range for degree {t.degree}")
-    return FrameTensorField(t.n, central_at(t.coeffs, m, pos))
+    return _unchecked_field(t.n, central_at(t.coeffs, m, pos))
 
 
 def max_coeff_norm(t: FrameTensorField) -> float:
-    """Max Frobenius norm over all coefficient matrices; 0.0 for none, NaN if any is NaN."""
-    return float(np.max(np.linalg.norm(t.coeffs, axis=(-2, -1)), initial=0.0))
+    """Max Frobenius norm over all coefficient matrices; 0.0 for none, NaN if any is NaN.
+    The norm is ``np.linalg.norm``'s own formula: its bits, without its dispatch."""
+    c = t.coeffs
+    return float(np.max(np.sqrt(np.add.reduce((c.conj() * c).real, axis=(-2, -1))), initial=0.0))
 
 
 def worst(residuals) -> float:

@@ -458,6 +458,18 @@ def test_dn_rejects_degree_zero(su2_chi_conn, su2_braid):
         dn(su2_chi_conn, su2_braid, zero_field(3, 2, 0))
 
 
+@pytest.mark.parametrize("n,N", [(3, 3), (2, 3), (4, 2)])
+def test_dn_rejects_a_field_of_other_dimensions(su2_chi_conn, su2_braid, n, N):
+    # (2, 3) has the n N of the geometry, so its slot GEMM alone would not refuse it
+    with pytest.raises(ValueError, match="field does not match geometry dimensions"):
+        dn(su2_chi_conn, su2_braid, zero_field(n, N, 2))
+
+
+def test_d2_rejects_a_field_of_degree_one(su2_chi_conn, su2_braid):
+    with pytest.raises(ValueError, match="expected a degree-2 field, got degree 1"):
+        d2(su2_chi_conn, su2_braid, basis_field(3, 2, (0,)))
+
+
 def test_dn_sigma_lemma(su2_chi_conn, su2_braid):
     # D_n o sigma_{(i-1)i} = sigma_{i(i+1)} o D_n for the central-shift class
     from stehbein.frametensor import apply_central_at

@@ -159,3 +159,9 @@ def test_random_wedge_projector_rank_and_symmetry(rank):
 def test_phase_twist_refuses_a_phase_it_cannot_hold(phases, message):
     with pytest.raises(ValueError, match=message):
         fixtures.phase_twist_braiding(3, phases)
+
+
+def test_an_unknown_fixture_name_is_refused():
+    # the CLI's argparse choices refuse it first, so the builder is called directly
+    with pytest.raises(ValueError, match="unknown fixture 'nope'"):
+        fixtures.build_fixture("nope")

@@ -1,3 +1,7 @@
+import dataclasses
+import operator
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -376,3 +380,93 @@ def test_centrality_of_a_stack_with_nan_is_nan():
     stack = np.array([np.eye(2)] * 4, dtype=complex)
     stack[2, 1, 0] = np.nan
     assert np.isnan(centrality_residual(stack, LAM))
+
+
+# ---------------------------------------------------------------------------
+# argument checks and the constructor's contract
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 3), (2,)])
+def test_a_grid_without_square_matrix_axes_is_refused(shape):
+    with pytest.raises(ValueError, match="has no square matrix axes"):
+        FrameTensorField(3, np.zeros(shape))
+
+
+def test_frame_axes_other_than_n_are_refused():
+    with pytest.raises(ValueError, match=re.escape("frame axes of (3, 2, 2, 2) do not all equal n=3")):
+        FrameTensorField(3, np.zeros((3, 2, 2, 2)))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+def test_fields_of_other_shapes_are_neither_added_nor_subtracted(op):
+    with pytest.raises(ValueError, match="field mismatch"):
+        op(_rand_field(1, degree=1), _rand_field(2, degree=2))
+    with pytest.raises(ValueError, match="field mismatch"):
+        op(_rand_field(1, N=2), _rand_field(2, N=3))
+
+
+def test_a_central_tensor_of_odd_rank_is_refused():
+    with pytest.raises(ValueError, match="central tensor must have even rank, got 3"):
+        central_as_matrix(np.ones((3, 3, 3)))
+    for rank in (3, 0):
+        with pytest.raises(ValueError, match=f"central tensor of rank {rank} is not of even rank"):
+            apply_central_at(_rand_field(3, degree=2), np.ones((3,) * rank), 1)
+
+
+@pytest.mark.parametrize("letter", [0, 3])
+def test_a_word_letter_out_of_range_is_refused(letter):
+    with pytest.raises(ValueError, match=f"letter {letter} out of range for 3 strands"):
+        word_tensor(flip_central(2), 3, [1, letter])
+
+
+@pytest.mark.parametrize("index,shown", [((-1,), "(-1,)"), ((3,), "(3,)"), (1.7, "(1.7,)"),
+                                         ((0, -1), "(0, -1)"), ((2, 3), "(2, 3)")])
+def test_a_basis_index_outside_0_to_n_is_refused(index, shown):
+    with pytest.raises(ValueError, match=re.escape(f"basis index {shown}") + ".*n=3"):
+        basis_field(3, 2, index)
+
+
+@pytest.mark.parametrize("index", [(), (1,), 1, (np.int64(2), 0), [2, 0, 1]])
+def test_basis_field_puts_the_identity_at_its_index(index):
+    idx = tuple(np.atleast_1d(index)) if index != () else ()
+    want = np.zeros((3,) * len(idx) + (2, 2), dtype=complex)
+    want[idx] = np.eye(2)
+    got = basis_field(3, 2, index).coeffs
+    assert got.dtype == np.complex128 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid", [np.ones((3, 2, 2)), np.ones((3, 2, 2)).tolist(),
+                                  np.ones((3, 2, 2), dtype=np.complex64)])
+def test_the_constructor_makes_every_grid_a_complex128_array(grid):
+    t = FrameTensorField(3, grid)
+    assert type(t.coeffs) is np.ndarray and t.coeffs.dtype == np.complex128
+    assert np.array_equal(t.coeffs, np.ones((3, 2, 2)))
+
+
+def test_a_complex128_grid_is_kept_without_a_copy():
+    c = np.zeros((3, 3, 2, 2), dtype=complex)
+    assert FrameTensorField(3, c).coeffs is c
+
+
+def test_replace_negation_and_the_products_still_build_checked_fields():
+    t = _rand_field(5, degree=2)
+    f = np.random.default_rng(5).normal(size=(2, 2)) + 0j
+    doubled = dataclasses.replace(t, coeffs=2 * t.coeffs)
+    assert isinstance(doubled, FrameTensorField) and np.array_equal(doubled.coeffs, 2 * t.coeffs)
+    with pytest.raises(ValueError, match="frame axes"):
+        dataclasses.replace(t, n=4)
+    assert np.array_equal((-t).coeffs, -t.coeffs) and (-t).n == 3
+    assert np.array_equal(left_mul(f, t).coeffs, np.einsum('ij,abjk->abik', f, t.coeffs))
+    assert np.array_equal(right_mul(t, f).coeffs, np.einsum('abij,jk->abik', t.coeffs, f))
+
+
+def test_a_field_is_frozen():
+    t = _rand_field(6)
+    for name in ("n", "coeffs"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, 1)
+    # a slotted class has no room for a new attribute; which error says so
+    # depends on the Python version (TypeError from the frozen __setattr__ on 3.11)
+    with pytest.raises((AttributeError, TypeError)):
+        t.extra = 1
+    assert not hasattr(t, "__dict__")

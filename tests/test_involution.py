@@ -20,7 +20,7 @@ from stehbein import (
 from stehbein.braiding import Braiding, sigma_from_tau
 from stehbein.connection import check_sigma_lemma, d0_connection, d2
 from stehbein.fixtures import random_geometry, random_phase_twist
-from stehbein.involution import _d2_coefficient_residual
+from stehbein.involution import _d2_coefficient_residual, reverse_word
 from stehbein.frametensor import (
     antisymmetrizer_central,
     central_as_matrix,
@@ -338,3 +338,10 @@ def test_d2_coefficients_propagate_nan(which, index):
     inputs = _random_s_and_omega()
     inputs[which][index] = np.nan
     assert np.isnan(_d2_coefficient_residual(*inputs))
+
+
+def test_a_word_or_star_tensor_of_too_low_an_order_is_refused(su2_braid):
+    with pytest.raises(ValueError, match="need at least 2 strands, got 1"):
+        reverse_word(1)
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        build_jn(su2_braid, 0)

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from stehbein.braiding import Braiding, make_braiding
+from stehbein.braiding import Braiding, apply_word, make_braiding
 from stehbein.calculus import differential0, differential1, maurer_cartan
 from stehbein.connection import Connection, covariant_derivative, d0_connection, d2, dn
 from stehbein.fixtures import random_geometry, su2_flip_geometry
@@ -24,6 +24,7 @@ from stehbein.frametensor import (
     FrameTensorField,
     _lambda_commutator,
     _omega_at_slot,
+    _omega_matrix,
     apply_central_at,
     basis_field,
     central_at,
@@ -235,8 +236,42 @@ def test_the_kept_einsums_give_the_bits_of_the_default_order(N):
     xi = _random_field(rng, 3, N, 1)
     want = np.einsum('pij,qjk->pqik', geom.lam, xi.coeffs)
     want -= np.einsum('qij,pjk->pqik', xi.coeffs, geom.lam)
-    want -= _omega_at_slot(xi.coeffs, conn.omega_matrix, 1)
+    want -= _omega_at_slot(xi.coeffs, conn.omega_matrix, 1)[0]
     assert np.array_equal(covariant_derivative(conn, xi).coeffs, want)
+
+
+def _one_slot_gemm(coeffs, w, i):
+    """sum_z t_{..z..} omega^z_{xy} at slot i alone, as one GEMM of that slot's rows."""
+    n, N, p = coeffs.shape[0], coeffs.shape[-1], coeffs.ndim - 2
+    left, right = n ** (i - 1), n ** (p - i)
+    c = coeffs.reshape(left, n, right, N, N).transpose(0, 2, 3, 1, 4)
+    out = (c.reshape(left * right * N, n * N) @ w).reshape(left, right, N, n * n, N)
+    return out.transpose(0, 3, 1, 2, 4).reshape((n,) * (p + 1) + (N, N))
+
+
+@pytest.mark.parametrize("N", [2, 3, 16])
+def test_stacked_slots_give_the_bits_of_one_gemm_per_slot(N):
+    # dn and d2 contract all their slots in one GEMM; each slot's rows must be
+    # those of its own GEMM, so the D_n residuals keep their bits
+    rng = np.random.default_rng(N)
+    w = _omega_matrix(_random_field(rng, 3, N, 3).coeffs)
+    for degree in (1, 2, 3) if N == 16 else (1, 2, 3, 4):
+        t = _random_field(rng, 3, N, degree).coeffs
+        together = _omega_at_slot(t, w, *range(1, degree + 1))
+        for i in range(1, degree + 1):
+            assert np.array_equal(together[i - 1], _one_slot_gemm(t, w, i)), (degree, i)
+
+
+@GEOMETRIES
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_dn_gives_the_bits_of_its_slot_by_slot_sum(name, degree, request):
+    conn, braid = _geometry(name, request)
+    t = _random_field(np.random.default_rng(degree), conn.geom.n, conn.geom.N, degree)
+    want = _lambda_commutator(conn.geom.lam, t.coeffs)
+    for i in range(1, degree + 1):
+        term = FrameTensorField(conn.geom.n, _one_slot_gemm(t.coeffs, conn.omega_matrix, i))
+        want -= apply_word(term, braid, range(1, i)).coeffs
+    assert np.array_equal(dn(conn, braid, t).coeffs, want)
 
 
 def test_differential1_matches_its_oracle_on_a_generic_c():

@@ -1,6 +1,6 @@
 """Package-wide guards: every module-level definition has a caller outside the tests, one
-helper freezes the arrays the records keep, one record holds S, and the modules import in
-one direction."""
+helper freezes the arrays the records keep, only the kernels skip a field's checks, one
+record holds S, and the modules import in one direction."""
 
 import ast
 from pathlib import Path
@@ -58,6 +58,17 @@ def test_one_helper_freezes_every_kept_array():
     helper = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_read_only")
     assert "flags.writeable = False" in ast.unparse(helper)
+
+
+def test_only_the_kernels_build_a_field_without_its_checks():
+    # frametensor._unchecked_field skips the constructor's checks; outside the kernels that
+    # fix the shape of what they wrap (apply_central_at, dn), a field must be checked
+    sites = sorted({p.name for p in SRC.glob("*.py")
+                    for call in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                    if isinstance(call, ast.Call)
+                    and "_unchecked_field" in (getattr(call.func, "id", None),
+                                               getattr(call.func, "attr", None))})
+    assert sites == ["connection.py", "frametensor.py"]
 
 
 def _builds_a_braiding_from_an_s(call) -> bool:

@@ -324,6 +324,9 @@ def test_connection_modes_are_auto_d0_and_torsion_free(su2_tf):
     for mode in ("omega", "chi"):
         with pytest.raises(ValueError, match=f"unknown connection mode '{mode}'"):
             run_verify(su2_tf, connection_mode=mode)
+    # run_verify refuses the mode first, so the resolver's own check is called directly
+    with pytest.raises(ValueError, match="unknown connection mode 'bogus'"):
+        resolve_connection(su2_tf, braid, "bogus")
 
 
 def test_singular_braiding_skips_only_the_checks_that_invert_it():
