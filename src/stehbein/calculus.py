@@ -14,7 +14,7 @@ from .frametensor import (
     _omega_at_slot,
     _omega_matrix,
     _read_only,
-    antihermiticity_residual,
+    adjoint,
     apply_central_at,
     central_as_matrix,
     central_at,
@@ -108,7 +108,8 @@ def geometry_invariants(geom: FrameGeometry) -> dict[str, float]:
     * F reduced by P on its lower pair (F^a_{bc} P^{bc}_{de} = F^a_{de}).
     """
     res = {}
-    res["lambda_antihermitian"] = worst(antihermiticity_residual(l) for l in geom.lam)
+    herm = FrameTensorField(geom.n, geom.lam + adjoint(geom.lam))
+    res["lambda_antihermitian"] = max_coeff_norm(herm)
     res["P_projector"] = _projector_residual(geom.P)
     fp = central_at(geom.F, geom.P, 2)
     res["F_P_reduced"] = float(np.max(np.abs(fp - geom.F)))

@@ -21,8 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from .frametensor import FrameTensorField, max_coeff_norm
 from .calculus import FrameGeometry
 from .connection import MAX_DEGREE, curvature
 from .involution import build_jn
@@ -219,7 +218,7 @@ def _dispatch(args, loaded) -> int:
         conn, label = resolve_connection(loaded, loaded.braid, args.connection)
         data = curvature(conn, loaded.braid)
         print(f"curvature of {label}: max |R| coefficient norm = "
-              f"{float(np.max(np.linalg.norm(data.R, axis=(-2, -1)))):.6e}, "
+              f"{max_coeff_norm(FrameTensorField(loaded.n, data.R)):.6e}, "
               f"centrality residual = {data.centrality_residual:.3e}")
         if args.out and not _write(curvature_to_dict(data), args.out, "curvature"):
             return 2

@@ -204,7 +204,11 @@ def check_metric_compatibility(c: Connection, b: Braiding, g: np.ndarray) -> flo
 
 
 def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
-    """D_2(f_{ab} theta^a x theta^b) = df_{ab} x theta^a x theta^b + f_{ab} D_2(theta^a x theta^b)."""
+    """D_2(f_{ab} theta^a x theta^b) = df_{ab} x theta^a x theta^b + f_{ab} D_2(theta^a x theta^b).
+
+    ``dn`` at degree 2 runs these operations in this order, bit for bit.  Only
+    the d2-reality-strong and -braided rows call it, pinned by perfbench's counts.
+    """
     if t.degree != 2:
         raise ValueError(f"expected a degree-2 field, got degree {t.degree}")
     geom = c.geom
@@ -265,7 +269,7 @@ def _intertwining_residual(c: Connection, b: Braiding, p: int, op, before, after
 
 def curvature_of_form(c: Connection, b: Braiding, xi: FrameTensorField) -> FrameTensorField:
     """pi_12 o D_2 o D applied to a 1-form."""
-    return apply_central_at(d2(c, b, covariant_derivative(c, xi)), c.geom.P, 1)
+    return apply_central_at(dn(c, b, covariant_derivative(c, xi)), c.geom.P, 1)
 
 
 def curvature(c: Connection, b: Braiding) -> CurvatureData:

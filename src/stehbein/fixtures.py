@@ -24,6 +24,7 @@ from .frametensor import (
     adjoint,
     antisymmetrizer_central,
     basis_field,
+    central_at,
     flip_central,
     identity_central,
     max_coeff_norm,
@@ -221,7 +222,7 @@ def random_geometry(seed: int, n: int = 3, N: int = 2, *,
     f = sol[:-1].reshape(n, n, n)
     k = sol[-1].reshape(n, n)
     # keep F in the image of P on its lower pair, as required of geometries
-    f = np.einsum('abc,bcde->ade', f, p)
+    f = central_at(f, p, 2)
     return FrameGeometry(N=N, n=n, lam=lam, P=p, S=s, F=f, K=k,
                          g=np.eye(n, dtype=complex))
 

@@ -28,8 +28,9 @@ Conventions fixed here and used identically everywhere else:
 * A word of adjacent operators is a sequence of positions i, each acting
   on the index pair (i, i+1); the RIGHTMOST letter acts first.
 * Algebra elements of M_N(C) are plain complex arrays of shape (N, N), or
-  stacks (..., N, N) of them.  ``adjoint``, ``antihermiticity_residual`` and
-  ``centrality_residual`` are pure and never mutate their inputs.
+  stacks (..., N, N) of them.  ``adjoint`` and ``centrality_residual`` are
+  pure and never mutate their inputs; ``max_coeff_norm`` is the one
+  coefficient norm of a field.
 * Every array a record keeps (a geometry's, a braiding's S, a connection's
   omega) is frozen by one rule, ``_read_only``: a read-only complex copy of
   the declared shape.
@@ -60,11 +61,6 @@ def _read_only(x, name: str, shape: tuple) -> np.ndarray:
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose.  Works on a single element or a stack of them."""
     return np.conj(np.swapaxes(np.asarray(a), -1, -2))
-
-
-def antihermiticity_residual(a: np.ndarray) -> float:
-    """Frobenius norm of a + a*; zero iff a is antihermitian."""
-    return float(np.linalg.norm(np.asarray(a) + adjoint(a)))
 
 
 def centrality_residual(a: np.ndarray, lam: np.ndarray) -> float:

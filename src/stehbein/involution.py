@@ -13,7 +13,7 @@ field f_A theta^A this gives
     star(T)_B = sum_A J^{A}{}_{B} adjoint(f_A).
 
 As matrices, J^(k) = R W_k with R the index reversal and W_k the composite
-of the word.  ``build_jn`` builds W_k by the recursion of ``reverse_word``,
+of the word.  ``build_jn`` runs the recursion of ``reverse_word`` itself,
 W_k = (W_(k-1) x 1) o sigma_(k-1) ... sigma_1: one Kronecker lift of the
 (k-1)-strand composite, then k-1 letter passes of n^(2k) n^2 MACs each.
 ``check_jn_involutive`` uses conj(J) J = R conj(W_k) J: the conjugate word
@@ -55,7 +55,6 @@ from .frametensor import (
 class PermutationWord:
     """A word in adjacent transpositions; the rightmost letter acts first."""
 
-    n_strands: int
     letters: tuple[int, ...]
 
 
@@ -69,7 +68,7 @@ def reverse_word(n: int) -> PermutationWord:
     letters: list[int] = [1]
     for m in range(3, n + 1):
         letters += list(range(m - 1, 0, -1))
-    return PermutationWord(n, tuple(letters))
+    return PermutationWord(tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -81,39 +80,28 @@ def _letter_tensor(s: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.einsum('abcd->cdab', s))
 
 
-def _reverse_word_tensor(s: np.ndarray, k: int) -> np.ndarray:
-    """The composite W_k of ``reverse_word(k)``, upper block first, by its recursion.
-
-    W_k = (W_(k-1) x 1) o sigma_(k-1) ... sigma_1 reads, on matrices,
-    mat(W_k) = L_1 ... L_(k-1) (mat(W_(k-1)) kron 1) with L_i the lift of S
-    to strands (i, i+1), so each step is one Kronecker lift and k-1 letter
-    passes, letter k-1 first.  It equals
-    ``word_tensor(s, k, reverse_word(k).letters)`` up to rounding.
-    """
-    n = s.shape[0]
-    letter = _letter_tensor(s)
-    eye = np.eye(n, dtype=complex)
-    w = eye
-    for m in range(2, k + 1):
-        # W_(m-1) kron 1 as one broadcast product: np.kron's products, not its overhead
-        side = n ** (m - 1)
-        w = (w.reshape(side, 1, side, 1) * eye[:, None]).reshape((n,) * (2 * m))
-        for i in range(m - 1, 0, -1):
-            w = central_at(w, letter, i)
-    return w
-
-
 def build_jn(b: Braiding, n: int) -> np.ndarray:
     """The rank-2n star tensor J^(n) = R W_n.
 
-    W_n, the braiding word for the inverse-order permutation, comes from the
-    recursion of ``_reverse_word_tensor``; then the upper index block is
-    reversed (R, the action of l_n on basis monomials).  At n = 1 both are
-    the identity, and so is J^(1).
+    W_n, the braiding word for the inverse-order permutation, is built by the
+    recursion of ``reverse_word`` (module docstring): each step m is one
+    Kronecker lift of W_(m-1), then m-1 letter passes by ``central_at``,
+    letter m-1 first; W_n equals ``word_tensor(S, n, reverse_word(n).letters)``
+    up to rounding.  Then the upper index block is reversed (R, the action of
+    l_n on basis monomials).  At n = 1 both are the identity, and so is J^(1).
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    w = _reverse_word_tensor(np.asarray(b.S), n)
+    size = b.n
+    letter = _letter_tensor(b.S)
+    eye = np.eye(size, dtype=complex)
+    w = eye
+    for m in range(2, n + 1):
+        # W_(m-1) kron 1 as one broadcast product: np.kron's products, not its overhead
+        side = size ** (m - 1)
+        w = (w.reshape(side, 1, side, 1) * eye[:, None]).reshape((size,) * (2 * m))
+        for i in range(m - 1, 0, -1):
+            w = central_at(w, letter, i)
     perm = list(range(n - 1, -1, -1)) + list(range(n, 2 * n))
     return np.ascontiguousarray(np.transpose(w, perm))
 
@@ -233,7 +221,7 @@ def _d2_coefficient_residual(s: np.ndarray, om: np.ndarray) -> float:
     ss = np.einsum('bqcp,prde->qrbcde', s, s)
     t4 = om.transpose(0, 3, 4, 1, 2).reshape(n * m, n * n) @ ss.reshape(n * n, n ** 4)
     out -= t4.reshape(n, N, N, n, n, n, n).transpose(0, 3, 4, 5, 6, 1, 2)
-    return float(np.max(np.linalg.norm(out, axis=(-2, -1))))
+    return max_coeff_norm(FrameTensorField(n, out))
 
 
 def check_Dn_reality(c: Connection, b: Braiding, n: int, op=None) -> float:

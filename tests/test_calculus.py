@@ -346,6 +346,11 @@ def test_invariants_su2(su2_geom):
     assert all(v <= 1e-12 for v in res.values()), res
 
 
+def test_the_antihermiticity_gate_reads_zero_on_an_exact_frame():
+    # max_coeff_norm of lam + lam^+: the su(2) generators cancel entry by entry
+    assert geometry_invariants(su2_flip_geometry())["lambda_antihermitian"] == 0.0
+
+
 def test_invariants_flag_bad_lambda(su2_geom):
     lam = su2_geom.lam.copy()
     lam[0] += 0.5 * np.eye(2)  # hermitian part

@@ -11,7 +11,6 @@ from stehbein.frametensor import (
     FrameTensorField,
     _lambda_commutator,
     adjoint,
-    antihermiticity_residual,
     antisymmetrizer_central,
     apply_central_at,
     basis_field,
@@ -287,7 +286,6 @@ def test_adjoint_shift_matrix():
 def test_adjoint_su2_generators_antihermitian():
     for lam in LAM:
         assert np.allclose(adjoint(lam), -lam, atol=1e-15)
-        assert antihermiticity_residual(lam) < 1e-15
 
 
 def test_adjoint_involutive_exactly():

@@ -1,6 +1,7 @@
 """Package-wide guards: every module-level definition has a caller outside the tests, one
-helper freezes the arrays the records keep, only the kernels skip a field's checks, one
-record holds S, and the modules import in one direction."""
+helper freezes the arrays the records keep, one routine takes a field's coefficient norm,
+only the kernels skip a field's checks, one record holds S, and the modules import in one
+direction."""
 
 import ast
 from pathlib import Path
@@ -58,6 +59,14 @@ def test_one_helper_freezes_every_kept_array():
     helper = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_read_only")
     assert "flags.writeable = False" in ast.unparse(helper)
+
+
+def test_one_routine_takes_the_coefficient_norm():
+    # frametensor.max_coeff_norm is the one Frobenius routine; centrality_residual's stack
+    # of commutators is not a field, so it keeps the formula, but in frametensor too
+    sites = [p.name for p in sorted(SRC.glob("*.py"))
+             if "linalg.norm" in p.read_text(encoding="utf-8")]
+    assert [name for name in sites if name != "frametensor.py"] == []
 
 
 def test_only_the_kernels_build_a_field_without_its_checks():
