@@ -20,6 +20,7 @@ from .frametensor import (
     antisymmetrizer_central,
     left_mul,
     max_coeff_norm,
+    max_entry,
     right_mul,
     tensor_product,
     word_tensor,
@@ -48,7 +49,6 @@ from .connection import (
     CurvatureData,
     covariant_derivative,
     curvature,
-    curvature_d0_closed_form,
     curvature_of_form,
     d0_connection,
     d2,

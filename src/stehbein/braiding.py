@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frametensor import (FrameTensorField, _read_only, apply_central_at, central_as_matrix,
-                          word_tensor)
+                          max_entry, word_tensor)
 
 
 class SingularBraidingError(ValueError):
@@ -58,7 +58,7 @@ def check_sigma_consistency(b: Braiding, p: np.ndarray) -> float:
     """Max entry of (S + delta) o P; zero iff torsion can be right-linear."""
     sm = central_as_matrix(b.S)
     pm = central_as_matrix(np.asarray(p, dtype=complex))
-    return float(np.max(np.abs((sm + np.eye(sm.shape[0])) @ pm)))
+    return max_entry((sm + np.eye(sm.shape[0])) @ pm)
 
 
 def apply_word(t: FrameTensorField, b: Braiding, letters) -> FrameTensorField:
@@ -71,7 +71,7 @@ def check_braid(b: Braiding) -> float:
     """Max-entry difference of sigma_12 sigma_23 sigma_12 and sigma_23 sigma_12 sigma_23."""
     lhs = word_tensor(b.S, 3, [1, 2, 1])
     rhs = word_tensor(b.S, 3, [2, 1, 2])
-    return float(np.max(np.abs(lhs - rhs)))
+    return max_entry(lhs - rhs)
 
 
 def check_yang_baxter(j: np.ndarray) -> float:
@@ -82,4 +82,4 @@ def check_yang_baxter(j: np.ndarray) -> float:
     j = np.asarray(j, dtype=complex)
     lhs = np.einsum('abpq,pcdr,qref->abcdef', j, j, j)
     rhs = np.einsum('bcpq,aqrf,rpde->abcdef', j, j, j)
-    return float(np.max(np.abs(lhs - rhs)))
+    return max_entry(lhs - rhs)

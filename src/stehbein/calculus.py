@@ -19,6 +19,7 @@ from .frametensor import (
     central_as_matrix,
     central_at,
     max_coeff_norm,
+    max_entry,
     tensor_product,
     worst,
 )
@@ -97,7 +98,7 @@ class FrameGeometry:
 def _projector_residual(p: np.ndarray) -> float:
     """max |P o P - P|; the loader gates geometry and braiding files on it."""
     pm = central_as_matrix(p)
-    return float(np.max(np.abs(pm @ pm - pm)))
+    return max_entry(pm @ pm - pm)
 
 
 def geometry_invariants(geom: FrameGeometry) -> dict[str, float]:
@@ -112,7 +113,7 @@ def geometry_invariants(geom: FrameGeometry) -> dict[str, float]:
     res["lambda_antihermitian"] = max_coeff_norm(herm)
     res["P_projector"] = _projector_residual(geom.P)
     fp = central_at(geom.F, geom.P, 2)
-    res["F_P_reduced"] = float(np.max(np.abs(fp - geom.F)))
+    res["F_P_reduced"] = max_entry(fp - geom.F)
     return res
 
 

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import FrameGeometry, differential0, differential1, dirac_form, theta_squared
+from .calculus import FrameGeometry, differential0, differential1
 from .braiding import Braiding, apply_word
 from .frametensor import (
     INVERSE_COND_LIMIT,
@@ -24,6 +24,7 @@ from .frametensor import (
     centrality_residual,
     left_mul,
     max_coeff_norm,
+    max_entry,
     right_mul,
     tensor_product,
     worst,
@@ -182,8 +183,7 @@ def check_metric_symmetry(g: np.ndarray, b: Braiding) -> tuple[float, complex]:
         raise ValueError("metric is zero")
     u = central_as_matrix(b.S) @ gv
     c = complex(np.vdot(gv, u) / np.vdot(gv, gv))
-    residual = float(np.max(np.abs(u - c * gv)))
-    return residual, c
+    return max_entry(u - c * gv), c
 
 
 def check_metric_compatibility(c: Connection, b: Braiding, g: np.ndarray) -> float:
@@ -291,27 +291,3 @@ def curvature(c: Connection, b: Braiding) -> CurvatureData:
     cent = centrality_residual(r.reshape(-1, N, N), geom.lam)
     return CurvatureData(R=r, ricci=ricci, centrality_residual=cent)
 
-
-def curvature_d0_closed_form(geom: FrameGeometry, b: Braiding,
-                             xi: FrameTensorField) -> FrameTensorField:
-    """Closed-form curvature of D_(0):
-
-        Curv_0(xi) = theta^2 x xi
-                     + pi_12 sigma_12 sigma_23 sigma_12 (xi x theta x theta).
-
-    Derivation: df = -[theta, f] gives D_(0) xi = -theta x xi + sigma(xi x theta)
-    for every 1-form xi and D_2 t = -theta x t + sigma_12 sigma_23 (t x theta)
-    for every 2-tensor t, so
-
-        D_2 D_(0) xi = theta x theta x xi - (1 + sigma_12) sigma_23 (theta x xi x theta)
-                       + sigma_12 sigma_23 sigma_12 (xi x theta x theta),
-
-    and pi_12 removes the middle term by pi o (sigma + 1) = 0.  Nothing else
-    is assumed: neither F = 0 nor the structure condition.  In theta^2 x xi
-    the theta^2 coefficients stand left of xi_a; the order matters unless
-    they commute with xi_a (they are central when F = 0 and the structure
-    condition holds, since then theta^2 = 1/2 K).
-    """
-    th = dirac_form(geom)
-    field2 = apply_word(tensor_product(xi, tensor_product(th, th)), b, [1, 2, 1])
-    return tensor_product(theta_squared(geom), xi) + apply_central_at(field2, geom.P, 1)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .calculus import FrameGeometry, check_d_squared, check_structure, check_theta_squared
 from .braiding import Braiding, make_braiding
-from .connection import curvature_d0_closed_form, d0_connection, solve_torsionfree_chi
+from .connection import curvature_of_form, d0_connection, solve_torsionfree_chi
 from .frametensor import (
     FrameTensorField,
     adjoint,
@@ -28,6 +28,7 @@ from .frametensor import (
     flip_central,
     identity_central,
     max_coeff_norm,
+    max_entry,
     worst,
 )
 
@@ -176,8 +177,9 @@ def _f_zero_geometry(seed: int, n: int, N: int) -> FrameGeometry:
     if bad:
         raise ValueError(f"F = 0 geometry for n={n}, N={N}, seed={seed} is not exact: "
                          + ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items()))
-    omega = np.max(np.abs(d0_connection(geom, geom.braid).omega))
-    curv = worst(max_coeff_norm(curvature_d0_closed_form(geom, geom.braid, basis_field(n, N, (a,))))
+    d0 = d0_connection(geom, geom.braid)
+    omega = max_entry(d0.omega)
+    curv = worst(max_coeff_norm(curvature_of_form(d0, geom.braid, basis_field(n, N, (a,))))
                  for a in range(n))
     if not (omega > F_ZERO_FLAT_TOL and curv > F_ZERO_FLAT_TOL):
         raise ValueError(f"F = 0 geometry for n={n}, N={N}, seed={seed} is degenerate: "

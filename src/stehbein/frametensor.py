@@ -29,8 +29,11 @@ Conventions fixed here and used identically everywhere else:
   on the index pair (i, i+1); the RIGHTMOST letter acts first.
 * Algebra elements of M_N(C) are plain complex arrays of shape (N, N), or
   stacks (..., N, N) of them.  ``adjoint`` and ``centrality_residual`` are
-  pure and never mutate their inputs; ``max_coeff_norm`` is the one
-  coefficient norm of a field.
+  pure and never mutate their inputs.
+* Residuals are reduced by three routines only, each keeping a NaN:
+  ``max_coeff_norm`` (largest coefficient norm of a field, the formula that
+  ``centrality_residual`` uses too), ``max_entry`` (largest modulus of an
+  array's entries) and ``worst`` (largest of several residuals).
 * Every array a record keeps (a geometry's, a braiding's S, a connection's
   omega) is frozen by one rule, ``_read_only``: a read-only complex copy of
   the declared shape.
@@ -74,7 +77,7 @@ def centrality_residual(a: np.ndarray, lam: np.ndarray) -> float:
     a = np.asarray(a)
     if lam.shape[-1] != a.shape[-1]:
         raise ValueError(f"dimension mismatch: element is {a.shape}, generators are {lam.shape}")
-    return worst(np.linalg.norm(_lambda_commutator(lam, a), axis=(-2, -1)).ravel())
+    return _max_frobenius(_lambda_commutator(lam, a))
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +303,20 @@ def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTenso
     return _unchecked_field(t.n, central_at(t.coeffs, m, pos))
 
 
-def max_coeff_norm(t: FrameTensorField) -> float:
-    """Max Frobenius norm over all coefficient matrices; 0.0 for none, NaN if any is NaN.
-    The norm is ``np.linalg.norm``'s own formula: its bits, without its dispatch."""
-    c = t.coeffs
+def _max_frobenius(c: np.ndarray) -> float:
+    """Max Frobenius norm over a stack (..., N, N) of matrices; 0.0 for none, NaN if any is
+    NaN.  The formula is that of numpy's matrix norm: its bits, without its dispatch."""
     return float(np.max(np.sqrt(np.add.reduce((c.conj() * c).real, axis=(-2, -1))), initial=0.0))
+
+
+def max_coeff_norm(t: FrameTensorField) -> float:
+    """Max Frobenius norm over all coefficient matrices; 0.0 for none, NaN if any is NaN."""
+    return _max_frobenius(t.coeffs)
+
+
+def max_entry(x) -> float:
+    """Largest modulus of any entry of an array; NaN if any entry is NaN."""
+    return float(np.max(np.abs(x)))
 
 
 def worst(residuals) -> float:

@@ -42,6 +42,7 @@ from .frametensor import (
     central_as_matrix,
     central_at,
     max_coeff_norm,
+    max_entry,
     tensor_product,
     worst,
 )
@@ -164,7 +165,7 @@ def _involution_residual(b: Braiding, y: np.ndarray) -> float:
     rows = np.arange(size).reshape((n,) * k).transpose().ravel()
     ym = y.reshape(size, size)
     ym[rows, np.arange(size)] -= 1
-    return float(np.max(np.abs(ym)))
+    return max_entry(ym)
 
 
 def check_fifa(b: Braiding) -> float:
@@ -186,7 +187,7 @@ def check_fifa(b: Braiding) -> float:
     if not np.isfinite(cond) or cond > INVERSE_COND_LIMIT:
         raise SingularBraidingError("braiding is singular or too ill-conditioned to invert")
     s_inv = np.linalg.inv(sm).reshape(b.S.shape)
-    return float(np.max(np.abs(np.einsum('badc->abcd', b.S) - np.conj(s_inv))))
+    return max_entry(np.einsum('badc->abcd', b.S) - np.conj(s_inv))
 
 
 def _d2_coefficient_residual(s: np.ndarray, om: np.ndarray) -> float:
@@ -227,8 +228,10 @@ def _d2_coefficient_residual(s: np.ndarray, om: np.ndarray) -> float:
 def check_Dn_reality(c: Connection, b: Braiding, n: int, op=None) -> float:
     """Residual of D_n o j_n = j_{n+1} o D_n over all degree-n basis monomials.
 
-    Additivity plus the Leibniz structure make the basis monomials
-    sufficient.  For n = 1 this is the basic reality condition
+    The basis monomials stand for every n-form only given the right Leibniz rule:
+    with the left rule, reality on f theta^A is equivalent to it (the paper's first
+    result), and a connection that breaks it can be real on each theta^a but not on
+    Omega^1.  For n = 1 this is the basic reality condition
     D xi* = (D xi)*: on theta^a, D(theta^a*) - (D theta^a)* is minus the adjoint of
     (omega^a_{bc})* - omega^a_{de} (J^{de}_{bc})*, so the Frobenius norms agree and
     the report reads its connection-reality residual here.  ``op`` stands for D_n as in
@@ -256,7 +259,7 @@ def check_wedge_star(geom: FrameGeometry, b: Braiding, pairs) -> float:
     j2 = build_jn(b, 2)
     lhs = np.einsum('abcd,cdef,efgh->abgh', np.conj(p_t), j2, p_t)
     rhs = -np.einsum('baef,efgh->abgh', p_t, p_t)
-    tensor_res = float(np.max(np.abs(lhs - rhs)))
+    tensor_res = max_entry(lhs - rhs)
 
     field_res = []
     for f, g in pairs:
@@ -276,11 +279,11 @@ def check_metric_compat_second(g: np.ndarray, b: Braiding) -> float:
     g = np.asarray(g, dtype=complex)
     lhs = np.einsum('aedf,fg,bceg->abcd', b.S, g, b.S)
     rhs = np.einsum('ab,cd->abcd', g, np.eye(b.n))
-    return float(np.max(np.abs(lhs - rhs)))
+    return max_entry(lhs - rhs)
 
 
 def check_metric_reality(g: np.ndarray, b: Braiding) -> float:
     """Residual of S^{ab}_{cd} g^{cd} = (g^{ba})*."""
     g = np.asarray(g, dtype=complex)
     lhs = np.einsum('abcd,cd->ab', b.S, g)
-    return float(np.max(np.abs(lhs - np.conj(g.T))))
+    return max_entry(lhs - np.conj(g.T))

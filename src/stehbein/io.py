@@ -114,12 +114,15 @@ def _geometry_from_dict(doc: dict) -> FrameGeometry:
         geom = FrameGeometry(N=N, n=n, **arrays)
     except ValueError as exc:
         raise GeometryFileError(str(exc)) from exc
-    _enforce("geometry", geometry_invariants(geom))
+    _enforce("geometry", lambda: geometry_invariants(geom))
     return geom
 
 
-def _enforce(kind: str, invariants: dict[str, float]) -> None:
-    """Raise GeometryFileError naming the first invariant whose residual exceeds LOAD_TOL."""
+def _enforce(kind: str, compute) -> None:
+    """Raise GeometryFileError naming the first invariant whose residual exceeds LOAD_TOL.
+    ``compute()`` runs without overflow warnings: an inf or NaN residual is refused by name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        invariants = compute()
     for name, residual in invariants.items():
         if not residual <= LOAD_TOL:
             raise GeometryFileError(
@@ -170,7 +173,7 @@ def load_input(path):
         if p is not None:
             if p.shape != s.shape:
                 raise GeometryFileError(f"P has shape {p.shape}, expected {s.shape}")
-            _enforce("braiding", {"P_projector": _projector_residual(p)})
+            _enforce("braiding", lambda: {"P_projector": _projector_residual(p)})
         return braid, p
     raise GeometryFileError(
         f"{path} is neither a geometry file (needs 'lambda') nor a braiding file (needs 'S')")

@@ -5,14 +5,18 @@ import pytest
 
 from stehbein import (
     FrameTensorField,
+    apply_central_at,
     identity_central,
     make_braiding,
     max_coeff_norm,
     phase_twist_braiding,
     su2_flip_geometry,
+    tensor_product,
 )
-from stehbein.calculus import GEOMETRY_ARRAYS
+from stehbein.braiding import Braiding, apply_word
+from stehbein.calculus import GEOMETRY_ARRAYS, FrameGeometry, dirac_form, theta_squared
 from stehbein.connection import algebraic_torsion, solve_torsionfree_chi, torsion_forms
+from stehbein.fixtures import random_unitary
 from stehbein.report import resolve_connection
 
 # lam_a = -(i/2) Pauli_a, written out so the tests do not depend on the fixtures
@@ -52,7 +56,7 @@ def spin_frame_geometry(j, rng=None):
     jx, jy = (j_plus + j_plus.T) / 2, (j_plus - j_plus.T) / 2j
     lam = -1j * np.array([jx, jy, np.diag(m).astype(complex)])
     if rng is not None:
-        u = haar_unitary(rng, dim)
+        u = random_unitary(rng, dim)
         lam = u @ lam @ u.conj().T
     base = dataclasses.replace(su2_flip_geometry(), N=dim, lam=lam)
     return dataclasses.replace(base, chi=solve_torsionfree_chi(base, make_braiding(base.S)))
@@ -76,11 +80,6 @@ def transformed_geometry(geom, perm, u):
     return dataclasses.replace(geom, **arrays)
 
 
-def haar_unitary(rng, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def random_tau(seed: int, n: int = 3) -> np.ndarray:
     """Seeded rank-4 tensor with entries uniform over the unit square."""
     rng = np.random.default_rng(seed)
@@ -95,6 +94,31 @@ def torsion(c):
     """Torsion 2-forms, plus the residual of the algebraic condition
     omega^a_{de} P^{de}_{bc} = 1/2 C^a_{bc}; the 2-forms vanish iff it does."""
     return torsion_forms(c), max_coeff_norm(FrameTensorField(c.geom.n, algebraic_torsion(c)))
+
+
+def curvature_d0_closed_form(geom: FrameGeometry, b: Braiding,
+                             xi: FrameTensorField) -> FrameTensorField:
+    """Closed-form curvature of D_(0):
+
+        Curv_0(xi) = theta^2 x xi
+                     + pi_12 sigma_12 sigma_23 sigma_12 (xi x theta x theta).
+
+    Derivation: df = -[theta, f] gives D_(0) xi = -theta x xi + sigma(xi x theta)
+    for every 1-form xi and D_2 t = -theta x t + sigma_12 sigma_23 (t x theta)
+    for every 2-tensor t, so
+
+        D_2 D_(0) xi = theta x theta x xi - (1 + sigma_12) sigma_23 (theta x xi x theta)
+                       + sigma_12 sigma_23 sigma_12 (xi x theta x theta),
+
+    and pi_12 removes the middle term by pi o (sigma + 1) = 0.  Nothing else
+    is assumed: neither F = 0 nor the structure condition.  In theta^2 x xi
+    the theta^2 coefficients stand left of xi_a; the order matters unless
+    they commute with xi_a (they are central when F = 0 and the structure
+    condition holds, since then theta^2 = 1/2 K).
+    """
+    th = dirac_form(geom)
+    field2 = apply_word(tensor_product(xi, tensor_product(th, th)), b, [1, 2, 1])
+    return tensor_product(theta_squared(geom), xi) + apply_central_at(field2, geom.P, 1)
 
 
 # ---------------------------------------------------------------------------

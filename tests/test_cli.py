@@ -396,6 +396,17 @@ def test_a_braiding_file_whose_p_is_not_a_projector_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_overflowing_lambda_is_refused_by_name_alone(fixture_file, tmp_path, capsys):
+    # lam + lam^+ overflows to inf; no numpy warning may precede the message
+    path = tmp_path / "in.json"
+    doc = _su2_doc(fixture_file) | {"lambda": [[[[1e300, 0]] * 2] * 2] * 3}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: geometry violates invariant 'lambda_antihermitian' (residual inf)\n")
+
+
 @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (4, 5)])
 def test_phase_twist_fixtures_still_load_with_their_projector(n, seed, tmp_path):
     path = tmp_path / "twist.json"

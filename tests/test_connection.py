@@ -16,7 +16,6 @@ from stehbein.connection import (
     check_sigma_lemma,
     covariant_derivative,
     curvature,
-    curvature_d0_closed_form,
     curvature_of_form,
     d0_connection,
     d2,
@@ -33,10 +32,12 @@ from stehbein.fixtures import (
 )
 from stehbein.frametensor import (
     FrameTensorField,
+    _lambda_commutator,
     _omega_matrix,
     apply_central_at,
     basis_field,
     central_at,
+    centrality_residual,
     flip_central,
     identity_central,
     left_mul,
@@ -51,6 +52,7 @@ from stehbein.report import resolve_connection
 
 from conftest import (
     LAM,
+    curvature_d0_closed_form,
     levi_civita3,
     random_matrix,
     spin_frame_geometry,
@@ -626,6 +628,21 @@ def test_curvature_is_p_reduced_by_its_one_projection(name, mode):
     geom = CURVATURE_GEOMETRIES[name]()
     r = curvature(resolve_connection(geom, geom.braid, mode)[0], geom.braid).R
     assert np.max(np.abs(central_at(r, geom.P, 3) - r)) <= 1e-14 * max(1.0, np.max(np.abs(r)))
+
+
+CENTRALITY_GEOMETRIES = CURVATURE_GEOMETRIES | {
+    "f-zero-n3": lambda: random_geometry(23, force_f_zero=True)}
+
+
+@pytest.mark.parametrize("mode", ["auto", "d0", "torsion-free"])
+@pytest.mark.parametrize("name", list(CENTRALITY_GEOMETRIES))
+def test_centrality_residual_is_numpys_norm_bit_for_bit(name, mode):
+    # the Frobenius formula shared with max_coeff_norm gives numpy's own norm of each commutator
+    geom = CENTRALITY_GEOMETRIES[name]()
+    data = curvature(resolve_connection(geom, geom.braid, mode)[0], geom.braid)
+    stack = data.R.reshape(-1, geom.N, geom.N)
+    oracle = np.linalg.norm(_lambda_commutator(geom.lam, stack), axis=(-2, -1))
+    assert data.centrality_residual == centrality_residual(stack, geom.lam) == np.max(oracle)
 
 
 def test_dn_degree2_equals_d2(rng, monkeypatch):

@@ -105,7 +105,7 @@ def _nan_field(t):
 
 @pytest.mark.parametrize("module,target,message", [
     (calculus, "differential0", "d-squared residual nan"),
-    (fixtures, "curvature_d0_closed_form", "D_\\(0\\) curvature nan"),
+    (fixtures, "curvature_of_form", "D_\\(0\\) curvature nan"),
 ], ids=["d-squared", "curvature"])
 def test_f_zero_geometry_refuses_nan_on_the_last_unit(module, target, message, monkeypatch):
     # a NaN after the first matrix unit or basis 1-form must not be maxed away;
@@ -116,8 +116,8 @@ def test_f_zero_geometry_refuses_nan_on_the_last_unit(module, target, message, m
             out = real(f, geom)
             return _nan_field(out) if f[-1, -1] == 1 else out
     else:
-        def poisoned(geom, braid, xi):
-            out = real(geom, braid, xi)
+        def poisoned(c, braid, xi):
+            out = real(c, braid, xi)
             return _nan_field(out) if xi.coeffs[-1].any() else out
     monkeypatch.setattr(module, target, poisoned)
     with pytest.raises(ValueError, match=message):

@@ -20,6 +20,7 @@ from stehbein.frametensor import (
     identity_central,
     left_mul,
     max_coeff_norm,
+    max_entry,
     right_mul,
     tensor_product,
     word_tensor,
@@ -237,6 +238,16 @@ def test_max_coeff_norm_of_an_empty_field_is_zero_and_a_nan_stays_nan():
     coeffs = np.zeros((3, 2, 2), dtype=complex)
     coeffs[1, 0, 1] = np.nan
     assert np.isnan(max_coeff_norm(FrameTensorField(3, coeffs)))
+
+
+def test_max_entry_is_the_largest_modulus_and_keeps_nan_and_inf():
+    x = np.array([[3 - 4j, -1.0], [0.5j, 2.0]])
+    assert max_entry(x) == 5.0 and type(max_entry(x)) is float
+    # a NaN after finite entries is not maxed away, and an inf entry reads inf
+    assert np.isnan(max_entry(np.array([1.0, 2.0, np.nan])))
+    assert np.isnan(max_entry(np.array([np.nan, 1e300, 2.0])))
+    assert max_entry(np.array([1.0, -np.inf, 2.0])) == np.inf
+    assert max_entry(np.array([1.0, complex(0, np.inf)])) == np.inf
 
 
 # ---------------------------------------------------------------------------

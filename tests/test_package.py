@@ -1,7 +1,7 @@
 """Package-wide guards: every module-level definition has a caller outside the tests, one
-helper freezes the arrays the records keep, one routine takes a field's coefficient norm,
-only the kernels skip a field's checks, one record holds S, and the modules import in one
-direction."""
+helper freezes the arrays the records keep, one routine takes a field's coefficient norm and
+one an array's largest entry, only the kernels skip a field's checks, one record holds S, and
+the modules import in one direction."""
 
 import ast
 from pathlib import Path
@@ -62,11 +62,19 @@ def test_one_helper_freezes_every_kept_array():
 
 
 def test_one_routine_takes_the_coefficient_norm():
-    # frametensor.max_coeff_norm is the one Frobenius routine; centrality_residual's stack
-    # of commutators is not a field, so it keeps the formula, but in frametensor too
+    # frametensor._max_frobenius is the one Frobenius formula, behind max_coeff_norm and
+    # centrality_residual; numpy's norm, with its dispatch, appears nowhere in the package
     sites = [p.name for p in sorted(SRC.glob("*.py"))
              if "linalg.norm" in p.read_text(encoding="utf-8")]
-    assert [name for name in sites if name != "frametensor.py"] == []
+    assert sites == []
+
+
+def test_one_routine_takes_the_largest_entry():
+    # frametensor.max_entry is the one max-entry residual; a second site could reduce an
+    # array otherwise, and a later scale or norm would have to find it
+    sites = [p.name for p in sorted(SRC.glob("*.py"))
+             if "np.max(np.abs(" in p.read_text(encoding="utf-8")]
+    assert sites == ["frametensor.py"]
 
 
 def test_only_the_kernels_build_a_field_without_its_checks():

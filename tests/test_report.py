@@ -15,14 +15,13 @@ from jsonschema import Draft202012Validator, ValidationError
 from stehbein import calculus, cli, make_braiding, su2_flip_geometry
 from stehbein.calculus import maurer_cartan
 from stehbein.connection import MAX_DEGREE, check_sigma_lemma, d2
-from stehbein.fixtures import build_fixture, random_geometry
+from stehbein.fixtures import build_fixture, random_geometry, random_unitary
 from stehbein.involution import build_jn, check_Dn_reality
 from stehbein.io import geometry_to_dict, save_json
 from stehbein.report import (CHECKS, CONNECTION_MODES, GROUPS, REPORT_SCHEMA, resolve_connection,
                              run_verify)
 
-from conftest import (haar_unitary, spin_frame_geometry, su2_torsionfree_connection,
-                      transformed_geometry)
+from conftest import spin_frame_geometry, su2_torsionfree_connection, transformed_geometry
 
 # (name, status, equation_anchor) of every row, recorded before the check
 # table replaced the hand-written runner
@@ -278,7 +277,7 @@ def _invariance_base(name):
 def test_verdicts_survive_a_frame_permutation_and_a_unitary_conjugation(name, data):
     geom, base = _invariance_base(name)
     perm = data.draw(st.permutations(range(geom.n)), label="perm")
-    u = haar_unitary(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), geom.N)
+    u = random_unitary(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))), geom.N)
     moved = run_verify(transformed_geometry(geom, perm, u), max_order=3, seed=0).checks
     assert [(c.name, c.status) for c in moved] == [(c.name, c.status) for c in base]
     for before, after in zip(base, moved):
