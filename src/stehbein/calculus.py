@@ -109,8 +109,7 @@ def geometry_invariants(geom: FrameGeometry) -> dict[str, float]:
     * F reduced by P on its lower pair (F^a_{bc} P^{bc}_{de} = F^a_{de}).
     """
     res = {}
-    herm = FrameTensorField(geom.n, geom.lam + adjoint(geom.lam))
-    res["lambda_antihermitian"] = max_coeff_norm(herm)
+    res["lambda_antihermitian"] = max_coeff_norm(geom.lam + adjoint(geom.lam))
     res["P_projector"] = _projector_residual(geom.P)
     fp = central_at(geom.F, geom.P, 2)
     res["F_P_reduced"] = max_entry(fp - geom.F)
@@ -181,7 +180,7 @@ def check_d_squared(geom: FrameGeometry, elements) -> float:
     d^2 is linear, so the N^2 matrix units decide d^2 = 0 exactly; the
     structure condition implies it (see ``maurer_cartan``).
     """
-    return worst(max_coeff_norm(differential1(differential0(f, geom), geom)) for f in elements)
+    return worst(max_coeff_norm(differential1(differential0(f, geom), geom).coeffs) for f in elements)
 
 
 def theta_squared(geom: FrameGeometry) -> FrameTensorField:
@@ -199,7 +198,7 @@ def check_structure(geom: FrameGeometry) -> float:
     lhs = 2.0 * np.einsum('cij,djk,cdab->abik', geom.lam, geom.lam, geom.P)
     lhs -= np.einsum('cij,cab->abij', geom.lam, geom.F)
     lhs -= np.einsum('ab,ij->abij', geom.K, np.eye(geom.N))
-    return max_coeff_norm(FrameTensorField(geom.n, lhs))
+    return max_coeff_norm(lhs)
 
 
 def check_theta_squared(geom: FrameGeometry) -> float:
@@ -216,4 +215,4 @@ def check_theta_squared(geom: FrameGeometry) -> float:
     k_field = apply_central_at(
         FrameTensorField(geom.n, 0.5 * np.einsum('ab,ij->abij', geom.K, np.eye(geom.N))),
         geom.P, 1)
-    return max_coeff_norm(dth + th2 + k_field)
+    return max_coeff_norm((dth + th2 + k_field).coeffs)

@@ -21,7 +21,9 @@ import math
 import sys
 from pathlib import Path
 
-from .frametensor import FrameTensorField, max_coeff_norm
+import numpy as np
+
+from .frametensor import max_coeff_norm
 from .calculus import FrameGeometry
 from .connection import MAX_DEGREE, curvature
 from .involution import build_jn
@@ -174,6 +176,7 @@ def main(argv=None) -> int:
         return 2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN results are reported, not warned of
 def _dispatch(args, loaded) -> int:
     if args.command == "fixture":
         given = {"seed": args.seed, "n": args.frame_dim}
@@ -218,7 +221,7 @@ def _dispatch(args, loaded) -> int:
         conn, label = resolve_connection(loaded, loaded.braid, args.connection)
         data = curvature(conn, loaded.braid)
         print(f"curvature of {label}: max |R| coefficient norm = "
-              f"{max_coeff_norm(FrameTensorField(loaded.n, data.R)):.6e}, "
+              f"{max_coeff_norm(data.R):.6e}, "
               f"centrality residual = {data.centrality_residual:.3e}")
         if args.out and not _write(curvature_to_dict(data), args.out, "curvature"):
             return 2

@@ -147,7 +147,8 @@ def check_leibniz(c: Connection, b: Braiding, f: np.ndarray,
     left = covariant_derivative(c, left_mul(f, xi)) - (tensor_product(df, xi) + left_mul(f, dxi))
     rhs = apply_central_at(tensor_product(xi, df), b.S, 1)
     rhs += right_mul(dxi, f)
-    return max_coeff_norm(left), max_coeff_norm(covariant_derivative(c, right_mul(xi, f)) - rhs)
+    right = covariant_derivative(c, right_mul(xi, f)) - rhs
+    return max_coeff_norm(left.coeffs), max_coeff_norm(right.coeffs)
 
 
 def torsion_forms(c: Connection) -> list[FrameTensorField]:
@@ -200,7 +201,7 @@ def check_metric_compatibility(c: Connection, b: Braiding, g: np.ndarray) -> flo
     g_low = np.linalg.inv(g)
     lowered = np.einsum('cf,fdgij,ge->cdeij', g_low, c.omega, g)
     res1_t = c.omega + np.einsum('cdeij,adbe->abcij', lowered, b.S)
-    return max_coeff_norm(FrameTensorField(c.geom.n, res1_t))
+    return max_coeff_norm(res1_t)
 
 
 def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
@@ -264,7 +265,7 @@ def _intertwining_residual(c: Connection, b: Braiding, p: int, op, before, after
     ``involution.check_Dn_reality``."""
     n, N = c.geom.n, c.geom.N
     monomials = (basis_field(n, N, idx) for idx in np.ndindex(*(n,) * p))
-    return worst(max_coeff_norm(op(c, b, before(t)) - after(op(c, b, t))) for t in monomials)
+    return worst(max_coeff_norm((op(c, b, before(t)) - after(op(c, b, t))).coeffs) for t in monomials)
 
 
 def curvature_of_form(c: Connection, b: Braiding, xi: FrameTensorField) -> FrameTensorField:

@@ -179,7 +179,7 @@ def _f_zero_geometry(seed: int, n: int, N: int) -> FrameGeometry:
                          + ", ".join(f"{k} residual {v:.3e}" for k, v in bad.items()))
     d0 = d0_connection(geom, geom.braid)
     omega = max_entry(d0.omega)
-    curv = worst(max_coeff_norm(curvature_of_form(d0, geom.braid, basis_field(n, N, (a,))))
+    curv = worst(max_coeff_norm(curvature_of_form(d0, geom.braid, basis_field(n, N, (a,))).coeffs)
                  for a in range(n))
     if not (omega > F_ZERO_FLAT_TOL and curv > F_ZERO_FLAT_TOL):
         raise ValueError(f"F = 0 geometry for n={n}, N={N}, seed={seed} is degenerate: "

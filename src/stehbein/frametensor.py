@@ -31,9 +31,10 @@ Conventions fixed here and used identically everywhere else:
   stacks (..., N, N) of them.  ``adjoint`` and ``centrality_residual`` are
   pure and never mutate their inputs.
 * Residuals are reduced by three routines only, each keeping a NaN:
-  ``max_coeff_norm`` (largest coefficient norm of a field, the formula that
-  ``centrality_residual`` uses too), ``max_entry`` (largest modulus of an
-  array's entries) and ``worst`` (largest of several residuals).
+  ``max_coeff_norm`` (largest Frobenius norm of a (..., N, N) stack of
+  matrices, such as a field's ``coeffs``; ``centrality_residual`` calls it
+  too), ``max_entry`` (largest modulus of an array's entries) and ``worst``
+  (largest of several residuals).
 * Every array a record keeps (a geometry's, a braiding's S, a connection's
   omega) is frozen by one rule, ``_read_only``: a read-only complex copy of
   the declared shape.
@@ -77,7 +78,7 @@ def centrality_residual(a: np.ndarray, lam: np.ndarray) -> float:
     a = np.asarray(a)
     if lam.shape[-1] != a.shape[-1]:
         raise ValueError(f"dimension mismatch: element is {a.shape}, generators are {lam.shape}")
-    return _max_frobenius(_lambda_commutator(lam, a))
+    return max_coeff_norm(_lambda_commutator(lam, a))
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +304,11 @@ def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTenso
     return _unchecked_field(t.n, central_at(t.coeffs, m, pos))
 
 
-def _max_frobenius(c: np.ndarray) -> float:
-    """Max Frobenius norm over a stack (..., N, N) of matrices; 0.0 for none, NaN if any is
-    NaN.  The formula is that of numpy's matrix norm: its bits, without its dispatch."""
+def max_coeff_norm(c: np.ndarray) -> float:
+    """Max Frobenius norm over a stack (..., N, N) of matrices, such as a field's ``coeffs``;
+    0.0 for none, NaN if any is NaN.  The formula is that of numpy's matrix norm: its bits,
+    without its dispatch."""
     return float(np.max(np.sqrt(np.add.reduce((c.conj() * c).real, axis=(-2, -1))), initial=0.0))
-
-
-def max_coeff_norm(t: FrameTensorField) -> float:
-    """Max Frobenius norm over all coefficient matrices; 0.0 for none, NaN if any is NaN."""
-    return _max_frobenius(t.coeffs)
 
 
 def max_entry(x) -> float:

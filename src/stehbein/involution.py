@@ -222,7 +222,7 @@ def _d2_coefficient_residual(s: np.ndarray, om: np.ndarray) -> float:
     ss = np.einsum('bqcp,prde->qrbcde', s, s)
     t4 = om.transpose(0, 3, 4, 1, 2).reshape(n * m, n * n) @ ss.reshape(n * n, n ** 4)
     out -= t4.reshape(n, N, N, n, n, n, n).transpose(0, 3, 4, 5, 6, 1, 2)
-    return max_coeff_norm(FrameTensorField(n, out))
+    return max_coeff_norm(out)
 
 
 def check_Dn_reality(c: Connection, b: Braiding, n: int, op=None) -> float:
@@ -268,7 +268,7 @@ def check_wedge_star(geom: FrameGeometry, b: Braiding, pairs) -> float:
         prod = apply_central_at(tensor_product(df, dg), p_t, 1)
         lhs_f = apply_central_at(star_form(prod, j2), p_t, 1)
         rhs_f = apply_central_at(tensor_product(star_form(dg), star_form(df)), p_t, 1)
-        field_res.append(max_coeff_norm(lhs_f + rhs_f))
+        field_res.append(max_coeff_norm((lhs_f + rhs_f).coeffs))
     return worst([tensor_res, *field_res])
 
 

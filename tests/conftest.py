@@ -93,7 +93,7 @@ def zero_field(n: int, N: int, degree: int) -> FrameTensorField:
 def torsion(c):
     """Torsion 2-forms, plus the residual of the algebraic condition
     omega^a_{de} P^{de}_{bc} = 1/2 C^a_{bc}; the 2-forms vanish iff it does."""
-    return torsion_forms(c), max_coeff_norm(FrameTensorField(c.geom.n, algebraic_torsion(c)))
+    return torsion_forms(c), max_coeff_norm(algebraic_torsion(c))
 
 
 def curvature_d0_closed_form(geom: FrameGeometry, b: Braiding,

@@ -50,11 +50,11 @@ def test_dirac_form_su2(su2_geom):
 def test_dirac_form_is_antihermitian_as_a_form(su2_geom):
     # (theta^a)* = theta^a and lam_a antihermitian give theta* = -theta
     th = dirac_form(su2_geom)
-    assert max_coeff_norm(star_form(th) + th) <= 1e-15
+    assert max_coeff_norm((star_form(th) + th).coeffs) <= 1e-15
 
 
 def test_dirac_form_zero_generators():
-    assert max_coeff_norm(dirac_form(_zero_geometry())) == 0.0
+    assert max_coeff_norm(dirac_form(_zero_geometry()).coeffs) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,7 @@ def test_dirac_form_zero_generators():
 
 
 def test_differential0_of_identity(su2_geom):
-    assert max_coeff_norm(differential0(np.eye(2), su2_geom)) == 0.0
+    assert max_coeff_norm(differential0(np.eye(2), su2_geom).coeffs) == 0.0
 
 
 def test_differential0_su2_generator(su2_geom):
@@ -79,7 +79,7 @@ def test_differential0_equals_minus_theta_commutator(su2_geom, rng):
     for _ in range(5):
         f = random_matrix(rng)
         bracket = right_mul(th, f) - left_mul(f, th)
-        assert max_coeff_norm(differential0(f, su2_geom) + bracket) <= 1e-12
+        assert max_coeff_norm((differential0(f, su2_geom) + bracket).coeffs) <= 1e-12
 
 
 def test_differential0_dimension_mismatch(su2_geom):
@@ -93,7 +93,7 @@ def test_differential0_leibniz(su2_geom, rng):
         f, g = random_matrix(rng), random_matrix(rng)
         lhs = differential0(f @ g, su2_geom)
         rhs = right_mul(differential0(f, su2_geom), g) + left_mul(f, differential0(g, su2_geom))
-        assert max_coeff_norm(lhs - rhs) <= 1e-12
+        assert max_coeff_norm((lhs - rhs).coeffs) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_maurer_cartan_keeps_the_frame_central(pauli_twist_geom, rng):
 def test_differential1_central_constant_with_zero_c(su2_geom):
     geom = dataclasses.replace(su2_geom, lam=np.zeros((3, 2, 2)), F=np.zeros((3, 3, 3)))
     xi = FrameTensorField(3, np.stack([np.eye(2), 2 * np.eye(2), 3j * np.eye(2)]))
-    assert max_coeff_norm(differential1(xi, geom)) == 0.0
+    assert max_coeff_norm(differential1(xi, geom).coeffs) == 0.0
 
 
 def test_differential1_su2_basis(su2_geom):
@@ -301,7 +301,7 @@ def test_theta_squared_su2_value(su2_geom):
     # theta^2 = -d theta: coefficients +1/2 eps_{abc} lam_a... check against eps/2 pattern
     th2 = theta_squared(su2_geom)
     dth = differential1(dirac_form(su2_geom), su2_geom)
-    assert max_coeff_norm(th2 + dth) <= 1e-15
+    assert max_coeff_norm((th2 + dth).coeffs) <= 1e-15
 
 
 def test_theta_squared_zero_geometry():

@@ -3,13 +3,15 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from stehbein import build_jn, cli, curvature, make_braiding, su2_flip_geometry
+from stehbein import build_jn, cli, curvature, flip_central, make_braiding, su2_flip_geometry
 from stehbein.io import (
     braiding_to_dict,
     decode_complex_array,
@@ -324,8 +326,6 @@ def test_jn_emits_the_star_tensor(fixture_file, capsys):
     assert np.array_equal(decode_complex_array(doc["J"], 6, "J"), expected)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
 def test_a_non_finite_star_tensor_exits_2_and_writes_nothing(to_file, tmp_path, capsys):
     # su2-flip's S scaled by 1e200: finite, so the loader accepts it, but j_3 overflows,
@@ -339,6 +339,28 @@ def test_a_non_finite_star_tensor_exits_2_and_writes_nothing(to_file, tmp_path, 
     assert captured.err.startswith("error: cannot write ")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "big-s.json", "--max-order", "2"], 1),
+    (["verify", "big-tau.json", "--max-order", "2"], 1),
+    (["curvature", "big-tau.json"], 0),
+], ids=["verify-braiding", "verify-geometry", "curvature"])
+def test_an_input_that_overflows_in_the_checks_prints_no_warning(argv, code, fixture_file,
+                                                                  tmp_path):
+    # both files load, every entry finite, and their products overflow: S = 1e300 flip, and
+    # su2-flip with tau = 1e300 everywhere.  A fresh interpreter shows stderr as a user sees
+    # it; in this process pytest would turn the warning into an error instead
+    save_json(braiding_to_dict(make_braiding(1e300 * flip_central(3))), tmp_path / "big-s.json")
+    doc = _renamed(_su2_doc(fixture_file), "S", "tau")
+    doc["tau"] = encode_complex_array(np.full((3,) * 4, 1e300))
+    save_json(doc, tmp_path / "big-tau.json")
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "stehbein.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stderr == ""
 
 
 def test_jn_order_is_bounded_before_the_file_loads(tmp_path, capsys):

@@ -57,7 +57,7 @@ def test_f_zero_geometry_meets_theorem_hypotheses(seed, n, N):
     assert check_structure(geom) <= 1e-12
     assert check_theta_squared(geom) <= 1e-12
     rng = np.random.default_rng(seed)
-    d2 = max(max_coeff_norm(differential1(differential0(random_matrix(rng, N), geom), geom))
+    d2 = max(max_coeff_norm(differential1(differential0(random_matrix(rng, N), geom), geom).coeffs)
              for _ in range(20))
     assert d2 <= 1e-12
     assert check_sigma_consistency(make_braiding(geom.S), geom.P) <= 1e-12
@@ -71,7 +71,7 @@ def test_f_zero_geometry_meets_theorem_hypotheses(seed, n, N):
     braid = make_braiding(geom.S)
     conn = d0_connection(geom, braid)
     assert np.max(np.abs(conn.omega)) >= 1e-2
-    curv = max(max_coeff_norm(curvature_of_form(conn, braid, basis_field(n, N, (a,))))
+    curv = max(max_coeff_norm(curvature_of_form(conn, braid, basis_field(n, N, (a,))).coeffs)
                for a in range(n))
     assert curv >= 1e-2
 
@@ -159,6 +159,14 @@ def test_random_wedge_projector_rank_and_symmetry(rank):
 def test_phase_twist_refuses_a_phase_it_cannot_hold(phases, message):
     with pytest.raises(ValueError, match=message):
         fixtures.phase_twist_braiding(3, phases)
+
+
+def test_phase_twist_accepts_a_diagonal_phase_of_one():
+    # L_aa = 1 is forced, so giving it changes nothing
+    with_diagonal = fixtures.phase_twist_braiding(3, {(0, 0): 1.0, (0, 1): 1j})
+    without = fixtures.phase_twist_braiding(3, {(0, 1): 1j})
+    assert np.array_equal(with_diagonal[0].S, without[0].S)
+    assert np.array_equal(with_diagonal[1], without[1])
 
 
 def test_an_unknown_fixture_name_is_refused():

@@ -41,7 +41,7 @@ def _rand_field(seed, n=3, N=2, degree=1):
 
 def test_left_mul_identity_is_noop():
     t = _rand_field(0, degree=2)
-    assert max_coeff_norm(left_mul(np.eye(2), t) - t) == 0.0
+    assert max_coeff_norm((left_mul(np.eye(2), t) - t).coeffs) == 0.0
 
 
 def test_left_mul_places_coefficient():
@@ -53,18 +53,18 @@ def test_left_mul_places_coefficient():
 def test_left_mul_associativity():
     t = _rand_field(1)
     f, g = LAM1, LAM2
-    assert max_coeff_norm(left_mul(f, left_mul(g, t)) - left_mul(f @ g, t)) <= 1e-15
+    assert max_coeff_norm((left_mul(f, left_mul(g, t)) - left_mul(f @ g, t)).coeffs) <= 1e-15
 
 
 def test_right_mul_identity_is_noop():
     t = _rand_field(2)
-    assert max_coeff_norm(right_mul(t, np.eye(2)) - t) == 0.0
+    assert max_coeff_norm((right_mul(t, np.eye(2)) - t).coeffs) == 0.0
 
 
 def test_right_mul_central_element_commutes():
     t = _rand_field(3)
     f = 2.5j * np.eye(2)
-    assert max_coeff_norm(right_mul(t, f) - left_mul(f, t)) <= 1e-15
+    assert max_coeff_norm((right_mul(t, f) - left_mul(f, t)).coeffs) <= 1e-15
 
 
 def test_right_vs_left_mul_orders_noncommuting_coefficients():
@@ -74,7 +74,7 @@ def test_right_vs_left_mul_orders_noncommuting_coefficients():
     left = left_mul(LAM2, t)
     assert np.allclose(right.coeffs[0], np.diag([-0.25j, 0.25j]), atol=1e-15)
     assert np.allclose(left.coeffs[0], np.diag([0.25j, -0.25j]), atol=1e-15)
-    assert max_coeff_norm(right - left) > 0.4
+    assert max_coeff_norm((right - left).coeffs) > 0.4
 
 
 def test_mul_dimension_mismatch():
@@ -92,13 +92,13 @@ def test_mul_dimension_mismatch():
 def test_tensor_product_with_degree0_identity():
     t = _rand_field(5, degree=2)
     one = FrameTensorField(3, np.eye(2, dtype=complex))
-    assert max_coeff_norm(tensor_product(t, one) - t) == 0.0
+    assert max_coeff_norm((tensor_product(t, one) - t).coeffs) == 0.0
 
 
 def test_tensor_product_of_basis_fields():
     t = tensor_product(basis_field(3, 2, (0,)), basis_field(3, 2, (1,)))
     assert np.allclose(t.coeffs[0, 1], np.eye(2))
-    assert max_coeff_norm(t) == pytest.approx(np.sqrt(2))
+    assert max_coeff_norm(t.coeffs) == pytest.approx(np.sqrt(2))
     total = np.sum(np.abs(t.coeffs))
     assert total == pytest.approx(2.0)
 
@@ -114,7 +114,7 @@ def test_tensor_product_associative():
     a, b, c = _rand_field(6), _rand_field(7), _rand_field(8)
     lhs = tensor_product(tensor_product(a, b), c)
     rhs = tensor_product(a, tensor_product(b, c))
-    assert max_coeff_norm(lhs - rhs) <= 1e-12
+    assert max_coeff_norm((lhs - rhs).coeffs) <= 1e-12
 
 
 def test_tensor_product_dimension_mismatch():
@@ -157,10 +157,10 @@ def test_apply_central_commutes_with_algebra_action():
     f = LAM1 + 0.3 * np.eye(2)
     lhs = apply_central_at(left_mul(f, t), m, 1)
     rhs = left_mul(f, apply_central_at(t, m, 1))
-    assert max_coeff_norm(lhs - rhs) <= 1e-14
+    assert max_coeff_norm((lhs - rhs).coeffs) <= 1e-14
     lhs = apply_central_at(right_mul(t, f), m, 1)
     rhs = right_mul(apply_central_at(t, m, 1), f)
-    assert max_coeff_norm(lhs - rhs) <= 1e-14
+    assert max_coeff_norm((lhs - rhs).coeffs) <= 1e-14
 
 
 def test_apply_central_position_out_of_range():
@@ -188,7 +188,7 @@ def test_composition_convention():
     # the first map applied is leftmost in the matrix product
     product = (central_as_matrix(m) @ central_as_matrix(m2)).reshape(m.shape)
     composed = apply_central_at(t, product, 1)
-    assert max_coeff_norm(stepwise - composed) <= 1e-12
+    assert max_coeff_norm((stepwise - composed).coeffs) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +200,13 @@ def test_wedge_project_idempotent():
     p = antisymmetrizer_central(3)
     once = apply_central_at(t, p, 1)
     twice = apply_central_at(once, p, 1)
-    assert max_coeff_norm(twice - once) <= 1e-12
+    assert max_coeff_norm((twice - once).coeffs) <= 1e-12
 
 
 def test_wedge_kills_diagonal_basis():
     t = basis_field(3, 2, (0, 0))
     out = apply_central_at(t, antisymmetrizer_central(3), 1)
-    assert max_coeff_norm(out) == 0.0
+    assert max_coeff_norm(out.coeffs) == 0.0
 
 
 def test_wedge_antisymmetrizes_offdiagonal():
@@ -221,23 +221,23 @@ def test_wedge_antisymmetrizes_offdiagonal():
 
 
 def test_max_coeff_norm_zero_field():
-    assert max_coeff_norm(zero_field(3, 2, 2)) == 0.0
+    assert max_coeff_norm(zero_field(3, 2, 2).coeffs) == 0.0
 
 
 def test_max_coeff_norm_basis_field():
-    assert max_coeff_norm(basis_field(3, 2, (0,))) == pytest.approx(np.sqrt(2))
+    assert max_coeff_norm(basis_field(3, 2, (0,)).coeffs) == pytest.approx(np.sqrt(2))
 
 
 def test_max_coeff_norm_difference_of_equal_fields():
     t = _rand_field(17)
-    assert max_coeff_norm(t - t) == 0.0
+    assert max_coeff_norm((t - t).coeffs) == 0.0
 
 
 def test_max_coeff_norm_of_an_empty_field_is_zero_and_a_nan_stays_nan():
-    assert max_coeff_norm(FrameTensorField(0, np.zeros((0, 2, 2)))) == 0.0
+    assert max_coeff_norm(np.zeros((0, 2, 2))) == 0.0
     coeffs = np.zeros((3, 2, 2), dtype=complex)
     coeffs[1, 0, 1] = np.nan
-    assert np.isnan(max_coeff_norm(FrameTensorField(3, coeffs)))
+    assert np.isnan(max_coeff_norm(coeffs))
 
 
 def test_max_entry_is_the_largest_modulus_and_keeps_nan_and_inf():

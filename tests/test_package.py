@@ -1,7 +1,8 @@
-"""Package-wide guards: every module-level definition has a caller outside the tests, one
-helper freezes the arrays the records keep, one routine takes a field's coefficient norm and
-one an array's largest entry, only the kernels skip a field's checks, one record holds S, and
-the modules import in one direction."""
+"""Package-wide guards: every module-level definition has a caller outside the tests, every
+name a test module imports is read, one helper freezes the arrays the records keep, one
+routine takes the coefficient norm of a matrix stack, measured without a field wrapped round
+it, and one an array's largest entry, only the kernels skip a field's checks, one record
+holds S, and the modules import in one direction."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,29 @@ def test_the_guard_sees_references_not_docstrings():
     assert _referenced_names(tree) == {"h", "k", "n"}
 
 
+def _unread_imports(tree) -> set:
+    """Names a module imports but never reads; a function's argument name counts as a read,
+    so a fixture imported from conftest and requested by a test is read."""
+    imported = {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {a.arg for n in ast.walk(tree) if isinstance(n, ast.arguments)
+             for a in (*n.posonlyargs, *n.args, *n.kwonlyargs)}
+    return imported - read
+
+
+def test_test_modules_read_every_name_they_import():
+    # the unused-definition guard above reads src/ only; an import a test no longer reads
+    # would keep a name looking used
+    unread = {p.name: sorted(names) for p in sorted(Path(__file__).parent.glob("*.py"))
+              if (names := _unread_imports(ast.parse(p.read_text(encoding="utf-8"))))}
+    assert unread == {}
+    snippet = ast.parse("import a.b\nfrom m import c, d as e, f\nfrom __future__ import g\n"
+                        "def t(f):\n    return a.x + e\n")
+    assert _unread_imports(snippet) == {"c"}
+
+
 def test_one_helper_freezes_every_kept_array():
     # frametensor._read_only is the one rule; a second freezing site could copy or check differently
     sites = [(p.name, line) for p in sorted(SRC.glob("*.py"))
@@ -62,11 +86,30 @@ def test_one_helper_freezes_every_kept_array():
 
 
 def test_one_routine_takes_the_coefficient_norm():
-    # frametensor._max_frobenius is the one Frobenius formula, behind max_coeff_norm and
-    # centrality_residual; numpy's norm, with its dispatch, appears nowhere in the package
+    # frametensor.max_coeff_norm is the one home of the Frobenius formula, which
+    # centrality_residual calls too; numpy's norm, with its dispatch, appears nowhere in the package
     sites = [p.name for p in sorted(SRC.glob("*.py"))
              if "linalg.norm" in p.read_text(encoding="utf-8")]
     assert sites == []
+
+
+def _measures_a_wrapped_field(call) -> bool:
+    """``max_coeff_norm(FrameTensorField(...))``: an array wrapped in a field only to be measured."""
+    return (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "max_coeff_norm"
+            and any(isinstance(a, ast.Call) and getattr(a.func, "id", None) == "FrameTensorField"
+                    for a in call.args))
+
+
+def test_no_array_is_wrapped_in_a_field_only_to_be_measured():
+    # max_coeff_norm reads a (..., N, N) stack; a caller with an array passes it as it is,
+    # and a caller with a field passes its coeffs
+    sites = [(p.name, call.lineno) for p in sorted(SRC.glob("*.py"))
+             for call in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+             if _measures_a_wrapped_field(call)]
+    assert sites == []
+    snippet = ast.parse("max_coeff_norm(FrameTensorField(n, x)); max_coeff_norm(x); "
+                        "max_coeff_norm((a - b).coeffs)")
+    assert [_measures_a_wrapped_field(e.value) for e in snippet.body] == [True, False, False]
 
 
 def test_one_routine_takes_the_largest_entry():

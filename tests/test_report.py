@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator, ValidationError
 
-from stehbein import calculus, cli, make_braiding, su2_flip_geometry
+from stehbein import calculus, cli, flip_central, make_braiding, sigma_from_tau, su2_flip_geometry
 from stehbein.calculus import maurer_cartan
 from stehbein.connection import MAX_DEGREE, check_sigma_lemma, d2
 from stehbein.fixtures import build_fixture, random_geometry, random_unitary
@@ -361,8 +361,6 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_a_non_finite_residual_is_written_as_null(tmp_path, capsys):
     # every lambda entry is finite, so the loader accepts the file; the products overflow
     geom = su2_flip_geometry()
@@ -379,6 +377,33 @@ def test_a_non_finite_residual_is_written_as_null(tmp_path, capsys):
     for name, value in named.items():
         assert nulls[name]["status"] == "fail"
         assert nulls[name]["note"].endswith(f"residual is {value}"), nulls[name]["note"]
+
+
+def _verdicts_by_status(report) -> dict:
+    return {status: [c.name for c in report.checks if c.status == status]
+            for status in ("pass", "fail", "skipped")}
+
+
+def test_an_overflowing_braiding_fails_its_rows_without_a_warning():
+    # S = 1e300 flip is finite, so a braiding file of it loads; its products overflow.
+    # pytest turns any numpy warning into an error, so this run is silent
+    report = run_verify((make_braiding(1e300 * flip_central(3)), None), max_order=2)
+    verdicts = _verdicts_by_status(report)
+    assert verdicts["fail"] == ["braid", "yang-baxter", "sigma-unitarity", "jn-involutive-2",
+                                "fifa-2"]
+    assert report.counts == {"pass": 0, "fail": 5, "skipped": 21}
+
+
+def test_an_overflowing_tau_fails_its_rows_without_a_warning():
+    # tau = 1e300 everywhere gives a finite S of order 1e300, which su2-flip's file would load
+    geom = su2_flip_geometry()
+    geom = dataclasses.replace(geom, S=sigma_from_tau(np.full((3,) * 4, 1e300), geom.P).S)
+    report = run_verify(geom, max_order=2)
+    verdicts = _verdicts_by_status(report)
+    assert verdicts["pass"] == ["structure", "theta-squared", "d-squared", "sigma-consistency",
+                                "torsion"]
+    assert verdicts["skipped"] == ["fifa-2", "i-weak-yang-baxter"]
+    assert report.counts == {"pass": 5, "fail": 19, "skipped": 2}
 
 
 def test_nan_in_omega_fails_every_connection_row():
@@ -408,9 +433,8 @@ def test_inf_in_omega_fails_the_rows_that_nan_fails():
         return [(c.name, c.status) for c in report.checks], report.counts
 
     nan_rows, nan_counts = verdicts(np.nan)
-    # inf times the zeros of a basis monomial is NaN, which matmul warns about
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        inf_rows, inf_counts = verdicts(np.inf)
+    # inf times the zeros of a basis monomial is NaN; run_verify does not warn of it
+    inf_rows, inf_counts = verdicts(np.inf)
     assert inf_rows == nan_rows
     assert inf_counts == nan_counts == {"pass": 15, "fail": 14, "skipped": 1}
 
