@@ -1,4 +1,7 @@
-"""Geometry record, the differential on degrees 0 and 1, and consistency checks."""
+"""Geometry record, the differential on degrees 0 and 1, and consistency checks.
+
+The first-order operator ``_first_order`` maps t to [lam_q, t] minus t omega at each slot i run
+back by sigma_12 ... sigma_{(i-1)i}: D_n for a connection's omega, and d, after pi, for 1/2 C."""
 
 from __future__ import annotations
 
@@ -7,13 +10,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .braiding import Braiding
+from .braiding import Braiding, apply_word
 from .frametensor import (
     FrameTensorField,
     _lambda_commutator,
     _omega_at_slot,
     _omega_matrix,
     _read_only,
+    _unchecked_field,
     adjoint,
     apply_central_at,
     central_as_matrix,
@@ -51,7 +55,7 @@ class FrameGeometry:
     of the two.  ``GEOMETRY_ARRAYS`` gives each array's shape and file key.
 
     The arrays are read-only copies, so the Maurer-Cartan tensor ``C`` and
-    its GEMM form ``C_matrix``, each built on first use and kept, cannot go
+    the GEMM form of 1/2 C, ``C_matrix``, each built on first use and kept, cannot go
     stale: an in-place write into any of them raises ValueError.
     ``braid`` is the geometry's ``Braiding``, built once from S; ``S`` is
     its array, so S has one holder.  ``dataclasses.replace`` makes a new
@@ -90,8 +94,8 @@ class FrameGeometry:
 
     @cached_property
     def C_matrix(self) -> np.ndarray:
-        """``_omega_matrix(self.C)``, read-only: the operand of ``_omega_at_slot``."""
-        return _read_only(_omega_matrix(self.C), "C_matrix",
+        """Read-only omega-matrix of 1/2 C; halving is exact, so a GEMM by it is 1/2 C's GEMM."""
+        return _read_only(0.5 * _omega_matrix(self.C), "C_matrix",
                           (self.n * self.N, self.n ** 2 * self.N))
 
 
@@ -157,21 +161,25 @@ def maurer_cartan(geom: FrameGeometry) -> np.ndarray:
     return c
 
 
+def _first_order(geom: FrameGeometry, w, b: Braiding, t: FrameTensorField) -> FrameTensorField:
+    """The first-order operator for the omega-matrix ``w``; all slots' t omega are one GEMM."""
+    if t.n != geom.n or t.N != geom.N:
+        raise ValueError("field does not match geometry dimensions")
+    out = _lambda_commutator(geom.lam, t.coeffs)
+    for i, term in enumerate(_omega_at_slot(t.coeffs, w, *range(1, t.degree + 1)), 1):
+        out -= apply_word(_unchecked_field(geom.n, term), b, range(1, i)).coeffs
+    return _unchecked_field(geom.n, out)
+
+
 def differential1(xi: FrameTensorField, geom: FrameGeometry) -> FrameTensorField:
     """d(xi_a theta^a) = (e_b xi_a) theta^b theta^a - 1/2 xi_a C^a_{bc} theta^b theta^c.
 
     The result is wedge-projected immediately; raw antisymmetric data is
-    never exposed.  e_b xi_a is ``frametensor._lambda_commutator`` and
-    xi_a C^a one GEMM (``frametensor._omega_at_slot``) with the geometry's
-    cached ``C_matrix``.
+    never exposed.  It is pi of ``_first_order`` with the cached ``C_matrix``.
     """
     if xi.degree != 1:
         raise ValueError(f"expected a degree-1 field, got degree {xi.degree}")
-    if xi.n != geom.n or xi.N != geom.N:
-        raise ValueError("field does not match geometry dimensions")
-    raw = _lambda_commutator(geom.lam, xi.coeffs)
-    raw -= 0.5 * _omega_at_slot(xi.coeffs, geom.C_matrix, 1)[0]
-    return apply_central_at(FrameTensorField(geom.n, raw), geom.P, 1)
+    return apply_central_at(_first_order(geom, geom.C_matrix, geom.braid, xi), geom.P, 1)
 
 
 def check_d_squared(geom: FrameGeometry, elements) -> float:

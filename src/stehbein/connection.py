@@ -7,8 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import FrameGeometry, differential0, differential1
-from .braiding import Braiding, apply_word
+from .calculus import FrameGeometry, _first_order, differential0, differential1
+from .braiding import Braiding
 from .frametensor import (
     INVERSE_COND_LIMIT,
     FrameTensorField,
@@ -16,7 +16,6 @@ from .frametensor import (
     _omega_at_slot,
     _omega_matrix,
     _read_only,
-    _unchecked_field,
     apply_central_at,
     basis_field,
     central_as_matrix,
@@ -213,6 +212,8 @@ def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
     if t.degree != 2:
         raise ValueError(f"expected a degree-2 field, got degree {t.degree}")
     geom = c.geom
+    if t.n != geom.n or t.N != geom.N:
+        raise ValueError("field does not match geometry dimensions")
     first, second = _omega_at_slot(t.coeffs, c.omega_matrix, 1, 2)
     out = _lambda_commutator(geom.lam, t.coeffs)
     out -= first
@@ -226,20 +227,11 @@ def dn(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
 
     Reduces to the covariant derivative for degree 1 and to D_2 for
     degree 2.  The differential of the coefficients enters once, through
-    the first slot.  Its p slot contractions t omega are one GEMM
-    (``_omega_at_slot``); each slot's sigma-word then runs through ``apply_word``.
+    the first slot.  It is ``calculus._first_order`` with ``c.omega_matrix``.
     """
-    p = t.degree
-    if p < 1:
+    if t.degree < 1:
         raise ValueError("D_n needs a field of degree >= 1")
-    geom = c.geom
-    if t.n != geom.n or t.N != geom.N:
-        raise ValueError("field does not match geometry dimensions")
-    out = _lambda_commutator(geom.lam, t.coeffs)
-    terms = _omega_at_slot(t.coeffs, c.omega_matrix, *range(1, p + 1))
-    for i, term in enumerate(terms, 1):
-        out -= apply_word(_unchecked_field(geom.n, term), b, range(1, i)).coeffs
-    return _unchecked_field(geom.n, out)
+    return _first_order(c.geom, c.omega_matrix, b, t)
 
 
 def check_sigma_lemma(c: Connection, b: Braiding, p: int, op=None) -> float:

@@ -20,9 +20,9 @@ Conventions fixed here and used identically everywhere else:
   becomes the pair (x, y) and the coefficient is multiplied on the right.
   ``_omega_at_slot`` (one GEMM by ``_omega_matrix(T)`` for all the slots it
   is given) is the one implementation of this contraction.
-* The inner derivation t_A -> lam_p t_A - t_A lam_p, with p a new leading
-  frame slot, has one implementation, ``_lambda_commutator`` (two GEMMs);
-  only ``connection.covariant_derivative`` still keeps an einsum of its own.
+* The inner derivation t_A -> lam_p t_A - t_A lam_p, with p a new leading frame slot, has
+  one implementation, ``_lambda_commutator`` (two GEMMs); only ``connection.covariant_derivative``
+  keeps an einsum.  With T at each slot it makes the first-order operator, ``calculus._first_order``.
 * Applying M then M2 composes to the tensor with matrix form
   ``mat(M) @ mat(M2)`` (the first map applied is leftmost).
 * A word of adjacent operators is a sequence of positions i, each acting
@@ -50,7 +50,7 @@ import numpy as np
 def _read_only(x, name: str, shape: tuple) -> np.ndarray:
     """A read-only complex copy of ``x`` of the given shape: the one rule for every
     array a record keeps.  ``FrameTensorField`` keeps a complex128 grid as given:
-    ``dn`` writes into its array before wrapping it (by ``_unchecked_field``)."""
+    ``calculus._first_order`` writes into its array before wrapping it (by ``_unchecked_field``)."""
     a = np.array(x, dtype=complex)
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")

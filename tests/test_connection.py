@@ -84,7 +84,8 @@ def test_cached_matrices_equal_the_omega_matrix(su2_chi_conn, su2_braid):
     for conn in (su2_chi_conn, d0_connection(geom, make_braiding(geom.S))):
         # the bytes, so that a -0.0 for a 0.0 would count as a difference
         assert conn.omega_matrix.tobytes() == _omega_matrix(conn.omega).tobytes()
-        assert conn.geom.C_matrix.tobytes() == _omega_matrix(conn.geom.C).tobytes()
+        # C_matrix is the omega-matrix of 1/2 C, the operand differential1 hands the kernel
+        assert conn.geom.C_matrix.tobytes() == (0.5 * _omega_matrix(conn.geom.C)).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         geom.C_matrix[0, 0] = 1.0
 
@@ -171,6 +172,8 @@ def test_d_and_differential1_reject_a_field_of_other_dimensions(n, N, su2_chi_co
         covariant_derivative(su2_chi_conn, xi)
     with pytest.raises(ValueError, match="field does not match geometry dimensions"):
         differential1(xi, su2_chi_conn.geom)
+    with pytest.raises(ValueError, match="field does not match geometry dimensions"):
+        d2(su2_chi_conn, su2_chi_conn.geom.braid, tensor_product(xi, xi))
 
 
 def test_left_leibniz_holds(su2_chi_conn, su2_braid, rng):

@@ -18,7 +18,7 @@ import pytest
 from stehbein.braiding import Braiding, apply_word, make_braiding
 from stehbein.calculus import differential0, differential1, maurer_cartan
 from stehbein.connection import Connection, covariant_derivative, d0_connection, d2, dn
-from stehbein.fixtures import random_geometry, su2_flip_geometry
+from stehbein.fixtures import build_fixture, random_geometry, su2_flip_geometry
 from stehbein.fixtures import phase_twist_braiding, random_phase_twist
 from stehbein.frametensor import (
     FrameTensorField,
@@ -282,6 +282,26 @@ def test_differential1_matches_its_oracle_on_a_generic_c():
     for _ in range(3):
         t = _random_field(rng, 3, 4, 1)
         assert _gap(differential1(t, geom), ref_differential1(t, geom)) <= TOL
+
+
+def _first_order_geometry(name):
+    if name in ("su2-flip", "su2-torsion-free", "random"):
+        return build_fixture(name)[1]
+    return random_geometry(5, n=4, N=3, force_f_zero=name == "f-zero-n4")
+
+
+@pytest.mark.parametrize("name", ["su2-flip", "su2-torsion-free", "random", "random-n4",
+                                  "f-zero-n4"])
+def test_differential1_is_pi_of_dn_for_half_c(name):
+    # d on 1-forms is D for the Maurer-Cartan connection omega = 1/2 C, then pi: both run
+    # calculus._first_order, and halving C is exact, so the bits agree
+    geom = _first_order_geometry(name)
+    conn = Connection(geom, 0.5 * geom.C)
+    rng = np.random.default_rng(30)
+    for _ in range(30):
+        xi = _random_field(rng, geom.n, geom.N, 1)
+        want = apply_central_at(dn(conn, geom.braid, xi), geom.P, 1)
+        assert differential1(xi, geom).coeffs.tobytes() == want.coeffs.tobytes()
 
 
 @GEOMETRIES

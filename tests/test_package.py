@@ -122,13 +122,35 @@ def test_one_routine_takes_the_largest_entry():
 
 def test_only_the_kernels_build_a_field_without_its_checks():
     # frametensor._unchecked_field skips the constructor's checks; outside the kernels that
-    # fix the shape of what they wrap (apply_central_at, dn), a field must be checked
+    # fix the shape of what they wrap (apply_central_at, calculus._first_order), a field
+    # must be checked
     sites = sorted({p.name for p in SRC.glob("*.py")
                     for call in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
                     if isinstance(call, ast.Call)
                     and "_unchecked_field" in (getattr(call.func, "id", None),
                                                getattr(call.func, "attr", None))})
-    assert sites == ["connection.py", "frametensor.py"]
+    assert sites == ["calculus.py", "frametensor.py"]
+
+
+def _callers(name: str) -> list:
+    """(module, top-level definition) of every ``src/`` call of ``name``, methods included;
+    a call outside any definition is listed under ``<module>``."""
+    return sorted({(p.name, getattr(top, "name", "<module>")) for p in SRC.glob("*.py")
+                   for top in ast.parse(p.read_text(encoding="utf-8")).body
+                   for call in ast.walk(top) if isinstance(call, ast.Call)
+                   and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))})
+
+
+def test_one_kernel_runs_the_first_order_operator():
+    # calculus._first_order is the one first-order operator: dn and differential1 call it.
+    # d2 keeps its own slot contractions because its sigma step is a bare central_at, which
+    # through the kernel's apply_word would become a counted apply_central_at call;
+    # covariant_derivative keeps them because its lam-commutator einsums sum in an order
+    # that the pinned leibniz residuals see (ROADMAP item 2)
+    assert _callers("_omega_at_slot") == [("calculus.py", "_first_order"),
+                                          ("connection.py", "covariant_derivative"),
+                                          ("connection.py", "d2")]
+    assert _callers("apply_word") == [("calculus.py", "_first_order")]
 
 
 def _builds_a_braiding_from_an_s(call) -> bool:
