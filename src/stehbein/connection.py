@@ -30,7 +30,8 @@ from .frametensor import (
 )
 
 # highest --max-order verify accepts; the limit is memory, not dn: at order 7
-# dn-reality-7 reads the star tensor j_8, which has n^16 entries
+# dn-reality-7 holds the star tensor j_7 and builds j_8, which has n^16 entries;
+# build_jn keeps one j_8 plus 4 MiB of column blocks, not two j_8
 MAX_DEGREE = 7
 
 

@@ -113,18 +113,26 @@ def central_as_matrix(m: np.ndarray) -> np.ndarray:
     return m.reshape(n ** k, n ** k)
 
 
-def central_at(a: np.ndarray, m: np.ndarray, pos: int) -> np.ndarray:
+def central_at(a: np.ndarray, m: np.ndarray, pos: int, out: np.ndarray | None = None) -> np.ndarray:
     """Contract a rank-2k central tensor against axes pos..pos+k-1 (1-based) of ``a``.
 
     ``new[.., c.., ..] = sum_a M[a.., c..] old[.., a.., ..]``, as one matmul by
     mat(M).T.  The axes of ``a`` up to the contracted ones must all be n; the
-    axes after them can be anything.
+    axes after them can be anything.  With ``out``, a C-contiguous array of
+    ``a``'s shape and dtype that does not overlap ``a``, the matmul writes into
+    it and a view of it is returned, so a caller can run a word through reused
+    buffers.
     """
     k, n = m.ndim // 2, m.shape[0]
     if a.shape[:pos - 1 + k] != (n,) * (pos - 1 + k):
         raise ValueError(f"axes 1..{pos - 1 + k} of {a.shape} do not all equal n={n}")
-    out = np.matmul(m.reshape(n ** k, n ** k).T, a.reshape(n ** (pos - 1), n ** k, -1))
-    return out.reshape(a.shape)
+    shape = (n ** (pos - 1), n ** k, -1)
+    if out is not None:
+        # a reshape of anything else would be a copy, and the matmul would write there
+        if out.shape != a.shape or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous array of shape {a.shape}")
+        out = out.reshape(shape)
+    return np.matmul(m.reshape(n ** k, n ** k).T, a.reshape(shape), out=out).reshape(a.shape)
 
 
 def _omega_matrix(omega: np.ndarray) -> np.ndarray:

@@ -20,6 +20,13 @@ W_k = (W_(k-1) x 1) o sigma_(k-1) ... sigma_1: one Kronecker lift of the
 acts on J one letter at a time, k(k-1)/2 passes instead of one dense
 (n^k)^2 product of n^(3k) MACs.
 
+A letter acts only on the upper index block, so each column of J goes
+through a word on its own.  ``build_jn``'s last step and the involution
+residual walk J's columns in blocks of at most ``BLOCK_ENTRIES`` entries,
+each block running its letters through two reused buffers: J is the one
+full-size tensor alive, and each peaks at J plus 4 MiB (``build_jn`` also
+holds W_(k-1), 1/n^2 of J).  The passes and their MACs are the same.
+
 ``build_jn`` is the one builder of J, J^(2)^{ab}_{cd} = S^{ba}_{cd} included.
 The involution residual of J^(2) is (S^{ba}_{cd})* S^{dc}_{ef} - delta^a_e delta^b_f,
 the unitarity of sigma, so sigma-unitarity and jn-involutive-2 read one value.
@@ -81,6 +88,52 @@ def _letter_tensor(s: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.einsum('abcd->cdab', s))
 
 
+# Entries per column block: at most 2**17 complex entries (2 MiB), so J and the two
+# block buffers stay within J + 4 MiB.  A J that fits is one block, whose matmuls
+# are the unblocked ones, bit for bit.  Swept on braid-o5 (n = 4, J^(5) 16 MiB,
+# 2 cores): check_jn_involutive took a median 104, 92 and 82 ms with 1, 2 and
+# 4 MiB blocks (109 ms as one block), and one traced verify peaked at 19.6, 21.8
+# and 26.3 MiB (32.0 MiB before blocking).  2 MiB keeps the run's peak RSS under
+# 55 MiB at the unblocked time.
+BLOCK_ENTRIES = 2 ** 17
+
+
+def _column_blocks(size: int) -> list[tuple[int, int]]:
+    """The (start, stop) column ranges of a (size, size) star tensor, in order;
+    all have one width but the last, which may be narrower."""
+    width = max(1, min(BLOCK_ENTRIES // size, size))
+    return [(start, min(start + width, size)) for start in range(0, size, width)]
+
+
+def _reversal_rows(n: int, k: int) -> np.ndarray:
+    """Row of the reversed index tuple for each row of a rank-2k tensor's upper block:
+    column c of the index reversal R holds its 1 at row ``_reversal_rows(n, k)[c]``."""
+    return np.arange(n ** k).reshape((n,) * k).transpose().ravel()
+
+
+def _word_by_column_block(letter: np.ndarray, k: int, positions, fill):
+    """Run the letters at ``positions`` (first one first) over the columns of a
+    rank-2k tensor, one block of ``_column_blocks`` at a time.
+
+    ``fill(buf, start, stop)`` writes the block's input columns into ``buf``,
+    shaped (n,)*k + (stop - start,); each letter is one ``central_at`` from one
+    of two reused buffers into the other.  Yields (start, stop, block), with
+    block the (n^k, stop - start) result; it is overwritten by the next block.
+    """
+    n = letter.shape[0]
+    size = n ** k
+    blocks = _column_blocks(size)
+    width = blocks[0][1] - blocks[0][0]
+    buffers = [np.empty(size * width, dtype=complex) for _ in range(2)]
+    for start, stop in blocks:
+        src, dst = (buf[:size * (stop - start)].reshape((n,) * k + (stop - start,))
+                    for buf in buffers)
+        fill(src, start, stop)
+        for i in positions:
+            src, dst = central_at(src, letter, i, out=dst), src
+        yield start, stop, src.reshape(size, stop - start)
+
+
 def build_jn(b: Braiding, n: int) -> np.ndarray:
     """The rank-2n star tensor J^(n) = R W_n.
 
@@ -88,23 +141,38 @@ def build_jn(b: Braiding, n: int) -> np.ndarray:
     recursion of ``reverse_word`` (module docstring): each step m is one
     Kronecker lift of W_(m-1), then m-1 letter passes by ``central_at``,
     letter m-1 first; W_n equals ``word_tensor(S, n, reverse_word(n).letters)``
-    up to rounding.  Then the upper index block is reversed (R, the action of
-    l_n on basis monomials).  At n = 1 both are the identity, and so is J^(1).
+    up to rounding.  The last step runs by column blocks, each written into J
+    with its upper index block reversed (R, the action of l_n on basis
+    monomials), so J is the one full-size tensor.  At n = 1 both are the
+    identity, and so is J^(1).
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     size = b.n
     letter = _letter_tensor(b.S)
     eye = np.eye(size, dtype=complex)
+    if n == 1:
+        return eye
     w = eye
-    for m in range(2, n + 1):
+    for m in range(2, n):
         # W_(m-1) kron 1 as one broadcast product: np.kron's products, not its overhead
         side = size ** (m - 1)
         w = (w.reshape(side, 1, side, 1) * eye[:, None]).reshape((size,) * (2 * m))
         for i in range(m - 1, 0, -1):
             w = central_at(w, letter, i)
-    perm = list(range(n - 1, -1, -1)) + list(range(n, 2 * n))
-    return np.ascontiguousarray(np.transpose(w, perm))
+    side = size ** (n - 1)
+    w = w.reshape(side, side)
+
+    def lift(buf, start, stop):
+        # column (B, b) of W_(n-1) kron 1 is W[:, B] kron e_b: the same products
+        cols = np.arange(start, stop)
+        np.multiply(w[:, None, cols // size], eye[:, cols % size], out=buf.reshape(side, size, -1))
+
+    jn = np.empty((size * side, size * side), dtype=complex)
+    rows = _reversal_rows(size, n)
+    for start, stop, block in _word_by_column_block(letter, n, range(n - 1, 0, -1), lift):
+        jn[rows, start:stop] = block
+    return jn.reshape((size,) * (2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +210,6 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
     """
     if n == 1:
         return 0.0
-    # J^(n) is handed over as a temporary, so the helper holds its only reference
     return _involution_residual(b, build_jn(b, n))
 
 
@@ -151,21 +218,23 @@ def _involution_residual(b: Braiding, y: np.ndarray) -> float:
 
     With J = R W and R a real involution, conj(J) J - 1 is
     R (conj(W) J - R), the same entries in other rows: the conjugate word
-    acts on J one letter at a time, leftmost first, and R is subtracted in
-    place (see the module docstring), in the fresh tensor of the first letter.
+    acts on J's columns one block at a time, one letter at a time, leftmost
+    first, and R's block is subtracted from the block's result (see the module
+    docstring).  ``y`` is only read.
     """
     n, k = b.n, y.ndim // 2
-    letter = np.conj(_letter_tensor(b.S))
-    # rebinding y drops a J passed as a temporary after the first letter, so at
-    # most two rank-2k tensors are alive
-    for i in reverse_word(k).letters:
-        y = central_at(y, letter, i)
-    # column c of R holds its 1 at the row of the reversed index tuple
-    size = n ** k
-    rows = np.arange(size).reshape((n,) * k).transpose().ravel()
-    ym = y.reshape(size, size)
-    ym[rows, np.arange(size)] -= 1
-    return max_entry(ym)
+    columns = y.reshape((n,) * k + (n ** k,))
+    rows = _reversal_rows(n, k)
+
+    def copy(buf, start, stop):
+        np.copyto(buf, columns[..., start:stop])
+
+    peaks = []
+    for start, stop, block in _word_by_column_block(np.conj(_letter_tensor(b.S)), k,
+                                                    reverse_word(k).letters, copy):
+        block[rows[start:stop], np.arange(stop - start)] -= 1
+        peaks.append(max_entry(block))
+    return worst(peaks)
 
 
 def check_fifa(b: Braiding) -> float:

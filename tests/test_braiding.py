@@ -20,6 +20,7 @@ from stehbein.frametensor import (
     identity_central,
     word_tensor,
 )
+from stehbein.fixtures import random_geometry, random_phase_twist
 from stehbein.involution import build_jn, check_fifa
 
 from conftest import random_tau
@@ -133,6 +134,22 @@ def test_yang_baxter_perturbed_flip():
     j = build_jn(make_braiding(flip_central(3)), 2)
     j[0, 1, 1, 0] += 0.1
     assert check_yang_baxter(j) > 1e-3
+
+
+def _yang_baxter_oracle(j):
+    """Each side as one three-operand einsum: a nested loop over all nine indices."""
+    lhs = np.einsum('abpq,pcdr,qref->abcdef', j, j, j)
+    rhs = np.einsum('bcpq,aqrf,rpde->abcdef', j, j, j)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def test_yang_baxter_matches_the_three_operand_einsum(su2_braid):
+    braids = [su2_braid, random_phase_twist(0, 4)[0], random_phase_twist(0, 5)[0]]
+    braids += [random_geometry(seed).braid for seed in range(3)]
+    perturbed = build_jn(make_braiding(flip_central(3)), 2)
+    perturbed[0, 1, 1, 0] += 0.1
+    for j in [build_jn(b, 2) for b in braids] + [perturbed]:
+        assert abs(check_yang_baxter(j) - _yang_baxter_oracle(j)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from stehbein.frametensor import (
     apply_central_at,
     basis_field,
     central_as_matrix,
+    central_at,
     centrality_residual,
     flip_central,
     identity_central,
@@ -169,6 +170,21 @@ def test_apply_central_position_out_of_range():
         apply_central_at(t, flip_central(3), 2)
     with pytest.raises(ValueError):
         apply_central_at(t, flip_central(3), 0)
+
+
+def test_central_at_writes_the_same_bits_into_a_buffer_it_is_given():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 3, 3, 5)) + 1j * rng.normal(size=(3, 3, 3, 5))
+    m = rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4)
+    for pos in (1, 2):
+        buf = np.full(a.shape, np.nan, dtype=complex)
+        got = central_at(a, m, pos, out=buf)
+        assert np.shares_memory(got, buf) and got.shape == a.shape
+        assert buf.tobytes() == central_at(a, m, pos).tobytes(), pos
+    # a reshape of either would be a copy, so the result would never reach the buffer
+    for bad in (np.empty((3, 3, 3, 5, 2), dtype=complex)[..., 0], np.empty((3, 3, 15), dtype=complex)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            central_at(a, m, 1, out=bad)
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 9, 1), (9, 9)])

@@ -11,6 +11,7 @@ su2-torsion-free; j_n is exact on the flip.
 import dataclasses
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +421,56 @@ def test_jn_involutive_matches_its_dense_oracle_at_order_6():
     assert abs(check_jn_involutive(b, 6) - ref_jn_involutive(b, 6)) <= TOL
 
 
+def _block_braidings():
+    yield from _star_braidings()
+    yield "flip-n2", Braiding(2, flip_central(2))
+    for n in (2, 5):
+        yield f"phase-twist-n{n}", random_phase_twist(0, n)[0]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_build_jn_and_jn_involutive_match_their_dense_oracles_in_column_blocks(k, monkeypatch):
+    for label, b in _block_braidings():
+        size = b.n ** k
+        if size ** 2 > 4 ** 8:
+            continue
+        # the narrowest width that does not divide n^k: several blocks, the last one ragged
+        width = next(w for w in range(2, size) if size % w)
+        monkeypatch.setattr(involution, "BLOCK_ENTRIES", width * size)
+        blocks = involution._column_blocks(size)
+        assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < width, (label, k)
+        jn, ref = build_jn(b, k), ref_build_jn(b, k)
+        kept = jn.copy()
+        got, want = involution._involution_residual(b, jn), ref_jn_involutive(b, k)
+        # the cached J2 is judged and then read by yang-baxter, so the residual only reads J
+        assert jn.tobytes() == kept.tobytes(), (label, k)
+        assert check_jn_involutive(b, k) == got, (label, k)
+        if label.startswith("flip"):
+            assert np.array_equal(jn, ref) and got == want == 0.0, (label, k)
+        else:
+            assert np.max(np.abs(jn - ref)) <= TOL, (label, k)
+            assert abs(got - want) <= TOL, (label, k)
+
+
+def test_jn_involutive_is_nan_for_a_nan_in_one_column_block(monkeypatch):
+    braid = Braiding(3, _with_nan(su2_flip_geometry().braid.S, (0, 2, 2, 0)))
+    monkeypatch.setattr(involution, "BLOCK_ENTRIES", 2 * 3 ** 4)
+    assert len(involution._column_blocks(3 ** 4)) == 41
+    assert np.isnan(check_jn_involutive(braid, 4))
+
+
+def test_jn_involutive_keeps_one_full_size_star_tensor():
+    # J^(5) at n = 4 is 16 MiB, eight blocks; holding a second full-size tensor reads 2.0 J
+    b = random_phase_twist(0, 4)[0]
+    tracemalloc.start()
+    try:
+        check_jn_involutive(b, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * 16 * 4 ** 10
+
+
 def test_jn_involutive_is_nan_for_a_nan_in_s_at_every_order():
     braid = Braiding(3, _with_nan(su2_flip_geometry().braid.S, (0, 2, 2, 0)))
     for k in (2, 3, 4, 5):
@@ -438,16 +489,20 @@ def test_jn_involutive_takes_no_inverse_of_a_singular_s():
         assert check_jn_involutive(zero, k) == ref_jn_involutive(zero, k) == 1.0
 
 
-def test_out_of_memory_in_the_jn_letter_loop_exits_2(tmp_path, capsys, monkeypatch):
+def _verify_runs_out_of_memory_in(loop, tmp_path, capsys, monkeypatch):
+    """``verify --checks jn`` with ``central_at`` raising MemoryError in the column-block
+    loop of ``loop`` only: exit 2, the memory message and no report."""
     path, out = tmp_path / "twist.json", tmp_path / "report.json"
     assert cli.main(["fixture", "phase-twist", "--out", str(path)]) == 0
     capsys.readouterr()
     real = involution.central_at
 
-    def failing_in_the_check(*args):
-        if sys._getframe(1).f_code.co_name == "_involution_residual":
+    def failing_in_the_check(*args, **kwargs):
+        # the block loop is a generator: frame 1 is the loop, frame 2 the function it serves
+        if (sys._getframe(1).f_code.co_name == "_word_by_column_block"
+                and sys._getframe(2).f_code.co_name == loop):
             raise MemoryError
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(involution, "central_at", failing_in_the_check)
     assert cli.main(["verify", str(path), "--checks", "jn", "--max-order", "3",
@@ -455,6 +510,14 @@ def test_out_of_memory_in_the_jn_letter_loop_exits_2(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == (
         "error: verify at --max-order 3 with frame dimension n=3 ran out of memory\n")
     assert not out.exists()
+
+
+def test_out_of_memory_in_the_jn_letter_loop_exits_2(tmp_path, capsys, monkeypatch):
+    _verify_runs_out_of_memory_in("_involution_residual", tmp_path, capsys, monkeypatch)
+
+
+def test_out_of_memory_in_the_build_jn_block_loop_exits_2(tmp_path, capsys, monkeypatch):
+    _verify_runs_out_of_memory_in("build_jn", tmp_path, capsys, monkeypatch)
 
 
 # ---------------------------------------------------------------------------

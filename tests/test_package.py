@@ -2,7 +2,8 @@
 name a test module imports is read, one helper freezes the arrays the records keep, one
 routine takes the coefficient norm of a matrix stack, measured without a field wrapped round
 it, and one an array's largest entry, only the kernels skip a field's checks, one record
-holds S, and the modules import in one direction."""
+holds S, the star tensors take no product beside central_at, and the modules import in one
+direction."""
 
 import ast
 from pathlib import Path
@@ -171,6 +172,27 @@ def test_only_the_geometry_builds_a_braiding_from_its_s():
     assert sites == [("calculus.py", "FrameGeometry")]
     snippet = ast.parse("make_braiding(geom.S); Braiding(n, S=x.S); make_braiding(s); f(g.S)")
     assert [_builds_a_braiding_from_an_s(e.value) for e in snippet.body] == [True, True, False, False]
+
+
+def _matrix_product_sites(tree) -> set:
+    """Top-level definitions under ``tree`` that take ``@`` or call ``matmul``; code
+    outside any definition is listed under ``<module>``."""
+    return {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Call)
+            and "matmul" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+
+def test_involution_contracts_its_letters_only_by_central_at():
+    # build_jn and the involution residual run every letter through frametensor.central_at;
+    # a product of their own would be a second letter contraction beside it.  The D2
+    # coefficient identity keeps its GEMMs: it is the independent route by design
+    tree = ast.parse((SRC / "involution.py").read_text(encoding="utf-8"))
+    assert _matrix_product_sites(tree) == {"_d2_coefficient_residual"}
+    snippet = ast.parse("def f(a, b):\n    return a @ b\ndef g(a, b):\n    a @= b\n"
+                        "def h(a, b):\n    return np.matmul(a, b, out=a)\ndef k(a):\n    return a * a\n"
+                        "x = matmul(y, z)\n")
+    assert _matrix_product_sites(snippet) == {"f", "g", "h", "<module>"}
 
 
 # each module may import only the modules before it; frametensor is the base
