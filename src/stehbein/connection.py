@@ -30,8 +30,9 @@ from .frametensor import (
 )
 
 # highest --max-order verify accepts; the limit is memory, not dn: at order 7
-# dn-reality-7 holds the star tensor j_7 and builds j_8, which has n^16 entries;
-# build_jn keeps one j_8 plus 4 MiB of column blocks, not two j_8
+# dn-reality-7 holds the star tensor j_7 and builds j_8, which has n^16 entries
+# (build_jn keeps one j_8 plus 4 MiB of column blocks); jn-involutive-7 forms
+# no j_7, only j_6
 MAX_DEGREE = 7
 
 

@@ -21,11 +21,15 @@ acts on J one letter at a time, k(k-1)/2 passes instead of one dense
 (n^k)^2 product of n^(3k) MACs.
 
 A letter acts only on the upper index block, so each column of J goes
-through a word on its own.  ``build_jn``'s last step and the involution
-residual walk J's columns in blocks of at most ``BLOCK_ENTRIES`` entries,
-each block running its letters through two reused buffers: J is the one
-full-size tensor alive, and each peaks at J plus 4 MiB (``build_jn`` also
-holds W_(k-1), 1/n^2 of J).  The passes and their MACs are the same.
+through a word on its own.  ``build_jn``'s last step,
+``_word_by_column_block``, makes J's columns in blocks of at most
+``BLOCK_ENTRIES`` entries, each block running its letters through two reused
+buffers.  ``build_jn`` writes the blocks into J, the one full-size tensor it
+holds, and peaks at J plus 4 MiB (and W_(k-1), 1/n^2 of J).
+``check_jn_involutive`` runs the conjugate word on each block as it comes
+and keeps only the block's max entry, so no check forms J^(k): it holds
+J^(k-1) and W_(k-1), 1/n^2 of J each, plus the 4 MiB of buffers.  The passes
+and their MACs are those of building J and then acting on it.
 
 ``build_jn`` is the one builder of J, J^(2)^{ab}_{cd} = S^{ba}_{cd} included.
 The involution residual of J^(2) is (S^{ba}_{cd})* S^{dc}_{ef} - delta^a_e delta^b_f,
@@ -111,27 +115,37 @@ def _reversal_rows(n: int, k: int) -> np.ndarray:
     return np.arange(n ** k).reshape((n,) * k).transpose().ravel()
 
 
-def _word_by_column_block(letter: np.ndarray, k: int, positions, fill):
-    """Run the letters at ``positions`` (first one first) over the columns of a
-    rank-2k tensor, one block of ``_column_blocks`` at a time.
+def _word_by_column_block(letter: np.ndarray, k: int, w: np.ndarray):
+    """J^(k)'s columns, one block of ``_column_blocks`` at a time, by the last step
+    of ``build_jn``'s recursion from W_(k-1), the (n^(k-1), n^(k-1)) matrix ``w``.
 
-    ``fill(buf, start, stop)`` writes the block's input columns into ``buf``,
-    shaped (n,)*k + (stop - start,); each letter is one ``central_at`` from one
-    of two reused buffers into the other.  Yields (start, stop, block), with
-    block the (n^k, stop - start) result; it is overwritten by the next block.
+    Each block is filled with its columns of W_(k-1) x 1, runs the letters
+    k-1, ..., 1 of L_k by ``letter`` (one ``central_at`` each, from one of two
+    reused buffers into the other) and has its rows taken in R order into the
+    free buffer.  Yields (start, stop, block, spare): block holds
+    J^(k)[:, start:stop] shaped (n,)*k + (stop - start,), and spare is the
+    other buffer in the same shape.  Both are overwritten by the next block,
+    so the caller may use them as scratch until then.
     """
     n = letter.shape[0]
-    size = n ** k
+    side = w.shape[0]
+    size = side * n
+    eye = np.eye(n, dtype=complex)
+    rows = _reversal_rows(n, k)
     blocks = _column_blocks(size)
     width = blocks[0][1] - blocks[0][0]
     buffers = [np.empty(size * width, dtype=complex) for _ in range(2)]
     for start, stop in blocks:
         src, dst = (buf[:size * (stop - start)].reshape((n,) * k + (stop - start,))
                     for buf in buffers)
-        fill(src, start, stop)
-        for i in positions:
+        # column (B, b) of W_(k-1) kron 1 is W[:, B] kron e_b: the Kronecker lift's products
+        cols = np.arange(start, stop)
+        np.multiply(w[:, None, cols // n], eye[:, cols % n], out=src.reshape(side, n, -1))
+        for i in range(k - 1, 0, -1):
             src, dst = central_at(src, letter, i, out=dst), src
-        yield start, stop, src.reshape(size, stop - start)
+        # R is a real involution: row r of J is row rows[r] of W ('clip' skips take's buffer)
+        np.take(src.reshape(size, -1), rows, axis=0, out=dst.reshape(size, -1), mode="clip")
+        yield start, stop, dst, src
 
 
 def build_jn(b: Braiding, n: int) -> np.ndarray:
@@ -141,10 +155,10 @@ def build_jn(b: Braiding, n: int) -> np.ndarray:
     recursion of ``reverse_word`` (module docstring): each step m is one
     Kronecker lift of W_(m-1), then m-1 letter passes by ``central_at``,
     letter m-1 first; W_n equals ``word_tensor(S, n, reverse_word(n).letters)``
-    up to rounding.  The last step runs by column blocks, each written into J
-    with its upper index block reversed (R, the action of l_n on basis
-    monomials), so J is the one full-size tensor.  At n = 1 both are the
-    identity, and so is J^(1).
+    up to rounding.  The last step is ``_word_by_column_block``, whose blocks,
+    their upper index block already reversed (R, the action of l_n on basis
+    monomials), are written into J, so J is the one full-size tensor.  At
+    n = 1 both are the identity, and so is J^(1).
     """
     if n < 1:
         raise ValueError("order must be >= 1")
@@ -161,17 +175,9 @@ def build_jn(b: Braiding, n: int) -> np.ndarray:
         for i in range(m - 1, 0, -1):
             w = central_at(w, letter, i)
     side = size ** (n - 1)
-    w = w.reshape(side, side)
-
-    def lift(buf, start, stop):
-        # column (B, b) of W_(n-1) kron 1 is W[:, B] kron e_b: the same products
-        cols = np.arange(start, stop)
-        np.multiply(w[:, None, cols // size], eye[:, cols % size], out=buf.reshape(side, size, -1))
-
     jn = np.empty((size * side, size * side), dtype=complex)
-    rows = _reversal_rows(size, n)
-    for start, stop, block in _word_by_column_block(letter, n, range(n - 1, 0, -1), lift):
-        jn[rows, start:stop] = block
+    for start, stop, block, _ in _word_by_column_block(letter, n, w.reshape(side, side)):
+        jn[:, start:stop] = block.reshape(size * side, -1)
     return jn.reshape((size,) * (2 * n))
 
 
@@ -202,36 +208,39 @@ def star_form(t: FrameTensorField, jn: np.ndarray | None = None) -> FrameTensorF
 
 
 def check_jn_involutive(b: Braiding, n: int) -> float:
-    """Max entry of conj(J^(n)) o J^(n) - identity: ``_involution_residual`` of
-    ``build_jn(b, n)``, and exactly 0 at n = 1, where J^(1) is the identity.
+    """Max entry of conj(J^(n)) o J^(n) - identity, never forming J^(n); exactly 0
+    at n = 1, where J^(n) is the identity.
+
+    With J = R W and R a real involution, conj(J) J - 1 is R (conj(W) J - R),
+    the same entries in other rows.  Each column block of J comes from
+    ``_word_by_column_block``, built from W_(n-1): the n x n identity at n = 2,
+    else the rows of ``build_jn(b, n - 1)`` in R order.  The conjugate word
+    then acts on the block one letter at a time, leftmost first, through the
+    generator's two buffers, and R's block is subtracted.  The block's max
+    entry is kept and the block dropped, so the peak is J^(n-1) and W_(n-1)
+    (1/n^2 of J^(n) each) plus the two block buffers, at most 4 MiB; the
+    letter passes and their MACs are those of ``build_jn``'s last step and
+    the conjugate word over J.
 
     No inverse is taken, so a singular S gives its residual and a NaN in S
     gives NaN.
     """
     if n == 1:
         return 0.0
-    return _involution_residual(b, build_jn(b, n))
-
-
-def _involution_residual(b: Braiding, y: np.ndarray) -> float:
-    """Max entry of conj(J) o J - identity for J = ``build_jn(b, k)``, k >= 2.
-
-    With J = R W and R a real involution, conj(J) J - 1 is
-    R (conj(W) J - R), the same entries in other rows: the conjugate word
-    acts on J's columns one block at a time, one letter at a time, leftmost
-    first, and R's block is subtracted from the block's result (see the module
-    docstring).  ``y`` is only read.
-    """
-    n, k = b.n, y.ndim // 2
-    columns = y.reshape((n,) * k + (n ** k,))
-    rows = _reversal_rows(n, k)
-
-    def copy(buf, start, stop):
-        np.copyto(buf, columns[..., start:stop])
-
+    size = b.n
+    if n == 2:
+        w = np.eye(size, dtype=complex)
+    else:
+        side = size ** (n - 1)
+        w = build_jn(b, n - 1).reshape(side, side)[_reversal_rows(size, n - 1)]
+    letter = _letter_tensor(b.S)
+    conj_letter = np.conj(letter)
+    rows = _reversal_rows(size, n)
     peaks = []
-    for start, stop, block in _word_by_column_block(np.conj(_letter_tensor(b.S)), k,
-                                                    reverse_word(k).letters, copy):
+    for start, stop, block, spare in _word_by_column_block(letter, n, w):
+        for i in reverse_word(n).letters:
+            block, spare = central_at(block, conj_letter, i, out=spare), block
+        block = block.reshape(-1, stop - start)
         block[rows[start:stop], np.arange(stop - start)] -= 1
         peaks.append(max_entry(block))
     return worst(peaks)

@@ -56,7 +56,6 @@ from .connection import (
 )
 from .involution import (
     _d2_coefficient_residual,
-    _involution_residual,
     build_jn,
     check_Dn_reality,
     check_fifa,
@@ -243,7 +242,7 @@ class _Context:
 
     @cached_property
     def j2_involution(self) -> float:
-        return _involution_residual(self.braid, self.J)
+        return check_jn_involutive(self.braid, 2)
 
     @cached_property
     def braid_residual(self) -> float:

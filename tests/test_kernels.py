@@ -78,6 +78,24 @@ def ref_jn_involutive(b, k):
     return float(np.max(np.abs(np.conj(jm) @ jm - np.eye(b.n ** k))))
 
 
+def ref_jn_involutive_through_j(b, k):
+    """max|conj(J) J - 1| by the route that forms J^(k) = ``build_jn(b, k)``: the
+    conjugate letter word over J's column blocks, R's block subtracted."""
+    n, size = b.n, b.n ** k
+    columns = build_jn(b, k).reshape((n,) * k + (size,))
+    rows = np.arange(size).reshape((n,) * k).transpose().ravel()
+    letter = np.conj(np.ascontiguousarray(np.einsum('abcd->cdab', b.S)))
+    peaks = []
+    for start, stop in involution._column_blocks(size):
+        block = np.ascontiguousarray(columns[..., start:stop])
+        for i in reverse_word(k).letters:
+            block = central_at(block, letter, i)
+        block = block.reshape(size, stop - start)
+        block[rows[start:stop], np.arange(stop - start)] -= 1
+        peaks.append(np.max(np.abs(block)))
+    return float(np.max(peaks))
+
+
 def ref_dn(c, b, t):
     geom = c.geom
     letters = list("abcdefgh"[:t.degree])
@@ -440,11 +458,13 @@ def test_build_jn_and_jn_involutive_match_their_dense_oracles_in_column_blocks(k
         blocks = involution._column_blocks(size)
         assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < width, (label, k)
         jn, ref = build_jn(b, k), ref_build_jn(b, k)
-        kept = jn.copy()
-        got, want = involution._involution_residual(b, jn), ref_jn_involutive(b, k)
-        # the cached J2 is judged and then read by yang-baxter, so the residual only reads J
-        assert jn.tobytes() == kept.tobytes(), (label, k)
-        assert check_jn_involutive(b, k) == got, (label, k)
+        got, want = check_jn_involutive(b, k), ref_jn_involutive(b, k)
+        # W_(k-1) comes from build_jn(b, k - 1); split into blocks it may round otherwise
+        through_j = ref_jn_involutive_through_j(b, k)
+        if k > 2 and len(involution._column_blocks(b.n ** (k - 1))) > 1:
+            assert abs(got - through_j) <= 1e-15, (label, k)
+        else:
+            assert got == through_j, (label, k)
         if label.startswith("flip"):
             assert np.array_equal(jn, ref) and got == want == 0.0, (label, k)
         else:
@@ -459,8 +479,18 @@ def test_jn_involutive_is_nan_for_a_nan_in_one_column_block(monkeypatch):
     assert np.isnan(check_jn_involutive(braid, 4))
 
 
-def test_jn_involutive_keeps_one_full_size_star_tensor():
-    # J^(5) at n = 4 is 16 MiB, eight blocks; holding a second full-size tensor reads 2.0 J
+def test_jn_involutive_equals_the_route_through_j():
+    # J^(k-1) is one column block here, so both routes run the same matmuls
+    cases = [(random_phase_twist(seed, 4)[0], 5) for seed in range(3)]
+    cases += [(su2_flip_geometry().braid, 4)]
+    cases += [(make_braiding(random_geometry(seed).S), 4) for seed in range(3)]
+    for b, top in cases:
+        for k in range(2, top + 1):
+            assert check_jn_involutive(b, k) == ref_jn_involutive_through_j(b, k), (b.n, k)
+
+
+def test_jn_involutive_forms_no_full_size_star_tensor():
+    # J^(5) at n = 4 is 16 MiB, eight blocks; forming it reads at least 1.0 J
     b = random_phase_twist(0, 4)[0]
     tracemalloc.start()
     try:
@@ -468,7 +498,24 @@ def test_jn_involutive_keeps_one_full_size_star_tensor():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * 16 * 4 ** 10
+    assert peak <= 0.6 * 16 * 4 ** 10
+
+
+def test_verify_at_order_5_never_builds_j5(monkeypatch):
+    # yang-baxter's J2, then jn-involutive-k's J^(k-1) for k = 3, 4, 5
+    built = []
+    real = involution.build_jn
+
+    def counted(b, k):
+        built.append(k)
+        return real(b, k)
+
+    # report binds build_jn for yang-baxter's J2, involution for jn-involutive
+    for module in (sys.modules["stehbein.report"], involution):
+        monkeypatch.setattr(module, "build_jn", counted)
+    report = run_verify(random_phase_twist(5, 4), max_order=5)
+    assert {k: built.count(k) for k in set(built)} == {2: 2, 3: 1, 4: 1}
+    assert [c.status for c in report.checks if c.name.startswith("jn-involutive")] == ["pass"] * 4
 
 
 def test_jn_involutive_is_nan_for_a_nan_in_s_at_every_order():
@@ -513,7 +560,7 @@ def _verify_runs_out_of_memory_in(loop, tmp_path, capsys, monkeypatch):
 
 
 def test_out_of_memory_in_the_jn_letter_loop_exits_2(tmp_path, capsys, monkeypatch):
-    _verify_runs_out_of_memory_in("_involution_residual", tmp_path, capsys, monkeypatch)
+    _verify_runs_out_of_memory_in("check_jn_involutive", tmp_path, capsys, monkeypatch)
 
 
 def test_out_of_memory_in_the_build_jn_block_loop_exits_2(tmp_path, capsys, monkeypatch):
