@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frametensor import (FrameTensorField, _read_only, apply_central_at, central_as_matrix,
-                          max_entry, word_tensor)
+from .frametensor import (FrameTensorField, _as_complex, _read_only, apply_central_at,
+                          central_as_matrix, max_entry, word_tensor)
 
 
 class SingularBraidingError(ValueError):
@@ -44,8 +44,7 @@ def sigma_from_tau(t: np.ndarray, p: np.ndarray) -> Braiding:
     Any tau yields a sigma satisfying pi o (sigma + 1) = 0 when P is a
     projector.
     """
-    t = np.asarray(t, dtype=complex)
-    p = np.asarray(p, dtype=complex)
+    t, p = _as_complex(t), _as_complex(p)
     if t.shape != p.shape or t.ndim != 4:
         raise ValueError(f"shape mismatch: tau {t.shape}, P {p.shape}")
     n = t.shape[0]
@@ -57,7 +56,7 @@ def sigma_from_tau(t: np.ndarray, p: np.ndarray) -> Braiding:
 def check_sigma_consistency(b: Braiding, p: np.ndarray) -> float:
     """Max entry of (S + delta) o P; zero iff torsion can be right-linear."""
     sm = central_as_matrix(b.S)
-    pm = central_as_matrix(np.asarray(p, dtype=complex))
+    pm = central_as_matrix(p)
     return max_entry((sm + np.eye(sm.shape[0])) @ pm)
 
 
@@ -83,7 +82,7 @@ def check_yang_baxter(j: np.ndarray) -> float:
     n^7 and n^8 multiply-adds, where a three-operand einsum is one nested loop of
     n^9 triple products.
     """
-    j = np.asarray(j, dtype=complex)
+    j = _as_complex(j)
     lhs = np.einsum('abpq,pcdr,qref->abcdef', j, j, j, optimize=True)
     rhs = np.einsum('bcpq,aqrf,rpde->abcdef', j, j, j, optimize=True)
     return max_entry(lhs - rhs)

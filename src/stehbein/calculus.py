@@ -127,7 +127,7 @@ def dirac_form(geom: FrameGeometry) -> FrameTensorField:
 
 def differential0(f: np.ndarray, geom: FrameGeometry) -> FrameTensorField:
     """df = [lam_a, f] theta^a."""
-    f = np.asarray(f, dtype=complex)
+    f = np.asarray(f)
     if f.shape != (geom.N, geom.N):
         raise ValueError(f"element of shape {f.shape} does not match N={geom.N}")
     return FrameTensorField(geom.n, _lambda_commutator(geom.lam, f))

@@ -12,6 +12,7 @@ from .braiding import Braiding
 from .frametensor import (
     INVERSE_COND_LIMIT,
     FrameTensorField,
+    _as_complex,
     _lambda_commutator,
     _omega_at_slot,
     _omega_matrix,
@@ -94,7 +95,6 @@ def d0_connection(geom: FrameGeometry, b: Braiding) -> Connection:
 
 def central_connection(geom: FrameGeometry, chi: np.ndarray, b: Braiding) -> Connection:
     """D_(0) shifted by a central bimodule morphism chi^a_{bc}."""
-    chi = np.asarray(chi, dtype=complex)
     base = d0_connection(geom, b)
     return Connection(geom, base.omega + np.einsum('abc,ij->abcij', chi, np.eye(geom.N)))
 
@@ -179,8 +179,7 @@ def check_metric_symmetry(g: np.ndarray, b: Braiding) -> tuple[float, complex]:
 
     Returns (residual, c) where c minimizes |S^{ab}_{cd} g^{cd} - c g^{ab}|.
     """
-    g = np.asarray(g, dtype=complex)
-    gv = g.reshape(-1)
+    gv = _as_complex(g).reshape(-1)
     if not np.any(gv):
         raise ValueError("metric is zero")
     u = central_as_matrix(b.S) @ gv
@@ -196,7 +195,7 @@ def check_metric_compatibility(c: Connection, b: Braiding, g: np.ndarray) -> flo
     gives a NaN residual.  The second form reads S and g alone
     (``involution.check_metric_compat_second``).
     """
-    g = np.asarray(g, dtype=complex)
+    g = _as_complex(g)
     if np.all(np.isfinite(g)) and not np.linalg.cond(g) <= INVERSE_COND_LIMIT:
         raise ValueError("metric is singular; cannot raise/lower indices")
     g_low = np.linalg.inv(g)
@@ -276,12 +275,12 @@ def curvature(c: Connection, b: Braiding) -> CurvatureData:
     """
     geom = c.geom
     n, N = geom.n, geom.N
-    r = np.empty((n, n, n, n, N, N), dtype=complex)
+    r = np.empty((n, n, n, n, N, N), dtype=c.omega.dtype)
     for a in range(n):
         curv = curvature_of_form(c, b, basis_field(n, N, (a,)))
         # coefficient at (c, d, b) is -1/2 R^a_{bcd}
         r[a] = -2.0 * np.moveaxis(curv.coeffs, 2, 0)
-    g = geom.g if geom.g is not None else np.eye(n, dtype=complex)
+    g = geom.g if geom.g is not None else np.eye(n, dtype=r.dtype)
     ricci = 0.5 * np.einsum('abcdij,db->acij', r, g)
     cent = centrality_residual(r.reshape(-1, N, N), geom.lam)
     return CurvatureData(R=r, ricci=ricci, centrality_residual=cent)

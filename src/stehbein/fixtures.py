@@ -20,6 +20,7 @@ from .calculus import FrameGeometry, check_d_squared, check_structure, check_the
 from .braiding import Braiding, make_braiding
 from .connection import curvature_of_form, d0_connection, solve_torsionfree_chi
 from .frametensor import (
+    COMPLEX,
     FrameTensorField,
     adjoint,
     antisymmetrizer_central,
@@ -32,11 +33,7 @@ from .frametensor import (
     worst,
 )
 
-PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
 # how far a phase-twist phase may sit from unit modulus (or from 1 on the diagonal)
 PHASE_TOL = 1e-12
 
@@ -56,14 +53,8 @@ def su2_flip_geometry() -> FrameGeometry:
     check exactly (up to rounding).
     """
     lam = np.array([-0.5j * p for p in PAULI])
-    return FrameGeometry(
-        N=2, n=3, lam=lam,
-        P=antisymmetrizer_central(3),
-        S=flip_central(3),
-        F=levi_civita().astype(complex),
-        K=np.zeros((3, 3), dtype=complex),
-        g=np.eye(3, dtype=complex),
-    )
+    return FrameGeometry(N=2, n=3, lam=lam, P=antisymmetrizer_central(3), S=flip_central(3),
+                         F=levi_civita(), g=np.eye(3))
 
 
 def phase_twist_braiding(n: int,
@@ -76,7 +67,7 @@ def phase_twist_braiding(n: int,
     the matching projector P = (delta - S)/2, which satisfies
     pi o (sigma + 1) = 0 by construction.
     """
-    lam = np.ones((n, n), dtype=complex)
+    lam = np.ones((n, n), dtype=COMPLEX)
     for (a, b), ph in phases.items():
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"pair {(a, b)} out of range for n={n}")
@@ -88,7 +79,7 @@ def phase_twist_braiding(n: int,
             raise ValueError(f"phase L[{a},{b}] = {ph} is not unit modulus")
         lam[a, b] = ph
         lam[b, a] = 1.0 / ph
-    s = np.zeros((n, n, n, n), dtype=complex)
+    s = np.zeros((n, n, n, n), dtype=COMPLEX)
     for a in range(n):
         for b in range(n):
             s[a, b, b, a] = lam[a, b]
@@ -136,7 +127,7 @@ def random_wedge_projector(rng: np.random.Generator, n: int, rank: int) -> np.nd
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     g = rng.standard_normal((len(pairs), rank)) + 1j * rng.standard_normal((len(pairs), rank))
     q, _ = np.linalg.qr(g)
-    v = np.zeros((n, n, rank), dtype=complex)
+    v = np.zeros((n, n, rank), dtype=COMPLEX)
     for k, (a, b) in enumerate(pairs):
         v[a, b] = q[k] / np.sqrt(2.0)
         v[b, a] = -v[a, b]
@@ -165,13 +156,13 @@ def _f_zero_geometry(seed: int, n: int, N: int) -> FrameGeometry:
     top = 1 if n == 3 else pairs - 1
     p = random_wedge_projector(rng, n, int(rng.integers(1, top + 1)))
     geom = FrameGeometry(N=N, n=n, lam=lam, P=p, S=identity_central(n) - 2.0 * p,
-                         g=np.eye(n, dtype=complex))
+                         g=np.eye(n))
 
     residuals = {
         "structure": check_structure(geom),
         "theta-squared": check_theta_squared(geom),
         # the matrix units decide d^2 = 0 exactly
-        "d-squared": check_d_squared(geom, np.eye(N * N, dtype=complex).reshape(N * N, N, N)),
+        "d-squared": check_d_squared(geom, np.eye(N * N).reshape(N * N, N, N)),
     }
     bad = {k: v for k, v in residuals.items() if not v <= F_ZERO_TOL}
     if bad:
@@ -218,15 +209,14 @@ def random_geometry(seed: int, n: int = 3, N: int = 2, *,
     target = 2.0 * np.einsum('cij,djk,cdab->abik', lam, lam, p)
     # fit target_{ab} ~ lam_c F^c_{ab} + K_{ab} 1 columnwise over (a, b)
     basis = list(lam)
-    basis.append(np.eye(N, dtype=complex))
+    basis.append(np.eye(N))
     amat = np.stack([m.reshape(-1) for m in basis], axis=1)
     sol, *_ = np.linalg.lstsq(amat, target.reshape(n * n, N * N).T, rcond=None)
     f = sol[:-1].reshape(n, n, n)
     k = sol[-1].reshape(n, n)
     # keep F in the image of P on its lower pair, as required of geometries
     f = central_at(f, p, 2)
-    return FrameGeometry(N=N, n=n, lam=lam, P=p, S=s, F=f, K=k,
-                         g=np.eye(n, dtype=complex))
+    return FrameGeometry(N=N, n=n, lam=lam, P=p, S=s, F=f, K=k, g=np.eye(n))
 
 
 def random_field(rng: np.random.Generator, n: int, N: int, degree: int) -> FrameTensorField:

@@ -35,9 +35,11 @@ Conventions fixed here and used identically everywhere else:
   matrices, such as a field's ``coeffs``; ``centrality_residual`` calls it
   too), ``max_entry`` (largest modulus of an array's entries) and ``worst``
   (largest of several residuals).
-* Every array a record keeps (a geometry's, a braiding's S, a connection's
-  omega) is frozen by one rule, ``_read_only``: a read-only complex copy of
-  the declared shape.
+* The scalar type is ``COMPLEX``, double-precision complex; no other module
+  names a complex dtype.  Every array a record keeps (a geometry's, a braiding's
+  S, a connection's omega) is frozen by one rule, ``_read_only``: a read-only
+  ``COMPLEX`` copy of the declared shape.  Fields, the constructors here and
+  ``io``'s encoder convert to it too, and every other array takes its operands' dtype.
 """
 
 from __future__ import annotations
@@ -46,12 +48,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+COMPLEX = np.complex128
+
+
+def _as_complex(x) -> np.ndarray:
+    """A bare array a caller passes in as ``COMPLEX``, where its real twin would give other bits."""
+    return np.asarray(x, dtype=COMPLEX)
+
 
 def _read_only(x, name: str, shape: tuple) -> np.ndarray:
-    """A read-only complex copy of ``x`` of the given shape: the one rule for every
-    array a record keeps.  ``FrameTensorField`` keeps a complex128 grid as given:
+    """A read-only ``COMPLEX`` copy of ``x`` of the given shape: the one rule for every
+    array a record keeps.  ``FrameTensorField`` keeps a ``COMPLEX`` grid as given:
     ``calculus._first_order`` writes into its array before wrapping it (by ``_unchecked_field``)."""
-    a = np.array(x, dtype=complex)
+    a = np.array(x, dtype=COMPLEX)
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
     a.flags.writeable = False
@@ -90,13 +99,13 @@ INVERSE_COND_LIMIT = 1e12
 
 def identity_central(n: int, pairs: int = 2) -> np.ndarray:
     """The rank-2k identity tensor delta^{a1..ak}_{b1..bk}."""
-    return np.eye(n ** pairs, dtype=complex).reshape((n,) * (2 * pairs))
+    return np.eye(n ** pairs, dtype=COMPLEX).reshape((n,) * (2 * pairs))
 
 
 def flip_central(n: int) -> np.ndarray:
     """The flip: (a, b) -> (b, a) with unit coefficient."""
     eye = np.eye(n)
-    return np.einsum('ad,bc->abcd', eye, eye).astype(complex)
+    return np.einsum('ad,bc->abcd', eye, eye).astype(COMPLEX)
 
 
 def antisymmetrizer_central(n: int) -> np.ndarray:
@@ -201,7 +210,7 @@ def word_tensor(s: np.ndarray, strands: int, letters) -> np.ndarray:
 class FrameTensorField:
     """A degree-p form/tensor with algebra-element coefficients.
 
-    ``coeffs`` has shape (n,)*degree + (N, N); a complex128 ndarray is kept, not copied.
+    ``coeffs`` has shape (n,)*degree + (N, N); a ``COMPLEX`` ndarray is kept, not copied.
     """
 
     n: int
@@ -209,8 +218,8 @@ class FrameTensorField:
 
     def __post_init__(self):
         c = self.coeffs
-        if type(c) is not np.ndarray or c.dtype != complex:
-            c = np.asarray(c, dtype=complex)
+        if type(c) is not np.ndarray or c.dtype != COMPLEX:
+            c = _as_complex(c)
             object.__setattr__(self, "coeffs", c)
         if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
             raise ValueError(f"coefficient grid of shape {c.shape} has no square matrix axes")
@@ -244,7 +253,7 @@ class FrameTensorField:
 
 
 def _unchecked_field(n: int, coeffs: np.ndarray) -> FrameTensorField:
-    """``FrameTensorField(n, coeffs)`` without its checks, for a complex128 grid of a
+    """``FrameTensorField(n, coeffs)`` without its checks, for a ``COMPLEX`` grid of a
     shape that an already checked input fixes."""
     t = object.__new__(FrameTensorField)
     object.__setattr__(t, "n", n)
@@ -253,11 +262,11 @@ def _unchecked_field(n: int, coeffs: np.ndarray) -> FrameTensorField:
 
 
 def basis_field(n: int, N: int, index) -> FrameTensorField:
-    """The basis monomial theta^{a1} x ... x theta^{ap}: indices in [0, n), an int for p = 1."""
+    """The basis monomial theta^{a1} x ... x theta^{ap}: indices in [0, n), not bools, an int for p = 1."""
     index = tuple(index) if np.iterable(index) else (index,)
-    if not all(isinstance(a, (int, np.integer)) and 0 <= a < n for a in index):
+    if not all(isinstance(a, (int, np.integer)) and not isinstance(a, bool) and 0 <= a < n for a in index):
         raise ValueError(f"basis index {index} is not a tuple of integers in [0, n) for n={n}")
-    c = np.zeros((n,) * len(index) + (N, N), dtype=complex)
+    c = np.zeros((n,) * len(index) + (N, N), dtype=COMPLEX)
     c[index].flat[::N + 1] = 1  # the identity matrix
     return FrameTensorField(n, c)
 

@@ -48,6 +48,7 @@ from .connection import Connection, _intertwining_residual, dn
 from .frametensor import (
     INVERSE_COND_LIMIT,
     FrameTensorField,
+    _as_complex,
     adjoint,
     apply_central_at,
     central_as_matrix,
@@ -130,11 +131,11 @@ def _word_by_column_block(letter: np.ndarray, k: int, w: np.ndarray):
     n = letter.shape[0]
     side = w.shape[0]
     size = side * n
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(n, dtype=letter.dtype)
     rows = _reversal_rows(n, k)
     blocks = _column_blocks(size)
     width = blocks[0][1] - blocks[0][0]
-    buffers = [np.empty(size * width, dtype=complex) for _ in range(2)]
+    buffers = [np.empty(size * width, dtype=letter.dtype) for _ in range(2)]
     for start, stop in blocks:
         src, dst = (buf[:size * (stop - start)].reshape((n,) * k + (stop - start,))
                     for buf in buffers)
@@ -164,7 +165,7 @@ def build_jn(b: Braiding, n: int) -> np.ndarray:
         raise ValueError("order must be >= 1")
     size = b.n
     letter = _letter_tensor(b.S)
-    eye = np.eye(size, dtype=complex)
+    eye = np.eye(size, dtype=b.S.dtype)
     if n == 1:
         return eye
     w = eye
@@ -175,7 +176,7 @@ def build_jn(b: Braiding, n: int) -> np.ndarray:
         for i in range(m - 1, 0, -1):
             w = central_at(w, letter, i)
     side = size ** (n - 1)
-    jn = np.empty((size * side, size * side), dtype=complex)
+    jn = np.empty((size * side, size * side), dtype=b.S.dtype)
     for start, stop, block, _ in _word_by_column_block(letter, n, w.reshape(side, side)):
         jn[:, start:stop] = block.reshape(size * side, -1)
     return jn.reshape((size,) * (2 * n))
@@ -229,16 +230,16 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
         return 0.0
     size = b.n
     if n == 2:
-        w = np.eye(size, dtype=complex)
+        w = np.eye(size, dtype=b.S.dtype)
     else:
         side = size ** (n - 1)
         w = build_jn(b, n - 1).reshape(side, side)[_reversal_rows(size, n - 1)]
     letter = _letter_tensor(b.S)
-    conj_letter = np.conj(letter)
+    conj_letter, letters = np.conj(letter), reverse_word(n).letters
     rows = _reversal_rows(size, n)
     peaks = []
     for start, stop, block, spare in _word_by_column_block(letter, n, w):
-        for i in reverse_word(n).letters:
+        for i in letters:
             block, spare = central_at(block, conj_letter, i, out=spare), block
         block = block.reshape(-1, stop - start)
         block[rows[start:stop], np.arange(stop - start)] -= 1
@@ -354,7 +355,7 @@ def check_metric_compat_second(g: np.ndarray, b: Braiding) -> float:
     """Residual of the second metric compatibility form,
     S^{ae}_{df} g^{fg} S^{bc}_{eg} = g^{ab} delta^c_d: it reads S and g alone, so
     it needs no inverse of g and is judged on a singular metric too."""
-    g = np.asarray(g, dtype=complex)
+    g = _as_complex(g)
     lhs = np.einsum('aedf,fg,bceg->abcd', b.S, g, b.S)
     rhs = np.einsum('ab,cd->abcd', g, np.eye(b.n))
     return max_entry(lhs - rhs)
@@ -362,6 +363,6 @@ def check_metric_compat_second(g: np.ndarray, b: Braiding) -> float:
 
 def check_metric_reality(g: np.ndarray, b: Braiding) -> float:
     """Residual of S^{ab}_{cd} g^{cd} = (g^{ba})*."""
-    g = np.asarray(g, dtype=complex)
+    g = np.asarray(g)
     lhs = np.einsum('abcd,cd->ab', b.S, g)
     return max_entry(lhs - np.conj(g.T))

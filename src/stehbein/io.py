@@ -18,6 +18,7 @@ import numpy as np
 
 from .calculus import GEOMETRY_ARRAYS, FrameGeometry, _projector_residual, geometry_invariants
 from .braiding import Braiding, sigma_from_tau
+from .frametensor import COMPLEX
 
 LOAD_TOL = 1e-8  # structural gate for invariants enforced at load
 
@@ -35,7 +36,7 @@ class GeometryFileError(ValueError):
 
 def encode_complex_array(arr: np.ndarray):
     """Nested row-major lists with [re, im] leaves."""
-    arr = np.asarray(arr, dtype=complex)
+    arr = np.asarray(arr, dtype=COMPLEX)
     return np.stack((arr.real, arr.imag), -1).tolist()
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -412,14 +412,14 @@ def run_verify(loaded, *, tol: float = DEFAULT_TOL, checks=None,
     returned by the loader.  ``checks`` is an optional set of group names
     (see GROUPS); everything applicable runs by default.  Report order is
     the order of CHECKS.  ``connection_mode`` is auto, d0 or torsion-free
-    (see ``resolve_connection``).  An unknown or empty ``checks``, a ``tol``
-    that is not finite and > 0, a ``max_order`` not an integer in [2, MAX_DEGREE],
-    a ``seed`` not an integer >= 0 (a bool is refused) or a ``connection_mode``
-    outside CONNECTION_MODES raises ValueError before any check runs.
+    (see ``resolve_connection``).  An unknown or empty ``checks``, a ``tol`` not
+    a finite real > 0, a ``max_order`` not an integer in [2, MAX_DEGREE], a ``seed``
+    not an integer >= 0 or a ``connection_mode`` outside CONNECTION_MODES raises
+    ValueError before any check runs; a bool ``tol`` or ``seed`` is refused.
     """
     if checks is not None and (not checks or set(checks) - set(GROUPS)):
         raise ValueError(f"checks {sorted(checks)} must name known groups: {sorted(GROUPS)}")
-    if not (math.isfinite(tol) and tol > 0):
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
     if not (isinstance(max_order, Integral) and MIN_ORDER <= max_order <= MAX_DEGREE):
         raise ValueError(f"max_order must be between {MIN_ORDER} and {MAX_DEGREE}, got {max_order!r}")
@@ -427,9 +427,9 @@ def run_verify(loaded, *, tol: float = DEFAULT_TOL, checks=None,
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if connection_mode not in CONNECTION_MODES:
         raise ValueError(f"unknown connection mode {connection_mode!r}")
-    report = VerificationReport(tolerance=tol, seed=int(seed), max_order=int(max_order),
+    report = VerificationReport(tolerance=float(tol), seed=int(seed), max_order=int(max_order),
                                 source=str(source))
-    ctx = _Context(loaded, tol, seed, connection_mode)
+    ctx = _Context(loaded, report.tolerance, seed, connection_mode)
     for check in CHECKS:
         orders = (None,) if check.first_order is None else range(check.first_order, max_order + 1)
         for order in orders:

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import operator
 import re
 
@@ -6,8 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stehbein.calculus import differential0
+from stehbein.braiding import check_sigma_consistency, check_yang_baxter, make_braiding, sigma_from_tau
+from stehbein.calculus import FrameGeometry, differential0
+from stehbein.connection import (central_connection, check_metric_compatibility,
+                                 check_metric_symmetry, d0_connection)
+from stehbein.fixtures import levi_civita, random_geometry, su2_flip_geometry
+from stehbein.involution import check_metric_compat_second, check_metric_reality
+from stehbein.report import run_verify
 from stehbein.frametensor import (
+    COMPLEX,
     FrameTensorField,
     _lambda_commutator,
     adjoint,
@@ -445,7 +454,8 @@ def test_a_word_letter_out_of_range_is_refused(letter):
 
 
 @pytest.mark.parametrize("index,shown", [((-1,), "(-1,)"), ((3,), "(3,)"), (1.7, "(1.7,)"),
-                                         ((0, -1), "(0, -1)"), ((2, 3), "(2, 3)")])
+                                         ((0, -1), "(0, -1)"), ((2, 3), "(2, 3)"),
+                                         ((True,), "(True,)")])
 def test_a_basis_index_outside_0_to_n_is_refused(index, shown):
     with pytest.raises(ValueError, match=re.escape(f"basis index {shown}") + ".*n=3"):
         basis_field(3, 2, index)
@@ -495,3 +505,70 @@ def test_a_field_is_frozen():
     with pytest.raises((AttributeError, TypeError)):
         t.extra = 1
     assert not hasattr(t, "__dict__")
+
+
+# ---------------------------------------------------------------------------
+# the one dtype rule: COMPLEX is the scalar type, and a real or integer array gives the
+# bits of its complex twin, whether the site converts it or its operands' dtype carries it
+
+
+@functools.cache
+def _dtype_geometry():
+    geom = random_geometry(3, n=3, N=4)
+    return geom, d0_connection(geom, geom.braid)
+
+
+def _complex_braiding(rng, n):
+    return make_braiding(rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4))
+
+
+# name: (run(rng, *arrays), shapes of the arrays by frame size n, the sizes n); sizes and
+# seeds where dropping a converter changes the bits.  A metric gets 10 on its diagonal, so
+# that an integer one in [-3, 3] is invertible
+DTYPE_SITES = {
+    "sigma_from_tau": (lambda rng, t, p: sigma_from_tau(t, p).S, lambda n: [(n,) * 4] * 2, (2, 5)),
+    "check_sigma_consistency": (lambda rng, p: check_sigma_consistency(_complex_braiding(rng, len(p)), p),
+                                lambda n: [(n,) * 4], (2, 5)),
+    "check_yang_baxter": (lambda rng, j: check_yang_baxter(j), lambda n: [(n,) * 4], (2, 5)),
+    "differential0": (lambda rng, f: differential0(f, _dtype_geometry()[0]).coeffs,
+                      lambda n: [(4, 4)], (3,)),
+    "central_connection": (lambda rng, chi: central_connection(
+        _dtype_geometry()[0], chi, _dtype_geometry()[0].braid).omega, lambda n: [(n,) * 3], (3,)),
+    "check_metric_symmetry": (lambda rng, g: check_metric_symmetry(g, _complex_braiding(rng, len(g))),
+                              lambda n: [(n, n)], (2, 5)),
+    "check_metric_compatibility": (lambda rng, g: check_metric_compatibility(
+        _dtype_geometry()[1], _dtype_geometry()[0].braid, g + 10 * np.eye(3, dtype=g.dtype)),
+        lambda n: [(n, n)], (3,)),
+    "check_metric_compat_second": (lambda rng, g: check_metric_compat_second(
+        g, _complex_braiding(rng, len(g))), lambda n: [(n, n)], (2, 5)),
+    "check_metric_reality": (lambda rng, g: check_metric_reality(g, _complex_braiding(rng, len(g))),
+                             lambda n: [(n, n)], (2, 5)),
+}
+
+
+@pytest.mark.parametrize("kind", ["real", "integer"])
+@pytest.mark.parametrize("name", sorted(DTYPE_SITES))
+def test_a_real_or_integer_input_gives_the_bits_of_its_complex_twin(name, kind):
+    run, shapes, sizes = DTYPE_SITES[name]
+    for n, seed in itertools.product(sizes, range(10)):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.standard_normal(s) if kind == "real" else rng.integers(-3, 4, s)
+                  for s in shapes(n)]
+        assert all(a.dtype != COMPLEX for a in arrays)
+        got = run(np.random.default_rng(seed), *arrays)
+        want = run(np.random.default_rng(seed), *(a.astype(COMPLEX) for a in arrays))
+        for x, y in zip(*(r if isinstance(r, tuple) else (r,) for r in (got, want)), strict=True):
+            assert np.array_equal(x, y), (n, seed)
+
+
+def test_verify_on_su2_flip_built_from_integer_or_real_arrays_reports_the_complex_build():
+    lam = su2_flip_geometry().lam
+    eye9 = np.eye(9, dtype=int)
+    flip = eye9.reshape(3, 3, 3, 3).transpose(0, 1, 3, 2).copy()
+    integer = dict(P=(eye9.reshape(flip.shape) - flip) / 2, S=flip,
+                   F=levi_civita().astype(int), K=np.zeros((3, 3), dtype=int), g=np.eye(3, dtype=int))
+    builds = [{k: v.astype(dtype) for k, v in integer.items()} for dtype in (float, COMPLEX)]
+    reports = [run_verify(FrameGeometry(N=2, n=3, lam=lam, **arrays), max_order=3, seed=1).to_dict()
+               for arrays in (integer, *builds)]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[2] == run_verify(su2_flip_geometry(), max_order=3, seed=1).to_dict()

@@ -1,11 +1,12 @@
 """Package-wide guards: every module-level definition has a caller outside the tests, every
 name a test module imports is read, one helper freezes the arrays the records keep, one
-routine takes the coefficient norm of a matrix stack, measured without a field wrapped round
-it, and one an array's largest entry, only the kernels skip a field's checks, one record
-holds S, the star tensors take no product beside central_at, and the modules import in one
-direction."""
+line names a complex dtype, one routine takes the coefficient norm of a matrix stack,
+measured without a field wrapped round it, and one an array's largest entry, only the
+kernels skip a field's checks, one record holds S, the star tensors take no product beside
+central_at, and the modules import in one direction."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -84,6 +85,29 @@ def test_one_helper_freezes_every_kept_array():
     helper = next(node for node in tree.body
                   if isinstance(node, ast.FunctionDef) and node.name == "_read_only")
     assert "flags.writeable = False" in ast.unparse(helper)
+
+
+# a complex dtype written out: the scalar type has one name, frametensor.COMPLEX
+COMPLEX_DTYPE = re.compile(r"dtype=complex\b|astype\(complex\)|complex128|clongdouble|complex256")
+
+
+def _complex_dtype_lines(text: str) -> list:
+    """The stripped lines of ``text`` that name a complex dtype, comments and docstrings included."""
+    return [line.strip() for line in text.splitlines() if COMPLEX_DTYPE.search(line)]
+
+
+def test_one_line_names_the_complex_dtype():
+    # every other array takes the dtype of its operands or goes through frametensor's
+    # converters, so a change of precision is a change of this one line
+    sites = [(p.name, line) for p in sorted(SRC.glob("*.py"))
+             for line in _complex_dtype_lines(p.read_text(encoding="utf-8"))]
+    assert sites == [("frametensor.py", "COMPLEX = np.complex128")]
+    snippet = ("COMPLEX = np.complex128\nx = np.eye(2, dtype=complex)\ny = x.astype(complex)\n"
+               "z = np.zeros(2, dtype=COMPLEX)  # not complex256\nw = np.clongdouble(1)\n"
+               "v = np.asarray(x, dtype=complexity)\nu = complex(x[0, 0])\n")
+    assert _complex_dtype_lines(snippet) == [
+        "COMPLEX = np.complex128", "x = np.eye(2, dtype=complex)", "y = x.astype(complex)",
+        "z = np.zeros(2, dtype=COMPLEX)  # not complex256", "w = np.clongdouble(1)"]
 
 
 def test_one_routine_takes_the_coefficient_norm():

@@ -496,6 +496,9 @@ BAD_ARGUMENTS = [
     ("max_order", 2.5, "max_order must be between"),
     ("max_order", 3.0, "max_order must be between"),
     ("connection_mode", "bogus", "unknown connection mode 'bogus'"),
+    ("tol", True, "tolerance must be finite and > 0"),
+    ("tol", "1e-9", "tolerance must be finite and > 0"),
+    ("tol", 1e-9 + 0j, "tolerance must be finite and > 0"),
 ]
 
 
@@ -518,3 +521,10 @@ def test_run_verify_accepts_numpy_integers_for_seed_and_order():
     report = run_verify(geom, seed=np.int64(7), max_order=np.int32(2), checks={"d2"})
     assert type(report.seed) is type(report.max_order) is int
     assert report.to_dict() == run_verify(geom, seed=7, max_order=2, checks={"d2"}).to_dict()
+    # and a numpy float tolerance, kept as the float it equals, so the report serializes
+    tol = np.float32(1e-9)
+    report = run_verify(geom, tol=tol, max_order=np.int32(2), checks={"d2", "braid"})
+    assert type(report.tolerance) is float and report.tolerance == float(tol)
+    Draft202012Validator(REPORT_SCHEMA).validate(json.loads(json.dumps(report.to_dict())))
+    assert report.to_dict() == run_verify(geom, tol=float(tol), max_order=2,
+                                          checks={"d2", "braid"}).to_dict()
