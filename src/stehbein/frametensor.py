@@ -23,6 +23,11 @@ Conventions fixed here and used identically everywhere else:
 * The inner derivation t_A -> lam_p t_A - t_A lam_p, with p a new leading frame slot, has
   one implementation, ``_lambda_commutator`` (two GEMMs); only ``connection.covariant_derivative``
   keeps an einsum.  With T at each slot it makes the first-order operator, ``calculus._first_order``.
+* ``_omega_at_slot`` moves its operand and its results by an index plan: integer arrays
+  of flat indices, built once per shape by ``_omega_plan`` (a bounded cache) and never
+  returned.  A gather by the plan puts the values a strided copy would put in the same
+  places, so the GEMM sees the same operand and every product keeps its bits, with one
+  numpy call where a copy took two or three.
 * Applying M then M2 composes to the tensor with matrix form
   ``mat(M) @ mat(M2)`` (the first map applied is leftmost).
 * A word of adjacent operators is a sequence of positions i, each acting
@@ -45,6 +50,7 @@ Conventions fixed here and used identically everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -150,23 +156,46 @@ def _omega_matrix(omega: np.ndarray) -> np.ndarray:
     return omega.transpose(0, 3, 1, 2, 4).reshape(n * N, n * n * N)
 
 
-def _omega_at_slot(coeffs: np.ndarray, w: np.ndarray, *slots: int) -> list[np.ndarray]:
-    """sum_z t_{..z..} omega^z_{xy}, one array per slot i (1-based) given: slot i of t
-    becomes the pair (x, y).
+# the most index plans kept; one verify at connection.MAX_DEGREE builds one per degree
+_PLANS = 64
 
-    ``w`` is ``_omega_matrix(omega)``.  The slots' operands are stacked into one
-    GEMM, whose rows are those of each slot's own GEMM, with the same bits.
+
+@lru_cache(maxsize=_PLANS)
+def _omega_plan(n: int, N: int, p: int, slots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(operand, results): the index plan of ``_omega_at_slot`` at degree p, flat indices
+    in C order, kept per shape.  ``operand`` picks the GEMM operand out of the
+    coefficients: each slot's rows (left, right, j) by columns (z, k), slot after
+    slot.  ``results[s]`` picks the s-th slot's result out of the GEMM product, whose
+    rows (left, right, j) have columns (x, y, k).  A plan is a function of the shape
+    alone; no value of a field or a connection enters it, and no kernel returns it."""
+    src = np.arange(n ** p * N * N).reshape((n,) * p + (N, N))
+    operand = np.concatenate([
+        src.reshape(n ** (i - 1), n, n ** (p - i), N, N).transpose(0, 2, 3, 1, 4).reshape(-1, n * N)
+        for i in slots])
+    products = np.arange(operand.size * n).reshape(len(slots), -1)
+    results = np.stack([
+        o.reshape(n ** (i - 1), n ** (p - i), N, n * n, N).transpose(0, 3, 1, 2, 4).reshape(
+            (n,) * (p + 1) + (N, N))
+        for o, i in zip(products, slots)])
+    # a gather takes the layout of its index array, and the GEMM wants C order
+    return np.ascontiguousarray(operand), np.ascontiguousarray(results)
+
+
+def _omega_at_slot(coeffs: np.ndarray, w: np.ndarray, *slots: int) -> list[np.ndarray]:
+    """sum_z t_{..z..} omega^z_{xy}, one C-order array per slot i (1-based) given: slot i
+    of t becomes the pair (x, y).
+
+    ``w`` is ``_omega_matrix(omega)``.  All slots' operands are one GEMM.  One gather by
+    the cached ``_omega_plan`` stacks each slot's rows, those of that slot's own GEMM
+    in the same order, so every product keeps its bits; one gather per slot takes its
+    result out of the product.  Each slot's result is its own array: one array of all
+    of them, 1 MiB at degree 3 for N = 16, doubled the page faults of a verify of that
+    frame, as glibc gave back and refaulted its heap top.
     """
     n, N = coeffs.shape[0], coeffs.shape[-1]
-    p = coeffs.ndim - 2
-    blocks = [(n ** (i - 1), n ** (p - i)) for i in slots]
-    rows = np.empty((len(slots), n ** (p - 1) * N, n * N), dtype=coeffs.dtype)
-    for row, (left, right) in zip(rows, blocks):
-        row.reshape(left, right, N, n, N)[...] = (
-            coeffs.reshape(left, n, right, N, N).transpose(0, 2, 3, 1, 4))
-    out = (rows.reshape(-1, n * N) @ w).reshape(len(slots), -1)
-    return [o.reshape(left, right, N, n * n, N).transpose(0, 3, 1, 2, 4).reshape((n,) * (p + 1) + (N, N))
-            for o, (left, right) in zip(out, blocks)]
+    operand, results = _omega_plan(n, N, coeffs.ndim - 2, slots)
+    product = (coeffs.reshape(-1)[operand] @ w).reshape(-1)
+    return [product[r] for r in results]
 
 
 def _lambda_commutator(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ The reference functions are the einsum, tensordot and dense-product bodies
 these kernels replaced; the GEMMs sum in another order, so agreement is to
 1e-13.  Where every output entry is a single product (the flip and the phase
 twists) the agreement is exact, and so is that of D and d on
-su2-torsion-free; j_n is exact on the flip.
+su2-torsion-free; j_n is exact on the flip.  The strided body of
+``_omega_at_slot`` is the oracle of its index plan, which moves the same
+values into the same GEMM: agreement is exact.
 """
 
 import dataclasses
@@ -18,7 +20,14 @@ import pytest
 
 from stehbein.braiding import Braiding, apply_word, make_braiding
 from stehbein.calculus import differential0, differential1, maurer_cartan
-from stehbein.connection import Connection, covariant_derivative, d0_connection, d2, dn
+from stehbein.connection import (
+    MAX_DEGREE,
+    Connection,
+    covariant_derivative,
+    d0_connection,
+    d2,
+    dn,
+)
 from stehbein.fixtures import build_fixture, random_geometry, su2_flip_geometry
 from stehbein.fixtures import phase_twist_braiding, random_phase_twist
 from stehbein.frametensor import (
@@ -36,7 +45,7 @@ from stehbein.frametensor import (
     right_mul,
     word_tensor,
 )
-from stehbein import cli, involution
+from stehbein import cli, frametensor, involution
 from stehbein.involution import build_jn, check_jn_involutive, reverse_word, star_form
 from stehbein.report import run_verify
 
@@ -266,6 +275,119 @@ def _one_slot_gemm(coeffs, w, i):
     c = coeffs.reshape(left, n, right, N, N).transpose(0, 2, 3, 1, 4)
     out = (c.reshape(left * right * N, n * N) @ w).reshape(left, right, N, n * n, N)
     return out.transpose(0, 3, 1, 2, 4).reshape((n,) * (p + 1) + (N, N))
+
+
+def _strided_omega_at_slot(coeffs, w, *slots):
+    """``_omega_at_slot`` as it was before its index plan: one strided copy per slot
+    into the stacked GEMM operand, one reshape copy per slot out of the product."""
+    n, N = coeffs.shape[0], coeffs.shape[-1]
+    p = coeffs.ndim - 2
+    blocks = [(n ** (i - 1), n ** (p - i)) for i in slots]
+    rows = np.empty((len(slots), n ** (p - 1) * N, n * N), dtype=coeffs.dtype)
+    for row, (left, right) in zip(rows, blocks):
+        row.reshape(left, right, N, n, N)[...] = (
+            coeffs.reshape(left, n, right, N, N).transpose(0, 2, 3, 1, 4))
+    out = (rows.reshape(-1, n * N) @ w).reshape(len(slots), -1)
+    return [o.reshape(left, right, N, n * n, N).transpose(0, 3, 1, 2, 4).reshape((n,) * (p + 1) + (N, N))
+            for o, (left, right) in zip(out, blocks)]
+
+
+def _same_entries(got, want):
+    """Equal bit for bit up to NaN payloads, real and imaginary parts apart."""
+    return (got.shape == want.shape and np.array_equal(got.real, want.real, equal_nan=True)
+            and np.array_equal(got.imag, want.imag, equal_nan=True))
+
+
+def _slot_sets(degree):
+    """The prefix slot sets (1,), (1, 2) and (1..p), and the others (2,) and (1, 3)."""
+    sets = {(1,), (1, 2), tuple(range(1, degree + 1)), (2,), (1, 3)}
+    return sorted(s for s in sets if max(s) <= degree)
+
+
+def _with_non_finite(t):
+    """``t`` with +inf in the real part of its first entry and NaN in its last entry."""
+    t = t.copy()
+    t.reshape(-1).real[0] = np.inf
+    t.reshape(-1)[-1] = complex(np.nan, 1.0)
+    return t
+
+
+@pytest.mark.parametrize("N", [2, 3, 16])
+@pytest.mark.parametrize("non_finite", [False, True], ids=["finite", "inf-nan"])
+def test_omega_at_slot_gives_the_bits_of_its_strided_form(N, non_finite):
+    rng = np.random.default_rng(N)
+    w = _omega_matrix(_random_field(rng, 3, N, 3).coeffs)
+    for degree in (1, 2, 3, 4):
+        t = _random_field(rng, 3, N, degree).coeffs
+        if non_finite:
+            t = _with_non_finite(t)
+        for slots in _slot_sets(degree):
+            # inf times 0 is NaN, which numpy reports as an invalid value
+            with np.errstate(invalid="ignore"):
+                got, want = _omega_at_slot(t, w, *slots), _strided_omega_at_slot(t, w, *slots)
+            assert len(got) == len(want), (degree, slots)
+            for g, s_want in zip(got, want):
+                assert g.flags.c_contiguous and _same_entries(g, s_want), (degree, slots)
+            # BLAS carries an inf through a complex product as NaN, the oracle too
+            assert any(np.isnan(g).any() for g in got) == non_finite, (degree, slots)
+
+
+def test_each_slot_result_is_its_own_memory():
+    # dn subtracts each slot's result from its sum, and d2 runs a sigma step on one
+    rng = np.random.default_rng(2)
+    w = _omega_matrix(_random_field(rng, 3, 2, 3).coeffs)
+    t = _random_field(rng, 3, 2, 3).coeffs
+    got = _omega_at_slot(t, w, 1, 2, 3)
+    kept = [g.copy() for g in got]
+    got[1] += 1.0
+    assert np.array_equal(got[0], kept[0]) and np.array_equal(got[2], kept[2])
+    assert np.array_equal(got[1], kept[1] + 1.0)
+    # the next call at this shape, by the same plan, is not disturbed either
+    assert all(_same_entries(g, s) for g, s in zip(_omega_at_slot(t, w, 1, 2, 3),
+                                                    _strided_omega_at_slot(t, w, 1, 2, 3)))
+
+
+def test_index_plans_are_built_once_per_shape_and_hold_only_indices(monkeypatch):
+    # a second verify of su2-o4's input reuses every plan: no result, only shapes, is kept
+    cache, built = frametensor._omega_plan, {}
+
+    def recording(*key):
+        built[key] = cache(*key)
+        return built[key]
+
+    monkeypatch.setattr(frametensor, "_omega_plan", recording)
+    cache.cache_clear()
+    geom = build_fixture("su2-torsion-free")[1]
+    try:
+        first = run_verify(geom, max_order=4, seed=0)
+        misses = cache.cache_info().misses
+        assert misses == len(built) > 0
+        second = run_verify(geom, max_order=4, seed=0)
+        assert cache.cache_info().misses == misses
+    finally:
+        cache.cache_clear()
+    assert [c.residual for c in first.checks] == [c.residual for c in second.checks]
+    for key, (operand, results) in built.items():
+        n, N, p, slots = key
+        assert all(a.dtype == np.intp and a.flags.c_contiguous for a in (operand, results)), key
+        assert operand.shape == (len(slots) * n ** (p - 1) * N, n * N), key
+        assert results.shape == (len(slots),) + (n,) * (p + 1) + (N, N), key
+        # each slot reads every coefficient once; each product entry lands once
+        for rows in operand.reshape(len(slots), -1):
+            assert np.array_equal(np.sort(rows), np.arange(n ** p * N * N)), key
+        assert np.array_equal(np.sort(results, axis=None), np.arange(results.size)), key
+
+
+def test_one_verify_at_the_highest_order_keeps_all_its_plans():
+    # one plan per degree, well within the bound
+    cache = frametensor._omega_plan
+    cache.cache_clear()
+    try:
+        run_verify(random_geometry(0, n=2, N=2), max_order=MAX_DEGREE, seed=0)
+        info = cache.cache_info()
+    finally:
+        cache.cache_clear()
+    assert info.misses == info.currsize <= MAX_DEGREE + 1 < frametensor._PLANS
 
 
 @pytest.mark.parametrize("N", [2, 3, 16])
