@@ -119,31 +119,21 @@ def solve_torsionfree_chi(geom: FrameGeometry, b: Braiding) -> np.ndarray:
 def covariant_derivative(c: Connection, xi: FrameTensorField) -> FrameTensorField:
     """D(xi_a theta^a) = d xi_a x theta^a + xi_a D theta^a.
 
-    xi_a omega^a is one GEMM (``frametensor._omega_at_slot``).  The
-    lam-commutator is the last einsum form of it outside
-    ``_lambda_commutator``; it waits for verdicts on a residual scale
-    (ROADMAP item 2), since the kernel sums in another order and moved the
-    leibniz residuals of the conjugated N = 16 spin frame by up to 2.4e-14.
-    Both einsums run with ``order='C'``: the same sums over j in the same
-    order, so the same bits, with the output walked as it is laid out,
-    which at N = 16 cuts their time by about a third.
+    ``calculus._first_order`` with ``c.omega_matrix``: ``dn``'s arithmetic at degree 1,
+    bit for bit, without a ``dn`` call for a trace to count.
     """
     if xi.degree != 1:
         raise ValueError(f"expected a degree-1 field, got degree {xi.degree}")
-    geom = c.geom
-    if xi.n != geom.n or xi.N != geom.N:
-        raise ValueError("field does not match geometry dimensions")
-    out = np.einsum('pij,qjk->pqik', geom.lam, xi.coeffs, order='C')
-    out -= np.einsum('qij,pjk->pqik', xi.coeffs, geom.lam, order='C')
-    out -= _omega_at_slot(xi.coeffs, c.omega_matrix, 1)[0]
-    return FrameTensorField(geom.n, out)
+    return _first_order(c.geom, c.omega_matrix, c.geom.braid, xi)
 
 
 def check_leibniz(c: Connection, b: Braiding, f: np.ndarray,
                   xi: FrameTensorField) -> tuple[float, float]:
     """Residuals (left, right) of the Leibniz pair on one (f, xi), which share df and D xi:
     D(f xi) = df x xi + f D xi (holds by construction; regression) and
-    D(xi f) = sigma(xi x df) + (D xi) f."""
+    D(xi f) = sigma(xi x df) + (D xi) f.
+
+    D runs ``dn``'s kernel and f xi, xi f are matmuls (``left_mul``, ``right_mul``)."""
     df, dxi = differential0(f, c.geom), covariant_derivative(c, xi)
     left = covariant_derivative(c, left_mul(f, xi)) - (tensor_product(df, xi) + left_mul(f, dxi))
     rhs = apply_central_at(tensor_product(xi, df), b.S, 1)

@@ -21,8 +21,9 @@ Conventions fixed here and used identically everywhere else:
   ``_omega_at_slot`` (one GEMM by ``_omega_matrix(T)`` for all the slots it
   is given) is the one implementation of this contraction.
 * The inner derivation t_A -> lam_p t_A - t_A lam_p, with p a new leading frame slot, has
-  one implementation, ``_lambda_commutator`` (two GEMMs); only ``connection.covariant_derivative``
-  keeps an einsum.  With T at each slot it makes the first-order operator, ``calculus._first_order``.
+  one implementation, ``_lambda_commutator`` (two GEMMs).  With T at each slot it makes the
+  first-order operator, ``calculus._first_order``, which D, d and D_n run.  Every algebra
+  product on the D path is a GEMM or a matmul: ``left_mul`` and ``right_mul`` are one matmul.
 * ``_omega_at_slot`` moves its operand and its results by an index plan: integer arrays
   of flat indices, built once per shape by ``_omega_plan`` (a bounded cache) and never
   returned.  A gather by the plan puts the values a strided copy would put in the same
@@ -301,29 +302,18 @@ def basis_field(n: int, N: int, index) -> FrameTensorField:
 
 
 def left_mul(f: np.ndarray, t: FrameTensorField) -> FrameTensorField:
-    """f t, coefficient by coefficient.
-
-    An einsum until verdicts use a residual scale (ROADMAP item 2):
-    ``f @ t.coeffs`` sums in another order and differs by up to ~6e-15 per
-    entry on the N = 16 spin frame, which the leibniz rows would see.  It
-    runs with ``order='C'``: each entry is still the sum over j in ascending
-    order of the same products, so the bits are those of the default order,
-    but einsum walks the output as it is laid out, which at N = 16 cuts the
-    time of this einsum and of ``right_mul``'s by a quarter to a half.  Both
-    reasons hold for ``right_mul``.
-    """
-    f = np.asarray(f)
-    if f.shape[-1] != t.N:
-        raise ValueError(f"dimension mismatch: {f.shape} vs N={t.N}")
-    return replace(t, coeffs=np.einsum('ij,...jk->...ik', f, t.coeffs, order='C'))
+    """f t, coefficient by coefficient: ``f @ t.coeffs``.  ``f`` must be one (N, N)
+    element, since matmul would broadcast a stack of them slot by slot."""
+    if np.shape(f) != (t.N, t.N):
+        raise ValueError(f"dimension mismatch: {np.shape(f)} vs N={t.N}")
+    return replace(t, coeffs=f @ t.coeffs)
 
 
 def right_mul(t: FrameTensorField, f: np.ndarray) -> FrameTensorField:
-    """t f, coefficient by coefficient; a C-order einsum for the reasons in ``left_mul``."""
-    f = np.asarray(f)
-    if f.shape[-1] != t.N:
-        raise ValueError(f"dimension mismatch: {f.shape} vs N={t.N}")
-    return replace(t, coeffs=np.einsum('...ij,jk->...ik', t.coeffs, f, order='C'))
+    """t f, coefficient by coefficient: ``t.coeffs @ f``, for one (N, N) element ``f``."""
+    if np.shape(f) != (t.N, t.N):
+        raise ValueError(f"dimension mismatch: {np.shape(f)} vs N={t.N}")
+    return replace(t, coeffs=t.coeffs @ f)
 
 
 def tensor_product(t1: FrameTensorField, t2: FrameTensorField) -> FrameTensorField:

@@ -87,12 +87,15 @@ def test_right_vs_left_mul_orders_noncommuting_coefficients():
     assert max_coeff_norm((right - left).coeffs) > 0.4
 
 
-def test_mul_dimension_mismatch():
+@pytest.mark.parametrize("shape", [(3, 3), (2, 2, 2), (3, 2, 2), (2,), (3, 2), ()],
+                         ids=lambda shape: "x".join(map(str, shape)) or "scalar")
+@pytest.mark.parametrize("mul", [left_mul, lambda f, t: right_mul(t, f)], ids=["left", "right"])
+def test_mul_dimension_mismatch(mul, shape):
+    # f must be one (N, N) element: matmul would broadcast a stack of them slot by slot,
+    # and at (n, N, N) return a field
     t = _rand_field(4)
-    with pytest.raises(ValueError):
-        left_mul(np.eye(3), t)
-    with pytest.raises(ValueError):
-        right_mul(t, np.eye(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mul(np.ones(shape), t)
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +494,8 @@ def test_replace_negation_and_the_products_still_build_checked_fields():
     with pytest.raises(ValueError, match="frame axes"):
         dataclasses.replace(t, n=4)
     assert np.array_equal((-t).coeffs, -t.coeffs) and (-t).n == 3
-    assert np.array_equal(left_mul(f, t).coeffs, np.einsum('ij,abjk->abik', f, t.coeffs))
-    assert np.array_equal(right_mul(t, f).coeffs, np.einsum('abij,jk->abik', t.coeffs, f))
+    assert np.array_equal(left_mul(f, t).coeffs, f @ t.coeffs)
+    assert np.array_equal(right_mul(t, f).coeffs, t.coeffs @ f)
 
 
 def test_a_field_is_frozen():

@@ -3,7 +3,8 @@ name a test module imports is read, one helper freezes the arrays the records ke
 line names a complex dtype, one routine takes the coefficient norm of a matrix stack,
 measured without a field wrapped round it, and one an array's largest entry, only the
 kernels skip a field's checks, one record holds S, the star tensors take no product beside
-central_at, and the modules import in one direction."""
+central_at, no einsum is kept for its summation order, and the modules import in one
+direction."""
 
 import ast
 import re
@@ -167,15 +168,29 @@ def _callers(name: str) -> list:
 
 
 def test_one_kernel_runs_the_first_order_operator():
-    # calculus._first_order is the one first-order operator: dn and differential1 call it.
+    # calculus._first_order is the one first-order operator: d on 1-forms, D and D_n call it.
     # d2 keeps its own slot contractions because its sigma step is a bare central_at, which
-    # through the kernel's apply_word would become a counted apply_central_at call;
-    # covariant_derivative keeps them because its lam-commutator einsums sum in an order
-    # that the pinned leibniz residuals see (ROADMAP item 2)
-    assert _callers("_omega_at_slot") == [("calculus.py", "_first_order"),
-                                          ("connection.py", "covariant_derivative"),
-                                          ("connection.py", "d2")]
+    # through the kernel's apply_word would become a counted apply_central_at call
+    assert _callers("_omega_at_slot") == [("calculus.py", "_first_order"), ("connection.py", "d2")]
+    assert _callers("_first_order") == [("calculus.py", "differential1"),
+                                        ("connection.py", "covariant_derivative"),
+                                        ("connection.py", "dn")]
     assert _callers("apply_word") == [("calculus.py", "_first_order")]
+
+
+# order='C' lets an einsum keep its summation order's bits and run faster; no product on
+# the D path needs that, since none is held to the bits of an einsum
+C_ORDER = re.compile(r"""order\s*=\s*['"]C['"]""")
+
+
+def test_no_einsum_is_kept_for_its_summation_order():
+    # every algebra product on the D path is a GEMM or a matmul
+    sites = [(p.name, line.strip()) for p in sorted(SRC.glob("*.py"))
+             for line in p.read_text(encoding="utf-8").splitlines() if C_ORDER.search(line)]
+    assert sites == []
+    snippet = ("np.einsum('ij,jk->ik', a, b, order='C')\nnp.empty(3, order = \"C\")\n"
+               "np.einsum('ij,jk->ik', a, b)\nnp.asarray(a, order='F')\n")
+    assert [bool(C_ORDER.search(line)) for line in snippet.splitlines()] == [True, True, False, False]
 
 
 def _builds_a_braiding_from_an_s(call) -> bool:
