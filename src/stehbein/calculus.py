@@ -167,7 +167,9 @@ def _first_order(geom: FrameGeometry, w, b: Braiding, t: FrameTensorField) -> Fr
         raise ValueError("field does not match geometry dimensions")
     out = _lambda_commutator(geom.lam, t.coeffs)
     for i, term in enumerate(_omega_at_slot(t.coeffs, w, *range(1, t.degree + 1)), 1):
-        out -= apply_word(_unchecked_field(geom.n, term), b, range(1, i)).coeffs
+        if i > 1:  # slot 1's word is empty
+            term = apply_word(_unchecked_field(geom.n, term), b, range(1, i)).coeffs
+        out -= term
     return _unchecked_field(geom.n, out)
 
 

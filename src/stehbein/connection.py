@@ -32,8 +32,8 @@ from .frametensor import (
 
 # highest --max-order verify accepts; the limit is memory, not dn: at order 7
 # dn-reality-7 holds the star tensor j_7 and builds j_8, which has n^16 entries
-# (build_jn keeps one j_8 plus 4 MiB of column blocks); jn-involutive-7 forms
-# no j_7, only j_6
+# (build_jn keeps j_8, the j_7 of its step before, 1/n^2 of j_8, and 4 MiB of
+# column blocks); jn-involutive-7 forms no j_7, only j_6
 MAX_DEGREE = 7
 
 

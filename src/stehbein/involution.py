@@ -21,15 +21,15 @@ acts on J one letter at a time, k(k-1)/2 passes instead of one dense
 (n^k)^2 product of n^(3k) MACs.
 
 A letter acts only on the upper index block, so each column of J goes
-through a word on its own.  ``build_jn``'s last step,
-``_word_by_column_block``, makes J's columns in blocks of at most
-``BLOCK_ENTRIES`` entries, each block running its letters through two reused
-buffers.  ``build_jn`` writes the blocks into J, the one full-size tensor it
-holds, and peaks at J plus 4 MiB (and W_(k-1), 1/n^2 of J).
-``check_jn_involutive`` runs the conjugate word on each block as it comes
-and keeps only the block's max entry, so no check forms J^(k): it holds
-J^(k-1) and W_(k-1), 1/n^2 of J each, plus the 4 MiB of buffers.  The passes
-and their MACs are those of building J and then acting on it.
+through a word on its own.  Every step of ``build_jn``'s recursion is
+``_word_by_column_block``: from J^(k-1) it makes J^(k)'s columns in blocks
+of at most ``BLOCK_ENTRIES`` entries, reading W_(k-1) = R J^(k-1) a block's
+columns at a time and running the block's letters through two reused
+buffers.  ``build_jn`` writes the blocks into J^(k), so it peaks at J plus
+4 MiB (and J^(k-1), 1/n^2 of J).  ``check_jn_involutive`` runs the conjugate
+word on each block as it comes and keeps only the block's max entry, so no
+check forms J^(k): it holds J^(k-1), 1/n^2 of J, plus the 4 MiB of buffers.
+The passes and their MACs are those of building J and then acting on it.
 
 ``build_jn`` is the one builder of J, J^(2)^{ab}_{cd} = S^{ba}_{cd} included.
 The involution residual of J^(2) is (S^{ba}_{cd})* S^{dc}_{ef} - delta^a_e delta^b_f,
@@ -116,21 +116,24 @@ def _reversal_rows(n: int, k: int) -> np.ndarray:
     return np.arange(n ** k).reshape((n,) * k).transpose().ravel()
 
 
-def _word_by_column_block(letter: np.ndarray, k: int, w: np.ndarray):
-    """J^(k)'s columns, one block of ``_column_blocks`` at a time, by the last step
-    of ``build_jn``'s recursion from W_(k-1), the (n^(k-1), n^(k-1)) matrix ``w``.
+def _word_by_column_block(letter: np.ndarray, k: int, prev: np.ndarray):
+    """J^(k)'s columns, one block of ``_column_blocks`` at a time, by step k of
+    ``build_jn``'s recursion from J^(k-1), ``prev``, as a matrix or a rank-2(k-1) tensor.
 
-    Each block is filled with its columns of W_(k-1) x 1, runs the letters
-    k-1, ..., 1 of L_k by ``letter`` (one ``central_at`` each, from one of two
-    reused buffers into the other) and has its rows taken in R order into the
-    free buffer.  Yields (start, stop, block, spare): block holds
-    J^(k)[:, start:stop] shaped (n,)*k + (stop - start,), and spare is the
-    other buffer in the same shape.  Both are overwritten by the next block,
-    so the caller may use them as scratch until then.
+    Each block is filled with its columns of W_(k-1) x 1, reading the rows of
+    W_(k-1) = R J^(k-1) out of ``prev`` for that block alone, so W_(k-1) is
+    never formed whole.  The block then runs the letters k-1, ..., 1 of L_k by
+    ``letter`` (one ``central_at`` each, from one of two reused buffers into
+    the other) and has its rows taken in R order into the free buffer.
+    Yields (start, stop, block, spare): block holds J^(k)[:, start:stop]
+    shaped (n,)*k + (stop - start,), and spare is the other buffer in the same
+    shape.  Both are overwritten by the next block, so the caller may use them
+    as scratch until then.
     """
     n = letter.shape[0]
-    side = w.shape[0]
+    side = n ** (k - 1)
     size = side * n
+    prev = prev.reshape(side, side)
     eye = np.eye(n, dtype=letter.dtype)
     rows = _reversal_rows(n, k)
     blocks = _column_blocks(size)
@@ -139,9 +142,11 @@ def _word_by_column_block(letter: np.ndarray, k: int, w: np.ndarray):
     for start, stop in blocks:
         src, dst = (buf[:size * (stop - start)].reshape((n,) * k + (stop - start,))
                     for buf in buffers)
-        # column (B, b) of W_(k-1) kron 1 is W[:, B] kron e_b: the Kronecker lift's products
+        # column (B, b) of W_(k-1) kron 1 is W[:, B] kron e_b: the Kronecker lift's
+        # products.  Row r of W is row rows[n r] of J^(k-1), R's row on k-1 strands
         cols = np.arange(start, stop)
-        np.multiply(w[:, None, cols // n], eye[:, cols % n], out=src.reshape(side, n, -1))
+        np.multiply(prev[rows[::n, None, None], cols // n], eye[:, cols % n],
+                    out=src.reshape(side, n, -1))
         for i in range(k - 1, 0, -1):
             src, dst = central_at(src, letter, i, out=dst), src
         # R is a real involution: row r of J is row rows[r] of W ('clip' skips take's buffer)
@@ -153,32 +158,25 @@ def build_jn(b: Braiding, n: int) -> np.ndarray:
     """The rank-2n star tensor J^(n) = R W_n.
 
     W_n, the braiding word for the inverse-order permutation, is built by the
-    recursion of ``reverse_word`` (module docstring): each step m is one
-    Kronecker lift of W_(m-1), then m-1 letter passes by ``central_at``,
-    letter m-1 first; W_n equals ``word_tensor(S, n, reverse_word(n).letters)``
-    up to rounding.  The last step is ``_word_by_column_block``, whose blocks,
-    their upper index block already reversed (R, the action of l_n on basis
-    monomials), are written into J, so J is the one full-size tensor.  At
-    n = 1 both are the identity, and so is J^(1).
+    recursion of ``reverse_word`` (module docstring).  From J^(1), the
+    identity, each step m = 2, ..., n is ``_word_by_column_block`` on J^(m-1):
+    one Kronecker lift of W_(m-1), then m-1 letter passes by ``central_at``,
+    letter m-1 first, with the upper index block reversed (R, the action of
+    l_m on basis monomials).  Its blocks are written into J^(m), so a step
+    holds J^(m-1) and J^(m) plus the generator's buffers.  W_n equals
+    ``word_tensor(S, n, reverse_word(n).letters)`` up to rounding.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     size = b.n
     letter = _letter_tensor(b.S)
-    eye = np.eye(size, dtype=b.S.dtype)
-    if n == 1:
-        return eye
-    w = eye
-    for m in range(2, n):
-        # W_(m-1) kron 1 as one broadcast product: np.kron's products, not its overhead
-        side = size ** (m - 1)
-        w = (w.reshape(side, 1, side, 1) * eye[:, None]).reshape((size,) * (2 * m))
-        for i in range(m - 1, 0, -1):
-            w = central_at(w, letter, i)
-    side = size ** (n - 1)
-    jn = np.empty((size * side, size * side), dtype=b.S.dtype)
-    for start, stop, block, _ in _word_by_column_block(letter, n, w.reshape(side, side)):
-        jn[:, start:stop] = block.reshape(size * side, -1)
+    jn = np.eye(size, dtype=b.S.dtype)
+    for m in range(2, n + 1):
+        prev, jn = jn, np.empty((size ** m, size ** m), dtype=b.S.dtype)
+        for start, stop, block, spare in _word_by_column_block(letter, m, prev):
+            jn[:, start:stop] = block.reshape(size ** m, -1)
+        # the last block's buffers and J^(m-1) would otherwise live on into step m + 1
+        del prev, block, spare
     return jn.reshape((size,) * (2 * n))
 
 
@@ -214,14 +212,13 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
 
     With J = R W and R a real involution, conj(J) J - 1 is R (conj(W) J - R),
     the same entries in other rows.  Each column block of J comes from
-    ``_word_by_column_block``, built from W_(n-1): the n x n identity at n = 2,
-    else the rows of ``build_jn(b, n - 1)`` in R order.  The conjugate word
-    then acts on the block one letter at a time, leftmost first, through the
-    generator's two buffers, and R's block is subtracted.  The block's max
-    entry is kept and the block dropped, so the peak is J^(n-1) and W_(n-1)
-    (1/n^2 of J^(n) each) plus the two block buffers, at most 4 MiB; the
-    letter passes and their MACs are those of ``build_jn``'s last step and
-    the conjugate word over J.
+    ``_word_by_column_block`` on J^(n-1), which ``build_jn`` makes.  The
+    conjugate word then acts on the block one letter at a time, leftmost
+    first, through the generator's two buffers, and R's block is subtracted.
+    The block's max entry is kept and the block dropped, so the peak is
+    J^(n-1) (1/n^2 of J^(n)) plus the two block buffers, at most 4 MiB; the
+    letter passes and their MACs are those of ``build_jn``'s last step and the
+    conjugate word over J.
 
     No inverse is taken, so a singular S gives its residual and a NaN in S
     gives NaN.
@@ -229,16 +226,14 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
     if n == 1:
         return 0.0
     size = b.n
-    if n == 2:
-        w = np.eye(size, dtype=b.S.dtype)
-    else:
-        side = size ** (n - 1)
-        w = build_jn(b, n - 1).reshape(side, side)[_reversal_rows(size, n - 1)]
+    # J^(1) is the identity; build_jn(b, 1) gives the same matrix but is one more
+    # build_jn call per verify for a trace to count
+    prev = np.eye(size, dtype=b.S.dtype) if n == 2 else build_jn(b, n - 1)
     letter = _letter_tensor(b.S)
     conj_letter, letters = np.conj(letter), reverse_word(n).letters
     rows = _reversal_rows(size, n)
     peaks = []
-    for start, stop, block, spare in _word_by_column_block(letter, n, w):
+    for start, stop, block, spare in _word_by_column_block(letter, n, prev):
         for i in letters:
             block, spare = central_at(block, conj_letter, i, out=spare), block
         block = block.reshape(-1, stop - start)

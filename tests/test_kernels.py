@@ -45,7 +45,7 @@ from stehbein.frametensor import (
     right_mul,
     word_tensor,
 )
-from stehbein import cli, frametensor, involution
+from stehbein import calculus, cli, frametensor, involution
 from stehbein.involution import build_jn, check_jn_involutive, reverse_word, star_form
 from stehbein.report import resolve_connection, run_verify
 
@@ -460,6 +460,29 @@ def test_covariant_derivative_is_dn_at_degree_one(name):
         assert covariant_derivative(conn, xi).coeffs.tobytes() == want.tobytes()
 
 
+def test_the_first_order_kernel_passes_apply_word_only_nonempty_words(monkeypatch):
+    # slot i's term is run back by the word (1, ..., i-1); slot 1's is empty, so
+    # calculus._first_order subtracts that term itself
+    words = []
+    real = calculus.apply_word
+
+    def recorded(t, b, letters):
+        words.append(tuple(letters))
+        return real(t, b, letters)
+
+    monkeypatch.setattr(calculus, "apply_word", recorded)
+    conn = su2_torsionfree_connection()
+    geom = conn.geom
+    for p in (1, 2, 3, 4):
+        words.clear()
+        dn(conn, geom.braid, basis_field(geom.n, geom.N, (0,) * p))
+        assert words == [tuple(range(1, i)) for i in range(2, p + 1)], p
+    words.clear()
+    covariant_derivative(conn, basis_field(geom.n, geom.N, 1))
+    differential1(basis_field(geom.n, geom.N, 2), geom)
+    assert words == []
+
+
 @GEOMETRIES
 def test_d2_matches_its_einsum_oracle(name, request):
     conn, braid = _geometry(name, request)
@@ -596,12 +619,8 @@ def test_build_jn_and_jn_involutive_match_their_dense_oracles_in_column_blocks(k
         assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < width, (label, k)
         jn, ref = build_jn(b, k), ref_build_jn(b, k)
         got, want = check_jn_involutive(b, k), ref_jn_involutive(b, k)
-        # W_(k-1) comes from build_jn(b, k - 1); split into blocks it may round otherwise
-        through_j = ref_jn_involutive_through_j(b, k)
-        if k > 2 and len(involution._column_blocks(b.n ** (k - 1))) > 1:
-            assert abs(got - through_j) <= 1e-15, (label, k)
-        else:
-            assert got == through_j, (label, k)
+        # both routes build J^(k-1) by the same blocked steps, then run the same last step
+        assert got == ref_jn_involutive_through_j(b, k), (label, k)
         if label.startswith("flip"):
             assert np.array_equal(jn, ref) and got == want == 0.0, (label, k)
         else:
@@ -636,6 +655,19 @@ def test_jn_involutive_forms_no_full_size_star_tensor():
     finally:
         tracemalloc.stop()
     assert peak <= 0.6 * 16 * 4 ** 10
+
+
+def test_build_jn_holds_one_star_tensor_plus_its_block_buffers():
+    # J^(5) at n = 4 is 16 MiB; its step also holds J^(4), 1/16 of it, and at most 4 MiB
+    # of blocks, but no buffer of the step before
+    b = random_phase_twist(0, 4)[0]
+    tracemalloc.start()
+    try:
+        build_jn(b, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * 16 * 4 ** 10
 
 
 def test_verify_at_order_5_never_builds_j5(monkeypatch):

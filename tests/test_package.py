@@ -2,9 +2,9 @@
 name a test module imports is read, one helper freezes the arrays the records keep, one
 line names a complex dtype, one routine takes the coefficient norm of a matrix stack,
 measured without a field wrapped round it, and one an array's largest entry, only the
-kernels skip a field's checks, one record holds S, the star tensors take no product beside
-central_at, no einsum is kept for its summation order, and the modules import in one
-direction."""
+kernels skip a field's checks, one record holds S, one generator runs each step of the star
+tensors, which take no product beside central_at, no einsum is kept for its summation order,
+and the modules import in one direction."""
 
 import ast
 import re
@@ -176,6 +176,13 @@ def test_one_kernel_runs_the_first_order_operator():
                                         ("connection.py", "covariant_derivative"),
                                         ("connection.py", "dn")]
     assert _callers("apply_word") == [("calculus.py", "_first_order")]
+
+
+def test_one_generator_runs_every_step_of_the_star_tensor():
+    # involution._word_by_column_block is build_jn's one recursion step; beside it only the
+    # involution residual's conjugate word and star_form's contraction call central_at
+    assert [top for module, top in _callers("central_at") if module == "involution.py"] == [
+        "_word_by_column_block", "check_jn_involutive", "star_form"]
 
 
 # order='C' lets an einsum keep its summation order's bits and run faster; no product on
