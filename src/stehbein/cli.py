@@ -8,9 +8,10 @@ Their connection is the file's omega, else D_(0) + its chi, else D_(0);
 omega and chi is rejected.
 
 Exit codes: 0 all selected checks pass, 1 at least one check fails,
-2 input or usage error, an output that cannot be written, or out of
-memory.  Output is strict JSON: the report writes a non-finite residual as
-null, and any other non-finite number cannot be written.
+2 input or usage error, an output that cannot be written, a dense star
+tensor J^(k) above ``MAX_STAR_BYTES``, or out of memory.  Output is strict
+JSON: the report writes a non-finite residual as null, and any other
+non-finite number cannot be written.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .frametensor import max_coeff_norm
+from .frametensor import COMPLEX, max_coeff_norm
 from .calculus import FrameGeometry
 from .connection import MAX_DEGREE, curvature
 from .involution import build_jn
@@ -42,7 +43,8 @@ from .report import (CONNECTION_MODES, DEFAULT_TOL, GROUPS, MIN_ORDER, resolve_c
 
 
 # command -> (flag, lowest, highest or None) of each integer option it bounds;
-# the order comes first, and an out-of-memory message names it
+# the order comes first, and the out-of-memory and star-size messages name it.
+# The bounds do not depend on n: MAX_STAR_BYTES refuses what a given n cannot hold
 INT_BOUNDS = {
     "verify": (("--max-order", MIN_ORDER, MAX_DEGREE), ("--seed", 0, None)),
     # dn-reality-7 reads j_8, the largest star tensor verify builds
@@ -50,6 +52,9 @@ INT_BOUNDS = {
     # the loader refuses a file whose frame dimension is below 1
     "fixture": (("--frame-dim", 1, None), ("--seed", 0, None)),
 }
+# the largest dense star tensor J^(k), n^(2k) entries, a run may build; su2's J^(8) is
+# 657 MiB and n = 4's J^(6) 256 MiB, where n = 4's J^(7) is 4 GiB and su(3)'s J^(5) 16 GiB
+MAX_STAR_BYTES = 2 ** 30
 # command -> the option naming the file it writes
 OUTPUT_FLAGS = {"verify": "--report", "curvature": "--out", "jn": "--out", "fixture": "--out"}
 
@@ -161,19 +166,47 @@ def main(argv=None) -> int:
     except GeometryFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # a fixture has n = 3 unless --frame-dim gives another
+    n = ((args.frame_dim or 3) if loaded is None
+         else loaded.n if isinstance(loaded, FrameGeometry) else loaded[0].n)
+    flag = INT_BOUNDS[args.command][0][0] if args.command in INT_BOUNDS else None
+    value = None if flag is None else _option_value(args, flag)
+    where = "" if value is None else f" at {flag} {value}"
+    order = _largest_star_order(args, loaded)
+    size = 0 if order is None else n ** (2 * order) * np.dtype(COMPLEX).itemsize
+    if size > MAX_STAR_BYTES:
+        print(f"error: {args.command}{where} with frame dimension n={n} would build the star "
+              f"tensor J^({order}) of {size / 2 ** 30:.3g} GiB, above the "
+              f"{MAX_STAR_BYTES / 2 ** 30:g} GiB limit", file=sys.stderr)
+        return 2
     try:
         return _dispatch(args, loaded)
     except MemoryError:
-        # a fixture has n = 3 unless --frame-dim gives another
-        n = ((args.frame_dim or 3) if loaded is None
-             else loaded.n if isinstance(loaded, FrameGeometry) else loaded[0].n)
-        # j_k alone has n^(2k) entries, so the order bounds cannot hold for every n
-        flag = INT_BOUNDS[args.command][0][0] if args.command in INT_BOUNDS else None
-        value = None if flag is None else _option_value(args, flag)
-        where = "" if value is None else f" at {flag} {value}"
+        # what a run holds beside its star tensors can still exhaust memory
         print(f"error: {args.command}{where} with frame dimension n={n} ran out of memory",
               file=sys.stderr)
         return 2
+
+
+def _largest_star_order(args, loaded) -> int | None:
+    """The order k of the largest dense star tensor J^(k) the command builds, None for a
+    command that builds none.  ``verify`` at order K builds J^(K+1) when dn-reality runs
+    on a geometry, J^(K-1) for the jn rows, J^(3) for d2-reality and J^(2) for the rows
+    of one index pair; a row whose input lacks what it needs is skipped, not built."""
+    if args.command == "jn":
+        return args.order
+    if args.command != "verify":
+        return None
+    groups = GROUPS if args.checks is None else args.checks.split(",")
+    geometry, k = isinstance(loaded, FrameGeometry), args.max_order
+    orders = [2]
+    if "jn" in groups:
+        orders.append(k - 1)
+    if geometry and "d2-reality" in groups:
+        orders.append(3)
+    if geometry and "dn-reality" in groups:
+        orders.append(k + 1)
+    return max(orders)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN results are reported, not warned of

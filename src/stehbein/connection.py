@@ -13,6 +13,7 @@ from .frametensor import (
     INVERSE_COND_LIMIT,
     FrameTensorField,
     _as_complex,
+    _central_on_field,
     _lambda_commutator,
     _omega_at_slot,
     _omega_matrix,
@@ -33,7 +34,9 @@ from .frametensor import (
 # highest --max-order verify accepts; the limit is memory, not dn: at order 7
 # dn-reality-7 holds the star tensor j_7 and builds j_8, which has n^16 entries
 # (build_jn keeps j_8, the j_7 of its step before, 1/n^2 of j_8, and 4 MiB of
-# column blocks); jn-involutive-7 forms no j_7, only j_6
+# column blocks); jn-involutive-7 forms no j_7, only j_6.  j_8 is 657 MiB at n = 3
+# but 64 GiB at n = 4, so the cli refuses, by n and the order, a run whose largest
+# star tensor passes its MAX_STAR_BYTES
 MAX_DEGREE = 7
 
 
@@ -197,8 +200,10 @@ def check_metric_compatibility(c: Connection, b: Braiding, g: np.ndarray) -> flo
 def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
     """D_2(f_{ab} theta^a x theta^b) = df_{ab} x theta^a x theta^b + f_{ab} D_2(theta^a x theta^b).
 
-    ``dn`` at degree 2 runs these operations in this order, bit for bit.  Only
-    the d2-reality-strong and -braided rows call it, pinned by perfbench's counts.
+    ``dn`` at degree 2 runs these operations in this order, bit for bit: its sigma
+    step is ``apply_central_at``'s route, ``_central_on_field``, called directly so
+    that no ``apply_central_at`` call is added.  Only the d2-reality-strong and
+    -braided rows call it, pinned by perfbench's counts.
     """
     if t.degree != 2:
         raise ValueError(f"expected a degree-2 field, got degree {t.degree}")
@@ -209,7 +214,7 @@ def d2(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
     out = _lambda_commutator(geom.lam, t.coeffs)
     out -= first
     # S^{ac}_{pq} (t_{ab} omega^b_{cr}): t.omega first, then S on its first pair
-    out -= central_at(second, b.S, 1)
+    out -= _central_on_field(second, b.S, 1)
     return FrameTensorField(geom.n, out)
 
 
@@ -218,7 +223,9 @@ def dn(c: Connection, b: Braiding, t: FrameTensorField) -> FrameTensorField:
 
     Reduces to the covariant derivative for degree 1 and to D_2 for
     degree 2.  The differential of the coefficients enters once, through
-    the first slot.  It is ``calculus._first_order`` with ``c.omega_matrix``.
+    the first slot.  It is ``calculus._first_order`` with ``c.omega_matrix``;
+    its sigma words run by ``apply_central_at``, so a monomial S, such as the
+    flip, moves each slot's term by a gather.
     """
     if t.degree < 1:
         raise ValueError("D_n needs a field of degree >= 1")

@@ -13,7 +13,13 @@ Conventions fixed here and used identically everywhere else:
 * A central tensor M acts on a field by contracting its upper indices with
   the field's indices; the result carries the lower indices:
   ``new[..., c, ...] = sum_a M[a..., c...] old[..., a, ...]``.
-  ``central_at`` is the one implementation of this contraction.
+  ``central_at`` is the one dense implementation of this contraction.  On a field,
+  ``apply_central_at`` and ``connection.d2``'s sigma step take ``_central_on_field``:
+  when mat(M) is monomial (one nonzero per row and column, as for the flip and the
+  phase twists), one gather by a plan that ``_monomial_plan`` keeps by M's values, and
+  one multiply unless every coefficient is 1; any other M goes to ``central_at``.  The
+  star tensor's letter blocks, ``star_form``, ``word_tensor`` and every P contraction
+  of an array stay on ``central_at``.
 * An algebra-valued tensor T^z_{xy} of shape (n, n, n, N, N), such as a
   connection's omega or the Maurer-Cartan C, acts on a field by
   ``new[.., x, y, ..] = sum_z old[.., z, ..] T^z_{xy}``: slot i of the field
@@ -157,7 +163,8 @@ def _omega_matrix(omega: np.ndarray) -> np.ndarray:
     return omega.transpose(0, 3, 1, 2, 4).reshape(n * N, n * n * N)
 
 
-# the most index plans kept; one verify at connection.MAX_DEGREE builds one per degree
+# the most index plans kept by each cache; one verify at connection.MAX_DEGREE builds
+# one _omega_plan per degree and one _monomial_plan for each of S and P
 _PLANS = 64
 
 
@@ -197,6 +204,50 @@ def _omega_at_slot(coeffs: np.ndarray, w: np.ndarray, *slots: int) -> list[np.nd
     operand, results = _omega_plan(n, N, coeffs.ndim - 2, slots)
     product = (coeffs.reshape(-1)[operand] @ w).reshape(-1)
     return [product[r] for r in results]
+
+
+@lru_cache(maxsize=_PLANS)
+def _monomial_plan(dtype: np.dtype, shape: tuple, data: bytes) -> tuple | None:
+    """(source, coefficients) of the central tensor with these values when its matrix
+    form is monomial, else None; ``_central_on_field`` gathers by it.
+
+    Monomial means finite with exactly one nonzero entry in each row and each column:
+    ``source[c]`` is the row of column c's entry and ``coefficients[c]`` its value,
+    ``None`` when every value is 1.  A NaN, an inf, a zero column or a second entry,
+    however small, gives None.  The plan is a function of the values, so it is kept by
+    them: an array's id or data address can come back holding other values.
+    """
+    if dtype.kind not in "biufc":
+        return None
+    mat = central_as_matrix(np.frombuffer(data, dtype=dtype).reshape(shape))
+    nonzero = mat != 0
+    if not (np.isfinite(mat).all() and (nonzero.sum(axis=0) == 1).all()
+            and (nonzero.sum(axis=1) == 1).all()):
+        return None
+    source = nonzero.argmax(axis=0)
+    coefficients = mat[source, np.arange(mat.shape[1])].reshape(-1, 1)
+    return source, None if (coefficients == 1).all() else coefficients
+
+
+def _central_on_field(a: np.ndarray, m: np.ndarray, pos: int) -> np.ndarray:
+    """``central_at(a, m, pos)`` on a field's coefficients: by one gather along the
+    contracted axes when mat(m) is monomial (``_monomial_plan``), times the
+    coefficients unless all are 1; by ``central_at`` otherwise.
+
+    Each entry of the matmul's result is then one product, so the gather gives its bits
+    for coefficients of 1 and -1; a complex phase rounds as numpy's elementwise
+    multiply.  A NaN or inf in ``a`` stays in the one entry it moves to, where the
+    matmul also spreads NaN over its pair group.
+    """
+    plan = _monomial_plan(m.dtype, m.shape, m.tobytes())
+    if plan is None:
+        return central_at(a, m, pos)
+    source, coefficients = plan
+    k, n = m.ndim // 2, m.shape[0]
+    out = np.take(a.reshape(n ** (pos - 1), n ** k, -1), source, axis=1)
+    if coefficients is not None:
+        out *= coefficients
+    return out.reshape(a.shape)
 
 
 def _lambda_commutator(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -328,7 +379,10 @@ def tensor_product(t1: FrameTensorField, t2: FrameTensorField) -> FrameTensorFie
 
 
 def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTensorField:
-    """Contract a rank-2k central tensor against field indices pos..pos+k-1 (1-based)."""
+    """Contract a rank-2k central tensor against field indices pos..pos+k-1 (1-based).
+
+    By ``_central_on_field``: a gather when mat(m) is monomial, such as the flip,
+    else ``central_at``'s matmul."""
     m = np.asarray(m)
     k = m.ndim // 2
     if m.ndim != 2 * k or m.ndim == 0:
@@ -337,7 +391,7 @@ def apply_central_at(t: FrameTensorField, m: np.ndarray, pos: int) -> FrameTenso
         raise ValueError(f"frame dimension mismatch: tensor of shape {m.shape}, field n={t.n}")
     if not (1 <= pos and pos + k - 1 <= t.degree):
         raise ValueError(f"position {pos} (+{k} indices) out of range for degree {t.degree}")
-    return _unchecked_field(t.n, central_at(t.coeffs, m, pos))
+    return _unchecked_field(t.n, _central_on_field(t.coeffs, m, pos))
 
 
 def max_coeff_norm(c: np.ndarray) -> float:

@@ -403,6 +403,61 @@ def test_exit_2_when_memory_runs_out(name, argv, patched, where, fixture_file, t
     assert not out.exists()
 
 
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.fixture(scope="module")
+def frame4_files(tmp_path_factory):
+    """(geometry, braiding) input files with frame dimension n = 4."""
+    tmp = tmp_path_factory.mktemp("frame4")
+    paths = tmp / "random4.json", tmp / "twist4.json"
+    for name, path in zip(("random", "phase-twist"), paths):
+        assert cli.main(["fixture", name, "--frame-dim", "4", "--out", str(path)]) == 0
+    return tuple(map(str, paths))
+
+
+@pytest.mark.parametrize("kind, argv, order, gib", [
+    ("geometry", ["verify", "--max-order", "6"], 7, "4"),
+    ("geometry", ["verify", "--checks", "jn,dn-reality", "--max-order", "6"], 7, "4"),
+    ("braiding", ["jn", "-n", "7"], 7, "4"),
+    ("braiding", ["jn", "-n", "8"], 8, "64"),
+], ids=["verify", "verify-dn-reality", "jn-7", "jn-8"])
+def test_a_star_tensor_above_the_limit_is_refused_before_it_is_built(
+        kind, argv, order, gib, frame4_files, tmp_path, capsys, monkeypatch):
+    # J^(k) has n^(2k) entries; neither build_jn nor run_verify may be reached
+    monkeypatch.setattr(cli, "run_verify", _reached)
+    monkeypatch.setattr(cli, "build_jn", _reached)
+    out = tmp_path / "out.json"
+    source = frame4_files[kind == "braiding"]
+    flag = "--report" if argv[0] == "verify" else "--out"
+    assert cli.main([argv[0], source, *argv[1:], flag, str(out)]) == 2
+    where = f"--max-order {argv[-1]}" if argv[0] == "verify" else f"--order {order}"
+    assert capsys.readouterr().err == (
+        f"error: {argv[0]} at {where} with frame dimension n=4 would build the star tensor "
+        f"J^({order}) of {gib} GiB, above the 1 GiB limit\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("geometry", ["verify", "--max-order", "5"]),
+    ("geometry", ["verify", "--checks", "jn,d2-reality", "--max-order", "7"]),
+    ("braiding", ["verify", "--max-order", "7"]),
+    ("braiding", ["jn", "-n", "6"]),
+], ids=["verify-j6", "verify-jn-rows", "verify-braiding", "jn-6"])
+def test_a_star_tensor_within_the_limit_is_built(kind, argv, frame4_files, monkeypatch):
+    # J^(6) at n = 4 is 256 MiB: dn-reality at order 5, and jn-involutive at order 7,
+    # which holds J^(6); a braiding file runs no dn-reality row
+    monkeypatch.setattr(cli, "run_verify", _reached)
+    monkeypatch.setattr(cli, "build_jn", _reached)
+    with pytest.raises(_Reached):
+        cli.main([argv[0], frame4_files[kind == "braiding"], *argv[1:]])
+
+
 def test_a_braiding_file_whose_p_is_not_a_projector_exits_2(tmp_path, capsys):
     twist, out = tmp_path / "twist.json", tmp_path / "report.json"
     assert cli.main(["fixture", "phase-twist", "--out", str(twist)]) == 0

@@ -535,6 +535,17 @@ def test_sigma_lemma_propagates_nan(order, su2_chi_conn, su2_braid):
         assert np.isnan(check_sigma_lemma(conn, su2_braid, order, d2))
 
 
+@pytest.mark.parametrize("order", [2, 3, 4])
+@np.errstate(invalid="ignore")  # inf times zero is NaN, as in run_verify, which does not warn
+def test_sigma_lemma_and_dn_reality_fail_on_an_inf_in_omega(order, su2_chi_conn, su2_braid):
+    omega = su2_chi_conn.omega.copy()
+    omega[0, 1, 2, 0, 1] = np.inf
+    conn = Connection(su2_chi_conn.geom, omega)
+    for residual in (check_sigma_lemma(conn, su2_braid, order),
+                     check_Dn_reality(conn, su2_braid, order)):
+        assert not np.isfinite(residual) and not residual <= 1e-9
+
+
 def test_sigma_lemma_needs_order_2(su2_chi_conn, su2_braid):
     with pytest.raises(ValueError, match="order"):
         check_sigma_lemma(su2_chi_conn, su2_braid, 1)
@@ -646,14 +657,22 @@ def test_centrality_residual_is_numpys_norm_bit_for_bit(name, mode):
     assert data.centrality_residual == centrality_residual(stack, geom.lam) == np.max(oracle)
 
 
+def _su2_phase_twist_geometry():
+    """su2's lambda with a complex phase twist: its sigma is a gather times phases, whose
+    products round otherwise than the matmul's, so d2 must take apply_central_at's route."""
+    braid, p = random_phase_twist(0, 3)
+    return dataclasses.replace(su2_flip_geometry(), P=p, S=braid.S, F=None)
+
+
 def test_dn_degree2_equals_d2(rng, monkeypatch):
     # dn at degree 2 runs d2's operations in d2's order, so the bits are the same; curvature
     # calls dn, so its R and Ricci are those of an oracle that builds them by d2
     def by_d2(c, b, t):
         calls.append(t.degree)
         return d2(c, b, t)
-    for name, mode in itertools.product(CURVATURE_GEOMETRIES, ["auto", "d0", "torsion-free"]):
-        geom = CURVATURE_GEOMETRIES[name]()
+    geometries = CURVATURE_GEOMETRIES | {"su2-phase-twist": _su2_phase_twist_geometry}
+    for name, mode in itertools.product(geometries, ["auto", "d0", "torsion-free"]):
+        geom = geometries[name]()
         conn, braid = resolve_connection(geom, geom.braid, mode)[0], geom.braid
         t = random_field(rng, geom.n, geom.N, 2)
         assert np.array_equal(dn(conn, braid, t).coeffs, d2(conn, braid, t).coeffs), (name, mode)

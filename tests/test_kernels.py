@@ -377,15 +377,18 @@ def test_index_plans_are_built_once_per_shape_and_hold_only_indices(monkeypatch)
 
 
 def test_one_verify_at_the_highest_order_keeps_all_its_plans():
-    # one plan per degree, well within the bound
-    cache = frametensor._omega_plan
-    cache.cache_clear()
+    # one slot plan per degree and one field plan for each of S and P, well within the bound
+    caches = frametensor._omega_plan, frametensor._monomial_plan
+    for cache in caches:
+        cache.cache_clear()
     try:
         run_verify(random_geometry(0, n=2, N=2), max_order=MAX_DEGREE, seed=0)
-        info = cache.cache_info()
+        info, fields = (cache.cache_info() for cache in caches)
     finally:
-        cache.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert info.misses == info.currsize <= MAX_DEGREE + 1 < frametensor._PLANS
+    assert fields.misses == fields.currsize == 2
 
 
 @pytest.mark.parametrize("N", [2, 3, 16])
@@ -531,6 +534,77 @@ def test_central_at_rejects_axes_that_are_not_n():
         central_at(np.zeros((4, 3, 3)), s, 2)
     with pytest.raises(ValueError, match="do not all equal n=3"):
         central_at(np.zeros((3, 9, 1)), s, 1)
+
+
+def _signed_permutations():
+    """(label, S) of tensors whose matrix form has one entry of 1 or -1 per row and column."""
+    for n in (2, 3, 4):
+        yield f"flip-n{n}", flip_central(n)
+    yield "pauli-twist", phase_twist_braiding(3, {(0, 1): -1, (0, 2): -1, (1, 2): -1})[0].S
+    rng = np.random.default_rng(3)
+    mixed = np.zeros((9, 9), dtype=complex)
+    mixed[rng.permutation(9), np.arange(9)] = rng.choice([1.0, -1.0], size=9)
+    yield "mixed-signs", mixed.reshape((3,) * 4)
+
+
+def _plan(m):
+    return frametensor._monomial_plan(m.dtype, m.shape, m.tobytes())
+
+
+def _field_route_cases(m):
+    """(field, pos) at degrees 2-5, every position of S's pair, N = 1, 2 and 3."""
+    n, rng = m.shape[0], np.random.default_rng(m.shape[0])
+    for degree, N in itertools.product(range(2, 6), (1, 2, 3)):
+        t = _random_field(rng, n, N, degree)
+        for pos in range(1, degree):
+            yield t, pos
+
+
+def test_the_field_route_gives_the_bits_of_central_at_on_signed_permutations():
+    # one product per output entry, by 1 or -1: the gather and the matmul agree exactly
+    for label, s in _signed_permutations():
+        assert _plan(s) is not None, label
+        for t, pos in _field_route_cases(s):
+            want = central_at(t.coeffs, s, pos)
+            assert np.array_equal(frametensor._central_on_field(t.coeffs, s, pos), want), (label, pos)
+            assert np.array_equal(apply_central_at(t, s, pos).coeffs, want), (label, pos)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_field_route_matches_central_at_on_complex_phases(seed):
+    # a phase times an entry rounds as numpy's multiply, not as the matmul's
+    s = random_phase_twist(seed, 3)[0].S
+    assert _plan(s)[1] is not None
+    for t, pos in _field_route_cases(s):
+        got = apply_central_at(t, s, pos).coeffs
+        assert np.max(np.abs(got - central_at(t.coeffs, s, pos))) <= TOL, pos
+
+
+def test_only_a_monomial_tensor_has_a_field_plan():
+    geom = random_geometry(0)
+    flip = flip_central(3)
+    nan_s, zero_column, tiny = (flip.copy() for _ in range(3))
+    nan_s[0, 1, 1, 0] = np.nan
+    zero_column[:, :, 2, 1] = 0
+    tiny[0, 0, 1, 2] = 1e-300
+    for label, m in [("P", geom.P), ("random S", geom.S), ("NaN", nan_s),
+                     ("zero column", zero_column), ("1e-300", tiny)]:
+        assert _plan(m) is None, label
+    # the flip's coefficients are all 1, so no multiply is planned
+    assert _plan(flip)[1] is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@np.errstate(invalid="ignore")  # inf times a coefficient's zero imaginary part is a NaN
+def test_a_non_finite_field_entry_stays_non_finite_on_the_field_route(bad):
+    for label, s in [*_signed_permutations(), ("phase-twist", random_phase_twist(0, 3)[0].S)]:
+        for degree in (2, 3):
+            for idx in itertools.product(range(s.shape[0]), repeat=degree):
+                coeffs = basis_field(s.shape[0], 2, idx).coeffs
+                coeffs[idx + (0, 1)] = bad
+                for pos in range(1, degree):
+                    out = apply_central_at(FrameTensorField(s.shape[0], coeffs), s, pos)
+                    assert not np.isfinite(out.coeffs).all(), (label, idx, pos)
 
 
 def _exact_braidings():

@@ -169,13 +169,22 @@ def _callers(name: str) -> list:
 
 def test_one_kernel_runs_the_first_order_operator():
     # calculus._first_order is the one first-order operator: d on 1-forms, D and D_n call it.
-    # d2 keeps its own slot contractions because its sigma step is a bare central_at, which
-    # through the kernel's apply_word would become a counted apply_central_at call
+    # d2 keeps its own slot contractions because its sigma step calls apply_central_at's
+    # route directly, which through the kernel's apply_word would be a counted call
     assert _callers("_omega_at_slot") == [("calculus.py", "_first_order"), ("connection.py", "d2")]
     assert _callers("_first_order") == [("calculus.py", "differential1"),
                                         ("connection.py", "covariant_derivative"),
                                         ("connection.py", "dn")]
     assert _callers("apply_word") == [("calculus.py", "_first_order")]
+
+
+def test_only_the_field_entry_points_take_the_gather_route():
+    # frametensor._central_on_field gathers by a plan of the tensor's values; the star
+    # tensor's letter blocks, star_form, word_tensor and every P contraction stay on central_at
+    assert _callers("_central_on_field") == [("connection.py", "d2"),
+                                             ("frametensor.py", "apply_central_at")]
+    assert _callers("_monomial_plan") == [("frametensor.py", "_central_on_field")]
+    assert "_central_on_field" not in (SRC / "involution.py").read_text(encoding="utf-8")
 
 
 def test_one_generator_runs_every_step_of_the_star_tensor():
