@@ -18,8 +18,9 @@ Conventions fixed here and used identically everywhere else:
   when mat(M) is monomial (one nonzero per row and column, as for the flip and the
   phase twists), one gather by a plan that ``_monomial_plan`` keeps by M's values, and
   one multiply unless every coefficient is 1; any other M goes to ``central_at``.  The
-  star tensor's letter blocks, ``star_form``, ``word_tensor`` and every P contraction
-  of an array stay on ``central_at``.
+  same plan of S picks the star tensor's route in ``involution``: J^(k) as a plan when
+  S is monomial, else letter blocks on ``central_at``.  ``star_form``, ``word_tensor``
+  and every P contraction of an array stay on ``central_at``.
 * An algebra-valued tensor T^z_{xy} of shape (n, n, n, N, N), such as a
   connection's omega or the Maurer-Cartan C, acts on a field by
   ``new[.., x, y, ..] = sum_z old[.., z, ..] T^z_{xy}``: slot i of the field
@@ -209,7 +210,8 @@ def _omega_at_slot(coeffs: np.ndarray, w: np.ndarray, *slots: int) -> list[np.nd
 @lru_cache(maxsize=_PLANS)
 def _monomial_plan(dtype: np.dtype, shape: tuple, data: bytes) -> tuple | None:
     """(source, coefficients) of the central tensor with these values when its matrix
-    form is monomial, else None; ``_central_on_field`` gathers by it.
+    form is monomial, else None; ``_central_on_field`` gathers by it, and
+    ``involution._letter_plan`` reads S's to build and check the star tensor by plans.
 
     Monomial means finite with exactly one nonzero entry in each row and each column:
     ``source[c]`` is the row of column c's entry and ``coefficients[c]`` its value,

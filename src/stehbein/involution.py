@@ -31,6 +31,19 @@ word on each block as it comes and keeps only the block's max entry, so no
 check forms J^(k): it holds J^(k-1), 1/n^2 of J, plus the 4 MiB of buffers.
 The passes and their MACs are those of building J and then acting on it.
 
+When mat(S) is monomial (one nonzero per row and column, as for the flip and
+the sign and phase twists; ``frametensor._monomial_plan`` decides), so is every
+J^(k), and both functions take a second route, chosen once per call by S's
+values: J^(k) as a plan, the row of each column's one entry and its value.
+``_plan_step``, the twin of ``_word_by_column_block``, makes J^(k)'s plan from
+J^(k-1)'s by integer index arithmetic and one complex multiply per letter and
+column, O(k n^k) in place of k-1 passes of n^(2k) n^2 MACs.  ``build_jn``
+scatters the plan into a zero J^(k); ``check_jn_involutive`` reads J^(n-1)'s
+plan off its nonzero entries, runs the conjugate word on the plan and forms no
+block.  For coefficients of 1 and -1 each product is exact, so J and the residual
+keep the dense route's bits; a complex phase rounds as numpy's multiply, not as
+the GEMM's, about 1e-16 apart.
+
 ``build_jn`` is the one builder of J, J^(2)^{ab}_{cd} = S^{ba}_{cd} included.
 The involution residual of J^(2) is (S^{ba}_{cd})* S^{dc}_{ef} - delta^a_e delta^b_f,
 the unitarity of sigma, so sigma-unitarity and jn-involutive-2 read one value.
@@ -49,6 +62,7 @@ from .frametensor import (
     INVERSE_COND_LIMIT,
     FrameTensorField,
     _as_complex,
+    _monomial_plan,
     adjoint,
     apply_central_at,
     central_as_matrix,
@@ -93,13 +107,14 @@ def _letter_tensor(s: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.einsum('abcd->cdab', s))
 
 
-# Entries per column block: at most 2**17 complex entries (2 MiB), so J and the two
-# block buffers stay within J + 4 MiB.  A J that fits is one block, whose matmuls
-# are the unblocked ones, bit for bit.  Swept on braid-o5 (n = 4, J^(5) 16 MiB,
-# 2 cores): check_jn_involutive took a median 104, 92 and 82 ms with 1, 2 and
-# 4 MiB blocks (109 ms as one block), and one traced verify peaked at 19.6, 21.8
-# and 26.3 MiB (32.0 MiB before blocking).  2 MiB keeps the run's peak RSS under
-# 55 MiB at the unblocked time.
+# Entries per column block of the dense route (S not monomial): at most 2**17 complex
+# entries (2 MiB), so J and the two block buffers stay within J + 4 MiB.  A J that
+# fits is one block, whose matmuls are the unblocked ones, bit for bit.  Swept on a
+# dense S of braid-o5's size (n = 4, J^(5) 16 MiB, 2 cores; braid-o5's own phase
+# twist now takes the plan route): check_jn_involutive took a median 104, 92 and
+# 82 ms with 1, 2 and 4 MiB blocks (109 ms as one block), and one traced verify
+# peaked at 19.6, 21.8 and 26.3 MiB (32.0 MiB before blocking).  2 MiB keeps the
+# run's peak RSS under 55 MiB at the unblocked time.
 BLOCK_ENTRIES = 2 ** 17
 
 
@@ -154,6 +169,65 @@ def _word_by_column_block(letter: np.ndarray, k: int, prev: np.ndarray):
         yield start, stop, dst, src
 
 
+def _letter_plan(b: Braiding) -> tuple | None:
+    """S's ``_monomial_plan``, (source, coefficients) or None: the route of the star tensor.
+
+    When mat(S) is monomial, so is every J^(k), and ``build_jn`` and
+    ``check_jn_involutive`` run on plans: J^(k) as the row of each column's one
+    entry and its value.  Any other S takes ``_word_by_column_block``.
+    """
+    return _monomial_plan(b.S.dtype, b.S.shape, b.S.tobytes())
+
+
+def _letters_on_plan(letter, n: int, k: int, letters, rows: np.ndarray, values: np.ndarray):
+    """A star tensor's plan (rows, values) on k strands after the letters: for each i
+    of ``letters`` in turn, mat(S) on strands (i, i+1) multiplies every column from
+    the left, as ``central_at`` by ``_letter_tensor(S)`` does.  ``letter`` is S's
+    plan, its coefficients conjugated for the conjugate word.
+
+    mat(S) sends e_y, y the pair's digits, to coefficient[y] e_source[y]: a column's
+    entry changes its row's pair and takes one complex multiply, skipped when every
+    coefficient is 1.
+    """
+    source, coefficients = letter
+    for i in letters:
+        weight = n ** (k - i - 1)
+        pair = rows // weight % (n * n)
+        rows = rows + (source[pair] - pair) * weight
+        if coefficients is not None:
+            values = values * coefficients[pair, 0]
+    return rows, values
+
+
+def _plan_step(letter, n: int, k: int, rows: np.ndarray, values: np.ndarray):
+    """J^(k)'s plan from J^(k-1)'s, (rows, values) with J^(k-1)[rows[c], c] = values[c]
+    its only nonzero entries: step k of ``build_jn``'s recursion when S is monomial.
+
+    The twin of ``_word_by_column_block``: W_(k-1) = R J^(k-1) moves column B's entry
+    to row R(rows[B]) on k-1 strands; column (B, b) of W_(k-1) x 1 holds it at row
+    (R(rows[B]), b); letters k-1, ..., 1 (``_letters_on_plan``) and R on k strands
+    then move it on.  Integer index arithmetic and one multiply per letter, O(k n^k).
+    """
+    reversal = _reversal_rows(n, k)
+    # R's row order on k-1 strands is every n-th row of R's on k, as in the dense step
+    lifted = (reversal[::n][rows, None] * n + np.arange(n)).ravel()
+    rows, values = _letters_on_plan(letter, n, k, range(k - 1, 0, -1), lifted, np.repeat(values, n))
+    return reversal[rows], values
+
+
+def _plan_of(jn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values) of a star tensor with at most one nonzero entry per column, read
+    by its nonzero entries, so no array of J's size is made; an all-zero column
+    (underflow) reads as a 0 at row 0."""
+    side = jn.shape[0] ** (jn.ndim // 2)
+    jn = jn.reshape(side, side)
+    found, columns = np.nonzero(jn)
+    rows, values = np.zeros(side, dtype=np.intp), np.zeros(side, dtype=jn.dtype)
+    rows[columns] = found
+    values[columns] = jn[found, columns]
+    return rows, values
+
+
 def build_jn(b: Braiding, n: int) -> np.ndarray:
     """The rank-2n star tensor J^(n) = R W_n.
 
@@ -163,12 +237,22 @@ def build_jn(b: Braiding, n: int) -> np.ndarray:
     one Kronecker lift of W_(m-1), then m-1 letter passes by ``central_at``,
     letter m-1 first, with the upper index block reversed (R, the action of
     l_m on basis monomials).  Its blocks are written into J^(m), so a step
-    holds J^(m-1) and J^(m) plus the generator's buffers.  W_n equals
+    holds J^(m-1) and J^(m) plus the generator's buffers.  When S is monomial
+    (``_letter_plan``) each step is ``_plan_step`` on J^(m-1)'s plan instead, and
+    the plan of J^(n) is scattered into a zero J^(n).  W_n equals
     ``word_tensor(S, n, reverse_word(n).letters)`` up to rounding.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
     size = b.n
+    plan = _letter_plan(b)
+    if plan is not None:
+        rows, values = np.arange(size), np.ones(size, dtype=b.S.dtype)
+        for m in range(2, n + 1):
+            rows, values = _plan_step(plan, size, m, rows, values)
+        jn = np.zeros((size ** n, size ** n), dtype=b.S.dtype)
+        jn[rows, np.arange(size ** n)] = values
+        return jn.reshape((size,) * (2 * n))
     letter = _letter_tensor(b.S)
     jn = np.eye(size, dtype=b.S.dtype)
     for m in range(2, n + 1):
@@ -220,6 +304,12 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
     letter passes and their MACs are those of ``build_jn``'s last step and the
     conjugate word over J.
 
+    When S is monomial (``_letter_plan``), J^(n-1)'s plan is read off
+    ``build_jn(b, n - 1)`` and taken to J^(n)'s by ``_plan_step``, and the
+    conjugate word runs on the plan.  Each column of conj(W) J - R then holds
+    its entry v and a -1 on R's row, so the residual is the max over columns of
+    |v - 1| where v lands on R's row, else max(|v|, 1).
+
     No inverse is taken, so a singular S gives its residual and a NaN in S
     gives NaN.
     """
@@ -229,6 +319,14 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
     # J^(1) is the identity; build_jn(b, 1) gives the same matrix but is one more
     # build_jn call per verify for a trace to count
     prev = np.eye(size, dtype=b.S.dtype) if n == 2 else build_jn(b, n - 1)
+    plan = _letter_plan(b)
+    if plan is not None:
+        rows, values = _plan_step(plan, size, n, *_plan_of(prev))
+        source, coefficients = plan
+        conj_plan = source, None if coefficients is None else np.conj(coefficients)
+        rows, values = _letters_on_plan(conj_plan, size, n, reverse_word(n).letters, rows, values)
+        on_r = rows == _reversal_rows(size, n)
+        return worst([max_entry(values - on_r), 0.0 if on_r.all() else 1.0])
     letter = _letter_tensor(b.S)
     conj_letter, letters = np.conj(letter), reverse_word(n).letters
     rows = _reversal_rows(size, n)

@@ -680,6 +680,13 @@ def _block_braidings():
         yield f"phase-twist-n{n}", random_phase_twist(0, n)[0]
 
 
+def _rounds_as_numpy(b):
+    """True for a monomial S with a coefficient other than 1 and -1: the plan route's
+    products of complex phases round as numpy's multiply, not as the matmul's."""
+    plan = involution._letter_plan(b)
+    return plan is not None and plan[1] is not None and not np.isin(plan[1], (1, -1)).all()
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_build_jn_and_jn_involutive_match_their_dense_oracles_in_column_blocks(k, monkeypatch):
     for label, b in _block_braidings():
@@ -693,8 +700,13 @@ def test_build_jn_and_jn_involutive_match_their_dense_oracles_in_column_blocks(k
         assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < width, (label, k)
         jn, ref = build_jn(b, k), ref_build_jn(b, k)
         got, want = check_jn_involutive(b, k), ref_jn_involutive(b, k)
-        # both routes build J^(k-1) by the same blocked steps, then run the same last step
-        assert got == ref_jn_involutive_through_j(b, k), (label, k)
+        # both routes build J^(k-1) by the same steps, then run the same last step; on
+        # the plan route a complex phase rounds as numpy's multiply, not as the matmul's
+        through_j = ref_jn_involutive_through_j(b, k)
+        if _rounds_as_numpy(b):
+            assert abs(got - through_j) <= TOL, (label, k)
+        else:
+            assert got == through_j, (label, k)
         if label.startswith("flip"):
             assert np.array_equal(jn, ref) and got == want == 0.0, (label, k)
         else:
@@ -710,38 +722,51 @@ def test_jn_involutive_is_nan_for_a_nan_in_one_column_block(monkeypatch):
 
 
 def test_jn_involutive_equals_the_route_through_j():
-    # J^(k-1) is one column block here, so both routes run the same matmuls
+    # J^(k-1) is one column block here, so both routes run the same matmuls; a complex
+    # phase takes the plan route, whose products round as numpy's multiply
     cases = [(random_phase_twist(seed, 4)[0], 5) for seed in range(3)]
     cases += [(su2_flip_geometry().braid, 4)]
     cases += [(make_braiding(random_geometry(seed).S), 4) for seed in range(3)]
     for b, top in cases:
         for k in range(2, top + 1):
-            assert check_jn_involutive(b, k) == ref_jn_involutive_through_j(b, k), (b.n, k)
+            got, want = check_jn_involutive(b, k), ref_jn_involutive_through_j(b, k)
+            if _rounds_as_numpy(b):
+                assert abs(got - want) <= TOL, (b.n, k)
+            else:
+                assert got == want, (b.n, k)
+
+
+def _peak_bytes(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _star_routes_at_n4():
+    """A phase twist, which takes the plan route, and a random S, which takes the blocks."""
+    yield "plan", random_phase_twist(0, 4)[0]
+    yield "blocks", make_braiding(random_geometry(0, n=4).S)
 
 
 def test_jn_involutive_forms_no_full_size_star_tensor():
     # J^(5) at n = 4 is 16 MiB, eight blocks; forming it reads at least 1.0 J
-    b = random_phase_twist(0, 4)[0]
-    tracemalloc.start()
-    try:
-        check_jn_involutive(b, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.6 * 16 * 4 ** 10
+    for route, b in _star_routes_at_n4():
+        assert (involution._letter_plan(b) is None) == (route == "blocks")
+        peak = _peak_bytes(check_jn_involutive, b, 5)
+        assert peak <= 0.6 * 16 * 4 ** 10, route
+        if route == "plan":
+            # J^(4) (1 MiB) and its plan, but no real copy of J^(4), which adds half of it
+            assert peak <= 1.25 * 16 * 4 ** 8, peak
 
 
 def test_build_jn_holds_one_star_tensor_plus_its_block_buffers():
     # J^(5) at n = 4 is 16 MiB; its step also holds J^(4), 1/16 of it, and at most 4 MiB
     # of blocks, but no buffer of the step before
-    b = random_phase_twist(0, 4)[0]
-    tracemalloc.start()
-    try:
-        build_jn(b, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.4 * 16 * 4 ** 10
+    for route, b in _star_routes_at_n4():
+        assert _peak_bytes(build_jn, b, 5) <= 1.4 * 16 * 4 ** 10, route
 
 
 def test_verify_at_order_5_never_builds_j5(monkeypatch):
@@ -779,12 +804,111 @@ def test_jn_involutive_takes_no_inverse_of_a_singular_s():
         assert check_jn_involutive(zero, k) == ref_jn_involutive(zero, k) == 1.0
 
 
-def _verify_runs_out_of_memory_in(loop, tmp_path, capsys, monkeypatch):
-    """``verify --checks jn`` with ``central_at`` raising MemoryError in the column-block
-    loop of ``loop`` only: exit 2, the memory message and no report."""
-    path, out = tmp_path / "twist.json", tmp_path / "report.json"
-    assert cli.main(["fixture", "phase-twist", "--out", str(path)]) == 0
+# ---------------------------------------------------------------------------
+# the star tensor's plan route, taken when mat(S) is monomial
+
+# the largest J^(k) the plan-route tests compare with the dense oracles: 3^12 entries
+PLAN_ORACLE_ENTRIES = 3 ** 12
+
+
+def _orders_against_the_oracles(n):
+    return [k for k in range(2, 7) if n ** (2 * k) <= PLAN_ORACLE_ENTRIES]
+
+
+def test_the_plan_route_gives_the_dense_bits_on_signed_permutations():
+    # every product is by 1 or -1, so J and the residual are those of the dense oracles
+    for label, s in _signed_permutations():
+        b = Braiding(s.shape[0], s)
+        assert involution._letter_plan(b) is not None, label
+        for k in _orders_against_the_oracles(b.n):
+            assert np.array_equal(build_jn(b, k), ref_build_jn(b, k)), (label, k)
+            got = check_jn_involutive(b, k)
+            assert got == ref_jn_involutive(b, k) == ref_jn_involutive_through_j(b, k), (label, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_plan_route_matches_the_dense_oracles_on_complex_phases(n):
+    b = random_phase_twist(0, n)[0]
+    assert _rounds_as_numpy(b)
+    for k in _orders_against_the_oracles(n):
+        assert np.max(np.abs(build_jn(b, k) - ref_build_jn(b, k))) <= TOL, k
+        got = check_jn_involutive(b, k)
+        assert abs(got - ref_jn_involutive(b, k)) <= TOL, k
+        assert abs(got - ref_jn_involutive_through_j(b, k)) <= TOL, k
+
+
+def _not_monomial_braidings():
+    flip = flip_central(3)
+    nan_s, tiny = flip.copy(), flip.copy()
+    nan_s[0, 2, 2, 0] = np.nan
+    tiny[0, 0, 1, 2] = 1e-300
+    yield "random", make_braiding(random_geometry(0).S)
+    yield "normal", Braiding(3, _unit_normal_s())
+    yield "NaN", Braiding(3, nan_s)
+    yield "1e-300", Braiding(3, tiny)
+
+
+def test_an_s_that_is_not_monomial_never_reaches_the_plan_step(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("plan step on an S that is not monomial")
+
+    monkeypatch.setattr(involution, "_plan_step", unreachable)
+    for label, b in _not_monomial_braidings():
+        assert involution._letter_plan(b) is None, label
+        for k in (2, 3, 4):
+            assert build_jn(b, k).shape == (3,) * (2 * k), (label, k)
+            check_jn_involutive(b, k)
+
+
+def test_the_check_on_a_monomial_s_never_calls_central_at(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("central_at on the plan route")
+
+    monkeypatch.setattr(involution, "central_at", unreachable)
+    cases = [*_signed_permutations(), ("phase-twist", random_phase_twist(0, 3)[0].S)]
+    for label, s in cases:
+        b = Braiding(s.shape[0], s)
+        for k in (2, 3, 4, 5):
+            build_jn(b, k)
+            check_jn_involutive(b, k)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_a_scaled_flip_gets_the_dense_routes_verdicts(scale, monkeypatch):
+    # 1e200: J overflows, so every residual is non-finite and fails; 1e-200: J^(k)
+    # underflows to 0 from k = 3, and conj(J) J already at k = 2, so every residual is 1
+    braid = Braiding(3, scale * flip_central(3))
+
+    def jn_rows():
+        report = run_verify((braid, None), checks={"jn"}, max_order=5)
+        return [c for c in report.checks if c.name.startswith("jn-involutive")]
+
+    plan_rows = jn_rows()
+    monkeypatch.setattr(involution, "_letter_plan", lambda b: None)
+    dense_rows = jn_rows()
+    assert [(c.name, c.status) for c in plan_rows] == [(c.name, c.status) for c in dense_rows] == [
+        (f"jn-involutive-{k}", "fail") for k in (2, 3, 4, 5)]
+    if scale > 1:
+        assert not any(np.isfinite(c.residual) for c in plan_rows + dense_rows)
+    else:
+        assert [c.residual for c in plan_rows] == [c.residual for c in dense_rows] == [1.0] * 4
+
+
+def _verify_exits_2_out_of_memory(fixture, tmp_path, capsys):
+    """``verify --checks jn`` on the fixture: exit 2, the memory message and no report."""
+    path, out = tmp_path / "input.json", tmp_path / "report.json"
+    assert cli.main(["fixture", fixture, "--out", str(path)]) == 0
     capsys.readouterr()
+    assert cli.main(["verify", str(path), "--checks", "jn", "--max-order", "3",
+                     "--report", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: verify at --max-order 3 with frame dimension n=3 ran out of memory\n")
+    assert not out.exists()
+
+
+def _verify_runs_out_of_memory_in(loop, tmp_path, capsys, monkeypatch):
+    """``central_at`` raising MemoryError in the column-block loop of ``loop`` only, on
+    the random fixture, whose S is not monomial and so takes the blocks."""
     real = involution.central_at
 
     def failing_in_the_check(*args, **kwargs):
@@ -795,11 +919,7 @@ def _verify_runs_out_of_memory_in(loop, tmp_path, capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(involution, "central_at", failing_in_the_check)
-    assert cli.main(["verify", str(path), "--checks", "jn", "--max-order", "3",
-                     "--report", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: verify at --max-order 3 with frame dimension n=3 ran out of memory\n")
-    assert not out.exists()
+    _verify_exits_2_out_of_memory("random", tmp_path, capsys)
 
 
 def test_out_of_memory_in_the_jn_letter_loop_exits_2(tmp_path, capsys, monkeypatch):
@@ -808,6 +928,15 @@ def test_out_of_memory_in_the_jn_letter_loop_exits_2(tmp_path, capsys, monkeypat
 
 def test_out_of_memory_in_the_build_jn_block_loop_exits_2(tmp_path, capsys, monkeypatch):
     _verify_runs_out_of_memory_in("build_jn", tmp_path, capsys, monkeypatch)
+
+
+def test_out_of_memory_in_the_plan_route_exits_2(tmp_path, capsys, monkeypatch):
+    # the phase-twist fixture's S is monomial: its star tensors are built by plans
+    def failing(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(involution, "_plan_step", failing)
+    _verify_exits_2_out_of_memory("phase-twist", tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------

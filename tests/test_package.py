@@ -180,10 +180,12 @@ def test_one_kernel_runs_the_first_order_operator():
 
 def test_only_the_field_entry_points_take_the_gather_route():
     # frametensor._central_on_field gathers by a plan of the tensor's values; the star
-    # tensor's letter blocks, star_form, word_tensor and every P contraction stay on central_at
+    # tensor's letter blocks, star_form, word_tensor and every P contraction stay on
+    # central_at.  The one other reader of the plan is the star tensor's route choice
     assert _callers("_central_on_field") == [("connection.py", "d2"),
                                              ("frametensor.py", "apply_central_at")]
-    assert _callers("_monomial_plan") == [("frametensor.py", "_central_on_field")]
+    assert _callers("_monomial_plan") == [("frametensor.py", "_central_on_field"),
+                                          ("involution.py", "_letter_plan")]
     assert "_central_on_field" not in (SRC / "involution.py").read_text(encoding="utf-8")
 
 
