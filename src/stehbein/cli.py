@@ -17,6 +17,7 @@ non-finite number cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -59,6 +60,9 @@ MAX_STAR_BYTES = 2 ** 30
 OUTPUT_FLAGS = {"verify": "--report", "curvature": "--out", "jn": "--out", "fixture": "--out"}
 
 
+# one parser per process: parse_args reads it without changing it, and fills a
+# fresh namespace from the defaults on every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="stehbein",
                                  description=__doc__.splitlines()[0])

@@ -38,11 +38,13 @@ values: J^(k) as a plan, the row of each column's one entry and its value.
 ``_plan_step``, the twin of ``_word_by_column_block``, makes J^(k)'s plan from
 J^(k-1)'s by integer index arithmetic and one complex multiply per letter and
 column, O(k n^k) in place of k-1 passes of n^(2k) n^2 MACs.  ``build_jn``
-scatters the plan into a zero J^(k); ``check_jn_involutive`` reads J^(n-1)'s
-plan off its nonzero entries, runs the conjugate word on the plan and forms no
-block.  For coefficients of 1 and -1 each product is exact, so J and the residual
-keep the dense route's bits; a complex phase rounds as numpy's multiply, not as
-the GEMM's, about 1e-16 apart.
+scatters the plan into a zero J^(k).  ``check_jn_involutive`` reads J^(n-1)'s
+plan back (``_plan_of``: one argmax over the bool mask of its nonzero entries,
+then a gather of their values), steps it to J^(n)'s and reads conj(J) J off that
+plan by one more gather, so it forms no block and runs no conjugate word.  For
+coefficients of 1 and -1 each product is exact, so J and the residual keep the
+dense route's bits; a complex phase rounds as numpy's multiply, not as the
+GEMM's, about 1e-16 apart.
 
 ``build_jn`` is the one builder of J, J^(2)^{ab}_{cd} = S^{ba}_{cd} included.
 The involution residual of J^(2) is (S^{ba}_{cd})* S^{dc}_{ef} - delta^a_e delta^b_f,
@@ -179,53 +181,44 @@ def _letter_plan(b: Braiding) -> tuple | None:
     return _monomial_plan(b.S.dtype, b.S.shape, b.S.tobytes())
 
 
-def _letters_on_plan(letter, n: int, k: int, letters, rows: np.ndarray, values: np.ndarray):
-    """A star tensor's plan (rows, values) on k strands after the letters: for each i
-    of ``letters`` in turn, mat(S) on strands (i, i+1) multiplies every column from
-    the left, as ``central_at`` by ``_letter_tensor(S)`` does.  ``letter`` is S's
-    plan, its coefficients conjugated for the conjugate word.
+def _plan_step(letter, n: int, k: int, rows: np.ndarray, values: np.ndarray):
+    """J^(k)'s plan from J^(k-1)'s, (rows, values) with J^(k-1)[rows[c], c] = values[c]
+    its only nonzero entries: step k of ``build_jn``'s recursion when S is monomial.
+    ``letter`` is S's plan, (source, coefficients).
 
-    mat(S) sends e_y, y the pair's digits, to coefficient[y] e_source[y]: a column's
+    The twin of ``_word_by_column_block``: W_(k-1) = R J^(k-1) moves column B's entry
+    to row R(rows[B]) on k-1 strands; column (B, b) of W_(k-1) x 1 holds it at row
+    (R(rows[B]), b).  Letters k-1, ..., 1 then multiply every column from the left by
+    mat(S) on strands (i, i+1), as ``central_at`` by ``_letter_tensor(S)`` does:
+    mat(S) sends e_y, y the pair's digits, to coefficient[y] e_source[y], so a column's
     entry changes its row's pair and takes one complex multiply, skipped when every
-    coefficient is 1.
+    coefficient is 1.  R on k strands moves it last.  Integer index arithmetic and one
+    multiply per letter, O(k n^k).
     """
     source, coefficients = letter
-    for i in letters:
+    reversal = _reversal_rows(n, k)
+    # R's row order on k-1 strands is every n-th row of R's on k, as in the dense step
+    rows = (reversal[::n][rows, None] * n + np.arange(n)).ravel()
+    values = np.repeat(values, n)
+    for i in range(k - 1, 0, -1):
         weight = n ** (k - i - 1)
         pair = rows // weight % (n * n)
         rows = rows + (source[pair] - pair) * weight
         if coefficients is not None:
             values = values * coefficients[pair, 0]
-    return rows, values
-
-
-def _plan_step(letter, n: int, k: int, rows: np.ndarray, values: np.ndarray):
-    """J^(k)'s plan from J^(k-1)'s, (rows, values) with J^(k-1)[rows[c], c] = values[c]
-    its only nonzero entries: step k of ``build_jn``'s recursion when S is monomial.
-
-    The twin of ``_word_by_column_block``: W_(k-1) = R J^(k-1) moves column B's entry
-    to row R(rows[B]) on k-1 strands; column (B, b) of W_(k-1) x 1 holds it at row
-    (R(rows[B]), b); letters k-1, ..., 1 (``_letters_on_plan``) and R on k strands
-    then move it on.  Integer index arithmetic and one multiply per letter, O(k n^k).
-    """
-    reversal = _reversal_rows(n, k)
-    # R's row order on k-1 strands is every n-th row of R's on k, as in the dense step
-    lifted = (reversal[::n][rows, None] * n + np.arange(n)).ravel()
-    rows, values = _letters_on_plan(letter, n, k, range(k - 1, 0, -1), lifted, np.repeat(values, n))
     return reversal[rows], values
 
 
 def _plan_of(jn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, values) of a star tensor with at most one nonzero entry per column, read
-    by its nonzero entries, so no array of J's size is made; an all-zero column
+    """(rows, values) of a star tensor with at most one nonzero entry per column: the
+    row of each column's first nonzero entry and a gather of its value.  It makes the
+    bool mask of J's nonzero entries, 1/16 of J's bytes, which argmax over axis 0
+    copies once more, so it peaks at 1/8 of J beyond J; an all-zero column
     (underflow) reads as a 0 at row 0."""
     side = jn.shape[0] ** (jn.ndim // 2)
     jn = jn.reshape(side, side)
-    found, columns = np.nonzero(jn)
-    rows, values = np.zeros(side, dtype=np.intp), np.zeros(side, dtype=jn.dtype)
-    rows[columns] = found
-    values[columns] = jn[found, columns]
-    return rows, values
+    rows = (jn != 0).argmax(axis=0)
+    return rows, jn[rows, np.arange(side)]
 
 
 def build_jn(b: Braiding, n: int) -> np.ndarray:
@@ -305,10 +298,13 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
     conjugate word over J.
 
     When S is monomial (``_letter_plan``), J^(n-1)'s plan is read off
-    ``build_jn(b, n - 1)`` and taken to J^(n)'s by ``_plan_step``, and the
-    conjugate word runs on the plan.  Each column of conj(W) J - R then holds
-    its entry v and a -1 on R's row, so the residual is the max over columns of
-    |v - 1| where v lands on R's row, else max(|v|, 1).
+    ``build_jn(b, n - 1)`` by ``_plan_of`` and taken to J^(n)'s, (rows, values),
+    by ``_plan_step``.  Column c of conj(J) J then holds its one entry
+    v = conj(values[rows[c]]) values[c] at row rows[rows[c]], and the identity's 1
+    at row c, so the residual is the max over columns of |v - 1| where
+    rows[rows[c]] = c, else max(|v|, 1): two gathers over J's columns, no word.
+    Both routes take J^(n-1) from ``build_jn``, the size ``cli.MAX_STAR_BYTES``
+    bounds for this check.
 
     No inverse is taken, so a singular S gives its residual and a NaN in S
     gives NaN.
@@ -322,11 +318,9 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
     plan = _letter_plan(b)
     if plan is not None:
         rows, values = _plan_step(plan, size, n, *_plan_of(prev))
-        source, coefficients = plan
-        conj_plan = source, None if coefficients is None else np.conj(coefficients)
-        rows, values = _letters_on_plan(conj_plan, size, n, reverse_word(n).letters, rows, values)
-        on_r = rows == _reversal_rows(size, n)
-        return worst([max_entry(values - on_r), 0.0 if on_r.all() else 1.0])
+        back = rows[rows] == np.arange(size ** n)
+        return worst([max_entry(np.conj(values[rows]) * values - back),
+                      0.0 if back.all() else 1.0])
     letter = _letter_tensor(b.S)
     conj_letter, letters = np.conj(letter), reverse_word(n).letters
     rows = _reversal_rows(size, n)

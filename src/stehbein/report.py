@@ -25,7 +25,7 @@ same whichever ``--checks`` groups run with it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral, Real
 from typing import Callable, NamedTuple
@@ -84,12 +84,14 @@ class CheckResult:
 
     def to_dict(self) -> dict:
         """The row as JSON: a non-finite residual, which no JSON number holds, is
-        written as null and named in the note; its status stays fail."""
-        out = asdict(self)
-        if self.residual is not None and not math.isfinite(self.residual):
-            out["residual"] = None
-            out["note"] = "; ".join(filter(None, (self.note, f"residual is {self.residual}")))
-        return out
+        written as null and named in the note; its status stays fail.  The keys are
+        the fields in their order, as ``dataclasses.asdict`` gives them, built without
+        its recursive copy: every field is a str or a number."""
+        residual, note = self.residual, self.note
+        if residual is not None and not math.isfinite(residual):
+            residual, note = None, "; ".join(filter(None, (note, f"residual is {residual}")))
+        return {"name": self.name, "equation_anchor": self.equation_anchor, "residual": residual,
+                "tolerance": self.tolerance, "status": self.status, "note": note}
 
 
 @dataclass

@@ -269,6 +269,52 @@ def test_parametric_fixtures_default_to_frame_dim_3_and_seed_42(name, tmp_path):
     assert default.read_bytes() == explicit.read_bytes()
 
 
+def _run_in_turn(calls, capsys):
+    """(exit code, stdout, output file bytes or None) of each (argv, output) in turn,
+    in this process; a call argparse rejects exits by SystemExit."""
+    results = []
+    for argv, out in calls:
+        if out is not None and out.exists():
+            out.unlink()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        stdout = capsys.readouterr().out
+        results.append((code, stdout, out.read_bytes() if out is not None and out.exists() else None))
+    return results
+
+
+def test_one_parser_serves_every_call_without_carrying_options_over(fixture_file, tmp_path,
+                                                                    capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    source, report, fixture = fixture_file("su2-flip"), tmp_path / "r.json", tmp_path / "f.json"
+    capsys.readouterr()
+    calls = [
+        (["verify", source, "--checks", "braid", "--tol", "1e-3", "--seed", "5",
+          "--report", str(report)], report),
+        (["verify", source, "--max-order", "x", "--report", str(report)], report),
+        (["verify", source], None),
+        (["fixture", "random", "--frame-dim", "4", "--seed", "7", "--out", str(fixture)], fixture),
+        (["fixture", "random", "--out", str(fixture)], fixture),
+    ]
+    cached = _run_in_turn(calls, capsys)
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert cached == _run_in_turn(calls, capsys)
+    assert [code for code, _, _ in cached] == [0, 2, 0, 0, 0]
+    assert cached[1][2] is None
+    # the defaults come back: every group at tol 1e-9, and the fixture at n = 3, seed 42
+    assert "tol=1.0e-09" in cached[2][1] and "not selected" not in cached[2][1]
+    for argv, _ in calls[2:]:
+        assert vars(parser.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    assert vars(parser.parse_args(calls[2][0]))["seed"] == 42
+    assert json.loads(cached[3][2])["frame_dim"] == 4 and json.loads(cached[4][2])["frame_dim"] == 3
+    assert cli.main(["fixture", "random", "--seed", "42", "--out", str(fixture)]) == 0
+    assert fixture.read_bytes() == cached[4][2]
+
+
 @CHECK_SELECTIONS
 def test_lowest_max_order_runs(extra, fixture_file, tmp_path):
     out = tmp_path / "report.json"

@@ -105,6 +105,36 @@ def ref_jn_involutive_through_j(b, k):
     return float(np.max(peaks))
 
 
+def ref_plan_of(jn):
+    """(rows, values) of a star tensor with at most one nonzero entry per column, read
+    by a scan of its nonzero entries; an all-zero column reads as a 0 at row 0."""
+    side = jn.shape[0] ** (jn.ndim // 2)
+    jn = jn.reshape(side, side)
+    found, columns = np.nonzero(jn)
+    rows, values = np.zeros(side, dtype=np.intp), np.zeros(side, dtype=jn.dtype)
+    rows[columns] = found
+    values[columns] = jn[found, columns]
+    return rows, values
+
+
+def ref_plan_jn_involutive(b, k):
+    """max|conj(J) J - 1| on a monomial S's plan by the conjugate word: conj(W) J - R
+    holds each column's entry v and a -1 on R's row, so the residual is |v - 1| where
+    v lands on R's row, else max(|v|, 1)."""
+    n = b.n
+    prev = np.eye(n, dtype=b.S.dtype) if k == 2 else build_jn(b, k - 1)
+    rows, values = involution._plan_step(involution._letter_plan(b), n, k, *ref_plan_of(prev))
+    source, coefficients = involution._letter_plan(b)
+    for i in reverse_word(k).letters:
+        weight = n ** (k - i - 1)
+        pair = rows // weight % (n * n)
+        rows = rows + (source[pair] - pair) * weight
+        if coefficients is not None:
+            values = values * np.conj(coefficients[pair, 0])
+    on_r = rows == np.arange(n ** k).reshape((n,) * k).transpose().ravel()
+    return float(np.max(np.abs(values - on_r), initial=0.0 if on_r.all() else 1.0))
+
+
 def ref_dn(c, b, t):
     geom = c.geom
     letters = list("abcdefgh"[:t.degree])
@@ -758,7 +788,9 @@ def test_jn_involutive_forms_no_full_size_star_tensor():
         peak = _peak_bytes(check_jn_involutive, b, 5)
         assert peak <= 0.6 * 16 * 4 ** 10, route
         if route == "plan":
-            # J^(4) (1 MiB) and its plan, but no real copy of J^(4), which adds half of it
+            # J^(4) (1 MiB), the bool mask of its nonzero entries and argmax's copy of
+            # it (1/16 of J^(4) each) and the plans, but no real copy of J^(4), which
+            # adds half of it
             assert peak <= 1.25 * 16 * 4 ** 8, peak
 
 
@@ -835,6 +867,63 @@ def test_the_plan_route_matches_the_dense_oracles_on_complex_phases(n):
         got = check_jn_involutive(b, k)
         assert abs(got - ref_jn_involutive(b, k)) <= TOL, k
         assert abs(got - ref_jn_involutive_through_j(b, k)) <= TOL, k
+
+
+def _plan_braidings():
+    """(label, S) of the plan route: the flip, a mixed-sign permutation and phase twists."""
+    yield "flip", flip_central(3)
+    yield from ((label, s) for label, s in _signed_permutations() if label == "mixed-signs")
+    for seed in (0, 1, 2):
+        yield f"phase-twist-{seed}", random_phase_twist(seed, 3)[0].S
+
+
+def test_plan_of_reads_the_nonzero_scans_plan():
+    for label, s in _plan_braidings():
+        b = Braiding(3, s)
+        for k in range(2, 7):
+            got, want = involution._plan_of(build_jn(b, k)), ref_plan_of(build_jn(b, k))
+            assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype, label
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (label, k)
+
+
+def test_plan_of_reads_an_underflowed_star_tensor_as_zeros_at_row_0():
+    b = Braiding(3, 1e-200 * flip_central(3))
+    for k in (3, 4, 5):
+        jn = build_jn(b, k)
+        assert not jn.any(), k
+        for rows, values in (involution._plan_of(jn), ref_plan_of(jn)):
+            assert not rows.any() and not values.any() and len(rows) == 3 ** k, k
+
+
+def test_the_gather_residual_equals_the_conjugate_word_on_the_plan():
+    # by 1 and -1 every product is exact; a phase rounds in another order
+    exact = [s for _, s in _signed_permutations()] + [s for _, s in _exact_braidings()]
+    for s in exact + [random_phase_twist(seed, 3)[0].S for seed in range(3)]:
+        b = Braiding(s.shape[0], s)
+        for k in _orders_against_the_oracles(b.n):
+            got, want = check_jn_involutive(b, k), ref_plan_jn_involutive(b, k)
+            if _rounds_as_numpy(b):
+                assert abs(got - want) <= TOL, k
+            else:
+                assert got == want, k
+
+
+@pytest.mark.parametrize("label, s", [
+    ("2 flip", 2 * flip_central(3)),
+    ("1.5 phase-twist", 1.5 * random_phase_twist(0, 3)[0].S),
+    # a 3-cycle of pair indices, so no J^(k) is an involution: each column's entry,
+    # 0.25 at k = 2, misses the identity's 1, and the residual is that 1
+    ("0.5 cycle", 0.5 * np.eye(9)[[1, 2, 0, 3, 4, 5, 6, 7, 8]].reshape(3, 3, 3, 3)),
+])
+def test_a_monomial_s_that_is_not_unitary_fails_with_the_dense_residual(label, s, monkeypatch):
+    b = Braiding(3, s)
+    assert involution._letter_plan(b) is not None
+    plan = [check_jn_involutive(b, k) for k in (2, 3, 4, 5)]
+    monkeypatch.setattr(involution, "_letter_plan", lambda b: None)
+    for k, got in zip((2, 3, 4, 5), plan):
+        want = check_jn_involutive(b, k)
+        # |s|^(k(k-1)) - 1 grows to 1.5^20 at k = 5, so the bound scales with it
+        assert want >= 1 and abs(got - want) <= TOL * want, (label, k)
 
 
 def _not_monomial_braidings():

@@ -18,8 +18,8 @@ from stehbein.connection import MAX_DEGREE, check_sigma_lemma, d2
 from stehbein.fixtures import build_fixture, random_geometry, random_unitary
 from stehbein.involution import build_jn, check_Dn_reality
 from stehbein.io import geometry_to_dict, save_json
-from stehbein.report import (CHECKS, CONNECTION_MODES, GROUPS, REPORT_SCHEMA, resolve_connection,
-                             run_verify)
+from stehbein.report import (CHECKS, CONNECTION_MODES, GROUPS, REPORT_SCHEMA, VerificationReport,
+                             resolve_connection, run_verify)
 
 from conftest import spin_frame_geometry, su2_torsionfree_connection, transformed_geometry
 
@@ -380,6 +380,43 @@ def test_a_non_finite_residual_is_written_as_null(tmp_path, capsys):
     for name, value in named.items():
         assert nulls[name]["status"] == "fail"
         assert nulls[name]["note"].endswith(f"residual is {value}"), nulls[name]["note"]
+
+
+def ref_row_dict(row):
+    """A row as JSON by ``dataclasses.asdict``, a non-finite residual written as null
+    and named in the note."""
+    out = dataclasses.asdict(row)
+    if row.residual is not None and not math.isfinite(row.residual):
+        out["residual"] = None
+        out["note"] = "; ".join(filter(None, (row.note, f"residual is {row.residual}")))
+    return out
+
+
+@pytest.mark.parametrize("note", ["", "skipped: no metric"])
+@pytest.mark.parametrize("residual", [0.25, None, math.nan, math.inf, -math.inf])
+def test_a_row_is_written_as_asdict_writes_it(residual, note):
+    report = VerificationReport(tolerance=1e-9, seed=0, max_order=2)
+    report.add("braid", "S_12 S_23 S_12 = S_23 S_12 S_23", residual, note)
+    row = report.checks[0]
+    got, want = row.to_dict(), ref_row_dict(row)
+    assert list(got.items()) == list(want.items())
+    assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("name", ["su2-flip", "phase-twist"])
+def test_a_report_file_holds_the_rows_asdict_writes(name, tmp_path, monkeypatch):
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(run_verify(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_verify", recorded)
+    path, out = tmp_path / "input.json", tmp_path / "report.json"
+    assert cli.main(["fixture", name, "--out", str(path)]) == 0
+    assert cli.main(["verify", str(path), "--report", str(out)]) == 0
+    want = dict(runs[0].to_dict(), checks=[ref_row_dict(c) for c in runs[0].checks])
+    assert out.read_bytes() == json.dumps(want, indent=1).encode("utf-8")
 
 
 def _verdicts_by_status(report) -> dict:
