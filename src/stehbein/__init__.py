@@ -61,6 +61,7 @@ from .connection import (
 )
 from .involution import (
     PermutationWord,
+    StarTensor,
     build_jn,
     check_Dn_reality,
     check_fifa,

@@ -28,7 +28,7 @@ import numpy as np
 from .frametensor import COMPLEX, max_coeff_norm
 from .calculus import FrameGeometry
 from .connection import MAX_DEGREE, curvature
-from .involution import build_jn
+from .involution import _letter_plan, build_jn
 from .fixtures import FIXTURE_NAMES, PARAMETRIC_FIXTURES, build_fixture
 from .io import (
     GeometryFileError,
@@ -54,7 +54,7 @@ INT_BOUNDS = {
     "fixture": (("--frame-dim", 1, None), ("--seed", 0, None)),
 }
 # the largest dense star tensor J^(k), n^(2k) entries, a run may build; su2's J^(8) is
-# 657 MiB and n = 4's J^(6) 256 MiB, where n = 4's J^(7) is 4 GiB and su(3)'s J^(5) 16 GiB
+# 657 MiB and n = 4's J^(6) 256 MiB, where n = 4's J^(7) is 4 GiB and n = 8's J^(5) 16 GiB
 MAX_STAR_BYTES = 2 ** 30
 # command -> the option naming the file it writes
 OUTPUT_FLAGS = {"verify": "--report", "curvature": "--out", "jn": "--out", "fixture": "--out"}
@@ -193,16 +193,18 @@ def main(argv=None) -> int:
 
 
 def _largest_star_order(args, loaded) -> int | None:
-    """The order k of the largest dense star tensor J^(k) the command builds, None for a
-    command that builds none.  ``verify`` at order K builds J^(K+1) when dn-reality runs
-    on a geometry, J^(K-1) for the jn rows, J^(3) for d2-reality and J^(2) for the rows
-    of one index pair; a row whose input lacks what it needs is skipped, not built."""
+    """The order k of the largest dense star tensor J^(k) the command builds, None for
+    none.  ``verify`` at order K builds J^(2); unless S is monomial, when the rest stay
+    plans, also J^(K+1) for dn-reality on a geometry, J^(K-1) for the jn rows and J^(3)
+    for d2-reality.  A row whose input lacks what it needs is skipped, not built."""
     if args.command == "jn":
         return args.order
     if args.command != "verify":
         return None
-    groups = GROUPS if args.checks is None else args.checks.split(",")
     geometry, k = isinstance(loaded, FrameGeometry), args.max_order
+    if _letter_plan(loaded.braid if geometry else loaded[0]) is not None:
+        return 2
+    groups = GROUPS if args.checks is None else args.checks.split(",")
     orders = [2]
     if "jn" in groups:
         orders.append(k - 1)
@@ -239,7 +241,7 @@ def _dispatch(args, loaded) -> int:
 
     if args.command == "jn":
         braid = loaded.braid if isinstance(loaded, FrameGeometry) else loaded[0]
-        tensor = build_jn(braid, args.order)
+        tensor = build_jn(braid, args.order).dense()
         payload = {"order": args.order, "n": braid.n,
                    "J": encode_complex_array(tensor)}
         if args.out:

@@ -18,9 +18,9 @@ Conventions fixed here and used identically everywhere else:
   when mat(M) is monomial (one nonzero per row and column, as for the flip and the
   phase twists), one gather by a plan that ``_monomial_plan`` keeps by M's values, and
   one multiply unless every coefficient is 1; any other M goes to ``central_at``.  The
-  same plan of S picks the star tensor's route in ``involution``: J^(k) as a plan when
-  S is monomial, else letter blocks on ``central_at``.  ``star_form``, ``word_tensor``
-  and every P contraction of an array stay on ``central_at``.
+  same plan of S picks the star tensor's route in ``involution``: J^(k) as a plan, which
+  ``star_form`` reads by a gather, when S is monomial, else letter blocks on
+  ``central_at``.  ``word_tensor`` and every P contraction of an array stay on it.
 * An algebra-valued tensor T^z_{xy} of shape (n, n, n, N, N), such as a
   connection's omega or the Maurer-Cartan C, acts on a field by
   ``new[.., x, y, ..] = sum_z old[.., z, ..] T^z_{xy}``: slot i of the field

@@ -14,37 +14,27 @@ field f_A theta^A this gives
 
 As matrices, J^(k) = R W_k with R the index reversal and W_k the composite
 of the word.  ``build_jn`` runs the recursion of ``reverse_word`` itself,
-W_k = (W_(k-1) x 1) o sigma_(k-1) ... sigma_1: one Kronecker lift of the
-(k-1)-strand composite, then k-1 letter passes of n^(2k) n^2 MACs each.
-``check_jn_involutive`` uses conj(J) J = R conj(W_k) J: the conjugate word
-acts on J one letter at a time, k(k-1)/2 passes instead of one dense
-(n^k)^2 product of n^(3k) MACs.
-
-A letter acts only on the upper index block, so each column of J goes
-through a word on its own.  Every step of ``build_jn``'s recursion is
-``_word_by_column_block``: from J^(k-1) it makes J^(k)'s columns in blocks
-of at most ``BLOCK_ENTRIES`` entries, reading W_(k-1) = R J^(k-1) a block's
-columns at a time and running the block's letters through two reused
-buffers.  ``build_jn`` writes the blocks into J^(k), so it peaks at J plus
-4 MiB (and J^(k-1), 1/n^2 of J).  ``check_jn_involutive`` runs the conjugate
-word on each block as it comes and keeps only the block's max entry, so no
-check forms J^(k): it holds J^(k-1), 1/n^2 of J, plus the 4 MiB of buffers.
-The passes and their MACs are those of building J and then acting on it.
+W_k = (W_(k-1) x 1) o sigma_(k-1) ... sigma_1, and returns a ``StarTensor``
+on one of two routes, chosen once per call by S's values.
 
 When mat(S) is monomial (one nonzero per row and column, as for the flip and
 the sign and phase twists; ``frametensor._monomial_plan`` decides), so is every
-J^(k), and both functions take a second route, chosen once per call by S's
-values: J^(k) as a plan, the row of each column's one entry and its value.
-``_plan_step``, the twin of ``_word_by_column_block``, makes J^(k)'s plan from
-J^(k-1)'s by integer index arithmetic and one complex multiply per letter and
-column, O(k n^k) in place of k-1 passes of n^(2k) n^2 MACs.  ``build_jn``
-scatters the plan into a zero J^(k).  ``check_jn_involutive`` reads J^(n-1)'s
-plan back (``_plan_of``: one argmax over the bool mask of its nonzero entries,
-then a gather of their values), steps it to J^(n)'s and reads conj(J) J off that
-plan by one more gather, so it forms no block and runs no conjugate word.  For
-coefficients of 1 and -1 each product is exact, so J and the residual keep the
-dense route's bits; a complex phase rounds as numpy's multiply, not as the
-GEMM's, about 1e-16 apart.
+J^(k), and the star tensor is its plan: the row of each column's one entry and
+its value, which ``_plan_step`` steps from J^(k-1)'s by index arithmetic and one
+multiply per letter and column, O(k n^k).  ``star_form`` and
+``check_jn_involutive`` read plans by gathers; only ``StarTensor.dense``
+scatters one into a zero J^(k).  For coefficients of 1 and -1 each product is
+exact, so J, the star and the residual keep the dense route's bits; a complex
+phase rounds as numpy's multiply, not as the GEMM's, about 1e-16 apart.
+
+Any other S takes the dense route.  A letter acts only on the upper index
+block, so each column of J goes through a word on its own: every step is
+``_word_by_column_block``, which makes J^(k)'s columns from J^(k-1) in blocks
+of at most ``BLOCK_ENTRIES`` entries through two reused buffers, one Kronecker
+lift and k-1 letter passes of n^(2k) n^2 MACs each.  ``build_jn`` writes the
+blocks into J^(k), so it peaks at J plus 4 MiB (and J^(k-1), 1/n^2 of J);
+``check_jn_involutive`` runs the conjugate word on each block and keeps only
+its max entry, so no check forms J^(k).
 
 ``build_jn`` is the one builder of J, J^(2)^{ab}_{cd} = S^{ba}_{cd} included.
 The involution residual of J^(2) is (S^{ba}_{cd})* S^{dc}_{ef} - delta^a_e delta^b_f,
@@ -172,12 +162,8 @@ def _word_by_column_block(letter: np.ndarray, k: int, prev: np.ndarray):
 
 
 def _letter_plan(b: Braiding) -> tuple | None:
-    """S's ``_monomial_plan``, (source, coefficients) or None: the route of the star tensor.
-
-    When mat(S) is monomial, so is every J^(k), and ``build_jn`` and
-    ``check_jn_involutive`` run on plans: J^(k) as the row of each column's one
-    entry and its value.  Any other S takes ``_word_by_column_block``.
-    """
+    """S's ``_monomial_plan``, (source, coefficients) or None: the route of the star
+    tensor, its plan when not None, else ``_word_by_column_block`` (module docstring)."""
     return _monomial_plan(b.S.dtype, b.S.shape, b.S.tobytes())
 
 
@@ -209,74 +195,91 @@ def _plan_step(letter, n: int, k: int, rows: np.ndarray, values: np.ndarray):
     return reversal[rows], values
 
 
-def _plan_of(jn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, values) of a star tensor with at most one nonzero entry per column: the
-    row of each column's first nonzero entry and a gather of its value.  It makes the
-    bool mask of J's nonzero entries, 1/16 of J's bytes, which argmax over axis 0
-    copies once more, so it peaks at 1/8 of J beyond J; an all-zero column
-    (underflow) reads as a 0 at row 0."""
-    side = jn.shape[0] ** (jn.ndim // 2)
-    jn = jn.reshape(side, side)
-    rows = (jn != 0).argmax(axis=0)
-    return rows, jn[rows, np.arange(side)]
+# eq=False: array fields have no truth value, so equality and hashing are by identity
+@dataclass(frozen=True, eq=False)
+class StarTensor:
+    """J^(k), k = ``order``, of a frame of dimension n, as ``build_jn`` returns it: on the
+    plan route J^(k)[rows[c], c] = values[c] are its only nonzero entries and ``array``
+    is None; on the dense route ``array`` is J^(k), rank 2k, and the plan is None."""
+
+    n: int
+    order: int
+    rows: np.ndarray | None = None
+    values: np.ndarray | None = None
+    array: np.ndarray | None = None
+
+    def dense(self) -> np.ndarray:
+        """J^(k) as a rank-2k array: a plan scattered into a new zero array, or ``array``."""
+        if self.array is not None:
+            return self.array
+        jn = np.zeros((self.rows.size,) * 2, dtype=self.values.dtype)
+        jn[self.rows, np.arange(self.rows.size)] = self.values
+        return jn.reshape((self.n,) * (2 * self.order))
 
 
-def build_jn(b: Braiding, n: int) -> np.ndarray:
-    """The rank-2n star tensor J^(n) = R W_n.
+def _identity_star(b: Braiding, plan) -> StarTensor:
+    """J^(1), the identity, on the route of S's plan ``plan`` (``_letter_plan``)."""
+    if plan is None:
+        return StarTensor(b.n, 1, array=np.eye(b.n, dtype=b.S.dtype))
+    return StarTensor(b.n, 1, np.arange(b.n), np.ones(b.n, dtype=b.S.dtype))
 
-    W_n, the braiding word for the inverse-order permutation, is built by the
-    recursion of ``reverse_word`` (module docstring).  From J^(1), the
-    identity, each step m = 2, ..., n is ``_word_by_column_block`` on J^(m-1):
-    one Kronecker lift of W_(m-1), then m-1 letter passes by ``central_at``,
-    letter m-1 first, with the upper index block reversed (R, the action of
-    l_m on basis monomials).  Its blocks are written into J^(m), so a step
-    holds J^(m-1) and J^(m) plus the generator's buffers.  When S is monomial
-    (``_letter_plan``) each step is ``_plan_step`` on J^(m-1)'s plan instead, and
-    the plan of J^(n) is scattered into a zero J^(n).  W_n equals
-    ``word_tensor(S, n, reverse_word(n).letters)`` up to rounding.
+
+def build_jn(b: Braiding, n: int) -> StarTensor:
+    """The star tensor J^(n) = R W_n, W_n the braiding word for the inverse-order
+    permutation, by the recursion of ``reverse_word`` from J^(1), the identity.
+
+    When S is monomial (``_letter_plan``) each step m = 2, ..., n is ``_plan_step``
+    on J^(m-1)'s plan, and J^(n) is returned as its plan.  Otherwise each step is
+    ``_word_by_column_block`` on J^(m-1): one Kronecker lift of W_(m-1), then m-1
+    letter passes by ``central_at``, letter m-1 first, with the upper index block
+    reversed (R, the action of l_m on basis monomials).  Its blocks are written
+    into J^(m), so a step holds J^(m-1) and J^(m) plus the generator's buffers.
+    W_n equals ``word_tensor(S, n, reverse_word(n).letters)`` up to rounding.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    size = b.n
-    plan = _letter_plan(b)
+    size, plan = b.n, _letter_plan(b)
+    jn = _identity_star(b, plan)
     if plan is not None:
-        rows, values = np.arange(size), np.ones(size, dtype=b.S.dtype)
         for m in range(2, n + 1):
-            rows, values = _plan_step(plan, size, m, rows, values)
-        jn = np.zeros((size ** n, size ** n), dtype=b.S.dtype)
-        jn[rows, np.arange(size ** n)] = values
-        return jn.reshape((size,) * (2 * n))
-    letter = _letter_tensor(b.S)
-    jn = np.eye(size, dtype=b.S.dtype)
+            jn = StarTensor(size, m, *_plan_step(plan, size, m, jn.rows, jn.values))
+        return jn
+    letter, jn = _letter_tensor(b.S), jn.array
     for m in range(2, n + 1):
         prev, jn = jn, np.empty((size ** m, size ** m), dtype=b.S.dtype)
         for start, stop, block, spare in _word_by_column_block(letter, m, prev):
             jn[:, start:stop] = block.reshape(size ** m, -1)
         # the last block's buffers and J^(m-1) would otherwise live on into step m + 1
         del prev, block, spare
-    return jn.reshape((size,) * (2 * n))
+    return StarTensor(size, n, array=jn.reshape((size,) * (2 * n)))
 
 
 # ---------------------------------------------------------------------------
 # the star on fields
 
 
-def star_form(t: FrameTensorField, jn: np.ndarray | None = None) -> FrameTensorField:
+def star_form(t: FrameTensorField, jn: StarTensor | None = None) -> FrameTensorField:
     """Antilinear star of a degree-p field: star(T)_B = J^{A}_{B} adjoint(T_A).
 
     Without ``jn``, degrees 0 and 1 are the plain adjoint (J^(1) is the
-    identity: the frame is hermitian); higher degrees need the matching J^(p).
+    identity: the frame is hermitian); higher degrees need J^(p) from ``build_jn``.
+    A plan is read by one gather, star(T)_B = values[B] adjoint(T)[rows[B]], with
+    the multiply skipped when every value is 1; a dense J^(p) is one ``central_at``.
     """
     p = t.degree
     adj = adjoint(t.coeffs)
     if jn is None:
         if p > 1:
-            raise ValueError(f"degree {p} needs an explicit rank-{2 * p} star tensor")
+            raise ValueError(f"degree {p} needs an explicit order-{p} star tensor")
         return FrameTensorField(t.n, adj)
-    jn = np.asarray(jn)
-    if jn.ndim != 2 * p:
-        raise ValueError(f"star tensor of rank {jn.ndim} does not match degree {p}")
-    return FrameTensorField(t.n, central_at(adj, jn, 1))
+    if (jn.n, jn.order) != (t.n, p):
+        raise ValueError(f"star tensor J^({jn.order}), n={jn.n}, does not match degree {p}, n={t.n}")
+    if jn.array is not None:
+        return FrameTensorField(t.n, central_at(adj, jn.array, 1))
+    out = adj.reshape((-1,) + adj.shape[p:])[jn.rows]
+    if not (jn.values == 1).all():
+        out *= jn.values[:, None, None]
+    return FrameTensorField(t.n, out.reshape(adj.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -285,39 +288,28 @@ def star_form(t: FrameTensorField, jn: np.ndarray | None = None) -> FrameTensorF
 
 def check_jn_involutive(b: Braiding, n: int) -> float:
     """Max entry of conj(J^(n)) o J^(n) - identity, never forming J^(n); exactly 0
-    at n = 1, where J^(n) is the identity.
+    at n = 1.  J^(n-1) comes from ``build_jn``; no inverse is taken, so a singular
+    S gives its residual and a NaN in S gives NaN.
 
-    With J = R W and R a real involution, conj(J) J - 1 is R (conj(W) J - R),
-    the same entries in other rows.  Each column block of J comes from
-    ``_word_by_column_block`` on J^(n-1), which ``build_jn`` makes.  The
-    conjugate word then acts on the block one letter at a time, leftmost
-    first, through the generator's two buffers, and R's block is subtracted.
-    The block's max entry is kept and the block dropped, so the peak is
-    J^(n-1) (1/n^2 of J^(n)) plus the two block buffers, at most 4 MiB; the
-    letter passes and their MACs are those of ``build_jn``'s last step and the
-    conjugate word over J.
+    On a plan, ``_plan_step`` takes J^(n-1)'s to J^(n)'s, (rows, values).  Column c
+    of conj(J) J then holds v = conj(values[rows[c]]) values[c] at row rows[rows[c]]
+    and the identity's 1 at row c, so the residual is the max over columns of
+    |v - 1| where rows[rows[c]] = c, else max(|v|, 1): two gathers, no word.
 
-    When S is monomial (``_letter_plan``), J^(n-1)'s plan is read off
-    ``build_jn(b, n - 1)`` by ``_plan_of`` and taken to J^(n)'s, (rows, values),
-    by ``_plan_step``.  Column c of conj(J) J then holds its one entry
-    v = conj(values[rows[c]]) values[c] at row rows[rows[c]], and the identity's 1
-    at row c, so the residual is the max over columns of |v - 1| where
-    rows[rows[c]] = c, else max(|v|, 1): two gathers over J's columns, no word.
-    Both routes take J^(n-1) from ``build_jn``, the size ``cli.MAX_STAR_BYTES``
-    bounds for this check.
-
-    No inverse is taken, so a singular S gives its residual and a NaN in S
-    gives NaN.
+    Otherwise, with J = R W and R a real involution, conj(J) J - 1 is
+    R (conj(W) J - R), the same entries in other rows.  Each column block of J
+    from ``_word_by_column_block`` on J^(n-1) takes the conjugate word, leftmost
+    letter first, through the generator's two buffers, less R's block, and only
+    its max entry is kept: the peak is J^(n-1) (1/n^2 of J^(n)), which
+    ``cli.MAX_STAR_BYTES`` bounds, plus at most 4 MiB of buffers.
     """
     if n == 1:
         return 0.0
-    size = b.n
-    # J^(1) is the identity; build_jn(b, 1) gives the same matrix but is one more
-    # build_jn call per verify for a trace to count
-    prev = np.eye(size, dtype=b.S.dtype) if n == 2 else build_jn(b, n - 1)
-    plan = _letter_plan(b)
+    size, plan = b.n, _letter_plan(b)
+    # J^(1) without build_jn(b, 1), one more call per verify for a trace to count
+    prev = _identity_star(b, plan) if n == 2 else build_jn(b, n - 1)
     if plan is not None:
-        rows, values = _plan_step(plan, size, n, *_plan_of(prev))
+        rows, values = _plan_step(plan, size, n, prev.rows, prev.values)
         back = rows[rows] == np.arange(size ** n)
         return worst([max_entry(np.conj(values[rows]) * values - back),
                       0.0 if back.all() else 1.0])
@@ -325,7 +317,7 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
     conj_letter, letters = np.conj(letter), reverse_word(n).letters
     rows = _reversal_rows(size, n)
     peaks = []
-    for start, stop, block, spare in _word_by_column_block(letter, n, prev):
+    for start, stop, block, spare in _word_by_column_block(letter, n, prev.array):
         for i in letters:
             block, spare = central_at(block, conj_letter, i, out=spare), block
         block = block.reshape(-1, stop - start)
@@ -423,7 +415,7 @@ def check_wedge_star(geom: FrameGeometry, b: Braiding, pairs) -> float:
     """
     p_t = geom.P
     j2 = build_jn(b, 2)
-    lhs = np.einsum('abcd,cdef,efgh->abgh', np.conj(p_t), j2, p_t)
+    lhs = np.einsum('abcd,cdef,efgh->abgh', np.conj(p_t), j2.dense(), p_t)
     rhs = -np.einsum('baef,efgh->abgh', p_t, p_t)
     tensor_res = max_entry(lhs - rhs)
 

@@ -240,7 +240,7 @@ class _Context:
 
     @cached_property
     def J(self) -> np.ndarray:
-        return build_jn(self.braid, 2)
+        return build_jn(self.braid, 2).dense()
 
     @cached_property
     def j2_involution(self) -> float:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from stehbein import braiding
 from stehbein.braiding import (
     SingularBraidingError,
     apply_word,
@@ -121,17 +122,17 @@ def test_braid_random_fails():
 
 
 def test_yang_baxter_flip(su2_braid):
-    assert check_yang_baxter(build_jn(su2_braid, 2)) == 0.0
+    assert check_yang_baxter(build_jn(su2_braid, 2).dense()) == 0.0
 
 
 def test_yang_baxter_phase_twist(pt3_full):
     b, _ = pt3_full
-    assert check_yang_baxter(build_jn(b, 2)) <= 1e-12
+    assert check_yang_baxter(build_jn(b, 2).dense()) <= 1e-12
 
 
 def test_yang_baxter_perturbed_flip():
     # pair-diagonal perturbations keep the equation; an off-diagonal one breaks it
-    j = build_jn(make_braiding(flip_central(3)), 2)
+    j = build_jn(make_braiding(flip_central(3)), 2).dense()
     j[0, 1, 1, 0] += 0.1
     assert check_yang_baxter(j) > 1e-3
 
@@ -146,10 +147,23 @@ def _yang_baxter_oracle(j):
 def test_yang_baxter_matches_the_three_operand_einsum(su2_braid):
     braids = [su2_braid, random_phase_twist(0, 4)[0], random_phase_twist(0, 5)[0]]
     braids += [random_geometry(seed).braid for seed in range(3)]
-    perturbed = build_jn(make_braiding(flip_central(3)), 2)
+    perturbed = build_jn(make_braiding(flip_central(3)), 2).dense()
     perturbed[0, 1, 1, 0] += 0.1
-    for j in [build_jn(b, 2) for b in braids] + [perturbed]:
+    for j in [build_jn(b, 2).dense() for b in braids] + [perturbed]:
         assert abs(check_yang_baxter(j) - _yang_baxter_oracle(j)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_yang_baxter_path_is_the_one_optimize_true_finds(n):
+    rng = np.random.default_rng(n)
+    j = rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4)
+    sides = []
+    for side in braiding.YB_SIDES:
+        assert np.einsum_path(side, j, j, j, optimize=True)[0] == braiding.YB_PATH
+        searched = np.einsum(side, j, j, j, optimize=True)
+        assert np.array_equal(np.einsum(side, j, j, j, optimize=braiding.YB_PATH), searched)
+        sides.append(searched)
+    assert check_yang_baxter(j) == float(np.max(np.abs(sides[0] - sides[1])))
 
 
 # ---------------------------------------------------------------------------

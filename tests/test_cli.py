@@ -1,5 +1,6 @@
 """The command-line front end: exit codes, option bounds and every command."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -12,10 +13,12 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from stehbein import build_jn, cli, curvature, flip_central, make_braiding, su2_flip_geometry
+from stehbein.fixtures import random_geometry
 from stehbein.io import (
     braiding_to_dict,
     decode_complex_array,
     encode_complex_array,
+    geometry_to_dict,
     load_input,
     save_json,
 )
@@ -368,7 +371,7 @@ def test_jn_emits_the_star_tensor(fixture_file, capsys):
     assert cli.main(["jn", path, "-n", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["order"], doc["n"]) == (3, 3)
-    expected = build_jn(make_braiding(load_input(path).S), 3)
+    expected = build_jn(make_braiding(load_input(path).S), 3).dense()
     assert np.array_equal(decode_complex_array(doc["J"], 6, "J"), expected)
 
 
@@ -502,6 +505,23 @@ def test_a_star_tensor_within_the_limit_is_built(kind, argv, frame4_files, monke
     monkeypatch.setattr(cli, "build_jn", _reached)
     with pytest.raises(_Reached):
         cli.main([argv[0], frame4_files[kind == "braiding"], *argv[1:]])
+
+
+def test_a_monomial_s_sizes_only_its_dense_star_tensor(tmp_path, capsys, monkeypatch):
+    # the flip keeps every J^(k) but J^(2) as a plan inside verify, so a J^(7) of 4 GiB
+    # and a J^(8) of 64 GiB no longer stop it; jn still writes J^(order) dense
+    path = tmp_path / "flip4.json"
+    geom = dataclasses.replace(random_geometry(0, n=4), S=flip_central(4))
+    save_json(geometry_to_dict(geom), path)
+    monkeypatch.setattr(cli, "run_verify", _reached)
+    monkeypatch.setattr(cli, "build_jn", _reached)
+    for order in ("6", "7"):
+        with pytest.raises(_Reached):
+            cli.main(["verify", str(path), "--max-order", order])
+    assert cli.main(["jn", str(path), "-n", "7"]) == 2
+    assert capsys.readouterr().err == (
+        "error: jn at --order 7 with frame dimension n=4 would build the star tensor "
+        "J^(7) of 4 GiB, above the 1 GiB limit\n")
 
 
 def test_a_braiding_file_whose_p_is_not_a_projector_exits_2(tmp_path, capsys):

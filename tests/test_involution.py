@@ -55,15 +55,15 @@ def jn_recursive(b: Braiding, form: str) -> np.ndarray:
     n = b.n
     eps = flip_central(n)
     if form == "half2":
-        anti = np.kron(np.eye(n), central_as_matrix(build_jn(b, 2)))
+        anti = np.kron(np.eye(n), central_as_matrix(build_jn(b, 2).dense()))
         linear = [lift_central(eps, 3, 1), lift_central(eps, 3, 2),
                   lift_central(b.S, 3, 2), lift_central(b.S, 3, 1)]
     elif form == "half3":
-        anti = np.kron(np.eye(n), central_as_matrix(build_jn(b, 3)))
+        anti = np.kron(np.eye(n), central_as_matrix(build_jn(b, 3).dense()))
         linear = [lift_central(eps, 4, 1), lift_central(eps, 4, 2), lift_central(eps, 4, 3),
                   lift_central(b.S, 4, 3), lift_central(b.S, 4, 2), lift_central(b.S, 4, 1)]
     elif form == "pair":
-        j2m = central_as_matrix(build_jn(b, 2))
+        j2m = central_as_matrix(build_jn(b, 2).dense())
         anti = np.kron(j2m, j2m)
         linear = [lift_central(eps, 4, 2), lift_central(eps, 4, 3),
                   lift_central(eps, 4, 1), lift_central(eps, 4, 2),
@@ -84,14 +84,14 @@ def _braidings(su2_braid):
 @pytest.mark.parametrize("form", sorted(ORDER))
 def test_build_jn_equals_recursive_decompositions(form, su2_braid):
     for b in _braidings(su2_braid):
-        assert np.max(np.abs(build_jn(b, ORDER[form]) - jn_recursive(b, form))) <= 1e-15
+        assert np.max(np.abs(build_jn(b, ORDER[form]).dense() - jn_recursive(b, form))) <= 1e-15
 
 
 def test_pair_decomposition_needs_the_braid_equation():
     # 'half2' and 'half3' spell the canonical word itself; 'pair' is another
     # word for the same permutation and agrees only under the braid equation
     b = make_braiding(np.random.default_rng(0).normal(size=(3, 3, 3, 3)))
-    assert np.max(np.abs(build_jn(b, 4) - jn_recursive(b, "pair"))) >= 1.0
+    assert np.max(np.abs(build_jn(b, 4).dense() - jn_recursive(b, "pair"))) >= 1.0
     with pytest.raises(ValueError, match="unknown recursive form"):
         jn_recursive(b, "thirds")
 
@@ -143,6 +143,10 @@ def test_star_rejects_a_missing_or_mismatched_tensor(rng, su2_braid):
         star_form(t)
     with pytest.raises(ValueError, match="does not match degree"):
         star_form(t, build_jn(su2_braid, 3))
+    # J^(2) of another frame dimension, on either route
+    for s in (flip_central(2), np.random.default_rng(0).normal(size=(2,) * 4)):
+        with pytest.raises(ValueError, match=r"J\^\(2\), n=2, does not match degree 2, n=3"):
+            star_form(t, build_jn(make_braiding(s), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from stehbein.frametensor import (
     _lambda_commutator,
     _omega_at_slot,
     _omega_matrix,
+    adjoint,
     apply_central_at,
     basis_field,
     central_at,
@@ -91,7 +92,7 @@ def ref_jn_involutive_through_j(b, k):
     """max|conj(J) J - 1| by the route that forms J^(k) = ``build_jn(b, k)``: the
     conjugate letter word over J's column blocks, R's block subtracted."""
     n, size = b.n, b.n ** k
-    columns = build_jn(b, k).reshape((n,) * k + (size,))
+    columns = build_jn(b, k).dense().reshape((n,) * k + (size,))
     rows = np.arange(size).reshape((n,) * k).transpose().ravel()
     letter = np.conj(np.ascontiguousarray(np.einsum('abcd->cdab', b.S)))
     peaks = []
@@ -122,7 +123,7 @@ def ref_plan_jn_involutive(b, k):
     holds each column's entry v and a -1 on R's row, so the residual is |v - 1| where
     v lands on R's row, else max(|v|, 1)."""
     n = b.n
-    prev = np.eye(n, dtype=b.S.dtype) if k == 2 else build_jn(b, k - 1)
+    prev = np.eye(n, dtype=b.S.dtype) if k == 2 else build_jn(b, k - 1).dense()
     rows, values = involution._plan_step(involution._letter_plan(b), n, k, *ref_plan_of(prev))
     source, coefficients = involution._letter_plan(b)
     for i in reverse_word(k).letters:
@@ -548,7 +549,7 @@ def test_central_at_matches_tensordot_on_f_omega_and_star_shapes(name, rank, req
     arrays = {  # label -> (array, number of leading frame axes)
         "F": (rng.normal(size=(n,) * 3) + 1j * rng.normal(size=(n,) * 3), 3),
         "omega": (conn.omega, 3),
-        "j3": (build_jn(braid, 3), 6),
+        "j3": (build_jn(braid, 3).dense(), 6),
     }
     for label, (a, frame_axes) in arrays.items():
         for pos in range(1, frame_axes - k + 2):
@@ -688,7 +689,7 @@ def test_build_jn_and_jn_involutive_match_their_dense_oracles(k):
     for label, b in _star_braidings():
         if b.n ** (2 * k) > 4 ** 8:
             continue
-        jn, ref = build_jn(b, k), ref_build_jn(b, k)
+        jn, ref = build_jn(b, k).dense(), ref_build_jn(b, k)
         got, want = check_jn_involutive(b, k), ref_jn_involutive(b, k)
         if label == "flip":
             assert np.array_equal(jn, ref) and got == want == 0.0, k
@@ -699,7 +700,7 @@ def test_build_jn_and_jn_involutive_match_their_dense_oracles(k):
 
 def test_jn_involutive_matches_its_dense_oracle_at_order_6():
     b = random_phase_twist(0, 3)[0]
-    assert np.max(np.abs(build_jn(b, 6) - ref_build_jn(b, 6))) <= TOL
+    assert np.max(np.abs(build_jn(b, 6).dense() - ref_build_jn(b, 6))) <= TOL
     assert abs(check_jn_involutive(b, 6) - ref_jn_involutive(b, 6)) <= TOL
 
 
@@ -728,7 +729,7 @@ def test_build_jn_and_jn_involutive_match_their_dense_oracles_in_column_blocks(k
         monkeypatch.setattr(involution, "BLOCK_ENTRIES", width * size)
         blocks = involution._column_blocks(size)
         assert len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < width, (label, k)
-        jn, ref = build_jn(b, k), ref_build_jn(b, k)
+        jn, ref = build_jn(b, k).dense(), ref_build_jn(b, k)
         got, want = check_jn_involutive(b, k), ref_jn_involutive(b, k)
         # both routes build J^(k-1) by the same steps, then run the same last step; on
         # the plan route a complex phase rounds as numpy's multiply, not as the matmul's
@@ -788,9 +789,8 @@ def test_jn_involutive_forms_no_full_size_star_tensor():
         peak = _peak_bytes(check_jn_involutive, b, 5)
         assert peak <= 0.6 * 16 * 4 ** 10, route
         if route == "plan":
-            # J^(4) (1 MiB), the bool mask of its nonzero entries and argmax's copy of
-            # it (1/16 of J^(4) each) and the plans, but no real copy of J^(4), which
-            # adds half of it
+            # the plans of J^(4) and J^(5), 4^5 entries each; J^(4) itself (1 MiB), which
+            # the route formed until it kept J^(4) as its plan, still fits the bound
             assert peak <= 1.25 * 16 * 4 ** 8, peak
 
 
@@ -853,7 +853,7 @@ def test_the_plan_route_gives_the_dense_bits_on_signed_permutations():
         b = Braiding(s.shape[0], s)
         assert involution._letter_plan(b) is not None, label
         for k in _orders_against_the_oracles(b.n):
-            assert np.array_equal(build_jn(b, k), ref_build_jn(b, k)), (label, k)
+            assert np.array_equal(build_jn(b, k).dense(), ref_build_jn(b, k)), (label, k)
             got = check_jn_involutive(b, k)
             assert got == ref_jn_involutive(b, k) == ref_jn_involutive_through_j(b, k), (label, k)
 
@@ -863,7 +863,7 @@ def test_the_plan_route_matches_the_dense_oracles_on_complex_phases(n):
     b = random_phase_twist(0, n)[0]
     assert _rounds_as_numpy(b)
     for k in _orders_against_the_oracles(n):
-        assert np.max(np.abs(build_jn(b, k) - ref_build_jn(b, k))) <= TOL, k
+        assert np.max(np.abs(build_jn(b, k).dense() - ref_build_jn(b, k))) <= TOL, k
         got = check_jn_involutive(b, k)
         assert abs(got - ref_jn_involutive(b, k)) <= TOL, k
         assert abs(got - ref_jn_involutive_through_j(b, k)) <= TOL, k
@@ -877,22 +877,78 @@ def _plan_braidings():
         yield f"phase-twist-{seed}", random_phase_twist(seed, 3)[0].S
 
 
-def test_plan_of_reads_the_nonzero_scans_plan():
-    for label, s in _plan_braidings():
-        b = Braiding(3, s)
-        for k in range(2, 7):
-            got, want = involution._plan_of(build_jn(b, k)), ref_plan_of(build_jn(b, k))
-            assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype, label
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (label, k)
+def _star_object_braidings():
+    """(label, braiding) of the plan route: signed permutations and complex phases."""
+    for label, s in _signed_permutations():
+        yield label, Braiding(s.shape[0], s)
+    for seed, n in ((0, 2), (0, 3), (1, 3), (2, 4)):
+        yield f"phase-twist-{seed}-n{n}", random_phase_twist(seed, n)[0]
 
 
-def test_plan_of_reads_an_underflowed_star_tensor_as_zeros_at_row_0():
-    b = Braiding(3, 1e-200 * flip_central(3))
-    for k in (3, 4, 5):
-        jn = build_jn(b, k)
-        assert not jn.any(), k
-        for rows, values in (involution._plan_of(jn), ref_plan_of(jn)):
-            assert not rows.any() and not values.any() and len(rows) == 3 ** k, k
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_the_star_objects_dense_array_is_the_dense_oracle(k):
+    for label, b in _star_object_braidings():
+        if b.n ** (2 * k) > PLAN_ORACLE_ENTRIES:
+            continue
+        star = build_jn(b, k)
+        assert star.array is None and (star.n, star.order) == (b.n, k), label
+        got = star.dense()
+        want = np.eye(b.n) if k == 1 else ref_build_jn(b, k)
+        assert got.shape == want.shape == (b.n,) * (2 * k), (label, k)
+        if _rounds_as_numpy(b):
+            assert np.max(np.abs(got - want)) <= TOL, (label, k)
+        else:
+            assert np.array_equal(got, want), (label, k)
+
+
+def test_the_dense_route_keeps_its_array_and_no_plan():
+    b = make_braiding(random_geometry(0).S)
+    for k in (1, 2, 3):
+        star = build_jn(b, k)
+        assert star.rows is None and star.values is None, k
+        assert star.dense() is star.array and np.max(np.abs(star.array - (
+            np.eye(3) if k == 1 else ref_build_jn(b, k)))) <= TOL, k
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_star_form_by_plan_equals_the_dense_contraction(degree):
+    # the same star tensor read by its plan and by the contraction with its dense array;
+    # 1e-200 flip: J^(k) underflows to zero from k = 3, and both stars read zeros
+    cases = [*_star_object_braidings(), ("1e-200 flip", Braiding(3, 1e-200 * flip_central(3)))]
+    rng = np.random.default_rng(degree)
+    for label, b in cases:
+        star = build_jn(b, degree)
+        dense = involution.StarTensor(b.n, degree, array=star.dense())
+        for _ in range(3):
+            t = _random_field(rng, b.n, 2, degree)
+            got, want = star_form(t, star).coeffs, star_form(t, dense).coeffs
+            assert np.array_equal(want, central_at(adjoint(t.coeffs), star.dense(), 1))
+            if _rounds_as_numpy(b):
+                assert np.max(np.abs(got - want)) <= TOL, (label, degree)
+            else:
+                assert np.array_equal(got, want), (label, degree)
+
+
+@pytest.mark.parametrize("fixture, n, max_order", [
+    ("su2-torsion-free", 3, 4),
+    ("phase-twist", 4, 5),
+])
+def test_verify_on_a_monomial_s_forms_no_dense_star_above_order_2(fixture, n, max_order,
+                                                                   monkeypatch):
+    # yang-baxter's J2 and wedge-star's tensor route are the only dense consumers; the
+    # jn, dn-reality and d2-reality rows and the field route read plans
+    orders = []
+    real = involution.StarTensor.dense
+
+    def recorded(star):
+        orders.append(star.order)
+        return real(star)
+
+    monkeypatch.setattr(involution.StarTensor, "dense", recorded)
+    _, loaded = build_fixture(fixture, n=n) if fixture == "phase-twist" else build_fixture(fixture)
+    report = run_verify(loaded, max_order=max_order)
+    assert report.counts["fail"] == 0
+    assert set(orders) == {2}, orders
 
 
 def test_the_gather_residual_equals_the_conjugate_word_on_the_plan():
@@ -945,7 +1001,7 @@ def test_an_s_that_is_not_monomial_never_reaches_the_plan_step(monkeypatch):
     for label, b in _not_monomial_braidings():
         assert involution._letter_plan(b) is None, label
         for k in (2, 3, 4):
-            assert build_jn(b, k).shape == (3,) * (2 * k), (label, k)
+            assert build_jn(b, k).dense().shape == (3,) * (2 * k), (label, k)
             check_jn_involutive(b, k)
 
 

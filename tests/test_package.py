@@ -180,8 +180,9 @@ def test_one_kernel_runs_the_first_order_operator():
 
 def test_only_the_field_entry_points_take_the_gather_route():
     # frametensor._central_on_field gathers by a plan of the tensor's values; the star
-    # tensor's letter blocks, star_form, word_tensor and every P contraction stay on
-    # central_at.  The one other reader of the plan is the star tensor's route choice
+    # tensor's letter blocks, word_tensor and every P contraction stay on central_at, and
+    # star_form reads J^(p)'s own plan.  The one other reader of S's plan is the star
+    # tensor's route choice
     assert _callers("_central_on_field") == [("connection.py", "d2"),
                                              ("frametensor.py", "apply_central_at")]
     assert _callers("_monomial_plan") == [("frametensor.py", "_central_on_field"),

@@ -214,7 +214,7 @@ def _coefficient_reality(conn, braid):
     """max_a |(ω^a_{bc})* − ω^a_{de} (J^{de}_{bc})*|, the coefficient form of Dξ* = (Dξ)*."""
     om = conn.omega
     diff = (np.conj(om).swapaxes(-1, -2)
-            - np.einsum('adeij,debc->abcij', om, np.conj(build_jn(braid, 2))))
+            - np.einsum('adeij,debc->abcij', om, np.conj(build_jn(braid, 2).dense())))
     return float(np.max(np.linalg.norm(diff, axis=(-2, -1))))
 
 
