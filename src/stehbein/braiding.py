@@ -1,17 +1,21 @@
 """The generalized permutation sigma: construction and braid checks.
 
 Words of adjacent operators follow the convention fixed in ``frametensor``:
-a word is a sequence of positions, the rightmost letter acting first.
+a word is a sequence of positions, the rightmost letter acting first.  When mat(S)
+is monomial (``_letter_plan``), so is a word's matrix, and ``_word_on_plan`` composes
+it as a plan: each column's one row and value.  With J^{ab}_{cd} = S^{ba}_{cd} the
+Yang-Baxter residual of J is the braid residual of S, so the yang-baxter row is the
+braid identity relabeled (``check_yang_baxter``), not independent evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .frametensor import (FrameTensorField, _as_complex, _read_only, apply_central_at,
-                          central_as_matrix, max_entry, word_tensor)
+from .frametensor import (FrameTensorField, _as_complex, _monomial_plan, _read_only,
+                          apply_central_at, central_as_matrix, max_entry, word_tensor)
 
 
 class SingularBraidingError(ValueError):
@@ -29,6 +33,7 @@ class Braiding:
 
     n: int
     S: np.ndarray
+    _star_plans: list = field(default_factory=list, init=False, repr=False)  # involution's J^(k)
 
     def __post_init__(self):
         object.__setattr__(self, "S", _read_only(self.S, "S", (self.n,) * 4))
@@ -66,27 +71,42 @@ def apply_word(t: FrameTensorField, b: Braiding, letters) -> FrameTensorField:
     return t
 
 
+def _letter_plan(b: Braiding) -> tuple | None:
+    """S's ``_monomial_plan``: (source, coefficients), mat(S)[source[y], y] = coefficients[y]."""
+    return _monomial_plan(b.S.dtype, b.S.shape, b.S.tobytes())
+
+
+def _word_on_plan(letter, n: int, strands: int, letters, rows: np.ndarray, values: np.ndarray):
+    """The plan of W M, W the word ``letters`` in S's plan ``letter`` and M[rows[c], c] =
+    values[c].  Letter i, in the order written, multiplies from the left by mat(S) on
+    strands (i, i+1), as ``word_tensor`` composes: a column's entry moves its row's pair y
+    to source[y] and takes one multiply by coefficient[y] (none when all are 1)."""
+    source, coefficients = letter
+    for i in letters:
+        weight = n ** (strands - i - 1)
+        pair = rows // weight % (n * n)
+        rows = rows + (source[pair] - pair) * weight
+        if coefficients is not None:
+            values = values * coefficients[pair, 0]
+    return rows, values
+
+
 def check_braid(b: Braiding) -> float:
-    """Max-entry difference of sigma_12 sigma_23 sigma_12 and sigma_23 sigma_12 sigma_23."""
-    lhs = word_tensor(b.S, 3, [1, 2, 1])
-    rhs = word_tensor(b.S, 3, [2, 1, 2])
-    return max_entry(lhs - rhs)
-
-
-# the equation's two sides and the path optimize=True finds for both at every n
-YB_SIDES = ('abpq,pcdr,qref->abcdef', 'bcpq,aqrf,rpde->abcdef')
-YB_PATH = ["einsum_path", (0, 1), (0, 1)]
+    """Max-entry difference of sigma_12 sigma_23 sigma_12 and sigma_23 sigma_12 sigma_23:
+    by ``word_tensor``, or on a monomial S as plans from the identity's, where a column
+    holds v1 - v2 if its two rows agree, else v1 and -v2.  With coefficients of 1 and -1
+    the plans give ``word_tensor``'s bits; a complex phase rounds as numpy's multiply."""
+    plan, words = _letter_plan(b), ((1, 2, 1), (2, 1, 2))
+    if plan is None:
+        lhs, rhs = (word_tensor(b.S, 3, word) for word in words)
+        return max_entry(lhs - rhs)
+    identity = np.arange(b.n ** 3), np.ones(b.n ** 3, dtype=b.S.dtype)
+    (r1, v1), (r2, v2) = (_word_on_plan(plan, b.n, 3, word, *identity) for word in words)
+    return max_entry(np.where(r1 == r2, abs(v1 - v2), np.maximum(abs(v1), abs(v2))))
 
 
 def check_yang_baxter(j: np.ndarray) -> float:
-    """Max-entry difference of the two triple compositions of a rank-4 tensor:
-
-    J^{ab}_{pq} J^{pc}_{dr} J^{qr}_{ef}  vs  J^{bc}_{pq} J^{aq}_{rf} J^{rp}_{de}.
-
-    Each side is contracted pairwise along ``YB_PATH``, with no path search per
-    call: two BLAS products of n^7 and n^8 multiply-adds, where a three-operand
-    einsum is one nested loop of n^9 triple products.
-    """
-    j = _as_complex(j)
-    lhs, rhs = (np.einsum(side, j, j, j, optimize=YB_PATH) for side in YB_SIDES)
-    return max_entry(lhs - rhs)
+    """Max-entry difference of J^{ab}_{pq} J^{pc}_{dr} J^{qr}_{ef} and J^{bc}_{pq} J^{aq}_{rf}
+    J^{rp}_{de}: minus the braid difference of S^{ab}_{cd} = J^{ba}_{cd} with its upper
+    indices a and c swapped, so ``check_braid`` of that S."""
+    return check_braid(make_braiding(np.swapaxes(j, 0, 1)))

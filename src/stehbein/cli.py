@@ -26,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .frametensor import COMPLEX, max_coeff_norm
+from .braiding import _letter_plan
 from .calculus import FrameGeometry
 from .connection import MAX_DEGREE, curvature
-from .involution import _letter_plan, build_jn
+from .involution import build_jn
 from .fixtures import FIXTURE_NAMES, PARAMETRIC_FIXTURES, build_fixture
 from .io import (
     GeometryFileError,

@@ -18,9 +18,11 @@ Conventions fixed here and used identically everywhere else:
   when mat(M) is monomial (one nonzero per row and column, as for the flip and the
   phase twists), one gather by a plan that ``_monomial_plan`` keeps by M's values, and
   one multiply unless every coefficient is 1; any other M goes to ``central_at``.  The
-  same plan of S picks the star tensor's route in ``involution``: J^(k) as a plan, which
-  ``star_form`` reads by a gather, when S is monomial, else letter blocks on
-  ``central_at``.  ``word_tensor`` and every P contraction of an array stay on it.
+  same plan of S (``braiding._letter_plan``) composes both braid words, which yang-baxter
+  reads relabeled, and picks the star tensor's route in ``involution``: J^(k) as a plan,
+  which ``star_form`` reads by a gather, when S is monomial, else letter blocks on
+  ``central_at``.  ``word_tensor``, the braid words for any other S, and every P
+  contraction of an array stay on it.
 * An algebra-valued tensor T^z_{xy} of shape (n, n, n, N, N), such as a
   connection's omega or the Maurer-Cartan C, acts on a field by
   ``new[.., x, y, ..] = sum_z old[.., z, ..] T^z_{xy}``: slot i of the field
@@ -70,11 +72,11 @@ def _as_complex(x) -> np.ndarray:
     return np.asarray(x, dtype=COMPLEX)
 
 
-def _read_only(x, name: str, shape: tuple) -> np.ndarray:
-    """A read-only ``COMPLEX`` copy of ``x`` of the given shape: the one rule for every
-    array a record keeps.  ``FrameTensorField`` keeps a ``COMPLEX`` grid as given:
+def _read_only(x, name: str, shape: tuple, dtype=COMPLEX) -> np.ndarray:
+    """A read-only copy of ``x`` of the given shape, ``COMPLEX`` by default: the one rule
+    for every array a record keeps.  ``FrameTensorField`` keeps a ``COMPLEX`` grid as given:
     ``calculus._first_order`` writes into its array before wrapping it (by ``_unchecked_field``)."""
-    a = np.array(x, dtype=COMPLEX)
+    a = np.array(x, dtype=dtype)
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
     a.flags.writeable = False
@@ -211,7 +213,7 @@ def _omega_at_slot(coeffs: np.ndarray, w: np.ndarray, *slots: int) -> list[np.nd
 def _monomial_plan(dtype: np.dtype, shape: tuple, data: bytes) -> tuple | None:
     """(source, coefficients) of the central tensor with these values when its matrix
     form is monomial, else None; ``_central_on_field`` gathers by it, and
-    ``involution._letter_plan`` reads S's to build and check the star tensor by plans.
+    ``braiding._letter_plan`` reads S's for the braid words and the star tensor's plans.
 
     Monomial means finite with exactly one nonzero entry in each row and each column:
     ``source[c]`` is the row of column c's entry and ``coefficients[c]`` its value,

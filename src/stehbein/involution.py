@@ -18,10 +18,10 @@ W_k = (W_(k-1) x 1) o sigma_(k-1) ... sigma_1, and returns a ``StarTensor``
 on one of two routes, chosen once per call by S's values.
 
 When mat(S) is monomial (one nonzero per row and column, as for the flip and
-the sign and phase twists; ``frametensor._monomial_plan`` decides), so is every
+the sign and phase twists; ``braiding._letter_plan`` reads it), so is every
 J^(k), and the star tensor is its plan: the row of each column's one entry and
-its value, which ``_plan_step`` steps from J^(k-1)'s by index arithmetic and one
-multiply per letter and column, O(k n^k).  ``star_form`` and
+its value, which ``_plan_step`` steps from J^(k-1)'s by ``braiding._word_on_plan``
+in O(k n^k), once per braiding: it keeps them, read-only.  ``star_form`` and
 ``check_jn_involutive`` read plans by gathers; only ``StarTensor.dense``
 scatters one into a zero J^(k).  For coefficients of 1 and -1 each product is
 exact, so J, the star and the residual keep the dense route's bits; a complex
@@ -48,13 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import FrameGeometry, differential0
-from .braiding import Braiding, SingularBraidingError
+from .braiding import Braiding, SingularBraidingError, _letter_plan, _word_on_plan
 from .connection import Connection, _intertwining_residual, dn
 from .frametensor import (
     INVERSE_COND_LIMIT,
     FrameTensorField,
     _as_complex,
-    _monomial_plan,
+    _read_only,
     adjoint,
     apply_central_at,
     central_as_matrix,
@@ -161,12 +161,6 @@ def _word_by_column_block(letter: np.ndarray, k: int, prev: np.ndarray):
         yield start, stop, dst, src
 
 
-def _letter_plan(b: Braiding) -> tuple | None:
-    """S's ``_monomial_plan``, (source, coefficients) or None: the route of the star
-    tensor, its plan when not None, else ``_word_by_column_block`` (module docstring)."""
-    return _monomial_plan(b.S.dtype, b.S.shape, b.S.tobytes())
-
-
 def _plan_step(letter, n: int, k: int, rows: np.ndarray, values: np.ndarray):
     """J^(k)'s plan from J^(k-1)'s, (rows, values) with J^(k-1)[rows[c], c] = values[c]
     its only nonzero entries: step k of ``build_jn``'s recursion when S is monomial.
@@ -174,24 +168,13 @@ def _plan_step(letter, n: int, k: int, rows: np.ndarray, values: np.ndarray):
 
     The twin of ``_word_by_column_block``: W_(k-1) = R J^(k-1) moves column B's entry
     to row R(rows[B]) on k-1 strands; column (B, b) of W_(k-1) x 1 holds it at row
-    (R(rows[B]), b).  Letters k-1, ..., 1 then multiply every column from the left by
-    mat(S) on strands (i, i+1), as ``central_at`` by ``_letter_tensor(S)`` does:
-    mat(S) sends e_y, y the pair's digits, to coefficient[y] e_source[y], so a column's
-    entry changes its row's pair and takes one complex multiply, skipped when every
-    coefficient is 1.  R on k strands moves it last.  Integer index arithmetic and one
-    multiply per letter, O(k n^k).
+    (R(rows[B]), b).  The letters k-1, ..., 1 follow by ``_word_on_plan``, as
+    ``central_at`` by ``_letter_tensor(S)``, and R on k strands moves it last.
     """
-    source, coefficients = letter
     reversal = _reversal_rows(n, k)
     # R's row order on k-1 strands is every n-th row of R's on k, as in the dense step
     rows = (reversal[::n][rows, None] * n + np.arange(n)).ravel()
-    values = np.repeat(values, n)
-    for i in range(k - 1, 0, -1):
-        weight = n ** (k - i - 1)
-        pair = rows // weight % (n * n)
-        rows = rows + (source[pair] - pair) * weight
-        if coefficients is not None:
-            values = values * coefficients[pair, 0]
+    rows, values = _word_on_plan(letter, n, k, range(k - 1, 0, -1), rows, np.repeat(values, n))
     return reversal[rows], values
 
 
@@ -217,20 +200,25 @@ class StarTensor:
         return jn.reshape((self.n,) * (2 * self.order))
 
 
-def _identity_star(b: Braiding, plan) -> StarTensor:
-    """J^(1), the identity, on the route of S's plan ``plan`` (``_letter_plan``)."""
-    if plan is None:
-        return StarTensor(b.n, 1, array=np.eye(b.n, dtype=b.S.dtype))
-    return StarTensor(b.n, 1, np.arange(b.n), np.ones(b.n, dtype=b.S.dtype))
+def _planned_star(b: Braiding, plan, k: int) -> StarTensor:
+    """J^(k)'s plan, S's plan ``plan`` not None, from those ``b`` keeps, J^(1), J^(2), ...:
+    ``_plan_step`` extends them to k once per braiding, as read-only copies."""
+    chain = b._star_plans
+    while len(chain) < k:
+        rows, values = (_plan_step(plan, b.n, len(chain) + 1, chain[-1].rows, chain[-1].values)
+                        if chain else (np.arange(b.n), np.ones(b.n, dtype=b.S.dtype)))
+        chain.append(StarTensor(b.n, len(chain) + 1, *(
+            _read_only(a, "plan", a.shape, a.dtype) for a in (rows, values))))
+    return chain[k - 1]
 
 
 def build_jn(b: Braiding, n: int) -> StarTensor:
     """The star tensor J^(n) = R W_n, W_n the braiding word for the inverse-order
     permutation, by the recursion of ``reverse_word`` from J^(1), the identity.
 
-    When S is monomial (``_letter_plan``) each step m = 2, ..., n is ``_plan_step``
-    on J^(m-1)'s plan, and J^(n) is returned as its plan.  Otherwise each step is
-    ``_word_by_column_block`` on J^(m-1): one Kronecker lift of W_(m-1), then m-1
+    When S is monomial (``_letter_plan``) each step m = 2, ..., n is ``_plan_step`` on
+    J^(m-1)'s plan, once per braiding, and J^(n) is returned as its plan.  Otherwise each
+    step is ``_word_by_column_block`` on J^(m-1): one Kronecker lift of W_(m-1), then m-1
     letter passes by ``central_at``, letter m-1 first, with the upper index block
     reversed (R, the action of l_m on basis monomials).  Its blocks are written
     into J^(m), so a step holds J^(m-1) and J^(m) plus the generator's buffers.
@@ -239,12 +227,9 @@ def build_jn(b: Braiding, n: int) -> StarTensor:
     if n < 1:
         raise ValueError("order must be >= 1")
     size, plan = b.n, _letter_plan(b)
-    jn = _identity_star(b, plan)
     if plan is not None:
-        for m in range(2, n + 1):
-            jn = StarTensor(size, m, *_plan_step(plan, size, m, jn.rows, jn.values))
-        return jn
-    letter, jn = _letter_tensor(b.S), jn.array
+        return _planned_star(b, plan, n)
+    letter, jn = _letter_tensor(b.S), np.eye(size, dtype=b.S.dtype)
     for m in range(2, n + 1):
         prev, jn = jn, np.empty((size ** m, size ** m), dtype=b.S.dtype)
         for start, stop, block, spare in _word_by_column_block(letter, m, prev):
@@ -291,10 +276,10 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
     at n = 1.  J^(n-1) comes from ``build_jn``; no inverse is taken, so a singular
     S gives its residual and a NaN in S gives NaN.
 
-    On a plan, ``_plan_step`` takes J^(n-1)'s to J^(n)'s, (rows, values).  Column c
-    of conj(J) J then holds v = conj(values[rows[c]]) values[c] at row rows[rows[c]]
-    and the identity's 1 at row c, so the residual is the max over columns of
-    |v - 1| where rows[rows[c]] = c, else max(|v|, 1): two gathers, no word.
+    On a plan, (rows, values) = J^(n)'s (``_planned_star``), column c of conj(J) J
+    holds v = conj(values[rows[c]]) values[c] at row rows[rows[c]] and the identity's
+    1 at row c, so the residual is the max over columns of |v - 1| where
+    rows[rows[c]] = c, else max(|v|, 1): two gathers, no word.
 
     Otherwise, with J = R W and R a real involution, conj(J) J - 1 is
     R (conj(W) J - R), the same entries in other rows.  Each column block of J
@@ -306,18 +291,19 @@ def check_jn_involutive(b: Braiding, n: int) -> float:
     if n == 1:
         return 0.0
     size, plan = b.n, _letter_plan(b)
-    # J^(1) without build_jn(b, 1), one more call per verify for a trace to count
-    prev = _identity_star(b, plan) if n == 2 else build_jn(b, n - 1)
+    # J^(1) without build_jn(b, 1), one more call per verify for a trace to count; on a
+    # plan, build_jn leaves J^(n-1) kept on b, and J^(n) is read from there
+    prev = np.eye(size, dtype=b.S.dtype) if n == 2 else build_jn(b, n - 1).array
     if plan is not None:
-        rows, values = _plan_step(plan, size, n, prev.rows, prev.values)
-        back = rows[rows] == np.arange(size ** n)
-        return worst([max_entry(np.conj(values[rows]) * values - back),
+        jn = _planned_star(b, plan, n)
+        back = jn.rows[jn.rows] == np.arange(size ** n)
+        return worst([max_entry(np.conj(jn.values[jn.rows]) * jn.values - back),
                       0.0 if back.all() else 1.0])
     letter = _letter_tensor(b.S)
     conj_letter, letters = np.conj(letter), reverse_word(n).letters
     rows = _reversal_rows(size, n)
     peaks = []
-    for start, stop, block, spare in _word_by_column_block(letter, n, prev.array):
+    for start, stop, block, spare in _word_by_column_block(letter, n, prev):
         for i in letters:
             block, spare = central_at(block, conj_letter, i, out=spare), block
         block = block.reshape(-1, stop - start)

@@ -23,6 +23,7 @@ from stehbein.frametensor import (
 )
 from stehbein.fixtures import random_geometry, random_phase_twist
 from stehbein.involution import build_jn, check_fifa
+from stehbein.report import run_verify
 
 from conftest import random_tau
 
@@ -153,17 +154,225 @@ def test_yang_baxter_matches_the_three_operand_einsum(su2_braid):
         assert abs(check_yang_baxter(j) - _yang_baxter_oracle(j)) <= 1e-14
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_yang_baxter_path_is_the_one_optimize_true_finds(n):
+# ---------------------------------------------------------------------------
+# yang-baxter is the braid residual relabeled: with S^{ab}_{cd} = J^{ba}_{cd},
+# yb[a,b,c,d,e,f] = -br[c,b,a,d,e,f]
+
+
+def _braid_difference(s):
+    """sigma_12 sigma_23 sigma_12 - sigma_23 sigma_12 sigma_23 by ``word_tensor``, upper first."""
+    return word_tensor(s, 3, [1, 2, 1]) - word_tensor(s, 3, [2, 1, 2])
+
+
+def test_yang_baxter_is_the_braid_difference_relabeled_symbolically():
+    sympy = pytest.importorskip("sympy")
+    n = 2
+    s = sympy.Array(sympy.symbols(f"s0:{n ** 4}")).reshape(n, n, n, n)
+    mat = sympy.Matrix(n * n, n * n, lambda r, c: s[r // n, r % n, c // n, c % n])
+    s1, s2 = (sympy.kronecker_product(*pair) for pair in ((mat, sympy.eye(n)), (sympy.eye(n), mat)))
+    br = s1 * s2 * s1 - s2 * s1 * s2
+    # the lifts compose as word_tensor does: equal at a numeric S
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=n ** 4) + 1j * rng.normal(size=n ** 4)
+    numeric = np.array(br.subs(dict(zip(s.reshape(n ** 4).tolist(), values))), dtype=complex)
+    assert np.max(np.abs(numeric - central_as_matrix(_braid_difference(values.reshape(s.shape))))) <= 1e-12
+
+    def j(a, b, c, d):
+        return s[b, a, c, d]
+
+    sums = list(itertools.product(range(n), repeat=3))
+    for a, b, c, d, e, f in itertools.product(range(n), repeat=6):
+        lhs = sum(j(a, b, p, q) * j(p, c, d, r) * j(q, r, e, f) for p, q, r in sums)
+        rhs = sum(j(b, c, p, q) * j(a, q, r, f) * j(r, p, d, e) for p, q, r in sums)
+        assert sympy.expand(lhs - rhs + br[(c * n + b) * n + a, (d * n + e) * n + f]) == 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_yang_baxter_is_the_braid_difference_relabeled_numerically(n):
     rng = np.random.default_rng(n)
-    j = rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4)
-    sides = []
-    for side in braiding.YB_SIDES:
-        assert np.einsum_path(side, j, j, j, optimize=True)[0] == braiding.YB_PATH
-        searched = np.einsum(side, j, j, j, optimize=True)
-        assert np.array_equal(np.einsum(side, j, j, j, optimize=braiding.YB_PATH), searched)
-        sides.append(searched)
-    assert check_yang_baxter(j) == float(np.max(np.abs(sides[0] - sides[1])))
+    for _ in range(3):
+        j = rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4)
+        yb = (np.einsum('abpq,pcdr,qref->abcdef', j, j, j)
+              - np.einsum('bcpq,aqrf,rpde->abcdef', j, j, j))
+        br = _braid_difference(np.swapaxes(j, 0, 1))
+        assert np.max(np.abs(yb + br.transpose(2, 1, 0, 3, 4, 5))) <= 1e-12 * np.max(np.abs(yb))
+
+
+def test_yang_baxter_is_check_braid_of_the_relabeled_tensor():
+    rng = np.random.default_rng(11)
+    tensors = [build_jn(b, 2).dense() for b in _monomial_braidings()]
+    tensors += [rng.normal(size=(n,) * 4) + 1j * rng.normal(size=(n,) * 4) for n in (2, 3, 4)]
+    tensors += [random_geometry(seed).S for seed in range(3)]
+    for j in tensors:
+        assert check_yang_baxter(j) == check_braid(make_braiding(np.swapaxes(j, 0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the braid words on S's plan, taken when mat(S) is monomial
+
+
+def _dense_braid(s):
+    """The residual of ``check_braid``'s dense route, both words by ``word_tensor``."""
+    return float(np.max(np.abs(_braid_difference(s))))
+
+
+def _permuted(n, seed, coefficients):
+    """mat(S) a random permutation of the n^2 pair indices times ``coefficients(rng, n^2)``."""
+    rng = np.random.default_rng(seed)
+    mat = np.zeros((n * n,) * 2, dtype=complex)
+    mat[rng.permutation(n * n), np.arange(n * n)] = coefficients(rng, n * n)
+    return mat.reshape((n,) * 4)
+
+
+def _signs(rng, size):
+    return rng.choice([1.0, -1.0], size=size)
+
+
+def _phases(rng, size):
+    return np.exp(2j * np.pi * rng.random(size))
+
+
+def _signed_braidings():
+    """(label, S) whose mat(S) has one entry of 1 or -1 per row and column."""
+    for n in (2, 3, 4):
+        yield f"flip-n{n}", flip_central(n)
+        yield f"-flip-n{n}", -flip_central(n)
+        for seed in range(3):
+            yield f"signed-permutation-{seed}-n{n}", _permuted(n, seed, _signs)
+
+
+def _phase_braidings():
+    """(label, S) of complex coefficients: phase twists, which braid, and permutations of
+    the pair indices times phases, which do not."""
+    for n in (2, 3, 4, 5):
+        yield f"phase-twist-n{n}", random_phase_twist(0, n)[0].S
+        yield f"phased-permutation-n{n}", _permuted(n, n, _phases)
+
+
+def _monomial_braidings():
+    for _, s in [*_signed_braidings(), *_phase_braidings()]:
+        yield make_braiding(s)
+
+
+def _on_plan(s, strands, letters):
+    """``_word_on_plan`` of the word from the identity, scattered into a dense tensor."""
+    size = s.shape[0] ** strands
+    rows, values = braiding._word_on_plan(braiding._letter_plan(make_braiding(s)), s.shape[0],
+                                          strands, letters, np.arange(size), np.ones(size, complex))
+    out = np.zeros((size, size), dtype=complex)
+    out[rows, np.arange(size)] = values
+    return out.reshape((s.shape[0],) * (2 * strands))
+
+
+# words that are not palindromes, so their letters' order matters, and both braid words
+PLAN_WORDS = {2: [(1,)], 3: [(1, 2), (2, 1), (1, 2, 1), (2, 1, 2)], 4: [(3, 1, 2), (1, 2, 3, 1)]}
+
+
+def test_the_plan_of_a_word_is_word_tensor():
+    for label, s in [*_signed_braidings(), *_phase_braidings()]:
+        exact = np.isin(s, (0, 1, -1)).all()
+        for strands, words in PLAN_WORDS.items():
+            if s.shape[0] ** (2 * strands) > 3 ** 8:
+                continue
+            for word in words:
+                got, want = _on_plan(s, strands, word), word_tensor(s, strands, word)
+                if exact:
+                    assert np.array_equal(got, want), (label, word)
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-13, (label, word)
+
+
+def test_the_braid_plan_route_gives_word_tensors_bits_on_signs():
+    residuals = set()
+    for label, s in _signed_braidings():
+        b = make_braiding(s)
+        assert braiding._letter_plan(b) is not None, label
+        assert check_braid(b) == _dense_braid(s), label
+        assert check_yang_baxter(build_jn(b, 2).dense()) == check_braid(b), label
+        residuals.add(check_braid(b))
+    # braid solutions, and signed permutations whose two words differ in a row or a sign
+    assert residuals == {0.0, 1.0, 2.0}
+
+
+def test_the_braid_plan_route_matches_word_tensor_on_complex_phases():
+    broken = 0
+    for label, s in _phase_braidings():
+        b = make_braiding(s)
+        assert braiding._letter_plan(b)[1] is not None, label
+        want = _dense_braid(s)
+        assert abs(check_braid(b) - want) <= 1e-14, label
+        broken += want > 1e-3
+    assert broken == 4
+
+
+def _hecke(n, q):
+    """The GL_q(n) braiding: q on e_i e_i, the flip on e_i e_j, plus (q - 1/q) e_i e_j for
+    i > j.  It braids, and mat(S) is not monomial."""
+    mat = np.zeros((n * n,) * 2, dtype=complex)
+    for i, j in itertools.product(range(n), repeat=2):
+        mat[j * n + i, i * n + j] = q if i == j else 1
+        if i > j:
+            mat[i * n + j, i * n + j] = q - 1 / q
+    return mat.reshape((n,) * 4)
+
+
+def _dense_braidings():
+    """(label, S) that keep ``word_tensor``: mat(S) not monomial."""
+    flip = flip_central(3)
+    yield "random", random_geometry(0).S
+    yield "hecke", _hecke(3, 1.3)
+    for label, index, value in [("NaN", (0, 2, 2, 0), np.nan), ("inf", (0, 2, 2, 0), np.inf),
+                                ("zero column", (0, 2, 2, 0), 0), ("1e-300", (0, 0, 1, 2), 1e-300)]:
+        s = flip.copy()
+        s[index] = value
+        yield label, s
+
+
+def test_an_s_that_is_not_monomial_keeps_word_tensor(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("braid word on the plan of an S that is not monomial")
+
+    monkeypatch.setattr(braiding, "_word_on_plan", unreachable)
+    for label, s in _dense_braidings():
+        b = make_braiding(s)
+        assert braiding._letter_plan(b) is None, label
+        # the NaN and inf words are NaN, as the matmul spreads them
+        with np.errstate(invalid="ignore"):
+            got, want = check_braid(b), _dense_braid(s)
+            yb = check_yang_baxter(np.swapaxes(s, 0, 1))
+        assert got == want == yb or np.isnan([got, want, yb]).all(), label
+    assert check_braid(make_braiding(_hecke(3, 1.3))) <= 1e-12
+
+
+def test_a_monomial_s_never_calls_word_tensor(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("word_tensor on the plan route")
+
+    monkeypatch.setattr(braiding, "word_tensor", unreachable)
+    for b in _monomial_braidings():
+        check_braid(b)
+        check_yang_baxter(build_jn(b, 2).dense())
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+def test_a_scaled_flip_gets_the_dense_braid_verdicts(scale, monkeypatch):
+    # 1e300: the words overflow, so both residuals are non-finite; 1e-200: they
+    # underflow to 0 on either route.  Warnings are errors here, so none is raised
+    braid = make_braiding(scale * flip_central(3))
+
+    def rows():
+        report = run_verify((braid, None), checks={"braid", "yb"})
+        return [(c.name, c.status, c.residual) for c in report.checks if c.status != "skipped"]
+
+    plan_rows = rows()
+    monkeypatch.setattr(braiding, "_letter_plan", lambda b: None)
+    dense_rows = rows()
+    assert [r[:2] for r in plan_rows] == [r[:2] for r in dense_rows]
+    if scale > 1:
+        assert [r[:2] for r in plan_rows] == [("braid", "fail"), ("yang-baxter", "fail")]
+        assert not any(np.isfinite(r[2]) for r in plan_rows + dense_rows)
+    else:
+        assert plan_rows == dense_rows == [("braid", "pass", 0.0), ("yang-baxter", "pass", 0.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ values into the same GEMM: agreement is exact.
 """
 
 import dataclasses
+import gc
 import itertools
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -816,6 +818,72 @@ def test_verify_at_order_5_never_builds_j5(monkeypatch):
     report = run_verify(random_phase_twist(5, 4), max_order=5)
     assert {k: built.count(k) for k in set(built)} == {2: 2, 3: 1, 4: 1}
     assert [c.status for c in report.checks if c.name.startswith("jn-involutive")] == ["pass"] * 4
+
+
+def _counted_plan_steps(monkeypatch) -> list:
+    """The order k of every ``_plan_step`` call from here on, in call order."""
+    steps, real = [], involution._plan_step
+
+    def counted(letter, n, k, rows, values):
+        steps.append(k)
+        return real(letter, n, k, rows, values)
+
+    monkeypatch.setattr(involution, "_plan_step", counted)
+    return steps
+
+
+def test_a_braid_o5_verify_steps_each_star_plan_once(monkeypatch):
+    # J^(2) for yang-baxter, then J^(3), J^(4), J^(5) for the jn rows, each kept on the braiding
+    steps = _counted_plan_steps(monkeypatch)
+    report = run_verify(random_phase_twist(0, 4), max_order=5)
+    assert steps == [2, 3, 4, 5]
+    assert report.counts["fail"] == 0
+
+
+def test_the_braid_and_yang_baxter_rows_compose_no_dense_word(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("dense word on a monomial S")
+
+    monkeypatch.setattr(np, "einsum", unreachable)
+    monkeypatch.setattr(sys.modules["stehbein.braiding"], "word_tensor", unreachable)
+    report = run_verify(random_phase_twist(0, 4), checks={"braid", "yb"}, max_order=5)
+    assert [(c.name, c.status) for c in report.checks if c.status != "skipped"] == [
+        ("braid", "pass"), ("yang-baxter", "pass")]
+
+
+def test_a_braidings_star_plans_are_stepped_once_and_read_only(monkeypatch):
+    steps = _counted_plan_steps(monkeypatch)
+    b = random_phase_twist(0, 4)[0]
+    stars = [build_jn(b, k) for k in (5, 1, 2, 3, 4, 5)]
+    assert steps == [2, 3, 4, 5]
+    assert stars[-1] is stars[0] and [star.order for star in stars] == [5, 1, 2, 3, 4, 5]
+    # the involution residual reads J^(k) from the kept plans
+    for k in (2, 3, 4, 5):
+        assert check_jn_involutive(b, k) <= TOL
+    assert steps == [2, 3, 4, 5]
+    for star in stars:
+        for plan in (star.rows, star.values):
+            with pytest.raises(ValueError, match="read-only"):
+                plan[0] = 0
+    # a braiding with the same S keeps plans of its own, with the same values
+    twin = Braiding(b.n, b.S)
+    assert check_jn_involutive(twin, 4) == check_jn_involutive(b, 4)
+    assert build_jn(twin, 5) is not stars[0] and steps == [2, 3, 4, 5, 2, 3, 4, 5]
+    assert np.array_equal(build_jn(twin, 5).dense(), stars[0].dense())
+    # and they go with it
+    kept = weakref.ref(build_jn(twin, 5))
+    del twin
+    gc.collect()
+    assert kept() is None
+
+
+def test_the_dense_route_keeps_no_star_tensor():
+    b = make_braiding(random_geometry(0).S)
+    first, second = build_jn(b, 3), build_jn(b, 3)
+    assert first is not second and first.array is not second.array
+    assert np.array_equal(first.array, second.array)
+    check_jn_involutive(b, 3)
+    assert b._star_plans == []
 
 
 def test_jn_involutive_is_nan_for_a_nan_in_s_at_every_order():

@@ -181,13 +181,19 @@ def test_one_kernel_runs_the_first_order_operator():
 def test_only_the_field_entry_points_take_the_gather_route():
     # frametensor._central_on_field gathers by a plan of the tensor's values; the star
     # tensor's letter blocks, word_tensor and every P contraction stay on central_at, and
-    # star_form reads J^(p)'s own plan.  The one other reader of S's plan is the star
-    # tensor's route choice
+    # star_form reads J^(p)'s own plan.  The one other reader of a tensor's plan is
+    # braiding._letter_plan, S's, which the braid words and the star tensor's route read
     assert _callers("_central_on_field") == [("connection.py", "d2"),
                                              ("frametensor.py", "apply_central_at")]
-    assert _callers("_monomial_plan") == [("frametensor.py", "_central_on_field"),
-                                          ("involution.py", "_letter_plan")]
+    assert _callers("_monomial_plan") == [("braiding.py", "_letter_plan"),
+                                          ("frametensor.py", "_central_on_field")]
     assert "_central_on_field" not in (SRC / "involution.py").read_text(encoding="utf-8")
+
+
+def test_braiding_calls_no_einsum():
+    # both braid words run on S's plan or by word_tensor, and yang-baxter is the braid
+    # residual relabeled; an einsum there would be a second composition beside them
+    assert [top for module, top in _callers("einsum") if module == "braiding.py"] == []
 
 
 def test_one_generator_runs_every_step_of_the_star_tensor():
